@@ -3,8 +3,8 @@
 //! `cargo bench --bench fig8`.
 
 fn main() {
-    match lift_harness::fig8() {
-        Ok(rows) => print!("{}", lift_harness::report::render_fig8(&rows)),
+    match lift_harness::fig8_shard(&lift_bench::run_config(), (0, 1)) {
+        Ok(rows) => print!("{}", lift_harness::report::render_fig8(&rows.flatten())),
         Err(e) => {
             eprintln!("fig8 failed: {e}");
             std::process::exit(1);

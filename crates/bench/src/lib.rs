@@ -9,10 +9,27 @@
 //!   itself (typecheck, rewrite, codegen);
 //! * `simulator` — Criterion microbenchmarks of the virtual device.
 //!
-//! Knobs: `LIFT_TUNE_BUDGET` (evaluations per variant, default 10),
-//! `LIFT_FULL_SIZES=1` (paper-sized grids), `LIFT_SEED`.
+//! The figure targets take the same `LIFT_*` environment variables as the
+//! `lift-harness` binary (`LIFT_TUNE_BUDGET`, `LIFT_SEED`,
+//! `LIFT_FULL_SIZES=1`, …), resolved by [`run_config`]. Like the binary's
+//! `main`, this crate sits at the edge: the library crates it drives read
+//! no environment.
 
 #![forbid(unsafe_code)]
 
+use lift_harness::RunConfig;
+
 /// Marker so the crate builds a (tiny) library alongside the bench targets.
 pub const PAPER: &str = "High Performance Stencil Code Generation with Lift, CGO 2018";
+
+/// The run configuration from the `LIFT_*` environment variables over the
+/// defaults; a malformed value ends the process with exit code 2, as in
+/// `lift-harness`.
+pub fn run_config() -> RunConfig {
+    RunConfig::default()
+        .resolve(&Default::default(), |name| std::env::var(name).ok())
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
+}

@@ -76,14 +76,11 @@ impl KernelCache {
 
     /// Returns the kernel for `key`, compiling it with `compile` on a miss.
     ///
-    /// Under the (default) plan engine a miss also compiles the simulator
-    /// execution plan eagerly, so every structural fault — including the
-    /// plan-level ones (`UnboundVariable`, provable `TypeMismatch`) —
-    /// surfaces here, at compile time, with the kernel name and statement
-    /// context, rather than mid-simulation. With `LIFT_SIM_ENGINE=tree`
-    /// the plan is neither built nor required, keeping the reference
-    /// interpreter a genuine escape hatch even for a kernel the plan
-    /// compiler would reject.
+    /// A miss also compiles the simulator execution plan eagerly, so every
+    /// structural fault — including the plan-level ones
+    /// (`UnboundVariable`, provable `TypeMismatch`) — surfaces here, at
+    /// compile time, with the kernel name and statement context, rather
+    /// than mid-simulation.
     ///
     /// Concurrency: compilation runs outside the lock (codegen can be slow
     /// and other keys should not wait on it), so two threads racing on the
@@ -107,9 +104,7 @@ impl KernelCache {
             return Ok(hit);
         }
         let kernel = Arc::new(PlannedKernel::new(compile()?));
-        if lift_oclsim::SimEngine::from_env() == lift_oclsim::SimEngine::Plan {
-            kernel.plan()?;
-        }
+        kernel.plan()?;
         match self.lock().entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => {
                 // Lost the race: another thread inserted while we compiled.

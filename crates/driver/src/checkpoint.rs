@@ -13,9 +13,9 @@
 //! Managers are process-wide singletons per path (see
 //! [`CheckpointManager::at`]): concurrent sweep cells share one manager
 //! and serialize their writes on its lock. Distinct *processes* must use
-//! distinct paths — the harness's shard mode (`--shard` and
-//! `--spawn-workers`) derives `<path>.shard<i>of<n>` per worker for
-//! exactly this reason.
+//! distinct paths — the harness's shard mode (`--shard`, which every
+//! `campaign` worker runs in) derives `<path>.shard<i>of<n>` per worker
+//! for exactly this reason.
 //!
 //! The file layout (version [`CHECKPOINT_SCHEMA_VERSION`]):
 //!

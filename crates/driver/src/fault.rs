@@ -1,29 +1,31 @@
-//! Deterministic fault injection for supervision tests (`LIFT_FAULT`).
+//! Deterministic fault injection for supervision tests.
 //!
 //! Long-running campaigns must survive workers that crash, hang or corrupt
 //! their checkpoints — and the supervisor that provides that survival has
 //! to be testable without flaky sleeps or real hardware faults. This seam
 //! injects the three failure classes *deterministically*, at well-defined
-//! points of the tuning loop, controlled by one environment variable:
+//! points of the tuning loop, controlled by one [`FaultPlan`] that the
+//! process [`arm`]s once (the `lift-harness` binary parses it from
+//! `LIFT_FAULT`):
 //!
-//! | `LIFT_FAULT=`                | effect                                       |
+//! | plan                         | effect                                       |
 //! |------------------------------|----------------------------------------------|
 //! | `exit-after:<k>`             | the process exits with [`FAULT_EXIT_CODE`] once `k` tuner tells have been applied (a crash mid-tune) |
 //! | `stall` / `stall-after:<k>`  | the tuning thread sleeps forever after `k` tells (a hung worker; only a kill ends it) |
 //! | `truncate-checkpoint:<k>`    | the `k`-th checkpoint write (1-based) writes a truncated file *directly over the target* — deliberately bypassing the atomic temp+rename path — and exits (a torn write by a dying machine) |
 //!
 //! The hooks are threaded through the two layers a real fault would hit:
-//! [`after_tells`] fires from the tuning loop (`tune_variant_batched`)
+//! `after_tells` fires from the tuning loop (`tune_variant_batched`)
 //! after each batch of tells is applied and checkpointed, and
-//! [`sabotage_checkpoint_write`] fires from the checkpoint writer. Tells
+//! `sabotage_checkpoint_write` fires from the checkpoint writer. Tells
 //! and writes are counted process-wide, so `exit-after:3` means "the third
 //! applied tell anywhere in this process" regardless of which variant or
 //! sweep cell produced it — exactly reproducible for a fixed seed and
 //! budget.
 //!
-//! An unset or empty `LIFT_FAULT` disables everything (the counters are
-//! never even consulted); an unparseable value is reported once on stderr
-//! and ignored rather than silently arming a half-understood fault.
+//! An unarmed process runs every hook as a no-op (the counters are never
+//! even consulted). Plans are parsed with [`parse_plan`] by the caller, so
+//! junk is a usage error at the edge rather than a half-understood fault.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -37,7 +39,7 @@ pub const FAULT_EXIT_CODE: i32 = 86;
 
 /// One parsed fault plan (see the module docs for the syntax).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FaultPlan {
+pub enum FaultPlan {
     /// Exit with [`FAULT_EXIT_CODE`] once this many tells were applied.
     ExitAfterTells(u64),
     /// Sleep forever once this many tells were applied.
@@ -46,8 +48,12 @@ pub(crate) enum FaultPlan {
     TruncateCheckpointWrite(u64),
 }
 
-/// Parses a `LIFT_FAULT` plan string.
-pub(crate) fn parse_plan(s: &str) -> Result<FaultPlan, String> {
+/// Parses a fault plan string (see the module docs for the syntax).
+///
+/// # Errors
+///
+/// A description of what is wrong with `s`, for a usage message.
+pub fn parse_plan(s: &str) -> Result<FaultPlan, String> {
     let (kind, arg) = match s.split_once(':') {
         Some((k, a)) => (k, Some(a)),
         None => (s, None),
@@ -77,25 +83,17 @@ pub(crate) fn parse_plan(s: &str) -> Result<FaultPlan, String> {
     }
 }
 
-/// The plan armed for this process, resolved from `LIFT_FAULT` exactly
-/// once. `None` when the variable is unset, empty, or unparseable (the
-/// latter is reported on stderr — junk must not arm a surprise fault).
+/// The plan armed for this process, if any.
+static PLAN: OnceLock<FaultPlan> = OnceLock::new();
+
+/// Arms `plan` for the rest of this process. The first plan armed wins;
+/// later calls are ignored, so the counters always refer to one plan.
+pub fn arm(plan: FaultPlan) {
+    let _ = PLAN.set(plan);
+}
+
 fn active() -> Option<FaultPlan> {
-    static PLAN: OnceLock<Option<FaultPlan>> = OnceLock::new();
-    *PLAN.get_or_init(|| {
-        let raw = std::env::var("LIFT_FAULT").ok()?;
-        let raw = raw.trim();
-        if raw.is_empty() {
-            return None;
-        }
-        match parse_plan(raw) {
-            Ok(plan) => Some(plan),
-            Err(e) => {
-                eprintln!("lift-driver: ignoring invalid LIFT_FAULT `{raw}`: {e}");
-                None
-            }
-        }
-    })
+    PLAN.get().copied()
 }
 
 /// Process-wide applied-tell counter (only advanced while a plan is armed).

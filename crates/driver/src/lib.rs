@@ -63,14 +63,19 @@
 //!   tuning: racing threads on one key settle on a single cached kernel
 //!   and the compile counter counts only the winning insert.
 //! * **Parallel, deterministic tuning** — the search runs on the tuner's
-//!   batched ask/tell engine across [`TuneOptions::threads`] workers
-//!   (`LIFT_TUNE_THREADS` when unset), fanning out over variants and
-//!   configuration batches. Thread count never changes results: the same
-//!   seed yields identical winners, configurations and scores at any
-//!   parallelism. With [`TuneOptions::checkpoint`] (`LIFT_CHECKPOINT`
-//!   when unset) every search's state is persisted atomically as it
-//!   progresses, and a later run resumes from the file bit-identically
-//!   to a run that was never interrupted — see [`CheckpointManager`].
+//!   batched ask/tell engine across [`TuneOptions::threads`] workers,
+//!   fanning out over variants and configuration batches. Thread count
+//!   never changes results: the same seed yields identical winners,
+//!   configurations and scores at any parallelism. With
+//!   [`TuneOptions::checkpoint`] every search's state is persisted
+//!   atomically as it progresses, and a later run resumes from the file
+//!   bit-identically to a run that was never interrupted — see
+//!   [`CheckpointManager`].
+//!
+//! Configuration arrives only as arguments — [`TuneOptions`] values and
+//! the [`VirtualDevice`](lift_oclsim::VirtualDevice) (which carries its
+//! simulator engine); the crate reads no environment. The fault-injection
+//! seam ([`fault`]) is armed explicitly by the binary that wants it.
 //! * **Baselines included** — [`reference_baseline`] (hand-written
 //!   kernels) and [`ppcg_baseline`] (the fixed polyhedral strategy) run
 //!   through the same machinery, which is how the harness regenerates the
@@ -81,7 +86,7 @@
 mod cache;
 mod checkpoint;
 mod error;
-mod fault;
+pub mod fault;
 mod pipeline;
 mod tune;
 

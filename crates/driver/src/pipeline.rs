@@ -7,6 +7,10 @@
 //! explore an ill-typed program. Every stage is inspectable — the variant
 //! list, the lowered expressions, the generated OpenCL source and the
 //! modeled runtime are all available without leaving the API.
+//!
+//! Tuning is configured by a [`TuneOptions`] value and nothing else; the
+//! simulator engine travels with the [`VirtualDevice`] a session is bound
+//! to.
 
 use std::sync::Arc;
 
@@ -22,11 +26,14 @@ use crate::cache::KernelCache;
 use crate::error::LiftError;
 use crate::tune::{
     bench_golden, bench_inputs, compile_bound, launch_for, program_fingerprint_of, tune_variants,
-    BenchResult, TuneContext,
+    BenchResult, CostModel, TuneContext,
 };
 
 /// Tuning options: the evaluation budget per variant, the search seed,
-/// the worker-thread count and the optional checkpoint file.
+/// the worker-thread count, the optional checkpoint file and the cost-model
+/// guidance. Every field is a plain value: this crate reads no environment,
+/// so a caller that wants environment knobs resolves them itself (the
+/// `lift-harness` binary does, once, in `main`).
 ///
 /// Threading only changes wall-clock, never results: for the same seed,
 /// `threads: 1` and `threads: N` produce identical winners, configurations
@@ -35,32 +42,27 @@ use crate::tune::{
 /// resumed from `checkpoint` finishes bit-identically to one that was
 /// never interrupted — the file only lets it skip re-evaluating what an
 /// earlier process already measured.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TuneOptions {
     /// Tuner evaluations per (variant, device) pair.
     pub evaluations: usize,
     /// Seed for the deterministic search.
     pub seed: u64,
     /// Worker threads for parallel evaluation across variants and
-    /// configuration batches. `0` (the default) defers to the
-    /// `LIFT_TUNE_THREADS` environment variable, falling back to 1
-    /// (sequential).
+    /// configuration batches; 1 (the default) is sequential, and 0 is
+    /// treated as 1.
     pub threads: usize,
-    /// Checkpoint file for resumable tuning. `None` (the default) defers
-    /// to the `LIFT_CHECKPOINT` environment variable, falling back to no
+    /// Checkpoint file for resumable tuning; `None` (the default) disables
     /// checkpointing. Each process needs its own file — see
     /// [`CheckpointManager`](crate::CheckpointManager).
     pub checkpoint: Option<std::path::PathBuf>,
-    /// Applied tells between checkpoint writes. `0` (the default) defers
-    /// to `LIFT_CHECKPOINT_EVERY`, falling back to 16.
+    /// Applied tells between checkpoint writes (default 16; 0 is treated
+    /// as 1).
     pub checkpoint_every: usize,
-    /// Cost-model guidance setting, as the raw `LIFT_COST_PRUNE` syntax:
-    /// `"off"`/`"0"` disables pruning and warm-start, a positive float
-    /// sets the domination threshold `k`. `None` (the default) defers to
-    /// the `LIFT_COST_PRUNE` environment variable, falling back to
-    /// enabled with `k = 1.0` (the provably-safe setting). See
-    /// [`CostModel`](crate::CostModel).
-    pub cost_prune: Option<String>,
+    /// Cost-model guidance: warm-start and dominated-configuration pruning,
+    /// enabled with `k = 1.0` (the provably-safe setting) by default. See
+    /// [`CostModel`].
+    pub cost_prune: CostModel,
 }
 
 /// The historical name of [`TuneOptions`] (PR 1 introduced it as the
@@ -71,11 +73,11 @@ impl Default for TuneOptions {
     fn default() -> Self {
         TuneOptions {
             evaluations: 10,
-            seed: 2018,          // the CGO year, as everywhere in this repo
-            threads: 0,          // LIFT_TUNE_THREADS, else sequential
-            checkpoint: None,    // LIFT_CHECKPOINT, else no checkpointing
-            checkpoint_every: 0, // LIFT_CHECKPOINT_EVERY, else 16
-            cost_prune: None,    // LIFT_COST_PRUNE, else on with k = 1.0
+            seed: 2018, // the CGO year, as everywhere in this repo
+            threads: 1,
+            checkpoint: None,
+            checkpoint_every: 16,
+            cost_prune: CostModel::default(),
         }
     }
 }
@@ -95,23 +97,10 @@ impl TuneOptions {
         self
     }
 
-    /// Sets the worker-thread count explicitly, overriding
-    /// `LIFT_TUNE_THREADS`. Passing `0` restores the default behaviour
-    /// (defer to the environment variable, else run sequentially) — it
-    /// does *not* mean "no threads".
+    /// Sets the worker-thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
-    }
-
-    /// The effective thread count: the explicit setting, else
-    /// `LIFT_TUNE_THREADS`, else 1.
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            crate::tune::env_threads()
-        }
     }
 
     /// Enables checkpointing to `path` (see
@@ -121,56 +110,26 @@ impl TuneOptions {
         self
     }
 
-    /// Sets the checkpoint write cadence in applied tells. Passing `0`
-    /// restores the default behaviour (defer to `LIFT_CHECKPOINT_EVERY`,
-    /// else 16).
+    /// Sets the checkpoint write cadence in applied tells.
     pub fn with_checkpoint_every(mut self, tells: usize) -> Self {
         self.checkpoint_every = tells;
         self
     }
 
-    /// The effective checkpoint path: the explicit setting, else
-    /// `LIFT_CHECKPOINT` (when non-empty), else none.
-    pub fn resolved_checkpoint(&self) -> Option<std::path::PathBuf> {
-        if self.checkpoint.is_some() {
-            return self.checkpoint.clone();
-        }
-        std::env::var("LIFT_CHECKPOINT")
-            .ok()
-            .filter(|p| !p.is_empty())
-            .map(std::path::PathBuf::from)
-    }
-
-    /// Sets the cost-model guidance explicitly (`"off"`, `"0"`, or a
-    /// positive float for the threshold `k`), overriding
-    /// `LIFT_COST_PRUNE`.
-    pub fn with_cost_prune(mut self, setting: impl Into<String>) -> Self {
-        self.cost_prune = Some(setting.into());
+    /// Sets the cost-model guidance.
+    pub fn with_cost_prune(mut self, cost: CostModel) -> Self {
+        self.cost_prune = cost;
         self
     }
 
-    /// The effective cost-model setting: the explicit setting, else
-    /// `LIFT_COST_PRUNE`, else enabled with `k = 1.0`.
-    pub fn resolved_cost_prune(&self) -> crate::tune::CostModel {
-        match &self.cost_prune {
-            Some(s) => crate::tune::CostModel::from_setting(Some(s)),
-            None => crate::tune::CostModel::from_setting(
-                std::env::var("LIFT_COST_PRUNE").ok().as_deref(),
-            ),
-        }
-    }
-
-    /// The effective checkpoint cadence: the explicit setting, else
-    /// `LIFT_CHECKPOINT_EVERY`, else 16.
-    pub fn resolved_checkpoint_every(&self) -> usize {
-        if self.checkpoint_every > 0 {
-            return self.checkpoint_every;
-        }
-        std::env::var("LIFT_CHECKPOINT_EVERY")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|n| *n > 0)
-            .unwrap_or(16)
+    /// The checkpoint manager for this run, when checkpointing is on.
+    pub(crate) fn checkpoint_manager(
+        &self,
+    ) -> Result<Option<Arc<crate::checkpoint::CheckpointManager>>, LiftError> {
+        self.checkpoint
+            .as_ref()
+            .map(|p| crate::checkpoint::CheckpointManager::at(p, self.checkpoint_every))
+            .transpose()
     }
 }
 
@@ -476,12 +435,7 @@ impl DeviceSession {
         let out_sizes = self.out_sizes()?;
         let (inputs, golden) = self.inputs_and_golden(budget.seed)?;
         let name = self.program_name();
-        let manager = budget
-            .resolved_checkpoint()
-            .map(|p| {
-                crate::checkpoint::CheckpointManager::at(&p, budget.resolved_checkpoint_every())
-            })
-            .transpose()?;
+        let manager = budget.checkpoint_manager()?;
         let report = {
             let ctx = TuneContext {
                 name: name.clone(),
@@ -492,7 +446,7 @@ impl DeviceSession {
                 cache: self.cache(),
                 budget: budget.evaluations,
                 seed: budget.seed,
-                threads: budget.resolved_threads(),
+                threads: budget.threads,
                 checkpoint: manager.clone().map(|mgr| {
                     crate::checkpoint::CellCheckpoint::new(
                         mgr,
@@ -501,7 +455,7 @@ impl DeviceSession {
                         &out_sizes,
                     )
                 }),
-                cost: budget.resolved_cost_prune(),
+                cost: budget.cost_prune,
             };
             tune_variants(&ctx, self.set.variants())?
         };

@@ -101,11 +101,10 @@ pub(crate) struct TuneContext<'a> {
 /// `pruned_model`). Estimates are pure functions of
 /// (plan, launch, device), and prune decisions are made on fixed-size
 /// proposal windows, so results stay bit-identical across thread counts
-/// and shards. Resolved once from `LIFT_COST_PRUNE` (see
-/// [`crate::TuneOptions::resolved_cost_prune`]).
+/// and shards. Set through [`crate::TuneOptions::cost_prune`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
-    /// `false` (`LIFT_COST_PRUNE=off`) restores pure-PRNG proposal order
+    /// `false` ([`CostModel::off`]) restores pure-PRNG proposal order
     /// and simulates every proposal, byte-reproducing unguided reports.
     pub enabled: bool,
     /// The domination threshold: prune when
@@ -128,7 +127,7 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// The disabled setting (`LIFT_COST_PRUNE=off`).
+    /// The disabled setting (`off`).
     pub fn off() -> Self {
         CostModel {
             enabled: false,
@@ -136,32 +135,26 @@ impl CostModel {
         }
     }
 
-    /// Parses a `LIFT_COST_PRUNE` value: `off`/`0` disables, a positive
-    /// float sets `k`, anything else (or `None`) is the default.
-    pub fn from_setting(setting: Option<&str>) -> Self {
-        match setting.map(|s| s.trim().to_ascii_lowercase()) {
-            Some(v) if v == "off" => CostModel::off(),
-            Some(v) => match v.parse::<f64>() {
-                Ok(k) if k > 0.0 && k.is_finite() => CostModel { enabled: true, k },
-                // `0` (in any spelling) is the numeric way to say "off".
-                Ok(0.0) => CostModel::off(),
-                // Junk must not silently disable the safety-neutral
-                // default, nor invent a threshold.
-                _ => CostModel::default(),
-            },
-            None => CostModel::default(),
+    /// Parses the `LIFT_COST_PRUNE` syntax, case-insensitively and
+    /// ignoring surrounding whitespace: `off`/`0` disables, a positive
+    /// finite float sets `k`.
+    ///
+    /// # Errors
+    ///
+    /// Anything else, described for a usage message — junk must neither
+    /// silently disable the model nor invent a threshold.
+    pub fn parse(setting: &str) -> Result<Self, String> {
+        let v = setting.trim().to_ascii_lowercase();
+        if v == "off" {
+            return Ok(CostModel::off());
+        }
+        match v.parse::<f64>() {
+            Ok(k) if k > 0.0 && k.is_finite() => Ok(CostModel { enabled: true, k }),
+            // `0` (in any spelling) is the numeric way to say "off".
+            Ok(0.0) => Ok(CostModel::off()),
+            _ => Err("`off`, `0` or a positive number".to_string()),
         }
     }
-}
-
-/// The `LIFT_TUNE_THREADS` fallback used when no explicit thread count was
-/// configured (see `TuneOptions::threads`).
-pub(crate) fn env_threads() -> usize {
-    std::env::var("LIFT_TUNE_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|n| *n > 0)
-        .unwrap_or(1)
 }
 
 fn round_up(n: usize, m: usize) -> usize {
@@ -350,7 +343,6 @@ fn evaluate_config(
     variant: &Variant,
     variant_fp: u64,
     cfg: &[(String, i64)],
-    validate: bool,
 ) -> Result<f64, LiftError> {
     let tun_values: Vec<(String, i64)> = variant
         .tunables
@@ -395,14 +387,12 @@ fn evaluate_config(
         });
     }
     let out = ctx.device.run_planned(&kernel, &ctx.inputs, launch)?;
-    if validate {
-        if let Some(golden) = &ctx.golden {
-            if !outputs_match(out.output.as_f32(), golden) {
-                return Err(LiftError::Validation {
-                    variant: variant.name.clone(),
-                    detail: format!("output diverges from the golden reference under {cfg:?}"),
-                });
-            }
+    if let Some(golden) = &ctx.golden {
+        if !outputs_match(out.output.as_f32(), golden) {
+            return Err(LiftError::Validation {
+                variant: variant.name.clone(),
+                detail: format!("output diverges from the golden reference under {cfg:?}"),
+            });
         }
     }
     Ok(out.time_s)
@@ -575,9 +565,6 @@ fn tune_variant_batched(
         .map(|p| p.name().to_string())
         .collect();
 
-    let validate = std::env::var("LIFT_NO_VALIDATE")
-        .map(|v| v != "1")
-        .unwrap_or(true);
     let search_seed = ctx.seed ^ hash(&variant.name);
     let ck_key = ctx.checkpoint.as_ref().map(|c| c.key(&variant.name));
     let mut first_failure: Option<LiftError> = None;
@@ -713,7 +700,7 @@ fn tune_variant_batched(
         let evaluated = parallel_map(eval_threads, to_eval, |cfg| {
             let named: Vec<(String, i64)> =
                 names.iter().cloned().zip(cfg.iter().copied()).collect();
-            evaluate_config(ctx, variant, variant_fp, &named, validate)
+            evaluate_config(ctx, variant, variant_fp, &named)
         });
         // Tell in batch order == proposal order: the trace, incumbent and
         // recorded first failure stay deterministic. A pruned proposal is
@@ -864,10 +851,7 @@ pub fn ppcg_baseline(
     let variant = ppcg_variant(&prog)?;
     let inputs = bench_inputs(bench, sizes, opts.seed);
     let golden = bench_golden(bench, &inputs, sizes);
-    let manager = opts
-        .resolved_checkpoint()
-        .map(|p| crate::checkpoint::CheckpointManager::at(&p, opts.resolved_checkpoint_every()))
-        .transpose()?;
+    let manager = opts.checkpoint_manager()?;
     let ctx = TuneContext {
         name: bench.name.to_string(),
         out_sizes: sizes.to_vec(),
@@ -877,11 +861,11 @@ pub fn ppcg_baseline(
         cache: KernelCache::global(),
         budget: opts.evaluations,
         seed: opts.seed,
-        threads: opts.resolved_threads(),
+        threads: opts.threads,
         checkpoint: manager
             .clone()
             .map(|mgr| CellCheckpoint::new(mgr, bench.name, dev.profile().name, sizes)),
-        cost: opts.resolved_cost_prune(),
+        cost: opts.cost_prune,
     };
     let outcome = tune_variant(&ctx, &variant);
     if let Some(mgr) = manager {

@@ -1,8 +1,9 @@
 //! The fault-tolerant campaign supervisor: `lift-harness campaign`.
 //!
-//! `--spawn-workers` forks one worker per shard and hopes; a *campaign*
-//! owns its workers. [`run_campaign`] drives a work queue of shards
-//! through `N` worker slots under a supervision loop:
+//! A *campaign* runs a sharded sweep in worker processes (this binary
+//! with `--json --shard i/n`) and owns them: [`run_campaign`] drives a
+//! work queue of shards through `N` worker slots under a supervision
+//! loop:
 //!
 //! - **Retry with backoff** — a worker that dies (crash, OOM-kill,
 //!   injected fault) has its shard requeued with exponential backoff,
@@ -28,6 +29,12 @@
 //! be injected deterministically per shard (`--fault i:<plan>`, handed
 //! to the worker's first attempt as `LIFT_FAULT` — see the driver's
 //! fault seam) to rehearse all of the above without flaky sleeps.
+//!
+//! Workers are configured explicitly: each gets the campaign's thread
+//! count and checkpoint base as flags and its checkpoint cadence as
+//! `LIFT_CHECKPOINT_EVERY`, all taken from [`CampaignOptions`]; the other
+//! `LIFT_*` settings reach it through the inherited environment, which the
+//! supervisor's own `main` has already validated.
 
 use std::collections::VecDeque;
 use std::io::Read;
@@ -59,6 +66,11 @@ pub struct CampaignOptions {
     /// (cleaned up on full success, kept for adoption-on-rerun after a
     /// failure).
     pub checkpoint: Option<PathBuf>,
+    /// Applied tells between a worker's checkpoint writes. Adoption and
+    /// liveness are only as fine-grained as the writes, hence default 1.
+    pub checkpoint_every: usize,
+    /// Tuning threads within each worker.
+    pub threads: usize,
     /// Deterministic fault plans, `(shard index, LIFT_FAULT plan)`,
     /// injected into that shard's *first* attempt only.
     pub faults: Vec<(usize, String)>,
@@ -68,7 +80,8 @@ pub struct CampaignOptions {
 
 impl CampaignOptions {
     /// Defaults for `experiment`: 2 workers, one shard per worker, 2
-    /// retries, 10-minute liveness timeout, 250 ms base backoff.
+    /// retries, 10-minute liveness timeout, 250 ms base backoff, one
+    /// tuning thread per worker, a checkpoint write per applied tell.
     pub fn new(experiment: &str) -> Self {
         CampaignOptions {
             experiment: experiment.to_string(),
@@ -79,6 +92,8 @@ impl CampaignOptions {
             timeout: Duration::from_secs(600),
             retries: 2,
             checkpoint: None,
+            checkpoint_every: 1,
+            threads: 1,
             faults: Vec::new(),
             backoff: Duration::from_millis(250),
         }
@@ -117,7 +132,7 @@ pub struct CampaignReport {
     pub shards: Vec<ShardStats>,
     /// Campaign wall time in milliseconds.
     pub wall_ms: u128,
-    /// The machine-readable summary document (see [`summary_json`]).
+    /// The machine-readable summary document (see `summary_json`).
     pub summary: String,
 }
 
@@ -145,10 +160,11 @@ struct Running {
     last_progress: Instant,
 }
 
-/// The shard worker's derived checkpoint path: exactly what the worker
-/// itself derives from the inherited `LIFT_CHECKPOINT` (see `main.rs`),
-/// recomputed here so the supervisor can watch and adopt it.
-fn shard_checkpoint(base: &Path, shard: usize, count: usize) -> PathBuf {
+/// A shard worker's own checkpoint path, `<base>.shard<i>of<n>`: shard
+/// mode derives it from the configured base (checkpoint files must never
+/// be shared across processes), and the supervisor computes the same path
+/// to watch and adopt it.
+pub fn shard_checkpoint(base: &Path, shard: usize, count: usize) -> PathBuf {
     let mut name = base.as_os_str().to_owned();
     name.push(format!(".shard{shard}of{count}"));
     PathBuf::from(name)
@@ -185,7 +201,7 @@ fn count_quarantines(ck: &Path) -> usize {
 }
 
 /// Spawns one shard worker: this binary, `--json --shard i/n`, with the
-/// campaign checkpoint base in its environment (the worker derives its
+/// campaign's thread count and checkpoint base (the worker derives its
 /// own `.shard<i>of<n>` path) and the shard's fault plan on the first
 /// attempt only — replacement workers must run clean or the fault would
 /// re-fire forever.
@@ -199,7 +215,11 @@ fn spawn_worker(
     let mut c = std::process::Command::new(&exe);
     c.arg("--json")
         .arg("--shard")
-        .arg(format!("{shard}/{}", opts.shards));
+        .arg(format!("{shard}/{}", opts.shards))
+        .arg("--threads")
+        .arg(opts.threads.to_string())
+        .arg("--checkpoint")
+        .arg(ck_base);
     c.arg(&opts.experiment);
     if let Some(name) = &opts.bench {
         c.arg(name);
@@ -207,12 +227,7 @@ fn spawn_worker(
     if opts.large {
         c.arg("--large");
     }
-    c.env("LIFT_CHECKPOINT", ck_base);
-    // Checkpoint per tell unless the caller tuned the cadence: adoption
-    // and liveness are only as fine-grained as the checkpoint writes.
-    if std::env::var_os("LIFT_CHECKPOINT_EVERY").is_none() {
-        c.env("LIFT_CHECKPOINT_EVERY", "1");
-    }
+    c.env("LIFT_CHECKPOINT_EVERY", opts.checkpoint_every.to_string());
     // The supervisor may itself run under LIFT_FAULT in a test; workers
     // get a fault only when their shard's plan says so, on attempt 1.
     c.env_remove("LIFT_FAULT");
@@ -619,8 +634,8 @@ mod tests {
 
     #[test]
     fn shard_checkpoint_matches_the_worker_derivation() {
-        // main.rs derives `<base>.shard<i>of<n>` from LIFT_CHECKPOINT;
-        // adoption and liveness both depend on this exact agreement.
+        // Shard workers and the supervisor share this derivation; adoption
+        // and liveness both depend on the exact name.
         assert_eq!(
             shard_checkpoint(Path::new("/tmp/ck.json"), 2, 5),
             PathBuf::from("/tmp/ck.json.shard2of5")

@@ -5,8 +5,9 @@
 //! Every sweep distributes its (benchmark, device) grid over
 //! [`parallel_map`] workers: the work list is built up front in the
 //! sequential iteration order, rows come back in that same order, and each
-//! cell tunes with its own deterministic seed — so `LIFT_TUNE_THREADS=8`
-//! regenerates byte-identical reports, just sooner.
+//! cell tunes with its own deterministic seed — so a thread budget of 8
+//! (`RunConfig::tune.threads`) regenerates byte-identical reports, just
+//! sooner.
 //!
 //! The same work lists are also the unit of **cross-process sharding**
 //! (`lift-harness --shard i/n`): a [`Shard`] deterministically selects the
@@ -14,19 +15,18 @@
 //! those cells, and because every cell tunes with its own seed the union
 //! of all shards' rows — reassembled in cell order by `lift-harness
 //! merge` — is byte-identical to the single-process sweep.
+//!
+//! Each experiment is one function taking the run's [`RunConfig`] (and,
+//! for the sweeps, a [`Shard`]; `(0, 1)` is the whole sweep): budget,
+//! seed and thread budget come from `cfg.tune`, grid sizes from
+//! `cfg.full_sizes`, and every device is built on `cfg.engine`.
 
-use lift_driver::{
-    ppcg_baseline, reference_baseline, Budget, KernelCache, LiftError, Pipeline, Variant,
-};
+use lift_driver::{ppcg_baseline, reference_baseline, KernelCache, LiftError, Pipeline, Variant};
 use lift_oclsim::{DeviceProfile, FindingKind, VirtualDevice};
 use lift_stencils::{by_name, fig7_names, fig8_names, suite, Benchmark};
 use lift_tuner::parallel_map;
 
-use crate::{seed, threads, tune_budget};
-
-fn budget() -> Budget {
-    Budget::evaluations(tune_budget()).with_seed(seed())
-}
+use crate::RunConfig;
 
 /// One shard of a sweep: `(index, count)`. Grid cell `c` (in the sweep's
 /// deterministic work-list order) belongs to the shard with
@@ -47,7 +47,9 @@ pub struct ShardRows<T> {
 }
 
 impl<T> ShardRows<T> {
-    fn flatten(self) -> Vec<T> {
+    /// The rows of every selected cell, in cell order (for the whole-sweep
+    /// shard `(0, 1)`, the full report's rows).
+    pub fn flatten(self) -> Vec<T> {
         self.groups.into_iter().flat_map(|(_, rows)| rows).collect()
     }
 }
@@ -88,6 +90,7 @@ fn split_budget(budget: usize, cells: usize) -> (usize, usize) {
 /// Explore + tune one benchmark on one device through the pipeline, with
 /// `tuner_threads` workers evaluating configuration batches.
 fn tune(
+    cfg: &RunConfig,
     bench: &Benchmark,
     sizes: &[usize],
     dev: &VirtualDevice,
@@ -96,7 +99,7 @@ fn tune(
     Ok(Pipeline::from_benchmark(bench, sizes)?
         .explore()?
         .on(dev)
-        .tune_full(budget().with_threads(tuner_threads))?
+        .tune_full(cfg.tune.clone().with_threads(tuner_threads))?
         .report)
 }
 
@@ -117,29 +120,15 @@ pub struct Fig7Row {
     pub lift_tiled: bool,
 }
 
-/// Runs the Figure-7 experiment (6 benchmarks × 3 devices).
+/// Runs one shard (see [`Shard`]) of the Figure-7 experiment (6
+/// benchmarks × 3 devices); `(0, 1)` is the whole figure.
 ///
 /// # Errors
 ///
 /// Any [`LiftError`] from the pipeline — tuning that finds no valid
-/// configuration, or a reference kernel that fails to run or validate.
-pub fn fig7() -> Result<Vec<Fig7Row>, LiftError> {
-    fig7_with(threads())
-}
-
-/// [`fig7`] under an explicit thread budget (used by the `all` command to
-/// share the budget across concurrently-generated sections).
-pub fn fig7_with(thread_budget: usize) -> Result<Vec<Fig7Row>, LiftError> {
-    Ok(fig7_shard((0, 1), thread_budget)?.flatten())
-}
-
-/// One shard of the Figure-7 sweep (see [`Shard`]); `(0, 1)` is the whole
-/// figure.
-///
-/// # Errors
-///
-/// As [`fig7`], plus [`LiftError::InvalidConfig`] for an invalid shard.
-pub fn fig7_shard(shard: Shard, thread_budget: usize) -> Result<ShardRows<Fig7Row>, LiftError> {
+/// configuration, or a reference kernel that fails to run or validate —
+/// plus [`LiftError::InvalidConfig`] for an invalid shard.
+pub fn fig7_shard(cfg: &RunConfig, shard: Shard) -> Result<ShardRows<Fig7Row>, LiftError> {
     let shard = validate_shard(shard)?;
     let work: Vec<(DeviceProfile, &'static str)> = DeviceProfile::all()
         .into_iter()
@@ -147,13 +136,13 @@ pub fn fig7_shard(shard: Shard, thread_budget: usize) -> Result<ShardRows<Fig7Ro
         .collect();
     let cells = work.len();
     let mine = shard_cells(work, shard);
-    let (outer, inner) = split_budget(thread_budget, mine.len());
+    let (outer, inner) = split_budget(cfg.tune.threads, mine.len());
     let groups = parallel_map(outer, mine, |(cell, (profile, name))| {
-        let dev = VirtualDevice::new(profile);
+        let dev = cfg.device(profile);
         let bench = by_name(name);
-        let sizes = bench.size(false);
-        let lift = tune(&bench, &sizes, &dev, inner)?;
-        let reference = reference_baseline(&bench, &sizes, &dev, seed())?;
+        let sizes = bench.size(false, cfg.full_sizes);
+        let lift = tune(cfg, &bench, &sizes, &dev, inner)?;
+        let reference = reference_baseline(&bench, &sizes, &dev, cfg.tune.seed)?;
         Ok((
             cell,
             vec![Fig7Row {
@@ -188,32 +177,18 @@ pub struct Fig8Row {
     pub lift_tiled: bool,
 }
 
-/// Runs the Figure-8 experiment (8 benchmarks × {small, large} × 3
-/// devices). As in the paper, the large sizes are skipped on the ARM GPU
-/// (*"Large input sizes did not fit onto the ARM GPU"*).
+/// Runs one shard (see [`Shard`]) of the Figure-8 experiment (8
+/// benchmarks × {small, large} × 3 devices). As in the paper, the large
+/// sizes are skipped on the ARM GPU (*"Large input sizes did not fit onto
+/// the ARM GPU"*).
 ///
 /// # Errors
 ///
-/// Any [`LiftError`] from the pipeline. A benchmark the PPCG strategy
-/// cannot compile is skipped (not an error), matching the paper's
-/// "PPCG-expressible subset" framing.
-pub fn fig8() -> Result<Vec<Fig8Row>, LiftError> {
-    fig8_with(threads())
-}
-
-/// [`fig8`] under an explicit thread budget.
-pub fn fig8_with(thread_budget: usize) -> Result<Vec<Fig8Row>, LiftError> {
-    Ok(fig8_shard((0, 1), thread_budget)?.flatten())
-}
-
-/// One shard of the Figure-8 sweep (see [`Shard`]). PPCG-inexpressible
-/// cells appear with an empty row list, exactly as the full sweep skips
-/// them.
-///
-/// # Errors
-///
-/// As [`fig8`], plus [`LiftError::InvalidConfig`] for an invalid shard.
-pub fn fig8_shard(shard: Shard, thread_budget: usize) -> Result<ShardRows<Fig8Row>, LiftError> {
+/// Any [`LiftError`] from the pipeline, plus [`LiftError::InvalidConfig`]
+/// for an invalid shard. A benchmark the PPCG strategy cannot compile is
+/// skipped (not an error), matching the paper's "PPCG-expressible subset"
+/// framing: its cells appear with an empty row list.
+pub fn fig8_shard(cfg: &RunConfig, shard: Shard) -> Result<ShardRows<Fig8Row>, LiftError> {
     let shard = validate_shard(shard)?;
     // The work list mirrors the sequential iteration order, with the
     // paper's ARM large-size skip applied up front.
@@ -231,13 +206,13 @@ pub fn fig8_shard(shard: Shard, thread_budget: usize) -> Result<ShardRows<Fig8Ro
     }
     let cells = work.len();
     let mine = shard_cells(work, shard);
-    let (outer, inner) = split_budget(thread_budget, mine.len());
+    let (outer, inner) = split_budget(cfg.tune.threads, mine.len());
     let groups = parallel_map(outer, mine, |(cell, (profile, name, size_name, large))| {
-        let dev = VirtualDevice::new(profile);
+        let dev = cfg.device(profile);
         let bench = by_name(name);
-        let sizes = bench.size(large);
-        let lift = tune(&bench, &sizes, &dev, inner)?;
-        let ppcg = match ppcg_baseline(&bench, &sizes, &dev, budget().with_threads(inner)) {
+        let sizes = bench.size(large, cfg.full_sizes);
+        let lift = tune(cfg, &bench, &sizes, &dev, inner)?;
+        let ppcg = match ppcg_baseline(&bench, &sizes, &dev, cfg.tune.clone().with_threads(inner)) {
             Ok(p) => p,
             // A benchmark the PPCG strategy cannot compile is skipped, not
             // an error — the paper's "PPCG-expressible subset" framing.
@@ -276,36 +251,19 @@ pub struct AblationRow {
     pub rel_to_best: f64,
 }
 
-/// Per-variant ablation over the rewrite-rule space (§4): quantifies what
-/// each optimisation (tiling, local memory, unrolling, coarsening) is worth
-/// on each device.
+/// One shard (see [`Shard`]) of the per-variant ablation over the
+/// rewrite-rule space (§4): quantifies what each optimisation (tiling,
+/// local memory, unrolling, coarsening) is worth on each device. Each cell
+/// contributes one row per explored variant.
 ///
 /// # Errors
 ///
-/// Any [`LiftError`] from the pipeline.
-pub fn ablation(bench_names: &[&str]) -> Result<Vec<AblationRow>, LiftError> {
-    ablation_with(bench_names, threads())
-}
-
-/// [`ablation`] under an explicit thread budget.
-pub fn ablation_with(
-    bench_names: &[&str],
-    thread_budget: usize,
-) -> Result<Vec<AblationRow>, LiftError> {
-    Ok(ablation_shard(bench_names, (0, 1), thread_budget)?.flatten())
-}
-
-/// One shard of the ablation sweep (see [`Shard`]). Each cell contributes
-/// one row per explored variant.
-///
-/// # Errors
-///
-/// As [`ablation`], plus [`LiftError::InvalidConfig`] for an invalid
-/// shard.
+/// Any [`LiftError`] from the pipeline, plus [`LiftError::InvalidConfig`]
+/// for an invalid shard.
 pub fn ablation_shard(
+    cfg: &RunConfig,
     bench_names: &[&str],
     shard: Shard,
-    thread_budget: usize,
 ) -> Result<ShardRows<AblationRow>, LiftError> {
     let shard = validate_shard(shard)?;
     let work: Vec<(DeviceProfile, String)> = DeviceProfile::all()
@@ -319,12 +277,12 @@ pub fn ablation_shard(
         .collect();
     let cells = work.len();
     let mine = shard_cells(work, shard);
-    let (outer, inner) = split_budget(thread_budget, mine.len());
+    let (outer, inner) = split_budget(cfg.tune.threads, mine.len());
     let groups = parallel_map(outer, mine, |(cell, (profile, name))| {
-        let dev = VirtualDevice::new(profile);
+        let dev = cfg.device(profile);
         let bench = by_name(&name);
-        let sizes = bench.size(false);
-        let result = tune(&bench, &sizes, &dev, inner)?;
+        let sizes = bench.size(false, cfg.full_sizes);
+        let result = tune(cfg, &bench, &sizes, &dev, inner)?;
         let best = result.winner.gelems_per_s;
         Ok::<(usize, Vec<AblationRow>), LiftError>((
             cell,
@@ -408,27 +366,20 @@ pub struct BenchRow {
     pub sims: usize,
 }
 
-/// Runs one Table-1 benchmark in isolation (`lift-harness bench <name>`):
-/// explore + tune on every device profile, reporting every variant's best
-/// configuration — the quickest way to inspect a single benchmark's search
-/// space (e.g. the per-dimension tile sizes a 3D stencil settled on).
+/// Runs one shard of a single Table-1 benchmark in isolation
+/// (`lift-harness bench <name>`; cells are the device profiles, see
+/// [`Shard`]): explore + tune on every device profile, reporting every
+/// variant's best configuration — the quickest way to inspect a single
+/// benchmark's search space (e.g. the per-dimension tile sizes a 3D
+/// stencil settled on).
 ///
 /// # Errors
 ///
-/// [`LiftError::UnknownBenchmark`] for a name outside Table 1, plus any
-/// pipeline error.
-pub fn bench_one(name: &str, large: bool) -> Result<Vec<BenchRow>, LiftError> {
-    Ok(bench_shard(name, large, (0, 1))?.flatten())
-}
-
-/// One shard of a single-benchmark sweep (cells are the device profiles;
-/// see [`Shard`]).
-///
-/// # Errors
-///
-/// As [`bench_one`], plus [`LiftError::InvalidConfig`] for an invalid
-/// shard.
+/// [`LiftError::UnknownBenchmark`] for a name outside Table 1,
+/// [`LiftError::InvalidConfig`] for an invalid shard, plus any pipeline
+/// error.
 pub fn bench_shard(
+    cfg: &RunConfig,
     name: &str,
     large: bool,
     shard: Shard,
@@ -439,14 +390,14 @@ pub fn bench_shard(
         .into_iter()
         .find(|b| b.name == name)
         .ok_or_else(|| LiftError::UnknownBenchmark(name.to_string()))?;
-    let sizes = bench.size(large);
+    let sizes = bench.size(large, cfg.full_sizes);
     let work: Vec<DeviceProfile> = DeviceProfile::all().into_iter().collect();
     let cells = work.len();
     let mine = shard_cells(work, shard);
-    let (outer, inner) = split_budget(threads(), mine.len());
+    let (outer, inner) = split_budget(cfg.tune.threads, mine.len());
     let groups = parallel_map(outer, mine, |(cell, profile)| {
-        let dev = VirtualDevice::new(profile);
-        let result = tune(&bench, &sizes, &dev, inner)?;
+        let dev = cfg.device(profile);
+        let result = tune(cfg, &bench, &sizes, &dev, inner)?;
         Ok::<(usize, Vec<BenchRow>), LiftError>((
             cell,
             result
@@ -552,22 +503,17 @@ pub(crate) fn rep_configs(variant: &Variant) -> Vec<Vec<(String, i64)>> {
 ///
 /// Any [`LiftError`] other than [`LiftError::InvalidConfig`] — a variant
 /// that fails to compile must fail the gate, not vanish from it.
-pub fn verify_sweep() -> Result<Vec<VerifyRow>, LiftError> {
-    verify_sweep_with(threads())
-}
-
-/// [`verify_sweep`] under an explicit thread budget.
-pub fn verify_sweep_with(thread_budget: usize) -> Result<Vec<VerifyRow>, LiftError> {
+pub fn verify_sweep(cfg: &RunConfig) -> Result<Vec<VerifyRow>, LiftError> {
     let mut work: Vec<(Benchmark, DeviceProfile)> = Vec::new();
     for bench in suite() {
         for profile in DeviceProfile::all() {
             work.push((bench.clone(), profile));
         }
     }
-    let outer = thread_budget.min(work.len()).max(1);
+    let outer = cfg.tune.threads.min(work.len()).max(1);
     let groups = parallel_map(outer, work, |(bench, profile)| {
-        let dev = VirtualDevice::new(profile);
-        let sizes = bench.size(false);
+        let dev = cfg.device(profile);
+        let sizes = bench.size(false, cfg.full_sizes);
         let variants = Pipeline::from_benchmark(&bench, &sizes)?.explore()?;
         let cache = std::sync::Arc::new(KernelCache::new());
         let mut rows = Vec::new();

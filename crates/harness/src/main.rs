@@ -23,9 +23,9 @@
 //! lift-harness --checkpoint ck.json fig7         # resumable (kill + rerun)
 //! lift-harness --json --shard 0/3 fig7 > p0.json # one worker's share
 //! lift-harness merge p0.json p1.json p2.json     # == single-process --json
-//! lift-harness --json --spawn-workers 3 fig7     # shard + merge in one go
-//! lift-harness campaign fig7 --workers 3         # supervised: retry, timeout,
-//!                                                # checkpoint adoption
+//! lift-harness campaign fig7 --workers 3         # shard + merge, supervised:
+//!                                                # retry, timeout, checkpoint
+//!                                                # adoption
 //! ```
 //!
 //! `--threads N` (equivalently `LIFT_TUNE_THREADS=N`) fans the benchmark ×
@@ -38,30 +38,38 @@
 //! from the file and prints exactly what the uninterrupted run would
 //! have. None of the three ever changes results — only wall-clock.
 //!
-//! `campaign` is the fault-tolerant big sibling of `--spawn-workers`: a
+//! `campaign` runs the shards in worker processes and merges them: a
 //! supervision loop drives the shard queue through worker slots with
 //! liveness timeouts, bounded retries with backoff, and checkpoint
 //! adoption — a replacement worker resumes its dead predecessor's
 //! `<path>.shard<i>of<n>` file, so even a faulted campaign's merged
 //! report is byte-identical to the fault-free single-process run.
 //!
+//! Configuration is resolved here and only here: `main` parses the flags,
+//! layers them over the `LIFT_*` environment variables and the defaults
+//! into one [`RunConfig`] (flags > env > defaults), arms the `LIFT_FAULT`
+//! seam, and passes the config to the experiments as an argument. The
+//! library crates read no environment. A malformed value is a usage error.
+//!
 //! Exit codes: 0 on success, 1 when an experiment fails (e.g. no valid
 //! configuration for a benchmark — a broken compiler must fail CI) or a
-//! `compare` finds a regression, 2 for usage errors, 3 when
-//! infrastructure fails (a shard worker dies or a campaign shard exhausts
-//! its retries — the experiment itself may be fine, rerun or adopt).
+//! `compare` finds a regression, 2 for usage errors (flags or `LIFT_*`
+//! variables), 3 when infrastructure fails (a campaign shard exhausts its
+//! retries — the experiment itself may be fine, rerun or adopt).
 
 #![forbid(unsafe_code)]
 
+use lift_driver::TuneOptions;
+use lift_harness::campaign::shard_checkpoint;
+use lift_harness::config::resolve_fault;
 use lift_harness::report::{
     json_ablation, json_bench, json_fig7, json_fig8, json_str, json_table1, json_verify,
     merge_parts, partial_ablation, partial_bench, partial_fig7, partial_fig8, render_ablation,
     render_bench, render_fig7, render_fig8, render_table1, render_verify,
 };
 use lift_harness::{
-    ablation_shard, ablation_with, bench_one, bench_shard, fig7_shard, fig7_with, fig8_shard,
-    fig8_with, parallel_map, table1, threads, validate_shard, verify_sweep, LiftError, Shard,
-    ABLATION_BENCHES,
+    ablation_shard, bench_shard, fig7_shard, fig8_shard, parallel_map, table1, validate_shard,
+    verify_sweep, ConfigFlags, LiftError, RunConfig, Shard, ABLATION_BENCHES,
 };
 
 const USAGE: &str = "\
@@ -111,9 +119,7 @@ FLAGS:
                           resume from it on rerun (= LIFT_CHECKPOINT)
     --shard <i/n>         run only grid cells with index % n == i and print
                           a partial JSON report (fig7/fig8/ablation/bench;
-                          implies --json)
-    --spawn-workers <N>   fork N shard worker processes and merge their
-                          partial reports (requires --json)
+                          requires --json)
     --list-benchmarks     list benchmark names, ranks and domain sizes
     -h, --help            this help
 
@@ -138,22 +144,24 @@ EXIT CODES:
     0   success
     1   experiment failure (no valid configuration, verifier finding,
         model gate) or a `compare` regression
-    2   command-line misuse
-    3   infrastructure failure: a shard worker died, or a campaign shard
-        exhausted its retries (partial report + missing-cell manifest
-        were still emitted)
+    2   command-line misuse, or a malformed LIFT_* variable
+    3   infrastructure failure: a campaign shard exhausted its retries
+        (partial report + missing-cell manifest were still emitted)
 
 Sharding, checkpointing, threading and campaign supervision never change
 results: any combination — including workers killed and resumed through
 checkpoint adoption — reproduces the single-process, single-thread output
 byte-for-byte for the same seed.
 
-ENVIRONMENT:
+ENVIRONMENT (a flag wins over its variable; an empty value counts as
+unset; a malformed value is a usage error, exit 2):
     LIFT_TUNE_BUDGET      tuner evaluations per variant (default 10)
-    LIFT_TUNE_THREADS     worker threads (default 1)
-    LIFT_CHECKPOINT       checkpoint file (default: none)
-    LIFT_CHECKPOINT_EVERY tells between checkpoint writes (default 16)
-    LIFT_FULL_SIZES=1     the paper's original grid sizes (slow)
+    LIFT_TUNE_THREADS     worker threads (default 1; = --threads)
+    LIFT_CHECKPOINT       checkpoint file (default: none; = --checkpoint)
+    LIFT_CHECKPOINT_EVERY tells between checkpoint writes (default 16;
+                          campaign workers default to 1)
+    LIFT_FULL_SIZES       1 = the paper's original grid sizes (slow),
+                          0 = the scaled sizes (default)
     LIFT_SEED             experiment seed (default 2018)
     LIFT_COST_PRUNE       cost-model tuning guidance: `off`/`0` disables
                           warm-start + pruning, a positive float sets the
@@ -171,18 +179,22 @@ ENVIRONMENT:
 /// CLI misuse (2) so CI can retry infra without masking regressions.
 const EXIT_INFRA: i32 = 3;
 
-/// Renders one experiment to its output document, sweeping on up to
-/// `thread_budget` workers.
-fn section(cmd: &str, json: bool, thread_budget: usize) -> Result<String, LiftError> {
+/// Renders one experiment to its output document.
+fn section(cmd: &str, json: bool, cfg: &RunConfig) -> Result<String, LiftError> {
+    let whole = (0, 1);
     Ok(match (cmd, json) {
         ("table1", true) => json_table1(&table1()),
         ("table1", false) => render_table1(&table1()),
-        ("fig7", true) => json_fig7(&fig7_with(thread_budget)?),
-        ("fig7", false) => render_fig7(&fig7_with(thread_budget)?),
-        ("fig8", true) => json_fig8(&fig8_with(thread_budget)?),
-        ("fig8", false) => render_fig8(&fig8_with(thread_budget)?),
-        ("ablation", true) => json_ablation(&ablation_with(&ABLATION_BENCHES, thread_budget)?),
-        ("ablation", false) => render_ablation(&ablation_with(&ABLATION_BENCHES, thread_budget)?),
+        ("fig7", true) => json_fig7(&fig7_shard(cfg, whole)?.flatten()),
+        ("fig7", false) => render_fig7(&fig7_shard(cfg, whole)?.flatten()),
+        ("fig8", true) => json_fig8(&fig8_shard(cfg, whole)?.flatten()),
+        ("fig8", false) => render_fig8(&fig8_shard(cfg, whole)?.flatten()),
+        ("ablation", true) => {
+            json_ablation(&ablation_shard(cfg, &ABLATION_BENCHES, whole)?.flatten())
+        }
+        ("ablation", false) => {
+            render_ablation(&ablation_shard(cfg, &ABLATION_BENCHES, whole)?.flatten())
+        }
         _ => unreachable!("callers dispatch only known experiments"),
     })
 }
@@ -192,17 +204,21 @@ fn section(cmd: &str, json: bool, thread_budget: usize) -> Result<String, LiftEr
 /// overlaps e.g. Figure 7's tuning with the ablation study's. The budget
 /// is *divided* across the concurrent sections (each sweep splits its
 /// share further), not handed to every layer in full.
-fn all_sections(json: bool) -> Result<Vec<String>, LiftError> {
+fn all_sections(json: bool, cfg: &RunConfig) -> Result<Vec<String>, LiftError> {
     let cmds = vec!["table1", "fig7", "fig8", "ablation"];
-    let concurrent = threads().min(cmds.len()).max(1);
-    let share = (threads() / concurrent).max(1);
-    parallel_map(concurrent, cmds, |cmd| section(cmd, json, share))
+    let budget = cfg.tune.threads;
+    let concurrent = budget.min(cmds.len()).max(1);
+    let share = RunConfig {
+        tune: cfg.tune.clone().with_threads((budget / concurrent).max(1)),
+        ..cfg.clone()
+    };
+    parallel_map(concurrent, cmds, |cmd| section(cmd, json, &share))
         .into_iter()
         .collect()
 }
 
-fn run_bench(name: &str, large: bool, json: bool) -> Result<(), LiftError> {
-    let rows = bench_one(name, large)?;
+fn run_bench(cfg: &RunConfig, name: &str, large: bool, json: bool) -> Result<(), LiftError> {
+    let rows = bench_shard(cfg, name, large, (0, 1))?.flatten();
     print!(
         "{}",
         if json {
@@ -216,85 +232,23 @@ fn run_bench(name: &str, large: bool, json: bool) -> Result<(), LiftError> {
 
 /// Runs one shard of a sweep and prints its partial JSON report.
 fn run_shard(
+    cfg: &RunConfig,
     cmd: &str,
     bench_name: Option<&str>,
     large: bool,
     shard: Shard,
 ) -> Result<(), LiftError> {
     let doc = match cmd {
-        "fig7" => partial_fig7(shard, &fig7_shard(shard, threads())?),
-        "fig8" => partial_fig8(shard, &fig8_shard(shard, threads())?),
-        "ablation" => {
-            partial_ablation(shard, &ablation_shard(&ABLATION_BENCHES, shard, threads())?)
-        }
+        "fig7" => partial_fig7(shard, &fig7_shard(cfg, shard)?),
+        "fig8" => partial_fig8(shard, &fig8_shard(cfg, shard)?),
+        "ablation" => partial_ablation(shard, &ablation_shard(cfg, &ABLATION_BENCHES, shard)?),
         "bench" => {
             let name = bench_name.expect("checked by the caller");
-            partial_bench(name, large, shard, &bench_shard(name, large, shard)?)
+            partial_bench(name, large, shard, &bench_shard(cfg, name, large, shard)?)
         }
         _ => unreachable!("callers dispatch only shardable experiments"),
     };
     print!("{doc}");
-    Ok(())
-}
-
-/// Forks `n` shard workers (this binary with `--shard i/n`), collects
-/// their partial reports and prints the merged document. The workers
-/// inherit this process's environment; when checkpointing is on each one
-/// derives its own `<path>.shard<i>of<n>` file from the inherited
-/// `LIFT_CHECKPOINT` (shard mode always does, see `main`) — checkpoint
-/// files must never be shared across processes.
-fn spawn_workers(n: usize, cmd: &str, bench_name: Option<&str>, large: bool) -> Result<(), String> {
-    let exe = std::env::current_exe().map_err(|e| format!("cannot find own binary: {e}"))?;
-    let mut children = Vec::new();
-    for i in 0..n {
-        let mut c = std::process::Command::new(&exe);
-        c.arg("--json").arg("--shard").arg(format!("{i}/{n}"));
-        c.arg(cmd);
-        if let Some(name) = bench_name {
-            c.arg(name);
-        }
-        if large {
-            c.arg("--large");
-        }
-        c.stdout(std::process::Stdio::piped());
-        c.stderr(std::process::Stdio::piped());
-        match c.spawn() {
-            Ok(child) => children.push((i, child)),
-            Err(e) => {
-                // Kill and reap the workers already launched: a failed
-                // spawn must not leave orphans 0..i tuning into the void.
-                for (_, mut orphan) in children {
-                    let _ = orphan.kill();
-                    let _ = orphan.wait();
-                }
-                return Err(format!("cannot spawn shard {i}/{n}: {e}"));
-            }
-        }
-    }
-    let mut parts = Vec::new();
-    let mut failed = false;
-    for (i, child) in children {
-        let out = child
-            .wait_with_output()
-            .map_err(|e| format!("shard {i}/{n} did not finish: {e}"))?;
-        // Relay the worker's stderr under an attributable prefix rather
-        // than letting n workers interleave raw on the shared stream.
-        for line in String::from_utf8_lossy(&out.stderr).lines() {
-            eprintln!("lift-harness: shard {i}/{n}: {line}");
-        }
-        if !out.status.success() {
-            eprintln!("lift-harness: shard worker {i}/{n} failed ({})", out.status);
-            failed = true;
-            continue;
-        }
-        let text = String::from_utf8(out.stdout)
-            .map_err(|e| format!("shard {i}/{n} wrote non-UTF-8 output: {e}"))?;
-        parts.push((format!("shard {i}/{n}"), text));
-    }
-    if failed {
-        return Err("one or more shard workers failed".into());
-    }
-    print!("{}", merge_parts(&parts)?);
     Ok(())
 }
 
@@ -308,6 +262,7 @@ fn spawn_workers(n: usize, cmd: &str, bench_name: Option<&str>, large: bool) -> 
 fn run_campaign_cmd(
     args: &[String],
     large: bool,
+    cfg: &RunConfig,
     workers: Option<&str>,
     shards: Option<&str>,
     timeout: Option<&str>,
@@ -317,7 +272,7 @@ fn run_campaign_cmd(
     conflicting_mode: bool,
 ) -> ! {
     if conflicting_mode {
-        usage_error("campaign supervises its own workers; drop --shard/--spawn-workers");
+        usage_error("campaign supervises its own workers; drop --shard");
     }
     let Some(experiment) = args.first() else {
         usage_error("campaign needs an experiment: campaign <fig7|fig8|ablation|bench <name>>");
@@ -375,19 +330,22 @@ fn run_campaign_cmd(
                 .filter(|i| *i < opts.shards)
                 .map(|i| (i, plan.to_string()))
         });
-        let Some(pair) = parsed else {
+        let Some((shard, plan)) = parsed else {
             usage_error(&format!(
                 "--fault needs <shard>:<plan> with shard < {}, got `{f}`",
                 opts.shards
             ));
         };
-        opts.faults.push(pair);
-    }
-    if let Ok(base) = std::env::var("LIFT_CHECKPOINT") {
-        if !base.is_empty() {
-            opts.checkpoint = Some(std::path::PathBuf::from(base));
+        // A plan the worker cannot parse would make the "chaos" run
+        // silently fault-free; reject it here, before any worker starts.
+        if let Err(e) = lift_driver::fault::parse_plan(&plan) {
+            usage_error(&format!("--fault `{f}`: {e}"));
         }
+        opts.faults.push((shard, plan));
     }
+    opts.checkpoint = cfg.tune.checkpoint.clone();
+    opts.checkpoint_every = cfg.tune.checkpoint_every;
+    opts.threads = cfg.tune.threads;
     let report = match lift_harness::run_campaign(&opts) {
         Ok(r) => r,
         Err(e) => {
@@ -472,12 +430,12 @@ fn list_benchmarks(json: bool) {
     }
 }
 
-fn run(cmd: &str, json: bool) -> Result<(), LiftError> {
+fn run(cmd: &str, json: bool, cfg: &RunConfig) -> Result<(), LiftError> {
     match cmd {
-        "table1" | "fig7" | "fig8" | "ablation" => print!("{}", section(cmd, json, threads())?),
+        "table1" | "fig7" | "fig8" | "ablation" => print!("{}", section(cmd, json, cfg)?),
         "all" if json => {
             // One parseable document, not four concatenated arrays.
-            let s = all_sections(true)?;
+            let s = all_sections(true, cfg)?;
             print!(
                 "{{\n\"table1\": {},\n\"fig7\": {},\n\"fig8\": {},\n\"ablation\": {}\n}}\n",
                 s[0].trim_end(),
@@ -487,7 +445,7 @@ fn run(cmd: &str, json: bool) -> Result<(), LiftError> {
             );
         }
         "all" => {
-            for (i, s) in all_sections(false)?.iter().enumerate() {
+            for (i, s) in all_sections(false, cfg)?.iter().enumerate() {
                 if i > 0 {
                     println!();
                 }
@@ -514,10 +472,8 @@ fn main() {
     let mut json = false;
     let mut large = false;
     let mut list = false;
-    let mut threads_flag: Option<String> = None;
-    let mut checkpoint_flag: Option<String> = None;
+    let mut flags = ConfigFlags::default();
     let mut shard_flag: Option<String> = None;
-    let mut workers_flag: Option<String> = None;
     let mut campaign_workers_flag: Option<String> = None;
     let mut shards_flag: Option<String> = None;
     let mut timeout_flag: Option<String> = None;
@@ -526,11 +482,10 @@ fn main() {
     let mut fault_flags: Vec<String> = Vec::new();
     let mut expect_value: Option<&'static str> = None;
     let mut positional: Vec<String> = Vec::new();
-    const VALUE_FLAGS: [&str; 10] = [
+    const VALUE_FLAGS: [&str; 9] = [
         "--threads",
         "--checkpoint",
         "--shard",
-        "--spawn-workers",
         "--workers",
         "--shards",
         "--timeout",
@@ -541,10 +496,9 @@ fn main() {
     for arg in std::env::args().skip(1) {
         if let Some(flag) = expect_value.take() {
             match flag {
-                "--threads" => threads_flag = Some(arg),
-                "--checkpoint" => checkpoint_flag = Some(arg),
+                "--threads" => flags.threads = Some(arg),
+                "--checkpoint" => flags.checkpoint = Some(arg),
                 "--shard" => shard_flag = Some(arg),
-                "--spawn-workers" => workers_flag = Some(arg),
                 "--workers" => campaign_workers_flag = Some(arg),
                 "--shards" => shards_flag = Some(arg),
                 "--timeout" => timeout_flag = Some(arg),
@@ -577,31 +531,38 @@ fn main() {
     if let Some(flag) = expect_value {
         usage_error(&format!("{flag} needs a value"));
     }
+    let cmd = positional
+        .first()
+        .cloned()
+        .unwrap_or_else(|| "all".to_string());
+
+    // The one place configuration is resolved: flags > env > defaults.
+    // Campaign workers checkpoint every tell unless told otherwise —
+    // adoption and liveness are only as fine-grained as the writes.
+    let env = |name: &str| std::env::var(name).ok();
+    let defaults = if cmd == "campaign" {
+        RunConfig {
+            tune: TuneOptions::default().with_checkpoint_every(1),
+            ..RunConfig::default()
+        }
+    } else {
+        RunConfig::default()
+    };
+    let mut cfg = defaults
+        .resolve(&flags, env)
+        .unwrap_or_else(|e| usage_error(&e.to_string()));
+    match resolve_fault(env) {
+        Ok(Some(plan)) => lift_driver::fault::arm(plan),
+        Ok(None) => {}
+        Err(e) => usage_error(&e.to_string()),
+    }
+
     if list {
         if !positional.is_empty() {
             usage_error("--list-benchmarks takes no experiment");
         }
         list_benchmarks(json);
         return;
-    }
-    if let Some(t) = threads_flag {
-        let Ok(n) = t.parse::<usize>() else {
-            usage_error(&format!("--threads needs a positive integer, got `{t}`"));
-        };
-        if n == 0 {
-            usage_error("--threads needs a positive integer, got `0`");
-        }
-        // The flag is sugar for the environment knob every layer reads
-        // (sweep fan-out, tuner batches); set before any worker spawns.
-        std::env::set_var("LIFT_TUNE_THREADS", n.to_string());
-    }
-    if let Some(path) = checkpoint_flag {
-        if path.is_empty() {
-            usage_error("--checkpoint needs a file path");
-        }
-        // Same pattern: the driver resolves LIFT_CHECKPOINT for every
-        // tuning session the sweep starts.
-        std::env::set_var("LIFT_CHECKPOINT", path);
     }
     let shard: Option<Shard> = shard_flag.map(|s| {
         let parts: Vec<&str> = s.split('/').collect();
@@ -623,30 +584,25 @@ fn main() {
         // concurrent shard workers pointed at one path would clobber each
         // other's entries. Shard mode therefore always derives its own
         // `<path>.shard<i>of<n>` — whether the base path came from
-        // `--checkpoint`, the environment, or a `--spawn-workers` parent.
-        if let Ok(base) = std::env::var("LIFT_CHECKPOINT") {
-            if !base.is_empty() {
-                std::env::set_var("LIFT_CHECKPOINT", format!("{base}.shard{i}of{n}"));
-            }
-        }
+        // `--checkpoint`, the environment, or a campaign supervisor.
+        cfg.tune.checkpoint = cfg
+            .tune
+            .checkpoint
+            .map(|base| shard_checkpoint(&base, i, n));
     }
-
-    let cmd = positional
-        .first()
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
 
     if cmd == "campaign" {
         run_campaign_cmd(
             &positional[1..],
             large,
+            &cfg,
             campaign_workers_flag.as_deref(),
             shards_flag.as_deref(),
             timeout_flag.as_deref(),
             retries_flag.as_deref(),
             summary_flag.as_deref(),
             &fault_flags,
-            shard.is_some() || workers_flag.is_some(),
+            shard.is_some(),
         );
     }
     if campaign_workers_flag.is_some()
@@ -677,7 +633,7 @@ fn main() {
         if positional.len() > 1 {
             usage_error("verify takes no further arguments");
         }
-        match verify_sweep() {
+        match verify_sweep(&cfg) {
             Ok(rows) => {
                 let findings: usize = rows
                     .iter()
@@ -736,7 +692,7 @@ fn main() {
         if positional.len() > 1 {
             usage_error("model takes no further arguments");
         }
-        match lift_harness::model_report() {
+        match lift_harness::model_report(&cfg) {
             Ok(report) => {
                 print!(
                     "{}",
@@ -766,7 +722,7 @@ fn main() {
         if positional.len() > 1 {
             usage_error("perf takes no further arguments");
         }
-        match lift_harness::perf::perf_report() {
+        match lift_harness::perf::perf_report(&cfg) {
             Ok(report) => {
                 let doc = report.to_json();
                 if let Err(e) = std::fs::write("BENCH_sim.json", &doc) {
@@ -799,44 +755,23 @@ fn main() {
         usage_error("--large only applies to `bench <name>`");
     }
 
-    let shardable = matches!(cmd.as_str(), "fig7" | "fig8" | "ablation" | "bench");
-    if let Some(n) = workers_flag {
-        let Ok(n) = n.parse::<usize>() else {
-            usage_error("--spawn-workers needs a positive integer");
-        };
-        if n == 0 {
-            usage_error("--spawn-workers needs a positive integer, got `0`");
-        }
-        if shard.is_some() {
-            usage_error("--spawn-workers and --shard are mutually exclusive");
-        }
-        if !shardable {
-            usage_error("--spawn-workers applies to fig7|fig8|ablation|bench <name>");
-        }
-        if !json {
-            usage_error("--spawn-workers is JSON-only; add --json");
-        }
-        if let Err(e) = spawn_workers(n, &cmd, bench_name.as_deref(), large) {
-            eprintln!("lift-harness: {e}");
-            // Dead or unmergeable workers are an infrastructure failure,
-            // not an experiment failure: the sweep itself may be fine.
-            std::process::exit(EXIT_INFRA);
-        }
-        return;
-    }
-
     let result = if let Some(shard) = shard {
-        if !shardable {
+        if !matches!(cmd.as_str(), "fig7" | "fig8" | "ablation" | "bench") {
             usage_error("--shard applies to fig7|fig8|ablation|bench <name>");
         }
         if !json {
             usage_error("--shard writes a partial JSON report; add --json");
         }
-        run_shard(&cmd, bench_name.as_deref(), large, shard)
+        run_shard(&cfg, &cmd, bench_name.as_deref(), large, shard)
     } else if cmd == "bench" {
-        run_bench(bench_name.as_deref().expect("checked above"), large, json)
+        run_bench(
+            &cfg,
+            bench_name.as_deref().expect("checked above"),
+            large,
+            json,
+        )
     } else {
-        run(&cmd, json)
+        run(&cmd, json, &cfg)
     };
     if let Err(e) = result {
         eprintln!("lift-harness: {e}");

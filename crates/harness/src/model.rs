@@ -6,7 +6,7 @@
 //! 1. **Accuracy** — every Table-1 benchmark × device × variant under the
 //!    same representative configurations the `verify` sweep gates. Each
 //!    kernel is *predicted* with the static cost model
-//!    ([`CompiledStencil::estimate`], which never executes a lane) and
+//!    ([`lift_driver::CompiledStencil::estimate`], which never executes a lane) and
 //!    then *simulated*; the per-cell Spearman rank correlation between
 //!    the two time series says how well the model orders configurations.
 //!    Because every Table-1 kernel is launch-determined, the estimates
@@ -24,14 +24,14 @@
 //! below [`SPEARMAN_GATE`] or any tuning cell's winners diverge — the CI
 //! `model-accuracy` job is just this command.
 
-use lift_driver::{Budget, LiftError, Pipeline};
-use lift_oclsim::{BufferData, DeviceProfile, VirtualDevice};
+use lift_driver::{CostModel, LiftError, Pipeline};
+use lift_oclsim::{BufferData, DeviceProfile};
 use lift_stencils::suite;
 use lift_tuner::parallel_map;
 
 use crate::experiments::rep_configs;
 use crate::report::json_str;
-use crate::{seed, threads, tune_budget};
+use crate::RunConfig;
 
 /// The CI gate on per-cell rank correlation. The exact model scores 1.0;
 /// the gate sits at the issue's floor so a future *approximate* model
@@ -149,20 +149,20 @@ pub fn spearman(a: &[f64], b: &[f64]) -> f64 {
 
 /// The accuracy sweep: predict and simulate every benchmark × device ×
 /// variant × representative configuration.
-fn accuracy_cells(thread_budget: usize) -> Result<Vec<ModelCell>, LiftError> {
+fn accuracy_cells(cfg: &RunConfig) -> Result<Vec<ModelCell>, LiftError> {
     let mut work: Vec<(lift_stencils::Benchmark, DeviceProfile)> = Vec::new();
     for profile in DeviceProfile::all() {
         for bench in suite() {
             work.push((bench, profile.clone()));
         }
     }
-    let outer = thread_budget.min(work.len()).max(1);
+    let outer = cfg.tune.threads.min(work.len()).max(1);
     parallel_map(outer, work, |(bench, profile)| {
-        let dev = VirtualDevice::new(profile);
-        let sizes = bench.size(false);
+        let dev = cfg.device(profile);
+        let sizes = bench.size(false, cfg.full_sizes);
         let variants = Pipeline::from_benchmark(&bench, &sizes)?.explore()?;
         let inputs: Vec<BufferData> = bench
-            .gen_inputs(&sizes, seed())
+            .gen_inputs(&sizes, cfg.tune.seed)
             .into_iter()
             .map(BufferData::F32)
             .collect();
@@ -213,35 +213,30 @@ fn accuracy_cells(thread_budget: usize) -> Result<Vec<ModelCell>, LiftError> {
 
 /// The tuning-efficiency sweep: the Figure-7 grid tuned with the model
 /// and with `LIFT_COST_PRUNE=off`, compared cell by cell.
-fn tuning_cells(thread_budget: usize) -> Result<Vec<TuneCell>, LiftError> {
+fn tuning_cells(cfg: &RunConfig) -> Result<Vec<TuneCell>, LiftError> {
     let mut work: Vec<(DeviceProfile, &'static str)> = Vec::new();
     for profile in DeviceProfile::all() {
         for name in lift_stencils::fig7_names() {
             work.push((profile.clone(), name));
         }
     }
-    let outer = thread_budget.min(work.len()).max(1);
-    let inner = (thread_budget / outer).max(1);
+    let outer = cfg.tune.threads.min(work.len()).max(1);
+    let inner = (cfg.tune.threads / outer).max(1);
     parallel_map(outer, work, |(profile, name)| {
-        let dev = VirtualDevice::new(profile);
+        let dev = cfg.device(profile);
         let bench = lift_stencils::by_name(name);
-        let sizes = bench.size(false);
-        let tune = |setting: &str| {
+        let sizes = bench.size(false, cfg.full_sizes);
+        let tune = |cost: CostModel| {
             Ok::<_, LiftError>(
                 Pipeline::from_benchmark(&bench, &sizes)?
                     .explore()?
                     .on(&dev)
-                    .tune_full(
-                        Budget::evaluations(tune_budget())
-                            .with_seed(seed())
-                            .with_threads(inner)
-                            .with_cost_prune(setting),
-                    )?
+                    .tune_full(cfg.tune.clone().with_threads(inner).with_cost_prune(cost))?
                     .report,
             )
         };
-        let with_model = tune("1.0")?;
-        let without = tune("off")?;
+        let with_model = tune(CostModel::default())?;
+        let without = tune(CostModel::off())?;
         let sims = |r: &lift_driver::BenchResult| r.all.iter().map(|v| v.sims).sum();
         Ok(TuneCell {
             bench: name.to_string(),
@@ -266,16 +261,11 @@ fn tuning_cells(thread_budget: usize) -> Result<Vec<TuneCell>, LiftError> {
 /// Any [`LiftError`] from compilation, estimation, simulation or tuning —
 /// a kernel the model refuses to estimate fails the sweep, it does not
 /// vanish from it.
-pub fn model_report() -> Result<ModelReport, LiftError> {
-    model_report_with(threads())
-}
-
-/// [`model_report`] under an explicit thread budget.
-pub fn model_report_with(thread_budget: usize) -> Result<ModelReport, LiftError> {
+pub fn model_report(cfg: &RunConfig) -> Result<ModelReport, LiftError> {
     Ok(ModelReport {
-        cells: accuracy_cells(thread_budget)?,
-        tuning: tuning_cells(thread_budget)?,
-        budget: tune_budget(),
+        cells: accuracy_cells(cfg)?,
+        tuning: tuning_cells(cfg)?,
+        budget: cfg.tune.evaluations,
     })
 }
 

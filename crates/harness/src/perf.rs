@@ -1,8 +1,9 @@
 //! Simulator performance tracking: the `lift-harness perf` command.
 //!
 //! Times the Figure-7 sweep end-to-end under both simulator engines (the
-//! bytecode plan and the tree-walking reference interpreter), byte-diffs
-//! their JSON reports, and collects per-kernel launch microbenchmarks plus
+//! bytecode plan and the tree-walking reference interpreter, selected by
+//! the [`RunConfig::engine`] each sweep runs with), byte-diffs their JSON
+//! reports, and collects per-kernel launch microbenchmarks plus
 //! plan-compilation cost. The result is written to `BENCH_sim.json` so CI
 //! can track the simulator's throughput — the tuner's hot path — across
 //! commits, and can gate on the plan engine's speedup over the pre-plan
@@ -15,7 +16,7 @@ use lift_oclsim::{BufferData, DeviceProfile, Plan, SimEngine, VirtualDevice};
 use lift_stencils::by_name;
 
 use crate::report::{json_fig7, json_str};
-use crate::{fig7_with, tune_budget, LiftError};
+use crate::{fig7_shard, LiftError, RunConfig};
 
 /// One microbenchmark measurement.
 pub struct MicroBench {
@@ -139,6 +140,8 @@ fn compile_case(
 
 /// Best-of-batches mean launch time in milliseconds under `engine`
 /// (shared by the `perf` command and the `cargo bench` simulator target).
+/// Each launch runs through [`VirtualDevice::run`], which plans the kernel
+/// afresh under the plan engine.
 pub fn time_launch(
     dev: &VirtualDevice,
     compiled: &CompiledStencil,
@@ -146,44 +149,21 @@ pub fn time_launch(
     engine: SimEngine,
     reps: usize,
 ) -> Result<f64, LiftError> {
-    dev.run_with_engine(compiled.kernel(), inputs, compiled.launch(), engine)?;
+    let dev = dev.clone().with_engine(engine);
+    dev.run(compiled.kernel(), inputs, compiled.launch())?;
     let mut best = f64::INFINITY;
     for _ in 0..3 {
         let t = Instant::now();
         for _ in 0..reps {
-            std::hint::black_box(dev.run_with_engine(
+            std::hint::black_box(dev.run(
                 compiled.kernel(),
                 std::hint::black_box(inputs),
                 compiled.launch(),
-                engine,
             )?);
         }
         best = best.min(t.elapsed().as_secs_f64() / reps as f64);
     }
     Ok(best * 1e3)
-}
-
-/// Restores (or clears) `LIFT_SIM_ENGINE` when dropped, so an error
-/// mid-sweep can never leave the process pinned to the wrong engine.
-struct EngineEnvGuard {
-    prior: Option<String>,
-}
-
-impl EngineEnvGuard {
-    fn set(value: &str) -> Self {
-        let prior = std::env::var("LIFT_SIM_ENGINE").ok();
-        std::env::set_var("LIFT_SIM_ENGINE", value);
-        EngineEnvGuard { prior }
-    }
-}
-
-impl Drop for EngineEnvGuard {
-    fn drop(&mut self) {
-        match self.prior.take() {
-            Some(v) => std::env::set_var("LIFT_SIM_ENGINE", v),
-            None => std::env::remove_var("LIFT_SIM_ENGINE"),
-        }
-    }
 }
 
 /// The per-kernel launch microbenchmarks, shared with the `cargo bench`
@@ -247,40 +227,35 @@ pub fn microbenches() -> Result<Vec<MicroBench>, LiftError> {
     Ok(micro)
 }
 
-/// Runs the sweep timings and microbenchmarks (see the module docs).
-///
-/// The engine is selected through the same `LIFT_SIM_ENGINE` switch the
-/// rest of the stack honours, so the sweep numbers measure exactly what a
-/// tuning campaign would pay. The variable is restored on every exit path
-/// (including errors).
+/// Runs the sweep timings and microbenchmarks (see the module docs): the
+/// Figure-7 sweep under `cfg` on one thread, once per engine, so the sweep
+/// numbers measure exactly what a tuning campaign would pay.
 ///
 /// # Errors
 ///
 /// Any [`LiftError`] from the sweeps or microbenchmark compilations.
-pub fn perf_report() -> Result<PerfReport, LiftError> {
-    let budget = tune_budget();
-
+pub fn perf_report(cfg: &RunConfig) -> Result<PerfReport, LiftError> {
+    let sweep = |engine: SimEngine| {
+        let cfg = RunConfig {
+            tune: cfg.tune.clone().with_threads(1),
+            engine,
+            ..cfg.clone()
+        };
+        let t = Instant::now();
+        let rows = fig7_shard(&cfg, (0, 1))?.flatten();
+        Ok::<_, LiftError>((rows, t.elapsed().as_secs_f64()))
+    };
     // Plan first: the tree run then inherits a warm kernel cache, which
     // only makes the reported speedup conservative.
-    let (plan_rows, fig7_plan_s) = {
-        let _guard = EngineEnvGuard::set("plan");
-        let t = Instant::now();
-        let rows = fig7_with(1)?;
-        (rows, t.elapsed().as_secs_f64())
-    };
-    let (tree_rows, fig7_tree_s) = {
-        let _guard = EngineEnvGuard::set("tree");
-        let t = Instant::now();
-        let rows = fig7_with(1)?;
-        (rows, t.elapsed().as_secs_f64())
-    };
+    let (plan_rows, fig7_plan_s) = sweep(SimEngine::Plan)?;
+    let (tree_rows, fig7_tree_s) = sweep(SimEngine::Tree)?;
     let fig7_identical = json_fig7(&plan_rows) == json_fig7(&tree_rows);
 
     Ok(PerfReport {
         fig7_tree_s,
         fig7_plan_s,
         fig7_identical,
-        budget,
+        budget: cfg.tune.evaluations,
         micro: microbenches()?,
     })
 }

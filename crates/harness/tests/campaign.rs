@@ -231,19 +231,17 @@ fn injected_fault_kills_a_bare_worker_with_the_fault_code() {
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(FAULT_EXIT));
-    // Junk plans are ignored with a warning, never armed half-parsed.
+    // Junk plans are a usage error: a run that silently ignored its
+    // fault would pass for a survived one.
     let out = bin()
         .args(["--json", "bench", BENCH])
         .env("LIFT_FAULT", "segfault-please")
         .output()
         .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "junk LIFT_FAULT is misuse");
     assert!(
-        out.status.success(),
-        "junk LIFT_FAULT must not kill the run"
-    );
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("ignoring invalid LIFT_FAULT"),
-        "junk is reported"
+        String::from_utf8_lossy(&out.stderr).contains("LIFT_FAULT"),
+        "the message names the variable"
     );
 }
 
@@ -251,19 +249,19 @@ fn injected_fault_kills_a_bare_worker_with_the_fault_code() {
 fn campaign_cli_misuse_fails_loudly() {
     // (args, expected exit code)
     let cases: &[(&[&str], i32)] = &[
-        (&["campaign"], 2),                               // no experiment
-        (&["campaign", "table1"], 2),                     // not shardable
-        (&["campaign", "bench"], 2),                      // no bench name
-        (&["campaign", "fig7", "--workers", "0"], 2),     // zero workers
-        (&["campaign", "fig7", "--workers", "x"], 2),     // junk workers
-        (&["campaign", "fig7", "--timeout", "0"], 2),     // zero timeout
-        (&["campaign", "fig7", "--retries", "-1"], 2),    // junk retries
-        (&["campaign", "fig7", "--fault", "9:stall"], 2), // shard out of range
-        (&["campaign", "fig7", "--fault", "stall"], 2),   // no shard prefix
-        (&["campaign", "fig7", "--shard", "0/2"], 2),     // conflicting mode
-        (&["campaign", "fig7", "--spawn-workers", "2"], 2),
-        (&["campaign", "fig7", "--large"], 2), // --large without bench
-        (&["--workers", "2", "fig7"], 2),      // campaign flag without campaign
+        (&["campaign"], 2),                                  // no experiment
+        (&["campaign", "table1"], 2),                        // not shardable
+        (&["campaign", "bench"], 2),                         // no bench name
+        (&["campaign", "fig7", "--workers", "0"], 2),        // zero workers
+        (&["campaign", "fig7", "--workers", "x"], 2),        // junk workers
+        (&["campaign", "fig7", "--timeout", "0"], 2),        // zero timeout
+        (&["campaign", "fig7", "--retries", "-1"], 2),       // junk retries
+        (&["campaign", "fig7", "--fault", "9:stall"], 2),    // shard out of range
+        (&["campaign", "fig7", "--fault", "stall"], 2),      // no shard prefix
+        (&["campaign", "fig7", "--fault", "0:segfault"], 2), // junk plan
+        (&["campaign", "fig7", "--shard", "0/2"], 2),        // conflicting mode
+        (&["campaign", "fig7", "--large"], 2),               // --large without bench
+        (&["--workers", "2", "fig7"], 2),                    // campaign flag without campaign
         (&["--summary", "/tmp/x", "fig7"], 2),
     ];
     for (args, want) in cases {

@@ -55,41 +55,6 @@ fn shards_merge_byte_identically_to_the_single_process_run() {
 }
 
 #[test]
-fn spawn_workers_matches_the_single_process_run() {
-    let reference = stdout_of(bin().args(["--json", "bench", BENCH]));
-    let spawned = stdout_of(bin().args(["--json", "--spawn-workers", "3", "bench", BENCH]));
-    assert_eq!(spawned, reference, "--spawn-workers 3 != single run");
-}
-
-#[test]
-fn spawn_workers_failure_is_an_infra_exit_with_attributable_stderr() {
-    // Every worker inherits the injected fault and dies; the parent must
-    // report the infrastructure exit code (3, distinct from experiment
-    // failures) and relay each worker's stderr under a `shard i/n:`
-    // prefix so the diagnosis stays attributable.
-    let out = bin()
-        .args(["--json", "--spawn-workers", "2", "bench", BENCH])
-        .env("LIFT_FAULT", "exit-after:0")
-        .output()
-        .expect("binary runs");
-    assert_eq!(
-        out.status.code(),
-        Some(3),
-        "stderr:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("shard 0/2:"),
-        "attributed worker stderr:\n{err}"
-    );
-    assert!(
-        err.contains("shard 1/2:"),
-        "attributed worker stderr:\n{err}"
-    );
-}
-
-#[test]
 fn killed_checkpointed_run_resumes_byte_identically() {
     let dir = tmp_dir("resume");
     let ck = dir.join("ck.json");
@@ -129,7 +94,7 @@ fn shard_mode_derives_its_own_checkpoint_path() {
     // Checkpoint managers rewrite their whole file from process-local
     // state, so concurrent shard workers must never share one path: shard
     // mode derives `<path>.shard<i>of<n>` whether the base path came from
-    // the flag, the environment, or a --spawn-workers parent.
+    // the flag, the environment, or a campaign supervisor.
     let dir = tmp_dir("shard-ck");
     let base = dir.join("ck.json");
     let base_str = base.display().to_string();
@@ -174,43 +139,55 @@ fn list_benchmarks_names_the_whole_suite() {
 
 #[test]
 fn cli_misuse_fails_loudly() {
-    // (args, expected exit code)
-    let cases: &[(&[&str], i32)] = &[
-        (&["--shard", "0/2", "bench", BENCH], 2),   // no --json
-        (&["--shard", "3/2", "--json", "fig7"], 2), // i >= n
-        (&["--shard", "zero/2", "--json", "fig7"], 2),
-        (&["--shard", "0/2", "--json", "table1"], 2), // not shardable
-        (&["--spawn-workers", "2", "table1", "--json"], 2),
-        (
-            &["--spawn-workers", "2", "--shard", "0/2", "--json", "fig7"],
-            2,
-        ),
-        (&["merge"], 2), // no files
-        (&["merge", "/no/such/file.json"], 1),
-        (&["--checkpoint"], 2), // missing value
+    // (args, environment, expected exit code)
+    type Case<'a> = (&'a [&'a str], &'a [(&'a str, &'a str)], i32);
+    let cases: &[Case] = &[
+        (&["--shard", "0/2", "bench", BENCH], &[], 2), // no --json
+        (&["--shard", "3/2", "--json", "fig7"], &[], 2), // i >= n
+        (&["--shard", "zero/2", "--json", "fig7"], &[], 2),
+        (&["--shard", "0/2", "--json", "table1"], &[], 2), // not shardable
+        (&["merge"], &[], 2),                              // no files
+        (&["merge", "/no/such/file.json"], &[], 1),
+        (&["--checkpoint"], &[], 2), // missing value
+        (&["--threads", "0", "table1"], &[], 2),
+        // Malformed variables are usage errors, never silent defaults.
+        (&["table1"], &[("LIFT_TUNE_BUDGET", "abc")], 2),
+        (&["table1"], &[("LIFT_SEED", "x")], 2),
+        (&["table1"], &[("LIFT_TUNE_THREADS", "0")], 2),
+        (&["table1"], &[("LIFT_CHECKPOINT_EVERY", "abc")], 2),
+        (&["table1"], &[("LIFT_COST_PRUNE", "fast")], 2),
+        (&["table1"], &[("LIFT_FULL_SIZES", "true")], 2),
     ];
-    for (args, want) in cases {
-        let out = bin().args(*args).output().expect("runs");
+    for (args, env, want) in cases {
+        let out = bin()
+            .args(*args)
+            .envs(env.iter().copied())
+            .output()
+            .expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(
             out.status.code(),
             Some(*want),
-            "args {args:?}: stderr {}",
-            String::from_utf8_lossy(&out.stderr)
+            "args {args:?} env {env:?}: stderr {stderr}"
         );
-        assert!(
-            !String::from_utf8_lossy(&out.stderr).is_empty(),
-            "args {args:?} must explain the failure"
-        );
+        assert!(!stderr.is_empty(), "args {args:?} must explain the failure");
+        for (name, _) in *env {
+            assert!(stderr.contains(name), "the message names {name}: {stderr}");
+        }
     }
-    // --help succeeds and documents the new surfaces.
+    // --help succeeds and documents the surfaces.
     let help = stdout_of(bin().arg("--help"));
     for needle in [
         "--shard",
         "--checkpoint",
-        "--spawn-workers",
         "merge",
         "--list-benchmarks",
+        "ENVIRONMENT",
     ] {
         assert!(help.contains(needle), "--help misses {needle}");
     }
+    assert!(
+        !help.contains("--spawn-workers"),
+        "--help documents a removed flag"
+    );
 }

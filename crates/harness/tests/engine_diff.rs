@@ -1,35 +1,27 @@
-//! Cross-engine byte-identity of harness reports, exercised through the
-//! real binary: the Figure-7 JSON document produced with the bytecode-plan
-//! simulator must be byte-for-byte the one produced by the pre-plan tree
-//! interpreter (`LIFT_SIM_ENGINE=tree`). A shard keeps the tree-engine run
-//! affordable under `cargo test`; CI diffs the full figure in release
-//! mode.
+//! Cross-engine byte-identity of harness reports: the Figure-7 JSON
+//! document produced with the bytecode-plan simulator must be byte for
+//! byte the one produced by the tree interpreter. The engine is part of
+//! the [`RunConfig`], so both runs happen in this process; a shard keeps
+//! the tree-engine run affordable under `cargo test`, and `lift-harness
+//! perf` diffs the full figure.
 
-use std::process::Command;
-
-fn bin(engine: &str) -> Command {
-    let mut c = Command::new(env!("CARGO_BIN_EXE_lift-harness"));
-    c.env("LIFT_TUNE_BUDGET", "2");
-    c.env("LIFT_SIM_ENGINE", engine);
-    c
-}
-
-fn stdout_of(c: &mut Command) -> String {
-    let out = c.output().expect("binary runs");
-    assert!(
-        out.status.success(),
-        "exit {:?}, stderr:\n{}",
-        out.status.code(),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8(out.stdout).expect("utf-8 output")
-}
+use lift_harness::report::partial_fig7;
+use lift_harness::{fig7_shard, RunConfig};
+use lift_oclsim::SimEngine;
 
 #[test]
 fn fig7_json_is_byte_identical_across_simulator_engines() {
-    let args = ["--json", "--shard", "0/6", "fig7"];
-    let plan = stdout_of(bin("plan").args(args));
-    let tree = stdout_of(bin("tree").args(args));
+    let shard = (0, 6);
+    let doc = |engine: SimEngine| {
+        let mut cfg = RunConfig {
+            engine,
+            ..RunConfig::default()
+        };
+        cfg.tune.evaluations = 2;
+        partial_fig7(shard, &fig7_shard(&cfg, shard).expect("fig7 shard runs"))
+    };
+    let plan = doc(SimEngine::Plan);
+    let tree = doc(SimEngine::Tree);
     assert!(
         plan.contains("bench") && plan.contains("lift_gelems"),
         "fig7 shard produced no rows:\n{plan}"

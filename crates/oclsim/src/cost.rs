@@ -9,11 +9,11 @@
 //! For the kernels Lift generates those counts never depend on buffer
 //! *contents*: indices, loop bounds and branch conditions are arithmetic
 //! over work-item ids and sizes. So this module re-runs the compiled
-//! [`Plan`] bytecode with a degenerate value domain ([`Lv`]): integer index
+//! [`Plan`] bytecode with a degenerate value domain (`Lv`): integer index
 //! math is tracked concretely per lane, float data collapses to a unit
 //! "some float" value, and anything derived from buffer contents becomes
 //! *unknown*. Every statistic is counted with exactly the same rules as
-//! [`crate::exec::PlanMachine`] — same per-lane counting, same SIMD
+//! `PlanMachine` (in [`crate::exec`]) — same per-lane counting, same SIMD
 //! idle-lane charge, same per-warp 128-byte coalescing flush — so on
 //! kernels whose control flow and addressing are data-independent the
 //! predicted [`KernelStats`] equal the measured ones **bit for bit**

@@ -41,12 +41,14 @@
 //! hundreds of configurations plans exactly once.
 //!
 //! **Determinism contract:** the plan engine and the original tree-walking
-//! interpreter (still available, `LIFT_SIM_ENGINE=tree` or
-//! [`runtime::SimEngine::Tree`]) produce byte-identical outputs,
-//! [`KernelStats`] and modeled times; they differ only in host-side speed.
-//! The differential suite (`tests/sim_differential.rs` at the workspace
-//! root) and a CI byte-diff of whole experiment sweeps hold the two
-//! engines in lock-step.
+//! interpreter (a device built with
+//! `VirtualDevice::new(p).with_engine(SimEngine::Tree)`) produce
+//! byte-identical outputs, [`KernelStats`] and modeled times; they differ
+//! only in host-side speed. The differential suite
+//! (`tests/sim_differential.rs` at the workspace root) and the
+//! `lift-harness perf` byte-diff of the Figure-7 sweep hold the two engines
+//! in lock-step. The engine is a property of the device, passed in by the
+//! caller: this crate reads no environment.
 
 #![forbid(unsafe_code)]
 

@@ -11,42 +11,19 @@ use crate::plan::{Plan, PlannedKernel};
 ///
 /// Both engines implement identical semantics — outputs, [`KernelStats`]
 /// and modeled times are byte-for-byte equal; they differ only in host-side
-/// speed. The default is [`SimEngine::Plan`]; set `LIFT_SIM_ENGINE=tree` to
-/// force the reference interpreter (CI uses this to byte-diff whole
-/// experiment sweeps across engines).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// speed. Each [`VirtualDevice`] carries its engine: [`VirtualDevice::new`]
+/// selects [`SimEngine::Plan`], and [`VirtualDevice::with_engine`] opts a
+/// device into the reference interpreter (the differential tests and the
+/// `perf` report use it to byte-diff whole sweeps across engines).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimEngine {
     /// The slot-resolved bytecode plan executed by the register-machine
     /// inner loop (see [`crate::plan`]). Fast; the default.
+    #[default]
     Plan,
     /// The original tree-walking interpreter, kept as the executable
     /// reference semantics.
     Tree,
-}
-
-impl SimEngine {
-    /// The engine selected by `LIFT_SIM_ENGINE`: `"tree"` forces the
-    /// reference interpreter, `"plan"` (or unset/empty) the bytecode plan
-    /// — case-insensitively.
-    ///
-    /// # Panics
-    ///
-    /// On any other value. A typo like `LIFT_SIM_ENGINE=Tree-engine`
-    /// silently selecting the plan would make the cross-engine byte-diffs
-    /// CI relies on compare the plan against itself and pass vacuously, so
-    /// a misconfigured switch fails loudly at the first launch instead.
-    pub fn from_env() -> SimEngine {
-        match std::env::var("LIFT_SIM_ENGINE") {
-            Ok(v) => match v.to_ascii_lowercase().as_str() {
-                "tree" => SimEngine::Tree,
-                "plan" | "" => SimEngine::Plan,
-                other => {
-                    panic!("unrecognised LIFT_SIM_ENGINE value `{other}`; use \"plan\" or \"tree\"")
-                }
-            },
-            Err(_) => SimEngine::Plan,
-        }
-    }
 }
 
 /// A host/device buffer.
@@ -192,7 +169,8 @@ pub struct RunOutput {
     pub time_s: f64,
 }
 
-/// A virtual OpenCL device with a fixed [`DeviceProfile`].
+/// A virtual OpenCL device with a fixed [`DeviceProfile`] and the
+/// [`SimEngine`] that executes its launches.
 ///
 /// The device is **immutable and freely shareable across threads**: the
 /// parallel tuner hands one `&VirtualDevice` to every worker evaluating a
@@ -203,6 +181,7 @@ pub struct RunOutput {
 #[derive(Debug, Clone)]
 pub struct VirtualDevice {
     profile: DeviceProfile,
+    engine: SimEngine,
 }
 
 // Compile-time audit of the guarantee above: concurrent tuning relies on
@@ -218,9 +197,19 @@ const _: fn() = || {
 };
 
 impl VirtualDevice {
-    /// Creates a device with the given profile.
+    /// Creates a device with the given profile, executing on the bytecode
+    /// plan engine.
     pub fn new(profile: DeviceProfile) -> Self {
-        VirtualDevice { profile }
+        VirtualDevice {
+            profile,
+            engine: SimEngine::Plan,
+        }
+    }
+
+    /// The same device executing on `engine`.
+    pub fn with_engine(mut self, engine: SimEngine) -> Self {
+        self.engine = engine;
+        self
     }
 
     /// The device profile.
@@ -229,8 +218,7 @@ impl VirtualDevice {
     }
 
     /// Executes `kernel` on `inputs` (one per non-output parameter, in
-    /// order) with the given launch configuration, using the engine
-    /// selected by `LIFT_SIM_ENGINE` (the bytecode plan by default).
+    /// order) with the given launch configuration, on this device's engine.
     ///
     /// The output buffer is allocated zero-initialised by the runtime.
     /// Under the plan engine the kernel is plan-compiled on every call; use
@@ -241,31 +229,15 @@ impl VirtualDevice {
     ///
     /// Fails on launch misconfiguration (sizes, local-memory overflow,
     /// argument mismatch) and on any runtime fault the executor detects
-    /// (out-of-bounds access, barrier divergence, division by zero).
+    /// (out-of-bounds access, barrier divergence, division by zero), plus
+    /// plan-compilation faults under [`SimEngine::Plan`].
     pub fn run(
         &self,
         kernel: &Kernel,
         inputs: &[BufferData],
         cfg: LaunchConfig,
     ) -> Result<RunOutput, SimError> {
-        self.run_with_engine(kernel, inputs, cfg, SimEngine::from_env())
-    }
-
-    /// [`VirtualDevice::run`] on an explicitly-chosen engine (the
-    /// differential tests drive both and assert bit-identical results).
-    ///
-    /// # Errors
-    ///
-    /// As [`VirtualDevice::run`], plus plan-compilation faults under
-    /// [`SimEngine::Plan`].
-    pub fn run_with_engine(
-        &self,
-        kernel: &Kernel,
-        inputs: &[BufferData],
-        cfg: LaunchConfig,
-        engine: SimEngine,
-    ) -> Result<RunOutput, SimError> {
-        match engine {
+        match self.engine {
             SimEngine::Tree => self.run_inner(kernel, None, inputs, cfg),
             SimEngine::Plan => {
                 let plan = Plan::compile(kernel)?;
@@ -288,7 +260,7 @@ impl VirtualDevice {
         inputs: &[BufferData],
         cfg: LaunchConfig,
     ) -> Result<RunOutput, SimError> {
-        match SimEngine::from_env() {
+        match self.engine {
             SimEngine::Tree => self.run_inner(kernel.kernel(), None, inputs, cfg),
             SimEngine::Plan => {
                 let plan = kernel.plan()?;
@@ -413,7 +385,7 @@ impl VirtualDevice {
         rotation: Rotation,
     ) -> Result<IteratedOutput, SimError> {
         // Compile once, launch `steps` times.
-        let plan = match SimEngine::from_env() {
+        let plan = match self.engine {
             SimEngine::Plan => Some(Plan::compile(kernel)?),
             SimEngine::Tree => None,
         };
@@ -435,7 +407,7 @@ impl VirtualDevice {
         steps: usize,
         rotation: Rotation,
     ) -> Result<IteratedOutput, SimError> {
-        let plan = match SimEngine::from_env() {
+        let plan = match self.engine {
             SimEngine::Plan => Some(kernel.plan()?),
             SimEngine::Tree => None,
         };

@@ -13,8 +13,9 @@
 //! every work-item; the analytic model supplies absolute throughput), with
 //! the *relative* proportions preserved — in particular SRAD's grids stay
 //! much smaller than the rest, which is what makes SRAD under-perform on the
-//! big-GPU profiles in Figure 7 (§7.1). Set `LIFT_FULL_SIZES=1` to use the
-//! paper's original grids (slow).
+//! big-GPU profiles in Figure 7 (§7.1). [`Benchmark::size`] picks the
+//! paper's original grids instead when asked to (slow; the `lift-harness`
+//! binary does so under `LIFT_FULL_SIZES=1`).
 
 #![forbid(unsafe_code)]
 
@@ -51,7 +52,7 @@ pub struct Benchmark {
     pub small: &'static [usize],
     /// Scaled large size (Fig. 8 benchmarks only).
     pub large: Option<&'static [usize]>,
-    /// The paper's original sizes (used with `LIFT_FULL_SIZES=1`).
+    /// The paper's original sizes (see [`Benchmark::size`]).
     pub paper_small: &'static [usize],
     /// The paper's original large sizes.
     pub paper_large: Option<&'static [usize]>,
@@ -93,11 +94,9 @@ impl Benchmark {
         sizes.iter().product()
     }
 
-    /// The size to run, honouring `LIFT_FULL_SIZES`.
-    pub fn size(&self, large: bool) -> Vec<usize> {
-        let full = std::env::var("LIFT_FULL_SIZES")
-            .map(|v| v == "1")
-            .unwrap_or(false);
+    /// The size to run: the small or (where the benchmark has one) large
+    /// grid, scaled down unless `full` asks for the paper's original.
+    pub fn size(&self, large: bool, full: bool) -> Vec<usize> {
         let pick = |s: &'static [usize], p: &'static [usize]| {
             if full {
                 p.to_vec()

@@ -20,7 +20,7 @@ fn tune(
     dev: &VirtualDevice,
     bench: &str,
     sizes: &[usize],
-    setting: &str,
+    setting: CostModel,
     threads: usize,
 ) -> lift::lift_driver::BenchResult {
     Pipeline::for_benchmark(bench, sizes)
@@ -41,7 +41,7 @@ fn tune(
 
 /// The safety half of the contract: with the model on (`k = 1.0`, the
 /// default) every variant's best is identical — score bits, configuration
-/// and winner — to the `LIFT_COST_PRUNE=off` search, on every device
+/// and winner — to the unguided (`off`) search, on every device
 /// profile. `k = 1.0` can only prune configurations whose exact estimate
 /// matches or exceeds the incumbent's — a worse one loses on score, an
 /// exactly-tied one loses the (score, proposal-index) tie-break — and for
@@ -51,8 +51,8 @@ fn pruned_tuning_finds_the_unpruned_incumbent() {
     for profile in DeviceProfile::all() {
         let dev = VirtualDevice::new(profile);
         for (bench, sizes) in [("Jacobi2D5pt", vec![18usize, 18]), ("Heat", vec![8, 8, 8])] {
-            let guided = tune(&dev, bench, &sizes, "1.0", 1);
-            let unguided = tune(&dev, bench, &sizes, "off", 1);
+            let guided = tune(&dev, bench, &sizes, CostModel::default(), 1);
+            let unguided = tune(&dev, bench, &sizes, CostModel::off(), 1);
             assert_eq!(
                 fingerprint(&guided.winner),
                 fingerprint(&unguided.winner),
@@ -81,20 +81,26 @@ fn pruned_tuning_finds_the_unpruned_incumbent() {
 fn model_guided_tuning_is_bit_identical_across_thread_counts() {
     let dev = VirtualDevice::new(DeviceProfile::hd7970());
     let full = |threads: usize| {
-        tune(&dev, "Jacobi2D5pt", &[18, 18], "1.0", threads)
-            .all
-            .iter()
-            .map(|v| {
-                (
-                    fingerprint(v),
-                    v.evaluations,
-                    v.evals_to_best,
-                    v.pruned_verify,
-                    v.pruned_model,
-                    v.sims,
-                )
-            })
-            .collect::<Vec<_>>()
+        tune(
+            &dev,
+            "Jacobi2D5pt",
+            &[18, 18],
+            CostModel::default(),
+            threads,
+        )
+        .all
+        .iter()
+        .map(|v| {
+            (
+                fingerprint(v),
+                v.evaluations,
+                v.evals_to_best,
+                v.pruned_verify,
+                v.pruned_model,
+                v.sims,
+            )
+        })
+        .collect::<Vec<_>>()
     };
     let sequential = full(1);
     for threads in [2, 8] {
@@ -108,8 +114,8 @@ fn model_guided_tuning_is_bit_identical_across_thread_counts() {
 #[test]
 fn model_guidance_never_slows_convergence() {
     let dev = VirtualDevice::new(DeviceProfile::k20c());
-    let guided = tune(&dev, "Jacobi2D5pt", &[18, 18], "1.0", 1);
-    let unguided = tune(&dev, "Jacobi2D5pt", &[18, 18], "off", 1);
+    let guided = tune(&dev, "Jacobi2D5pt", &[18, 18], CostModel::default(), 1);
+    let unguided = tune(&dev, "Jacobi2D5pt", &[18, 18], CostModel::off(), 1);
     assert!(
         guided.winner.evals_to_best <= unguided.winner.evals_to_best,
         "warm-start must not defer the winner: {} vs {}",
@@ -126,26 +132,23 @@ fn model_guidance_never_slows_convergence() {
 }
 
 /// The `LIFT_COST_PRUNE` syntax: `off` and `0` disable, a positive float
-/// is the threshold, anything else falls back to the safe default.
+/// is the threshold, and anything else is an error — never a silent
+/// fallback to the default.
 #[test]
 fn cost_prune_setting_parses_defensively() {
     let def = CostModel::default();
     assert!(def.enabled && def.k == 1.0);
     for off in ["off", "0", " OFF ", "0.0"] {
-        assert!(
-            !CostModel::from_setting(Some(off)).enabled,
-            "`{off}` must disable the model"
-        );
+        let m = CostModel::parse(off).expect("a valid setting");
+        assert!(!m.enabled, "`{off}` must disable the model");
     }
-    let k2 = CostModel::from_setting(Some("2.5"));
+    let k2 = CostModel::parse("2.5").expect("a valid threshold");
     assert!(k2.enabled && k2.k == 2.5);
     for junk in ["", "nan", "-1", "inf", "fast"] {
-        let m = CostModel::from_setting(Some(junk));
         assert!(
-            m.enabled && m.k == 1.0,
-            "`{junk}` must fall back to the default"
+            CostModel::parse(junk).is_err(),
+            "`{junk}` must be rejected, not defaulted"
         );
     }
-    assert!(CostModel::from_setting(None).enabled);
     assert!(!CostModel::off().enabled);
 }

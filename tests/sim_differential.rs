@@ -86,18 +86,14 @@ fn every_benchmark_variant_device_is_bit_identical_across_engines() {
                     // limits); the sweep skips them, so do we.
                     Err(_) => continue,
                 };
-                let tree = dev.run_with_engine(
-                    compiled.kernel(),
-                    &inputs,
-                    compiled.launch(),
-                    SimEngine::Tree,
-                );
-                let plan = dev.run_with_engine(
-                    compiled.kernel(),
-                    &inputs,
-                    compiled.launch(),
-                    SimEngine::Plan,
-                );
+                let run = |engine| {
+                    dev.clone().with_engine(engine).run(
+                        compiled.kernel(),
+                        &inputs,
+                        compiled.launch(),
+                    )
+                };
+                let (tree, plan) = (run(SimEngine::Tree), run(SimEngine::Plan));
                 let label = format!("{}/{name} on {}", bench.name, dev.profile().name);
                 match (tree, plan) {
                     (Ok(t), Ok(p)) => {
@@ -161,21 +157,21 @@ fn iterated_runs_are_bit_identical_across_engines() {
         .into_iter()
         .map(BufferData::F32)
         .collect();
-    let dev = VirtualDevice::new(DeviceProfile::k20c());
     let mut outs = Vec::new();
     for engine in [SimEngine::Tree, SimEngine::Plan] {
-        // Drive the per-step engine explicitly through run_with_engine and
-        // rotate on the host, mirroring run_iterated's SingleBuffer policy.
-        let mut state = inputs.clone();
-        let mut total = 0.0f64;
-        for _ in 0..3 {
-            let out = dev
-                .run_with_engine(compiled.kernel(), &state, compiled.launch(), engine)
-                .expect("runs");
-            total += out.time_s;
-            state[0] = out.output.clone();
-        }
-        outs.push((state.swap_remove(0), total));
+        // Each engine steps the unplanned kernel through a device that
+        // carries it.
+        let out = VirtualDevice::new(DeviceProfile::k20c())
+            .with_engine(engine)
+            .run_iterated(
+                compiled.kernel(),
+                &inputs,
+                compiled.launch(),
+                3,
+                Rotation::SingleBuffer,
+            )
+            .expect("runs");
+        outs.push((out.output, out.time_s));
     }
     assert_eq!(outs[0].0, outs[1].0, "iterated outputs diverge");
     assert_eq!(
