@@ -186,21 +186,6 @@ impl Interval {
         let hi = if self.hi <= 0 { 0 } else { m.min(self.hi) };
         Some(Interval::new(lo, hi))
     }
-
-    /// An upper bound on the iterations of `for (i = self; i < bound;
-    /// i += step)`: the counter starts no lower than `self.lo`, the bound
-    /// is at most `bound.hi`, and each step advances by at least `step`.
-    /// `None` when `step <= 0` (the loop may never terminate).
-    pub fn trip_count(self, bound: Interval, step: i64) -> Option<u64> {
-        let span = bound.hi.saturating_sub(self.lo);
-        if span <= 0 {
-            return Some(0);
-        }
-        if step <= 0 {
-            return None;
-        }
-        Some((span as u64).div_ceil(step as u64))
-    }
 }
 
 /// An environment supplying a value interval for each variable.
@@ -351,70 +336,6 @@ mod tests {
     #[should_panic(expected = "malformed interval")]
     fn malformed_interval_panics() {
         let _ = Interval::new(3, 1);
-    }
-
-    #[test]
-    fn trip_count_bounds_simple_loops() {
-        // for (i = 0; i < 10; i += 1): exactly 10 trips.
-        let c = Interval::point(0).trip_count(Interval::point(10), 1);
-        assert_eq!(c, Some(10));
-        // Step 3 over a span of 10: ceil(10/3) = 4 trips.
-        let c = Interval::point(0).trip_count(Interval::point(10), 3);
-        assert_eq!(c, Some(4));
-        // Counter already past the bound: zero trips.
-        let c = Interval::point(10).trip_count(Interval::new(-5, 10), 1);
-        assert_eq!(c, Some(0));
-        // Widest case uses the counter's low end and the bound's high end.
-        let c = Interval::new(2, 7).trip_count(Interval::new(0, 9), 1);
-        assert_eq!(c, Some(7));
-        // A non-positive step may never terminate.
-        assert_eq!(Interval::point(0).trip_count(Interval::point(10), 0), None);
-        assert_eq!(Interval::point(0).trip_count(Interval::point(10), -1), None);
-        // Extreme spans saturate instead of overflowing.
-        let c = Interval::point(i64::MIN).trip_count(Interval::point(i64::MAX), 1);
-        assert_eq!(c, Some(i64::MAX as u64));
-    }
-
-    /// `trip_count` is sound: any concrete `(start, bound)` drawn from the
-    /// intervals runs `for (i = start; i < bound; i += step)` for at most
-    /// the reported number of iterations.
-    #[test]
-    fn trip_count_is_sound_on_a_grid() {
-        let vals: Vec<i64> = (-6..=6).collect();
-        for &slo in &vals {
-            for &shi in &vals {
-                if shi < slo {
-                    continue;
-                }
-                for &blo in &vals {
-                    for &bhi in &vals {
-                        if bhi < blo {
-                            continue;
-                        }
-                        for step in 1..=3i64 {
-                            let limit = Interval::new(slo, shi)
-                                .trip_count(Interval::new(blo, bhi), step)
-                                .expect("positive step");
-                            for start in slo..=shi {
-                                for bound in blo..=bhi {
-                                    let mut trips = 0u64;
-                                    let mut i = start;
-                                    while i < bound {
-                                        trips += 1;
-                                        i += step;
-                                    }
-                                    assert!(
-                                        trips <= limit,
-                                        "for(i={start}; i<{bound}; i+={step}) ran \
-                                         {trips} > bound {limit}"
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]

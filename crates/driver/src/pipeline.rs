@@ -654,19 +654,18 @@ impl CompiledStencil {
             .clone())
     }
 
-    /// Statically predicts the kernel's modeled runtime for its launch
-    /// configuration on its device, without executing a lane (see
-    /// [`lift_oclsim::cost`]). For kernels whose control flow is
-    /// launch-determined — every Table-1 benchmark — the estimate equals
-    /// the simulated [`RunOutput::time_s`] bit-for-bit; data-dependent
-    /// kernels get a marked (`exact = false`) upper bound. Results are
-    /// memoised on the shared kernel.
+    /// Predicts the kernel's modeled runtime for its launch configuration
+    /// on its device without its input data, by running the plan on
+    /// zero-filled buffers (see [`lift_oclsim::cost`]). The estimate
+    /// equals the simulated [`RunOutput::time_s`] bit-for-bit; kernels
+    /// whose control flow or global addressing reads buffer data get no
+    /// estimate. Results are memoised on the shared kernel.
     ///
     /// # Errors
     ///
     /// [`LiftError::Sim`] when the plan cannot be compiled, the launch is
-    /// invalid, the replay detects a certain fault, or a loop bound is
-    /// data-dependent and no estimate exists.
+    /// invalid, the zero-data run faults, or the kernel's control flow or
+    /// global addressing reads buffer data (`SimError::Estimate`).
     pub fn estimate(&self) -> Result<Arc<lift_oclsim::CostEstimate>, LiftError> {
         Ok(self.kernel.estimate(self.launch, self.device.profile())?)
     }

@@ -96,12 +96,14 @@ pub(crate) struct TuneContext<'a> {
 /// How the static cost model steers a search (see `lift_oclsim::cost`):
 /// when enabled, the initial proposal block is reordered so the model's
 /// top-ranked configurations are simulated first, and any configuration
-/// whose *exact* estimate matches or exceeds `k ×` the incumbent's exact
-/// estimate is dropped without simulating (told as failed, counted in
-/// `pruned_model`). Estimates are pure functions of
-/// (plan, launch, device), and prune decisions are made on fixed-size
-/// proposal windows, so results stay bit-identical across thread counts
-/// and shards. Set through [`crate::TuneOptions::cost_prune`].
+/// whose estimate matches or exceeds `k ×` the incumbent's estimate is
+/// dropped without simulating (told as failed, counted in
+/// `pruned_model`). Every estimate the model returns is exact — it equals
+/// the simulated time bit for bit, and a kernel it cannot price exactly
+/// gets no estimate — which is what makes pruning lossless. Estimates are
+/// pure functions of (plan, launch, device), and prune decisions are made
+/// on fixed-size proposal windows, so results stay bit-identical across
+/// thread counts and shards. Set through [`crate::TuneOptions::cost_prune`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// `false` ([`CostModel::off`]) restores pure-PRNG proposal order
@@ -109,7 +111,7 @@ pub struct CostModel {
     pub enabled: bool,
     /// The domination threshold: prune when
     /// `estimate(candidate) >= k × estimate(incumbent)`. `k = 1.0` (the
-    /// default) is provably safe on exactly-estimated kernels — a worse
+    /// default) is provably safe because estimates are exact — a worse
     /// candidate can never have beaten the incumbent, and an exactly-tied
     /// one loses the (score, proposal-index) tie-break to the incumbent,
     /// which was told first; `k < 1` prunes aggressively and may change
@@ -398,18 +400,19 @@ fn evaluate_config(
     Ok(out.time_s)
 }
 
-/// The static model's predicted time for one configuration, with whether
-/// the prediction is exact (see `lift_oclsim::cost`). `None` when no
-/// estimate exists: invalid tunables, no launch, compile failure, or the
-/// kernel's control flow defeats the analyzer. Pure in (cfg, device) —
-/// the estimate itself is memoised on the cached compiled plan, so a
-/// config is analyzed once no matter how often the search consults it.
+/// The static model's predicted time for one configuration: bit for bit
+/// the time a successful simulation reports (see `lift_oclsim::cost`).
+/// `None` when no estimate exists: invalid tunables, no launch, compile
+/// failure, or the kernel's control flow or global addressing reads buffer
+/// data. Pure in (cfg, device) — the estimate itself is memoised on the
+/// cached compiled plan, so a config is analyzed once no matter how often
+/// the search consults it.
 fn model_time(
     ctx: &TuneContext<'_>,
     variant: &Variant,
     variant_fp: u64,
     cfg: &[(String, i64)],
-) -> Option<(f64, bool)> {
+) -> Option<f64> {
     let tun_values: Vec<(String, i64)> = variant
         .tunables
         .iter()
@@ -435,7 +438,7 @@ fn model_time(
     .ok()?;
     let launch = launch_for(variant, &ctx.out_sizes, cfg)?;
     let est = kernel.estimate(launch, ctx.device.profile()).ok()?;
-    Some((est.time(ctx.device.profile()), est.exact))
+    Some(est.time(ctx.device.profile()))
 }
 
 /// The outcome of tuning one variant: the best configuration (when any
@@ -628,7 +631,7 @@ fn tune_variant_batched(
                 s.warm_start_by(|cfg| {
                     let named: Vec<(String, i64)> =
                         names.iter().cloned().zip(cfg.iter().copied()).collect();
-                    model_time(ctx, variant, variant_fp, &named).map(|(t, _)| t)
+                    model_time(ctx, variant, variant_fp, &named)
                 });
             }
             s
@@ -656,9 +659,9 @@ fn tune_variant_batched(
         if batch.is_empty() {
             break;
         }
-        // The prune threshold for this window: the incumbent's *exact*
-        // estimate. Until something succeeds there is no incumbent and
-        // nothing is pruned, so the search can never starve itself.
+        // The prune threshold for this window: the incumbent's estimate.
+        // Until something succeeds there is no incumbent and nothing is
+        // pruned, so the search can never starve itself.
         let threshold: Option<f64> = if ctx.cost.enabled {
             search.best().and_then(|b| {
                 let named: Vec<(String, i64)> = names
@@ -667,19 +670,17 @@ fn tune_variant_batched(
                     .zip(b.values.iter().copied())
                     .collect();
                 model_time(ctx, variant, variant_fp, &named)
-                    .filter(|(_, exact)| *exact)
-                    .map(|(t, _)| t)
             })
         } else {
             None
         };
         // Split the window into simulate/prune, preserving proposal order.
-        // Only an *exact* candidate estimate may prune: an exact estimate
-        // equals the simulated time bit-for-bit, so with `k >= 1` a pruned
-        // configuration provably cannot improve the incumbent — a strictly
-        // worse one loses on score, and an exactly-tied one (est == inc at
-        // k = 1) loses the (score, proposal-index) tie-break, because the
-        // incumbent was necessarily told at an earlier proposal index.
+        // Every estimate equals the simulated time bit-for-bit, so with
+        // `k >= 1` a pruned configuration provably cannot improve the
+        // incumbent — a strictly worse one loses on score, and an
+        // exactly-tied one (est == inc at k = 1) loses the (score,
+        // proposal-index) tie-break, because the incumbent was necessarily
+        // told at an earlier proposal index.
         let decisions: Vec<(Vec<i64>, bool)> = batch
             .into_iter()
             .map(|cfg| {
@@ -687,7 +688,7 @@ fn tune_variant_batched(
                     let named: Vec<(String, i64)> =
                         names.iter().cloned().zip(cfg.iter().copied()).collect();
                     model_time(ctx, variant, variant_fp, &named)
-                        .is_some_and(|(t, exact)| exact && t >= ctx.cost.k * inc)
+                        .is_some_and(|t| t >= ctx.cost.k * inc)
                 });
                 (cfg, prune)
             })

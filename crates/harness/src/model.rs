@@ -5,10 +5,11 @@
 //!
 //! 1. **Accuracy** — every Table-1 benchmark × device × variant under the
 //!    same representative configurations the `verify` sweep gates. Each
-//!    kernel is *predicted* with the static cost model
-//!    ([`lift_driver::CompiledStencil::estimate`], which never executes a lane) and
-//!    then *simulated*; the per-cell Spearman rank correlation between
-//!    the two time series says how well the model orders configurations.
+//!    kernel is *predicted* with the cost model
+//!    ([`lift_driver::CompiledStencil::estimate`], which never sees the
+//!    kernel's inputs) and then *simulated*; the per-cell Spearman rank
+//!    correlation between the two time series says how well the model
+//!    orders configurations.
 //!    Because every Table-1 kernel is launch-determined, the estimates
 //!    are bit-exact and the correlation is 1.0 — the report exists so CI
 //!    notices the day a new kernel or model change breaks that.

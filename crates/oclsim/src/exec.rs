@@ -11,7 +11,9 @@
 //! * `PlanMachine` — the production inner loop: a register machine
 //!   driving a pre-compiled [`Plan`] (see [`crate::plan`]) with one scratch
 //!   arena reused across every work-group of a launch. This is what makes
-//!   the simulator fast enough to sit on the autotuner's hot path.
+//!   the simulator fast enough to sit on the autotuner's hot path. It also
+//!   prices launches: [`crate::cost`] runs it on zero-filled buffers and
+//!   has no counting code of its own.
 //! * `Machine` — the original tree-walking interpreter, kept as the
 //!   executable reference semantics. The differential suite and CI
 //!   byte-diff every benchmark through both engines; outputs,
@@ -61,9 +63,10 @@ pub enum SimError {
         /// The underlying fault.
         cause: Box<SimError>,
     },
-    /// The static cost model could not produce an estimate for this
-    /// (kernel, launch) pair — e.g. a loop bound depends on buffer data the
-    /// analyzer does not track. Never raised by the executors themselves.
+    /// The cost model refuses to estimate this kernel: buffer data reaches
+    /// its control flow or global addressing, so a run on zero-filled
+    /// buffers would not count what a real run counts. The message names
+    /// the site. Never raised by the executors themselves.
     Estimate(String),
 }
 
@@ -236,7 +239,7 @@ pub(crate) fn call_cost(body: &str) -> u64 {
 /// running a statement batch that retired `alu_ops − before` ops over the
 /// active lanes of `mask`, charge the idle lanes of every touched warp
 /// proportionally.
-pub(crate) fn simd_charge(stats: &mut KernelStats, warp: usize, mask: &[bool], before: u64) {
+fn simd_charge(stats: &mut KernelStats, warp: usize, mask: &[bool], before: u64) {
     let delta = stats.alu_ops - before;
     if delta == 0 {
         return;

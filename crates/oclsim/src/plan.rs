@@ -351,8 +351,8 @@ pub struct PlannedKernel {
     /// Static-verification reports, memoised per (launch, local-memory
     /// budget) — the two inputs [`crate::verify`] depends on.
     verified: Mutex<VerifyCache>,
-    /// Static cost estimates, memoised per (launch, warp width) — the two
-    /// inputs [`crate::cost`] depends on besides the plan itself.
+    /// Cost estimates, memoised per (launch, warp width) — the two inputs
+    /// [`crate::cost`] depends on besides the plan itself.
     estimated: Mutex<EstimateCache>,
 }
 
@@ -430,19 +430,20 @@ impl PlannedKernel {
         Ok(findings)
     }
 
-    /// Statically predicts the kernel's [`crate::KernelStats`] for one
-    /// launch configuration on one device (see [`crate::cost`]) without
-    /// executing; results are memoised per (launch, warp width), so tuners
-    /// probing thousands of launches over a handful of kernels pay for each
-    /// analysis once. The estimate is a pure function of
+    /// Predicts the kernel's [`crate::KernelStats`] for one launch
+    /// configuration on one device without its input data: a
+    /// data-dependence check, then a run on zero-filled buffers (see
+    /// [`crate::cost`]). Results are memoised per (launch, warp width), so
+    /// tuners probing thousands of launches over a handful of kernels pay
+    /// for each estimate once. The estimate is a pure function of
     /// (plan, launch, warp) — bit-identical across threads and shards.
     ///
     /// # Errors
     ///
-    /// As [`PlannedKernel::plan`], plus [`SimError::Estimate`] when the
-    /// kernel's control flow defeats static analysis, or any provable
-    /// launch fault ([`SimError::BadLaunch`], [`SimError::OutOfBounds`],
-    /// ...) the real run would also raise. Failures are not cached.
+    /// As [`PlannedKernel::plan`], plus [`SimError::Estimate`] when buffer
+    /// data reaches the kernel's control flow or global addressing, or any
+    /// fault of the zero-data run ([`SimError::BadLaunch`],
+    /// [`SimError::OutOfBounds`], ...). Failures are not cached.
     pub fn estimate(
         &self,
         cfg: crate::runtime::LaunchConfig,
@@ -454,9 +455,12 @@ impl PlannedKernel {
             return Ok(hit.clone());
         }
         let plan = self.plan()?;
-        let params: Vec<(CType, usize)> =
-            self.kernel.params.iter().map(|p| (p.elem, p.len)).collect();
-        let est = Arc::new(crate::cost::estimate_plan(&plan, &params, cfg, warp)?);
+        let est = Arc::new(crate::cost::estimate_plan(
+            &plan,
+            &self.kernel.params,
+            cfg,
+            warp,
+        )?);
         self.estimated
             .lock()
             .expect("estimate cache")

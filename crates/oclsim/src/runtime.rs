@@ -36,6 +36,15 @@ pub enum BufferData {
 }
 
 impl BufferData {
+    /// A zero-filled buffer for a kernel parameter of element type `elem`
+    /// (`bool` parameters are stored as integers).
+    pub(crate) fn zeros(elem: CType, len: usize) -> Self {
+        match elem {
+            CType::Float => BufferData::F32(vec![0.0; len]),
+            CType::Int | CType::Bool => BufferData::I32(vec![0; len]),
+        }
+    }
+
     /// Number of elements.
     pub fn len(&self) -> usize {
         match self {
@@ -298,10 +307,7 @@ impl VirtualDevice {
         let mut input_iter = inputs.iter();
         for p in &kernel.params {
             if p.is_output {
-                buffers.push(match p.elem {
-                    CType::Float => BufferData::F32(vec![0.0; p.len]),
-                    CType::Int | CType::Bool => BufferData::I32(vec![0; p.len]),
-                });
+                buffers.push(BufferData::zeros(p.elem, p.len));
             } else {
                 let data = input_iter.next().expect("counted above").clone();
                 if data.len() != p.len {
