@@ -6,9 +6,17 @@
 //! positions, everywhere, or to enumerate candidate positions. Traversal
 //! descends through `Apply` arguments *and* into the bodies of lambdas and
 //! pattern-nested functions, so rules can fire anywhere in a program.
+//! [`substitute_sizes`] walks the same way to bind a program's size
+//! variables (input sizes, tunables); the tuner and the code generator
+//! share it.
 
-use crate::expr::{Expr, FunDecl, Lambda};
+use std::collections::{BTreeMap, HashMap};
+
+use lift_arith::{ArithExpr, Bindings, Name};
+
+use crate::expr::{Expr, FunDecl, Lambda, Param, ParamRef};
 use crate::pattern::Pattern;
+use crate::types::Type;
 
 /// A local rewrite: returns the replacement when it matches at this node.
 pub type LocalRewrite<'a> = &'a dyn Fn(&Expr) -> Option<Expr>;
@@ -191,14 +199,129 @@ pub fn map_lambda_body(l: &Lambda, f: impl FnOnce(&Expr) -> Expr) -> FunDecl {
     FunDecl::lambda(l.params.clone(), f(&l.body))
 }
 
+/// Substitutes arithmetic variables (input sizes, tunables) throughout a
+/// program: in every type, every pattern parameter, and every nested lambda.
+///
+/// Returns a structurally identical program whose parameters are *fresh*
+/// (types may have changed, and parameter identity must follow).
+pub fn substitute_sizes(f: &FunDecl, bindings: &Bindings) -> FunDecl {
+    let map: SizeMap = bindings
+        .iter()
+        .map(|(k, v)| (Name::from(k), ArithExpr::from(v)))
+        .collect();
+    subst_fun(f, &map, &mut HashMap::new())
+}
+
+type SizeMap = BTreeMap<Name, ArithExpr>;
+
+fn subst_type(t: &Type, map: &SizeMap) -> Type {
+    match t {
+        Type::Scalar(_) => t.clone(),
+        Type::Tuple(ts) => Type::Tuple(ts.iter().map(|x| subst_type(x, map)).collect()),
+        Type::Array(elem, n) => Type::Array(Box::new(subst_type(elem, map)), n.substitute_all(map)),
+    }
+}
+
+fn subst_fun(f: &FunDecl, map: &SizeMap, pmap: &mut HashMap<u32, ParamRef>) -> FunDecl {
+    match f {
+        FunDecl::Lambda(l) => {
+            let params: Vec<ParamRef> = l
+                .params
+                .iter()
+                .map(|p| {
+                    let fresh = Param::fresh(p.name(), subst_type(p.ty(), map));
+                    pmap.insert(p.id(), fresh.clone());
+                    fresh
+                })
+                .collect();
+            let body = subst_expr(&l.body, map, pmap);
+            FunDecl::lambda(params, body)
+        }
+        FunDecl::UserFun(_) => f.clone(),
+        FunDecl::Pattern(p) => FunDecl::pattern(subst_pattern(p, map, pmap)),
+    }
+}
+
+fn subst_expr(e: &Expr, map: &SizeMap, pmap: &mut HashMap<u32, ParamRef>) -> Expr {
+    match e {
+        Expr::Param(p) => match pmap.get(&p.id()) {
+            Some(fresh) => Expr::Param(fresh.clone()),
+            None => e.clone(),
+        },
+        Expr::Literal(_) => e.clone(),
+        Expr::Apply(app) => {
+            let fun = subst_fun(&app.fun, map, pmap);
+            let args = app
+                .args
+                .iter()
+                .map(|a| subst_expr(a, map, pmap))
+                .collect::<Vec<_>>();
+            Expr::apply(fun, args)
+        }
+    }
+}
+
+fn subst_pattern(p: &Pattern, map: &SizeMap, pmap: &mut HashMap<u32, ParamRef>) -> Pattern {
+    let s = |e: &ArithExpr| e.substitute_all(map);
+    match p {
+        Pattern::Map { kind, f } => Pattern::Map {
+            kind: *kind,
+            f: subst_fun(f, map, pmap),
+        },
+        Pattern::Reduce { kind, f } => Pattern::Reduce {
+            kind: *kind,
+            f: subst_fun(f, map, pmap),
+        },
+        Pattern::Zip { arity } => Pattern::Zip { arity: *arity },
+        Pattern::Split { chunk } => Pattern::Split { chunk: s(chunk) },
+        Pattern::Join => Pattern::Join,
+        Pattern::Transpose => Pattern::Transpose,
+        Pattern::Slide { size, step } => Pattern::Slide {
+            size: s(size),
+            step: s(step),
+        },
+        Pattern::Pad {
+            left,
+            right,
+            boundary,
+        } => Pattern::Pad {
+            left: s(left),
+            right: s(right),
+            boundary: *boundary,
+        },
+        Pattern::PadValue { left, right, value } => Pattern::PadValue {
+            left: s(left),
+            right: s(right),
+            value: *value,
+        },
+        Pattern::At { index } => Pattern::At { index: s(index) },
+        Pattern::Get { index } => Pattern::Get { index: *index },
+        Pattern::ArrayGen { fun, sizes } => Pattern::ArrayGen {
+            fun: fun.clone(),
+            sizes: sizes.iter().map(s).collect(),
+        },
+        Pattern::Iterate { times, f } => Pattern::Iterate {
+            times: s(times),
+            f: subst_fun(f, map, pmap),
+        },
+        Pattern::ToLocal { f } => Pattern::ToLocal {
+            f: subst_fun(f, map, pmap),
+        },
+        Pattern::ToGlobal { f } => Pattern::ToGlobal {
+            f: subst_fun(f, map, pmap),
+        },
+        Pattern::ToPrivate { f } => Pattern::ToPrivate {
+            f: subst_fun(f, map, pmap),
+        },
+        Pattern::Id => Pattern::Id,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::*;
-    use crate::expr::Param;
     use crate::pattern::{Boundary, MapKind};
-    use crate::types::Type;
-    use lift_arith::ArithExpr;
 
     fn sample() -> Expr {
         let a = Expr::Param(Param::fresh(

@@ -73,9 +73,9 @@
 //!   [`CheckpointManager`].
 //!
 //! Configuration arrives only as arguments — [`TuneOptions`] values and
-//! the [`VirtualDevice`](lift_oclsim::VirtualDevice) (which carries its
-//! simulator engine); the crate reads no environment. The fault-injection
-//! seam ([`fault`]) is armed explicitly by the binary that wants it.
+//! the [`VirtualDevice`](lift_oclsim::VirtualDevice); the crate reads no
+//! environment. The fault-injection seam ([`fault`]) is armed explicitly
+//! by the binary that wants it.
 //! * **Baselines included** — [`reference_baseline`] (hand-written
 //!   kernels) and [`ppcg_baseline`] (the fixed polyhedral strategy) run
 //!   through the same machinery, which is how the harness regenerates the

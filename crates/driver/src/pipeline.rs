@@ -59,9 +59,8 @@ pub struct TuneOptions {
     /// Applied tells between checkpoint writes (default 16; 0 is treated
     /// as 1).
     pub checkpoint_every: usize,
-    /// Cost-model guidance: warm-start and dominated-configuration pruning,
-    /// enabled with `k = 1.0` (the provably-safe setting) by default. See
-    /// [`CostModel`].
+    /// Cost-model guidance: warm-start and lossless pruning of dominated
+    /// configurations, enabled by default. See [`CostModel`].
     pub cost_prune: CostModel,
 }
 

@@ -7,8 +7,7 @@
 //! bind tunables → generate OpenCL (through the kernel cache) → execute on
 //! the virtual device → validate → keep the fastest modeled configuration.
 
-use lift_arith::Bindings;
-use lift_codegen::{compile_kernel, substitute_sizes};
+use lift_codegen::compile_kernel;
 use lift_oclsim::{BufferData, LaunchConfig, VirtualDevice};
 use lift_rewrite::strategy::{bind_tunables, Tunable, Variant};
 use lift_stencils::refkernels::reference_kernel;
@@ -96,65 +95,49 @@ pub(crate) struct TuneContext<'a> {
 /// How the static cost model steers a search (see `lift_oclsim::cost`):
 /// when enabled, the initial proposal block is reordered so the model's
 /// top-ranked configurations are simulated first, and any configuration
-/// whose estimate matches or exceeds `k ×` the incumbent's estimate is
-/// dropped without simulating (told as failed, counted in
-/// `pruned_model`). Every estimate the model returns is exact — it equals
-/// the simulated time bit for bit, and a kernel it cannot price exactly
-/// gets no estimate — which is what makes pruning lossless. Estimates are
-/// pure functions of (plan, launch, device), and prune decisions are made
-/// on fixed-size proposal windows, so results stay bit-identical across
-/// thread counts and shards. Set through [`crate::TuneOptions::cost_prune`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// whose estimate matches or exceeds the incumbent's estimate is dropped
+/// without simulating (told as failed, counted in `pruned_model`). Every
+/// estimate the model returns is exact — it equals the simulated time bit
+/// for bit, and a kernel it cannot price exactly gets no estimate — which
+/// is what makes pruning lossless: a worse candidate can never have
+/// beaten the incumbent, and an exactly-tied one loses the (score,
+/// proposal-index) tie-break to the incumbent, which was told first.
+/// Estimates are pure functions of (plan, launch, device), and prune
+/// decisions are made on fixed-size proposal windows, so results stay
+/// bit-identical across thread counts and shards. Set through
+/// [`crate::TuneOptions::cost_prune`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
     /// `false` ([`CostModel::off`]) restores pure-PRNG proposal order
     /// and simulates every proposal, byte-reproducing unguided reports.
     pub enabled: bool,
-    /// The domination threshold: prune when
-    /// `estimate(candidate) >= k × estimate(incumbent)`. `k = 1.0` (the
-    /// default) is provably safe because estimates are exact — a worse
-    /// candidate can never have beaten the incumbent, and an exactly-tied
-    /// one loses the (score, proposal-index) tie-break to the incumbent,
-    /// which was told first; `k < 1` prunes aggressively and may change
-    /// winners.
-    pub k: f64,
 }
 
 impl Default for CostModel {
     fn default() -> Self {
-        CostModel {
-            enabled: true,
-            k: 1.0,
-        }
+        CostModel { enabled: true }
     }
 }
 
 impl CostModel {
     /// The disabled setting (`off`).
     pub fn off() -> Self {
-        CostModel {
-            enabled: false,
-            k: 1.0,
-        }
+        CostModel { enabled: false }
     }
 
     /// Parses the `LIFT_COST_PRUNE` syntax, case-insensitively and
-    /// ignoring surrounding whitespace: `off`/`0` disables, a positive
-    /// finite float sets `k`.
+    /// ignoring surrounding whitespace: `on`/`1` enables guidance,
+    /// `off`/`0` disables it.
     ///
     /// # Errors
     ///
-    /// Anything else, described for a usage message — junk must neither
-    /// silently disable the model nor invent a threshold.
+    /// Anything else, described for a usage message — junk must never
+    /// silently pick a setting.
     pub fn parse(setting: &str) -> Result<Self, String> {
-        let v = setting.trim().to_ascii_lowercase();
-        if v == "off" {
-            return Ok(CostModel::off());
-        }
-        match v.parse::<f64>() {
-            Ok(k) if k > 0.0 && k.is_finite() => Ok(CostModel { enabled: true, k }),
-            // `0` (in any spelling) is the numeric way to say "off".
-            Ok(0.0) => Ok(CostModel::off()),
-            _ => Err("`off`, `0` or a positive number".to_string()),
+        match setting.trim().to_ascii_lowercase().as_str() {
+            "on" | "1" => Ok(CostModel::default()),
+            "off" | "0" => Ok(CostModel::off()),
+            _ => Err("`on`, `1`, `off` or `0`".to_string()),
         }
     }
 }
@@ -320,8 +303,7 @@ pub(crate) fn compile_bound(
                 ))
             })?
         };
-        // Any residual variables (none expected) are rejected by codegen.
-        let bound = substitute_sizes(&bound, &Bindings::new());
+        // Any residual size variables are rejected by codegen.
         compile_kernel(&kname, &bound).map_err(Into::into)
     })
 }
@@ -675,20 +657,18 @@ fn tune_variant_batched(
             None
         };
         // Split the window into simulate/prune, preserving proposal order.
-        // Every estimate equals the simulated time bit-for-bit, so with
-        // `k >= 1` a pruned configuration provably cannot improve the
-        // incumbent — a strictly worse one loses on score, and an
-        // exactly-tied one (est == inc at k = 1) loses the (score,
-        // proposal-index) tie-break, because the incumbent was necessarily
-        // told at an earlier proposal index.
+        // Every estimate equals the simulated time bit-for-bit, so a pruned
+        // configuration provably cannot improve the incumbent — a strictly
+        // worse one loses on score, and an exactly-tied one loses the
+        // (score, proposal-index) tie-break, because the incumbent was
+        // necessarily told at an earlier proposal index.
         let decisions: Vec<(Vec<i64>, bool)> = batch
             .into_iter()
             .map(|cfg| {
                 let prune = threshold.is_some_and(|inc| {
                     let named: Vec<(String, i64)> =
                         names.iter().cloned().zip(cfg.iter().copied()).collect();
-                    model_time(ctx, variant, variant_fp, &named)
-                        .is_some_and(|t| t >= ctx.cost.k * inc)
+                    model_time(ctx, variant, variant_fp, &named).is_some_and(|t| t >= inc)
                 });
                 (cfg, prune)
             })

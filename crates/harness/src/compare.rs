@@ -1,12 +1,11 @@
 //! Report diffing: the `lift-harness compare <a.json> <b.json>` command.
 //!
-//! Compares two JSON documents produced by this harness — row arrays from
-//! `--json` (fig7, fig8, ablation, `bench <name>`) or the perf command's
-//! `BENCH_sim.json` — and classifies every difference as a **regression**
-//! (throughput or speedup dropped, a row disappeared, perf engines
-//! diverged) or a **note** (configs shifted, prune counts drifted, rows
-//! appeared). The command exits non-zero on any regression, so pinning a
-//! known-good report in CI turns the diff into a gate:
+//! Compares two row arrays produced by this harness's `--json` experiments
+//! (fig7, fig8, ablation, `bench <name>`) and classifies every difference
+//! as a **regression** (throughput or speedup dropped, a row disappeared)
+//! or a **note** (configs shifted, prune counts drifted, rows appeared).
+//! The command exits non-zero on any regression, so pinning a known-good
+//! report in CI turns the diff into a gate:
 //!
 //! ```text
 //! lift-harness --json fig7 > new.json
@@ -19,10 +18,6 @@ use lift_tuner::json::Value;
 /// deterministic, so any honest decrease is a real regression; the slack
 /// only absorbs decimal re-rendering of identical numbers.
 const REL_TOL: f64 = 1e-9;
-
-/// Wall-clock perf numbers (BENCH_sim.json) are noisy; only slowdowns
-/// beyond this factor count as regressions.
-const PERF_SLACK: f64 = 1.25;
 
 /// The outcome of a comparison: what changed, and which of those changes
 /// must fail the gate.
@@ -161,68 +156,13 @@ fn compare_rows(a: &[Value], b: &[Value], out: &mut Comparison) {
     }
 }
 
-/// Diffs two `BENCH_sim.json` perf reports: the plan engine must still
-/// byte-match the tree engine, and may not get [`PERF_SLACK`]× slower —
-/// end-to-end or in any microbenchmark.
-fn compare_perf(a: &Value, b: &Value, out: &mut Comparison) {
-    let sweep = |v: &Value, f: &str| {
-        v.get("fig7_sweep")
-            .and_then(|s| s.get(f))
-            .and_then(Value::as_f64)
-    };
-    if let (Some(x), Some(y)) = (sweep(a, "speedup"), sweep(b, "speedup")) {
-        let msg = format!("fig7 sweep speedup {x:.2}x -> {y:.2}x");
-        if y < x / PERF_SLACK {
-            out.regressions.push(msg);
-        } else if (y - x).abs() > 0.005 {
-            out.notes.push(msg);
-        }
-    }
-    let identical = |v: &Value| {
-        matches!(
-            v.get("fig7_sweep").and_then(|s| s.get("byte_identical")),
-            Some(Value::Bool(true))
-        )
-    };
-    if identical(a) && !identical(b) {
-        out.regressions
-            .push("fig7 reports no longer byte-identical across engines".into());
-    }
-    let micro = |v: &Value| -> Vec<(String, f64)> {
-        v.get("microbench")
-            .and_then(Value::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(|m| {
-                Some((
-                    m.get("name")?.as_str()?.to_string(),
-                    m.get("plan_ms").and_then(Value::as_f64)?,
-                ))
-            })
-            .collect()
-    };
-    let mb = micro(b);
-    for (name, x) in micro(a) {
-        let Some((_, y)) = mb.iter().find(|(n, _)| *n == name) else {
-            out.regressions
-                .push(format!("{name}: microbenchmark disappeared"));
-            continue;
-        };
-        if *y > x * PERF_SLACK {
-            out.regressions
-                .push(format!("{name}: plan launch {x:.3} ms -> {y:.3} ms"));
-        }
-    }
-}
-
 /// Compares two harness report documents (see the module docs). `a` is
 /// the baseline, `b` the candidate.
 ///
 /// # Errors
 ///
-/// A human-readable message when either document fails to parse or the
-/// two are of incomparable shapes (e.g. a row array against a perf
-/// report).
+/// A human-readable message when either document fails to parse or is
+/// not a row array.
 pub fn compare_docs(
     a_origin: &str,
     a_text: &str,
@@ -235,15 +175,9 @@ pub fn compare_docs(
     match (&a, &b) {
         (Value::Arr(ra), Value::Arr(rb)) => compare_rows(ra, rb, &mut out),
         (Value::Obj(_), Value::Obj(_)) => {
-            let is_perf =
-                |v: &Value| v.get("schema").and_then(Value::as_str) == Some("lift-sim-perf/1");
-            if !is_perf(&a) || !is_perf(&b) {
-                return Err(format!(
-                    "{a_origin} / {b_origin}: only row arrays (--json experiments) and \
-                     BENCH_sim.json perf reports can be compared"
-                ));
-            }
-            compare_perf(&a, &b, &mut out);
+            return Err(format!(
+                "{a_origin} / {b_origin}: only row arrays (--json experiments) can be compared"
+            ));
         }
         _ => {
             return Err(format!(
@@ -317,19 +251,11 @@ mod tests {
     }
 
     #[test]
-    fn perf_reports_compare_and_shapes_must_match() {
-        let perf = |speedup: f64, identical: bool, plan_ms: f64| {
-            format!(
-                r#"{{"schema": "lift-sim-perf/1", "fig7_sweep": {{"budget": 10, "threads": 1, "tree_s": 10.0, "plan_s": 2.0, "speedup": {speedup}, "byte_identical": {identical}}}, "microbench": [{{"name": "Heat/global", "tree_ms": 8.0, "plan_ms": {plan_ms}, "speedup": 4.0, "plan_compile_us": 100.0}}]}}"#
-            )
-        };
-        let a = perf(5.0, true, 2.0);
-        let ok = compare_docs("a", &a, "b", &perf(5.1, true, 2.1)).expect("parses");
-        assert!(!ok.regressed(), "{ok:?}");
-        let bad = compare_docs("a", &a, "b", &perf(2.0, false, 9.0)).expect("parses");
-        assert_eq!(bad.regressions.len(), 3, "{bad:?}");
-
-        let err = compare_docs("a", &a, "b", FIG7_A).expect_err("shape mismatch");
+    fn only_row_arrays_compare_and_shapes_must_match() {
+        let doc = r#"{"fig7": []}"#;
+        let err = compare_docs("a", doc, "b", doc).expect_err("objects are not rows");
+        assert!(err.contains("only row arrays"), "{err}");
+        let err = compare_docs("a", doc, "b", FIG7_A).expect_err("shape mismatch");
         assert!(err.contains("different document shapes"), "{err}");
     }
 }

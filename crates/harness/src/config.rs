@@ -2,11 +2,11 @@
 //! typed value.
 //!
 //! [`RunConfig`] wraps the driver's [`TuneOptions`] (budget, seed,
-//! threads, checkpointing, cost-model guidance) and adds the two settings
-//! that are not about tuning: the paper's full grid sizes and the
-//! simulator engine. The `lift-harness` binary builds it once, in `main`,
-//! with [`RunConfig::resolve`] — flags beat the environment, which beats
-//! the defaults — and every experiment receives it as `&RunConfig`. The
+//! threads, checkpointing, cost-model guidance) and adds the one setting
+//! that is not about tuning: the paper's full grid sizes. The
+//! `lift-harness` binary builds it once, in `main`, with
+//! [`RunConfig::resolve`] — flags beat the environment, which beats the
+//! defaults — and every experiment receives it as `&RunConfig`. The
 //! resolver is pure: it takes the environment lookup as a parameter, and
 //! no library crate reads the environment itself.
 //!
@@ -19,7 +19,6 @@
 
 use lift_driver::fault::{parse_plan, FaultPlan};
 use lift_driver::{CostModel, TuneOptions};
-use lift_oclsim::{DeviceProfile, SimEngine, VirtualDevice};
 
 /// Everything an experiment run is configured by.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -29,8 +28,6 @@ pub struct RunConfig {
     pub tune: TuneOptions,
     /// Run the paper's original grid sizes instead of the scaled ones.
     pub full_sizes: bool,
-    /// The simulator engine every device of the run executes on.
-    pub engine: SimEngine,
 }
 
 /// Settings given on the command line, raw as typed (validated by
@@ -89,11 +86,6 @@ fn positive(setting: &'static str, value: &str) -> Result<usize, ConfigError> {
 }
 
 impl RunConfig {
-    /// A device with `profile`, executing on this run's engine.
-    pub fn device(&self, profile: DeviceProfile) -> VirtualDevice {
-        VirtualDevice::new(profile).with_engine(self.engine)
-    }
-
     /// Layers `env` and then `flags` over `self` (the defaults): a flag
     /// beats its environment variable, which beats the default. `env`
     /// looks a variable up by name; an empty value counts as unset.
@@ -186,7 +178,6 @@ mod tests {
         assert_eq!(cfg.tune.checkpoint_every, 16);
         assert_eq!(cfg.tune.cost_prune, CostModel::default());
         assert!(!cfg.full_sizes);
-        assert_eq!(cfg.engine, SimEngine::Plan);
     }
 
     #[test]
@@ -267,6 +258,7 @@ mod tests {
             ("LIFT_CHECKPOINT_EVERY", "0"),
             ("LIFT_COST_PRUNE", "fast"),
             ("LIFT_COST_PRUNE", "-1"),
+            ("LIFT_COST_PRUNE", "1.0"),
             ("LIFT_FULL_SIZES", "true"),
         ];
         for (name, value) in cases {

@@ -18,8 +18,8 @@
 //!
 //! Each experiment is one function taking the run's [`RunConfig`] (and,
 //! for the sweeps, a [`Shard`]; `(0, 1)` is the whole sweep): budget,
-//! seed and thread budget come from `cfg.tune`, grid sizes from
-//! `cfg.full_sizes`, and every device is built on `cfg.engine`.
+//! seed and thread budget come from `cfg.tune`, and grid sizes from
+//! `cfg.full_sizes`.
 
 use lift_driver::{ppcg_baseline, reference_baseline, KernelCache, LiftError, Pipeline, Variant};
 use lift_oclsim::{DeviceProfile, FindingKind, VirtualDevice};
@@ -138,7 +138,7 @@ pub fn fig7_shard(cfg: &RunConfig, shard: Shard) -> Result<ShardRows<Fig7Row>, L
     let mine = shard_cells(work, shard);
     let (outer, inner) = split_budget(cfg.tune.threads, mine.len());
     let groups = parallel_map(outer, mine, |(cell, (profile, name))| {
-        let dev = cfg.device(profile);
+        let dev = VirtualDevice::new(profile);
         let bench = by_name(name);
         let sizes = bench.size(false, cfg.full_sizes);
         let lift = tune(cfg, &bench, &sizes, &dev, inner)?;
@@ -208,7 +208,7 @@ pub fn fig8_shard(cfg: &RunConfig, shard: Shard) -> Result<ShardRows<Fig8Row>, L
     let mine = shard_cells(work, shard);
     let (outer, inner) = split_budget(cfg.tune.threads, mine.len());
     let groups = parallel_map(outer, mine, |(cell, (profile, name, size_name, large))| {
-        let dev = cfg.device(profile);
+        let dev = VirtualDevice::new(profile);
         let bench = by_name(name);
         let sizes = bench.size(large, cfg.full_sizes);
         let lift = tune(cfg, &bench, &sizes, &dev, inner)?;
@@ -279,7 +279,7 @@ pub fn ablation_shard(
     let mine = shard_cells(work, shard);
     let (outer, inner) = split_budget(cfg.tune.threads, mine.len());
     let groups = parallel_map(outer, mine, |(cell, (profile, name))| {
-        let dev = cfg.device(profile);
+        let dev = VirtualDevice::new(profile);
         let bench = by_name(&name);
         let sizes = bench.size(false, cfg.full_sizes);
         let result = tune(cfg, &bench, &sizes, &dev, inner)?;
@@ -396,7 +396,7 @@ pub fn bench_shard(
     let mine = shard_cells(work, shard);
     let (outer, inner) = split_budget(cfg.tune.threads, mine.len());
     let groups = parallel_map(outer, mine, |(cell, profile)| {
-        let dev = cfg.device(profile);
+        let dev = VirtualDevice::new(profile);
         let result = tune(cfg, &bench, &sizes, &dev, inner)?;
         Ok::<(usize, Vec<BenchRow>), LiftError>((
             cell,
@@ -512,7 +512,7 @@ pub fn verify_sweep(cfg: &RunConfig) -> Result<Vec<VerifyRow>, LiftError> {
     }
     let outer = cfg.tune.threads.min(work.len()).max(1);
     let groups = parallel_map(outer, work, |(bench, profile)| {
-        let dev = cfg.device(profile);
+        let dev = VirtualDevice::new(profile);
         let sizes = bench.size(false, cfg.full_sizes);
         let variants = Pipeline::from_benchmark(&bench, &sizes)?.explore()?;
         let cache = std::sync::Arc::new(KernelCache::new());

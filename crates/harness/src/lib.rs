@@ -5,7 +5,7 @@
 //! renders them ([`report`]) as text or JSON (`--json` on the binary).
 //!
 //! Every experiment takes its configuration as an argument: a
-//! [`RunConfig`] (tuning options, grid sizes, simulator engine) and, for
+//! [`RunConfig`] (tuning options and grid sizes) and, for
 //! the sweeps, a [`Shard`]. The binary resolves that configuration once,
 //! in `main`, from flags and the `LIFT_*` environment variables (see
 //! [`config`]); this library reads no environment.
@@ -24,7 +24,6 @@ pub mod compare;
 pub mod config;
 pub mod experiments;
 pub mod model;
-pub mod perf;
 pub mod report;
 
 pub use campaign::{run_campaign, CampaignOptions, CampaignReport};

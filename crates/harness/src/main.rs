@@ -11,7 +11,6 @@
 //! lift-harness --json fig7        # machine-readable output for CI
 //! lift-harness --threads 8 all    # parallel sweep (same results, sooner)
 //! lift-harness --list-benchmarks  # exact names, ranks and domain sizes
-//! lift-harness perf [--json]      # simulator perf report → BENCH_sim.json
 //! lift-harness verify [--json]    # static verifier over every kernel
 //!                                 # (non-zero exit on any finding)
 //! lift-harness model [--json]     # cost-model accuracy + tuning savings
@@ -87,9 +86,6 @@ USAGE:
                                      resume their checkpoints, keeping the
                                      merged report byte-identical to a
                                      fault-free single-process run)
-    lift-harness perf [--json]      (writes BENCH_sim.json: fig7 sweep wall
-                                     time under both simulator engines +
-                                     per-kernel launch microbenchmarks)
     lift-harness verify [--json]    (static bounds/race/divergence/init
                                      verification of every benchmark x
                                      device x variant kernel; exits 1 on
@@ -103,11 +99,10 @@ USAGE:
                                      0.8 or the guided and unguided tuners
                                      disagree on a winner)
     lift-harness compare <a.json> <b.json>
-                                    (diff two --json reports or two
-                                     BENCH_sim.json files: config deltas,
-                                     prune-count drift, throughput or
-                                     speedup regressions; exits 1 on any
-                                     regression)
+                                    (diff two --json reports: config
+                                     deltas, prune-count drift, throughput
+                                     or speedup regressions; exits 1 on
+                                     any regression)
     lift-harness --list-benchmarks [--json]
 
 FLAGS:
@@ -163,11 +158,11 @@ unset; a malformed value is a usage error, exit 2):
     LIFT_FULL_SIZES       1 = the paper's original grid sizes (slow),
                           0 = the scaled sizes (default)
     LIFT_SEED             experiment seed (default 2018)
-    LIFT_COST_PRUNE       cost-model tuning guidance: `off`/`0` disables
-                          warm-start + pruning, a positive float sets the
-                          domination threshold k (default 1.0). Never
-                          changes tuning results, only how many simulator
-                          evaluations reach them.
+    LIFT_COST_PRUNE       cost-model tuning guidance: `on`/`1` (default)
+                          enables warm-start + pruning, `off`/`0`
+                          disables it. Never changes tuning results,
+                          only how many simulator evaluations reach
+                          them.
     LIFT_FAULT            deterministic fault injection (testing only):
                           exit-after:<k> | stall[-after:<k>] |
                           truncate-checkpoint:<k>. Injected processes
@@ -455,7 +450,7 @@ fn run(cmd: &str, json: bool, cfg: &RunConfig) -> Result<(), LiftError> {
         other => {
             eprintln!(
                 "unknown experiment `{other}`; use table1|fig7|fig8|ablation|bench <name>|all|\
-                 merge|perf|verify|model|compare (or --help)"
+                 merge|verify|model|compare (or --help)"
             );
             std::process::exit(2);
         }
@@ -709,29 +704,6 @@ fn main() {
                     }
                     std::process::exit(1);
                 }
-            }
-            Err(e) => {
-                eprintln!("lift-harness: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    if cmd == "perf" {
-        if positional.len() > 1 {
-            usage_error("perf takes no further arguments");
-        }
-        match lift_harness::perf::perf_report(&cfg) {
-            Ok(report) => {
-                let doc = report.to_json();
-                if let Err(e) = std::fs::write("BENCH_sim.json", &doc) {
-                    eprintln!("lift-harness: cannot write BENCH_sim.json: {e}");
-                    std::process::exit(1);
-                }
-                // --json prints the document that was written; the default
-                // is a human-readable summary.
-                print!("{}", if json { doc } else { report.render() });
             }
             Err(e) => {
                 eprintln!("lift-harness: {e}");

@@ -26,7 +26,7 @@
 //! `model-accuracy` job is just this command.
 
 use lift_driver::{CostModel, LiftError, Pipeline};
-use lift_oclsim::{BufferData, DeviceProfile};
+use lift_oclsim::{BufferData, DeviceProfile, VirtualDevice};
 use lift_stencils::suite;
 use lift_tuner::parallel_map;
 
@@ -159,7 +159,7 @@ fn accuracy_cells(cfg: &RunConfig) -> Result<Vec<ModelCell>, LiftError> {
     }
     let outer = cfg.tune.threads.min(work.len()).max(1);
     parallel_map(outer, work, |(bench, profile)| {
-        let dev = cfg.device(profile);
+        let dev = VirtualDevice::new(profile);
         let sizes = bench.size(false, cfg.full_sizes);
         let variants = Pipeline::from_benchmark(&bench, &sizes)?.explore()?;
         let inputs: Vec<BufferData> = bench
@@ -224,7 +224,7 @@ fn tuning_cells(cfg: &RunConfig) -> Result<Vec<TuneCell>, LiftError> {
     let outer = cfg.tune.threads.min(work.len()).max(1);
     let inner = (cfg.tune.threads / outer).max(1);
     parallel_map(outer, work, |(profile, name)| {
-        let dev = cfg.device(profile);
+        let dev = VirtualDevice::new(profile);
         let bench = lift_stencils::by_name(name);
         let sizes = bench.size(false, cfg.full_sizes);
         let tune = |cost: CostModel| {

@@ -15,9 +15,10 @@
 //!   prices launches: [`crate::cost`] runs it on zero-filled buffers and
 //!   has no counting code of its own.
 //! * `Machine` — the original tree-walking interpreter, kept as the
-//!   executable reference semantics. The differential suite and CI
-//!   byte-diff every benchmark through both engines; outputs,
-//!   [`KernelStats`] and modeled times must match bit-for-bit.
+//!   executable reference semantics and reached only through
+//!   [`VirtualDevice::run_reference`](crate::VirtualDevice::run_reference).
+//!   The differential suite runs every benchmark through both engines;
+//!   outputs, [`KernelStats`] and modeled times must match bit-for-bit.
 
 use std::collections::HashMap;
 use std::error::Error;

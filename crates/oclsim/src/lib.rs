@@ -40,15 +40,14 @@
 //! `lift-driver` kernel cache stores these, so tuning a variant across
 //! hundreds of configurations plans exactly once.
 //!
-//! **Determinism contract:** the plan engine and the original tree-walking
-//! interpreter (a device built with
-//! `VirtualDevice::new(p).with_engine(SimEngine::Tree)`) produce
-//! byte-identical outputs, [`KernelStats`] and modeled times; they differ
-//! only in host-side speed. The differential suite
-//! (`tests/sim_differential.rs` at the workspace root) and the
-//! `lift-harness perf` byte-diff of the Figure-7 sweep hold the two engines
-//! in lock-step. The engine is a property of the device, passed in by the
-//! caller: this crate reads no environment.
+//! **Reference semantics:** the original tree-walking interpreter is kept
+//! as the executable specification the plan engine is tested against.
+//! [`VirtualDevice::run_reference`] drives it through the same launch
+//! validation and buffer binding as [`VirtualDevice::run`], and the
+//! differential suite (`tests/sim_differential.rs` at the workspace root)
+//! asserts that the two produce byte-identical outputs, [`KernelStats`]
+//! and modeled times. Every other launch runs on the plan engine. This
+//! crate reads no environment.
 
 #![forbid(unsafe_code)]
 
@@ -65,7 +64,5 @@ pub use device::DeviceProfile;
 pub use exec::SimError;
 pub use perf::KernelStats;
 pub use plan::{Plan, PlannedKernel};
-pub use runtime::{
-    BufferData, IteratedOutput, LaunchConfig, Rotation, RunOutput, SimEngine, VirtualDevice,
-};
+pub use runtime::{BufferData, IteratedOutput, LaunchConfig, Rotation, RunOutput, VirtualDevice};
 pub use verify::{FindingKind, VerifyFinding};

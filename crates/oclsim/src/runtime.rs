@@ -7,25 +7,6 @@ use crate::exec::{Machine, PlanMachine, SimError};
 use crate::perf::KernelStats;
 use crate::plan::{Plan, PlannedKernel};
 
-/// Which executor drives a launch.
-///
-/// Both engines implement identical semantics — outputs, [`KernelStats`]
-/// and modeled times are byte-for-byte equal; they differ only in host-side
-/// speed. Each [`VirtualDevice`] carries its engine: [`VirtualDevice::new`]
-/// selects [`SimEngine::Plan`], and [`VirtualDevice::with_engine`] opts a
-/// device into the reference interpreter (the differential tests and the
-/// `perf` report use it to byte-diff whole sweeps across engines).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimEngine {
-    /// The slot-resolved bytecode plan executed by the register-machine
-    /// inner loop (see [`crate::plan`]). Fast; the default.
-    #[default]
-    Plan,
-    /// The original tree-walking interpreter, kept as the executable
-    /// reference semantics.
-    Tree,
-}
-
 /// A host/device buffer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BufferData {
@@ -178,8 +159,12 @@ pub struct RunOutput {
     pub time_s: f64,
 }
 
-/// A virtual OpenCL device with a fixed [`DeviceProfile`] and the
-/// [`SimEngine`] that executes its launches.
+/// A virtual OpenCL device with a fixed [`DeviceProfile`].
+///
+/// Launches execute on the bytecode plan engine ([`crate::plan`]);
+/// [`VirtualDevice::run_reference`] runs the same launch on the
+/// tree-walking reference interpreter, which the differential tests
+/// compare the plan engine against.
 ///
 /// The device is **immutable and freely shareable across threads**: the
 /// parallel tuner hands one `&VirtualDevice` to every worker evaluating a
@@ -190,7 +175,6 @@ pub struct RunOutput {
 #[derive(Debug, Clone)]
 pub struct VirtualDevice {
     profile: DeviceProfile,
-    engine: SimEngine,
 }
 
 // Compile-time audit of the guarantee above: concurrent tuning relies on
@@ -206,19 +190,9 @@ const _: fn() = || {
 };
 
 impl VirtualDevice {
-    /// Creates a device with the given profile, executing on the bytecode
-    /// plan engine.
+    /// Creates a device with the given profile.
     pub fn new(profile: DeviceProfile) -> Self {
-        VirtualDevice {
-            profile,
-            engine: SimEngine::Plan,
-        }
-    }
-
-    /// The same device executing on `engine`.
-    pub fn with_engine(mut self, engine: SimEngine) -> Self {
-        self.engine = engine;
-        self
+        VirtualDevice { profile }
     }
 
     /// The device profile.
@@ -227,32 +201,27 @@ impl VirtualDevice {
     }
 
     /// Executes `kernel` on `inputs` (one per non-output parameter, in
-    /// order) with the given launch configuration, on this device's engine.
+    /// order) with the given launch configuration.
     ///
-    /// The output buffer is allocated zero-initialised by the runtime.
-    /// Under the plan engine the kernel is plan-compiled on every call; use
+    /// The output buffer is allocated zero-initialised by the runtime. The
+    /// kernel is plan-compiled on every call; use
     /// [`VirtualDevice::run_planned`] with a [`PlannedKernel`] to compile
     /// once and run many times (the tuning hot path does).
     ///
     /// # Errors
     ///
-    /// Fails on launch misconfiguration (sizes, local-memory overflow,
-    /// argument mismatch) and on any runtime fault the executor detects
-    /// (out-of-bounds access, barrier divergence, division by zero), plus
-    /// plan-compilation faults under [`SimEngine::Plan`].
+    /// Fails on plan compilation, on launch misconfiguration (sizes,
+    /// local-memory overflow, argument mismatch) and on any runtime fault
+    /// the executor detects (out-of-bounds access, barrier divergence,
+    /// division by zero).
     pub fn run(
         &self,
         kernel: &Kernel,
         inputs: &[BufferData],
         cfg: LaunchConfig,
     ) -> Result<RunOutput, SimError> {
-        match self.engine {
-            SimEngine::Tree => self.run_inner(kernel, None, inputs, cfg),
-            SimEngine::Plan => {
-                let plan = Plan::compile(kernel)?;
-                self.run_inner(kernel, Some(&plan), inputs, cfg)
-            }
-        }
+        let plan = Plan::compile(kernel)?;
+        self.run_inner(kernel, Some(&plan), inputs, cfg)
     }
 
     /// Executes a pre-planned kernel: the plan is compiled at most once for
@@ -269,17 +238,31 @@ impl VirtualDevice {
         inputs: &[BufferData],
         cfg: LaunchConfig,
     ) -> Result<RunOutput, SimError> {
-        match self.engine {
-            SimEngine::Tree => self.run_inner(kernel.kernel(), None, inputs, cfg),
-            SimEngine::Plan => {
-                let plan = kernel.plan()?;
-                self.run_inner(kernel.kernel(), Some(&plan), inputs, cfg)
-            }
-        }
+        let plan = kernel.plan()?;
+        self.run_inner(kernel.kernel(), Some(&plan), inputs, cfg)
     }
 
-    /// Validates the launch, binds buffers and drives one of the two
-    /// executors (`plan: None` selects the tree interpreter).
+    /// Executes `kernel` like [`VirtualDevice::run`], but on the original
+    /// tree-walking interpreter: the executable reference semantics the
+    /// plan engine must match bit for bit (outputs, [`KernelStats`] and
+    /// modeled time). Launch validation and buffer binding are shared with
+    /// [`VirtualDevice::run`]; only the executor differs. The differential
+    /// tests are its callers — it is far slower than the plan engine.
+    ///
+    /// # Errors
+    ///
+    /// As [`VirtualDevice::run`], minus plan compilation.
+    pub fn run_reference(
+        &self,
+        kernel: &Kernel,
+        inputs: &[BufferData],
+        cfg: LaunchConfig,
+    ) -> Result<RunOutput, SimError> {
+        self.run_inner(kernel, None, inputs, cfg)
+    }
+
+    /// Validates the launch, binds buffers and drives the plan engine, or
+    /// the reference interpreter when `plan` is `None`.
     fn run_inner(
         &self,
         kernel: &Kernel,
@@ -391,11 +374,8 @@ impl VirtualDevice {
         rotation: Rotation,
     ) -> Result<IteratedOutput, SimError> {
         // Compile once, launch `steps` times.
-        let plan = match self.engine {
-            SimEngine::Plan => Some(Plan::compile(kernel)?),
-            SimEngine::Tree => None,
-        };
-        self.run_iterated_inner(kernel, plan.as_ref(), inputs, cfg, steps, rotation)
+        let plan = Plan::compile(kernel)?;
+        self.run_iterated_inner(kernel, &plan, inputs, cfg, steps, rotation)
     }
 
     /// [`VirtualDevice::run_iterated`] for a pre-planned kernel — the plan
@@ -413,24 +393,14 @@ impl VirtualDevice {
         steps: usize,
         rotation: Rotation,
     ) -> Result<IteratedOutput, SimError> {
-        let plan = match self.engine {
-            SimEngine::Plan => Some(kernel.plan()?),
-            SimEngine::Tree => None,
-        };
-        self.run_iterated_inner(
-            kernel.kernel(),
-            plan.as_deref(),
-            inputs,
-            cfg,
-            steps,
-            rotation,
-        )
+        let plan = kernel.plan()?;
+        self.run_iterated_inner(kernel.kernel(), &plan, inputs, cfg, steps, rotation)
     }
 
     fn run_iterated_inner(
         &self,
         kernel: &Kernel,
-        plan: Option<&Plan>,
+        plan: &Plan,
         inputs: &[BufferData],
         cfg: LaunchConfig,
         steps: usize,
@@ -450,7 +420,7 @@ impl VirtualDevice {
         let mut total_time = 0.0;
         let mut last = state[needed - 1].clone();
         for _ in 0..steps {
-            let out = self.run_inner(kernel, plan, &state, cfg)?;
+            let out = self.run_inner(kernel, Some(plan), &state, cfg)?;
             total_time += out.time_s;
             match rotation {
                 Rotation::SingleBuffer => {
@@ -528,28 +498,30 @@ mod tests {
     fn misaligned_launch_rejected() {
         let kernel = jacobi3pt_lowered(64);
         let dev = VirtualDevice::new(DeviceProfile::k20c());
-        let err = dev
-            .run(
-                &kernel,
-                &[vec![0.0f32; 64].into()],
-                LaunchConfig::d1(60, 16),
-            )
-            .unwrap_err();
-        assert!(matches!(err, SimError::BadLaunch(_)));
+        let inputs = [vec![0.0f32; 64].into()];
+        let launch = LaunchConfig::d1(60, 16);
+        // The reference interpreter shares the launch validation.
+        for err in [
+            dev.run(&kernel, &inputs, launch).unwrap_err(),
+            dev.run_reference(&kernel, &inputs, launch).unwrap_err(),
+        ] {
+            assert!(matches!(err, SimError::BadLaunch(_)));
+        }
     }
 
     #[test]
     fn wrong_buffer_size_rejected() {
         let kernel = jacobi3pt_lowered(64);
         let dev = VirtualDevice::new(DeviceProfile::k20c());
-        let err = dev
-            .run(
-                &kernel,
-                &[vec![0.0f32; 63].into()],
-                LaunchConfig::d1(64, 16),
-            )
-            .unwrap_err();
-        assert!(matches!(err, SimError::BadLaunch(_)));
+        let inputs = [vec![0.0f32; 63].into()];
+        let launch = LaunchConfig::d1(64, 16);
+        // The reference interpreter shares the buffer binding.
+        for err in [
+            dev.run(&kernel, &inputs, launch).unwrap_err(),
+            dev.run_reference(&kernel, &inputs, launch).unwrap_err(),
+        ] {
+            assert!(matches!(err, SimError::BadLaunch(_)));
+        }
     }
 
     #[test]

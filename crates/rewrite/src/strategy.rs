@@ -19,6 +19,7 @@ use lift_arith::ArithExpr;
 use lift_core::expr::{Expr, FunDecl};
 use lift_core::pattern::MapKind;
 use lift_core::typecheck::{typecheck, typecheck_fun};
+use lift_core::visit::substitute_sizes;
 
 use crate::lowering::{coarsen_innermost, lower_grid, sequentialise, unroll};
 use crate::rules::tile_anywhere;
@@ -317,124 +318,7 @@ pub fn bind_tunables(variant: &Variant, values: &[(String, i64)]) -> Option<FunD
         }
     }
     let bindings = lift_arith::Bindings::from_iter(values.iter().map(|(n, v)| (n.as_str(), *v)));
-    Some(lift_codegen_substitute(&variant.program, &bindings))
-}
-
-// Local re-implementation of size substitution to avoid a dependency cycle:
-// the rewrite crate sits below codegen in the build graph.
-fn lift_codegen_substitute(f: &FunDecl, b: &lift_arith::Bindings) -> FunDecl {
-    subst_fun(f, b, &mut std::collections::HashMap::new())
-}
-
-type PMap = std::collections::HashMap<u32, lift_core::expr::ParamRef>;
-
-fn subst_type(t: &lift_core::types::Type, b: &lift_arith::Bindings) -> lift_core::types::Type {
-    use lift_core::types::Type;
-    match t {
-        Type::Scalar(_) => t.clone(),
-        Type::Tuple(ts) => Type::Tuple(ts.iter().map(|x| subst_type(x, b)).collect()),
-        Type::Array(e, n) => Type::Array(Box::new(subst_type(e, b)), subst_arith(n, b)),
-    }
-}
-
-fn subst_arith(e: &ArithExpr, b: &lift_arith::Bindings) -> ArithExpr {
-    let map: std::collections::BTreeMap<lift_arith::Name, ArithExpr> = b
-        .iter()
-        .map(|(k, v)| (lift_arith::Name::from(k), ArithExpr::from(v)))
-        .collect();
-    e.substitute_all(&map)
-}
-
-fn subst_fun(f: &FunDecl, b: &lift_arith::Bindings, pm: &mut PMap) -> FunDecl {
-    use lift_core::expr::Param;
-    match f {
-        FunDecl::Lambda(l) => {
-            let params: Vec<_> = l
-                .params
-                .iter()
-                .map(|p| {
-                    let fresh = Param::fresh(p.name(), subst_type(p.ty(), b));
-                    pm.insert(p.id(), fresh.clone());
-                    fresh
-                })
-                .collect();
-            FunDecl::lambda(params, subst_expr(&l.body, b, pm))
-        }
-        FunDecl::UserFun(_) => f.clone(),
-        FunDecl::Pattern(p) => FunDecl::pattern(subst_pattern(p, b, pm)),
-    }
-}
-
-fn subst_expr(e: &Expr, b: &lift_arith::Bindings, pm: &mut PMap) -> Expr {
-    match e {
-        Expr::Param(p) => pm
-            .get(&p.id())
-            .map(|f| Expr::Param(f.clone()))
-            .unwrap_or_else(|| e.clone()),
-        Expr::Literal(_) => e.clone(),
-        Expr::Apply(app) => {
-            let fun = subst_fun(&app.fun, b, pm);
-            let args: Vec<Expr> = app.args.iter().map(|a| subst_expr(a, b, pm)).collect();
-            Expr::apply(fun, args)
-        }
-    }
-}
-
-fn subst_pattern(
-    p: &lift_core::pattern::Pattern,
-    b: &lift_arith::Bindings,
-    pm: &mut PMap,
-) -> lift_core::pattern::Pattern {
-    use lift_core::pattern::Pattern;
-    let s = |e: &ArithExpr| subst_arith(e, b);
-    match p {
-        Pattern::Map { kind, f } => Pattern::Map {
-            kind: *kind,
-            f: subst_fun(f, b, pm),
-        },
-        Pattern::Reduce { kind, f } => Pattern::Reduce {
-            kind: *kind,
-            f: subst_fun(f, b, pm),
-        },
-        Pattern::Iterate { times, f } => Pattern::Iterate {
-            times: s(times),
-            f: subst_fun(f, b, pm),
-        },
-        Pattern::ToLocal { f } => Pattern::ToLocal {
-            f: subst_fun(f, b, pm),
-        },
-        Pattern::ToGlobal { f } => Pattern::ToGlobal {
-            f: subst_fun(f, b, pm),
-        },
-        Pattern::ToPrivate { f } => Pattern::ToPrivate {
-            f: subst_fun(f, b, pm),
-        },
-        Pattern::Split { chunk } => Pattern::Split { chunk: s(chunk) },
-        Pattern::Slide { size, step } => Pattern::Slide {
-            size: s(size),
-            step: s(step),
-        },
-        Pattern::Pad {
-            left,
-            right,
-            boundary,
-        } => Pattern::Pad {
-            left: s(left),
-            right: s(right),
-            boundary: *boundary,
-        },
-        Pattern::PadValue { left, right, value } => Pattern::PadValue {
-            left: s(left),
-            right: s(right),
-            value: *value,
-        },
-        Pattern::At { index } => Pattern::At { index: s(index) },
-        Pattern::ArrayGen { fun, sizes } => Pattern::ArrayGen {
-            fun: fun.clone(),
-            sizes: sizes.iter().map(s).collect(),
-        },
-        other => other.clone(),
-    }
+    Some(substitute_sizes(&variant.program, &bindings))
 }
 
 #[cfg(test)]

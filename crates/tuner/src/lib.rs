@@ -8,24 +8,23 @@
 //! (inter-parameter constraints such as *"local size divides global size"*)
 //! via arbitrary predicates over complete configurations.
 //!
-//! The engine underneath is the batched ask/tell [`Search`]: it proposes
+//! The engine is the batched ask/tell [`Search`]: it proposes
 //! configurations in batches that a driver may evaluate concurrently (e.g.
 //! on the in-repo [`parallel_map`] worker pool) and guarantees results
-//! bit-identical to the sequential [`Tuner::run`] for the same seed,
-//! whatever the batch size or thread count.
+//! bit-identical to a one-at-a-time loop for the same seed, whatever the
+//! batch size or thread count.
 //!
 //! Searches are also **checkpointable**: [`Search::snapshot`] captures the
 //! full engine state as a serializable [`SearchState`] (JSON via
-//! [`SearchState::to_json`]), and [`Search::restore`] —
-//! or the convenience [`Tuner::resume`] — picks the search back up
-//! bit-identically to a run that was never interrupted. This is what lets
-//! the driver's long tuning campaigns survive process kills and be
-//! distributed across machines.
+//! [`SearchState::to_json`]), and [`Search::restore`] picks the search
+//! back up bit-identically to a run that was never interrupted. This is
+//! what lets the driver's long tuning campaigns survive process kills and
+//! be distributed across machines.
 //!
 //! # Example
 //!
 //! ```
-//! use lift_tuner::{ParamSpace, ParamSpec, Tuner};
+//! use lift_tuner::{ParamSpace, ParamSpec, Search};
 //!
 //! let space = ParamSpace::new([
 //!     ParamSpec::new("x", (1..=16).collect::<Vec<_>>()),
@@ -33,14 +32,15 @@
 //! ])
 //! .with_constraint(|cfg| cfg[0] % cfg[1] == 0); // y divides x
 //!
-//! let result = Tuner::new(space, 64)
-//!     .with_seed(7)
-//!     .run(|cfg| {
+//! let mut search = Search::new(space, 64, 7);
+//! while !search.is_done() {
+//!     for cfg in search.ask(4) {
 //!         // Pretend runtime: minimised at x = 12, y = 4.
 //!         let (x, y) = (cfg[0] as f64, cfg[1] as f64);
-//!         Some((x - 12.0).abs() + (y - 4.0).abs())
-//!     });
-//! let best = result.best.expect("found a config");
+//!         search.tell(&cfg, Some((x - 12.0).abs() + (y - 4.0).abs()));
+//!     }
+//! }
+//! let best = search.into_result().best.expect("found a config");
 //! assert_eq!(best.values, vec![12, 4]);
 //! ```
 
@@ -207,91 +207,6 @@ pub struct TuneResult {
     pub trace: Vec<Candidate>,
 }
 
-/// The tuner: searches a [`ParamSpace`] with a fixed evaluation budget.
-///
-/// Small spaces are searched exhaustively; larger spaces by seeded random
-/// sampling followed by greedy neighbourhood refinement of the incumbent
-/// (a light-weight stand-in for OpenTuner's ensemble search).
-///
-/// [`Tuner::run`] is the sequential callback driver; parallel drivers use
-/// the batched ask/tell engine directly via [`Tuner::into_search`] (or
-/// [`Search::new`]) and are guaranteed the identical result for the same
-/// seed.
-pub struct Tuner {
-    space: ParamSpace,
-    budget: usize,
-    seed: u64,
-}
-
-impl Tuner {
-    /// Creates a tuner over `space` with an evaluation `budget`.
-    pub fn new(space: ParamSpace, budget: usize) -> Self {
-        Tuner {
-            space,
-            budget,
-            seed: 0x11f7,
-        }
-    }
-
-    /// Sets the random seed (tuning is fully deterministic given the seed).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// The underlying space.
-    pub fn space(&self) -> &ParamSpace {
-        &self.space
-    }
-
-    /// Converts the tuner into the batched ask/tell engine it is built on.
-    pub fn into_search(self) -> Search {
-        Search::new(self.space, self.budget, self.seed)
-    }
-
-    /// Runs the search sequentially. The evaluator returns `Some(score)`
-    /// (lower better) or `None` when a configuration fails (does not count
-    /// against valid results, but does consume budget).
-    ///
-    /// This is the batch-size-1 driver over [`Search`]; a parallel driver
-    /// telling the same scores produces the identical [`TuneResult`].
-    pub fn run(self, mut eval: impl FnMut(&[i64]) -> Option<f64>) -> TuneResult {
-        let mut search = self.into_search();
-        while !search.is_done() {
-            for cfg in search.ask(1) {
-                let score = eval(&cfg);
-                search.tell(&cfg, score);
-            }
-        }
-        search.into_result()
-    }
-
-    /// Resumes a checkpointed search sequentially: restores `state` over
-    /// this tuner's space and drives the remaining proposals through
-    /// `eval`. With a deterministic evaluator the result is bit-identical
-    /// to the [`Tuner::run`] that was never interrupted. The tuner's own
-    /// budget and seed are ignored — the snapshot carries them.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError`] when the snapshot does not match this tuner's
-    /// parameter space (see [`Search::restore`]).
-    pub fn resume(
-        self,
-        state: SearchState,
-        mut eval: impl FnMut(&[i64]) -> Option<f64>,
-    ) -> Result<TuneResult, SnapshotError> {
-        let mut search = Search::restore(self.space, state)?;
-        while !search.is_done() {
-            for cfg in search.ask(1) {
-                let score = eval(&cfg);
-                search.tell(&cfg, score);
-            }
-        }
-        Ok(search.into_result())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,7 +223,7 @@ mod tests {
             ParamSpec::new("x", (1..=8).collect()),
             ParamSpec::new("y", (1..=8).collect()),
         ]);
-        let r = Tuner::new(space, 100).run(quadratic);
+        let r = drive(Search::new(space, 100, 0), 1, quadratic);
         assert_eq!(r.best.unwrap().values, vec![6, 4]);
         assert_eq!(r.evaluations, 64);
     }
@@ -320,7 +235,7 @@ mod tests {
             ParamSpec::new("y", (1..=8).collect()),
         ])
         .with_constraint(|c| c[0] % c[1] == 0);
-        let r = Tuner::new(space, 100).run(quadratic);
+        let r = drive(Search::new(space, 100, 0), 1, quadratic);
         // Best feasible: y divides x; (6,4) infeasible → one of the
         // near-optimal feasible points.
         let best = r.best.unwrap();
@@ -336,15 +251,15 @@ mod tests {
                 ParamSpec::new("y", (1..=100).collect()),
             ])
         };
-        let r1 = Tuner::new(mk(), 60).with_seed(1).run(quadratic);
-        let r2 = Tuner::new(mk(), 60).with_seed(1).run(quadratic);
+        let r1 = drive(Search::new(mk(), 60, 1), 1, quadratic);
+        let r2 = drive(Search::new(mk(), 60, 1), 1, quadratic);
         assert!(r1.evaluations <= 60);
         assert_eq!(
             r1.best.as_ref().map(|b| &b.values),
             r2.best.as_ref().map(|b| &b.values),
             "same seed must give the same result"
         );
-        let r3 = Tuner::new(mk(), 60).with_seed(2).run(quadratic);
+        let r3 = drive(Search::new(mk(), 60, 2), 1, quadratic);
         // Different seeds may differ (not asserted), but both must be valid.
         assert!(r3.best.is_some());
     }
@@ -357,7 +272,7 @@ mod tests {
             ParamSpec::new("x", (1..=50).collect()),
             ParamSpec::new("y", (1..=50).collect()),
         ]);
-        let r = Tuner::new(space, 200).with_seed(3).run(quadratic);
+        let r = drive(Search::new(space, 200, 3), 1, quadratic);
         let best = r.best.unwrap();
         assert!(best.score < 4.0, "refined best {best:?}");
     }
@@ -365,7 +280,7 @@ mod tests {
     #[test]
     fn failing_evaluations_are_skipped() {
         let space = ParamSpace::new([ParamSpec::new("x", (1..=10).collect())]);
-        let r = Tuner::new(space, 50).run(|cfg| {
+        let r = drive(Search::new(space, 50, 0), 1, |cfg| {
             if cfg[0] % 2 == 0 {
                 None // "kernel failed to run"
             } else {
@@ -407,16 +322,9 @@ mod tests {
                 quadratic(cfg)
             }
         };
-        let reference = Tuner::new(mk(), 60).with_seed(9).run(eval);
-        for batch_size in [1usize, 3, 5, 16] {
-            let mut search = Search::new(mk(), 60, 9);
-            while !search.is_done() {
-                let batch = search.ask(batch_size);
-                for cfg in batch {
-                    search.tell(&cfg, eval(&cfg));
-                }
-            }
-            let got = search.into_result();
+        let reference = drive(Search::new(mk(), 60, 9), 1, eval);
+        for batch_size in [3usize, 5, 16] {
+            let got = drive(Search::new(mk(), 60, 9), batch_size, eval);
             assert_eq!(got.trace, reference.trace, "batch={batch_size}");
             assert_eq!(got.best, reference.best, "batch={batch_size}");
             assert_eq!(got.evaluations, reference.evaluations, "batch={batch_size}");
@@ -632,9 +540,9 @@ mod tests {
                 ParamSpec::new("y", (1..=100).collect::<Vec<_>>()),
             ])
         };
-        let reference = Tuner::new(mk(), 40).with_seed(8).run(quadratic);
+        let reference = drive(Search::new(mk(), 40, 8), 1, quadratic);
         // Interrupt after 11 tells.
-        let mut search = Tuner::new(mk(), 40).with_seed(8).into_search();
+        let mut search = Search::new(mk(), 40, 8);
         let mut told = 0;
         'outer: while !search.is_done() {
             for cfg in search.ask(1) {
@@ -645,9 +553,8 @@ mod tests {
                 told += 1;
             }
         }
-        let got = Tuner::new(mk(), 40)
-            .resume(search.snapshot(), quadratic)
-            .expect("space matches");
+        let restored = Search::restore(mk(), search.snapshot()).expect("space matches");
+        let got = drive(restored, 1, quadratic);
         assert_eq!(got.trace, reference.trace);
         assert_eq!(got.best, reference.best);
         assert_eq!(got.evaluations, reference.evaluations);

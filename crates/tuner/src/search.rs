@@ -268,8 +268,9 @@ impl Search {
         self.best.as_ref()
     }
 
-    /// Finishes the search, returning the same [`TuneResult`] the
-    /// sequential [`crate::Tuner::run`] would produce.
+    /// Finishes the search, returning its [`TuneResult`]: the incumbent,
+    /// the evaluation count and the trace in proposal order — the same at
+    /// any batch size.
     pub fn into_result(self) -> TuneResult {
         TuneResult {
             best: self.best,

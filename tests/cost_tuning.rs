@@ -39,11 +39,11 @@ fn tune(
         .report
 }
 
-/// The safety half of the contract: with the model on (`k = 1.0`, the
-/// default) every variant's best is identical — score bits, configuration
-/// and winner — to the unguided (`off`) search, on every device
-/// profile. `k = 1.0` can only prune configurations whose exact estimate
-/// matches or exceeds the incumbent's — a worse one loses on score, an
+/// The safety half of the contract: with the model on (the default) every
+/// variant's best is identical — score bits, configuration and winner — to
+/// the unguided (`off`) search, on every device profile. The model can
+/// only prune configurations whose exact estimate matches or exceeds the
+/// incumbent's — a worse one loses on score, an
 /// exactly-tied one loses the (score, proposal-index) tie-break — and for
 /// launch-determined kernels the exact estimate *is* the simulated score.
 #[test]
@@ -131,20 +131,21 @@ fn model_guidance_never_slows_convergence() {
     );
 }
 
-/// The `LIFT_COST_PRUNE` syntax: `off` and `0` disable, a positive float
-/// is the threshold, and anything else is an error — never a silent
-/// fallback to the default.
+/// The `LIFT_COST_PRUNE` syntax: `on` and `1` enable, `off` and `0`
+/// disable, and anything else is an error — never a silent fallback to the
+/// default.
 #[test]
 fn cost_prune_setting_parses_defensively() {
-    let def = CostModel::default();
-    assert!(def.enabled && def.k == 1.0);
-    for off in ["off", "0", " OFF ", "0.0"] {
+    assert!(CostModel::default().enabled);
+    for on in ["on", "1", " ON "] {
+        let m = CostModel::parse(on).expect("a valid setting");
+        assert_eq!(m, CostModel::default(), "`{on}` must enable the model");
+    }
+    for off in ["off", "0", " OFF "] {
         let m = CostModel::parse(off).expect("a valid setting");
         assert!(!m.enabled, "`{off}` must disable the model");
     }
-    let k2 = CostModel::parse("2.5").expect("a valid threshold");
-    assert!(k2.enabled && k2.k == 2.5);
-    for junk in ["", "nan", "-1", "inf", "fast"] {
+    for junk in ["", "nan", "-1", "inf", "fast", "2.5", "1.0", "0.0"] {
         assert!(
             CostModel::parse(junk).is_err(),
             "`{junk}` must be rejected, not defaulted"

@@ -2,19 +2,27 @@
 //!
 //! The bytecode-plan executor is only allowed to be *faster* than the
 //! tree-walking reference interpreter — never different. This suite runs
-//! every Table-1 benchmark × explored variant × device profile through
-//! both engines and asserts that the outputs, every [`KernelStats`]
-//! counter and the modeled time are **bit-identical** (`f64::to_bits` on
-//! times, structural equality everywhere else). It also pins the
-//! plan-compile error reporting contract (satellite of the plan work):
-//! unbound variables and provable type mismatches surface at plan-compile
-//! time with the kernel name and statement context.
+//! every Table-1 benchmark × explored variant × device profile, under two
+//! configurations each, plus the six hand-written Figure-7 kernels, through
+//! [`VirtualDevice::run`] and [`VirtualDevice::run_reference`], and
+//! asserts that the outputs, every [`KernelStats`] counter and the modeled
+//! time are **bit-identical** (`f64::to_bits` on times, structural
+//! equality everywhere else). It also pins the plan-compile error
+//! reporting contract: unbound variables and provable type mismatches
+//! surface at plan-compile time with the kernel name and statement
+//! context.
+//!
+//! [`KernelStats`]: lift_oclsim::KernelStats
 
 use lift_codegen::clike::{AddressSpace, CExpr, CStmt, CType, Kernel, KernelParam, VarRef};
 use lift_driver::Pipeline;
-use lift_oclsim::{BufferData, DeviceProfile, Plan, Rotation, SimEngine, SimError, VirtualDevice};
+use lift_oclsim::{
+    BufferData, DeviceProfile, LaunchConfig, Plan, Rotation, SimError, VirtualDevice,
+};
 use lift_rewrite::Tunable;
-use lift_stencils::suite;
+use lift_stencils::refkernels::reference_kernel;
+use lift_stencils::{by_name, fig7_names, suite};
+use lift_tuner::parallel_map;
 
 /// Compact grid sizes per rank: big enough to exercise multi-group
 /// launches, boundary handling and non-square strides, small enough that
@@ -27,30 +35,80 @@ fn diff_sizes(dims: usize) -> Vec<usize> {
     }
 }
 
-/// A valid configuration for a variant: the first usable candidate per
-/// tunable (mirroring the tuner's degenerate-tile filter) plus small
-/// launch sizes.
-fn variant_config(tunables: &[Tunable], dims: usize) -> Option<Vec<(String, i64)>> {
-    let mut cfg: Vec<(String, i64)> = Vec::new();
-    for t in tunables {
-        let cands = t.candidates(64);
-        let v = match t {
-            Tunable::TileSize { nbh_size, .. } => cands.into_iter().find(|u| *u >= nbh_size + 3)?,
-            Tunable::CoarsenFactor { .. } => cands.into_iter().next()?,
-        };
-        cfg.push((t.var().to_string(), v));
-    }
-    cfg.push(("lx".into(), 8));
-    if dims >= 2 {
-        cfg.push(("ly".into(), 4));
-    }
-    if dims >= 3 {
-        cfg.push(("lz".into(), 2));
-    }
-    Some(cfg)
+/// Two configurations per variant, with tile sizes drawn from the tuner's
+/// usable candidates (at most 64, and at least the neighbourhood plus 3):
+///
+/// * each tunable's smallest usable value, with an 8×4×2 launch;
+/// * each tunable's largest usable value, with a square 4×4×2 launch —
+///   the corner the `verify` and `model` sweeps also check.
+///
+/// A variant with a tunable that has no usable value gets no
+/// configuration.
+fn variant_configs(tunables: &[Tunable], dims: usize) -> Vec<Vec<(String, i64)>> {
+    let corner = |largest: bool, launch: [i64; 3]| {
+        let mut cfg: Vec<(String, i64)> = Vec::new();
+        for t in tunables {
+            let mut usable = t.candidates(64).into_iter().filter(|u| match t {
+                Tunable::TileSize { nbh_size, .. } => *u >= nbh_size + 3,
+                Tunable::CoarsenFactor { .. } => true,
+            });
+            let v = if largest { usable.max() } else { usable.next() };
+            cfg.push((t.var().to_string(), v?));
+        }
+        for (name, l) in ["lx", "ly", "lz"].into_iter().zip(launch).take(dims) {
+            cfg.push((name.to_string(), l));
+        }
+        Some(cfg)
+    };
+    [corner(false, [8, 4, 2]), corner(true, [4, 4, 2])]
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
-/// Every Table-1 benchmark × variant × device: both engines agree
+/// Runs one launch on both engines and asserts they agree bit for bit.
+/// Returns whether the launch ran: a launch that faults must fault with
+/// the same class on both.
+fn engines_agree(
+    dev: &VirtualDevice,
+    kernel: &Kernel,
+    inputs: &[BufferData],
+    launch: LaunchConfig,
+    label: &str,
+) -> bool {
+    match (
+        dev.run_reference(kernel, inputs, launch),
+        dev.run(kernel, inputs, launch),
+    ) {
+        (Ok(t), Ok(p)) => {
+            assert_eq!(t.output, p.output, "outputs diverge for {label}");
+            assert_eq!(t.stats, p.stats, "stats diverge for {label}");
+            assert_eq!(
+                t.time_s.to_bits(),
+                p.time_s.to_bits(),
+                "modeled times diverge for {label}: {} vs {}",
+                t.time_s,
+                p.time_s
+            );
+            true
+        }
+        (Err(te), Err(pe)) => {
+            // Same fault class either way; the plan engine may report it
+            // from a different lane of the same statement (op-major vs
+            // item-major evaluation).
+            assert_eq!(
+                std::mem::discriminant(&te),
+                std::mem::discriminant(&pe),
+                "fault classes diverge for {label}: {te} vs {pe}"
+            );
+            false
+        }
+        (t, p) => panic!("one engine faulted for {label}: reference={t:?} plan={p:?}"),
+    }
+}
+
+/// Every Table-1 benchmark × variant × two configurations × device, plus
+/// the hand-written Figure-7 kernels on every device: both engines agree
 /// bit-for-bit on outputs, stats and modeled times.
 #[test]
 fn every_benchmark_variant_device_is_bit_identical_across_engines() {
@@ -58,8 +116,10 @@ fn every_benchmark_variant_device_is_bit_identical_across_engines() {
         .into_iter()
         .map(VirtualDevice::new)
         .collect();
-    let mut compared = 0usize;
-    for bench in suite() {
+    // Benchmarks are independent: two workers halve the wall time of the
+    // reference interpreter's share.
+    let per_bench = parallel_map(2, suite(), |bench| {
+        let mut compared = 0usize;
         let sizes = diff_sizes(bench.dims);
         let variants = Pipeline::from_benchmark(&bench, &sizes)
             .expect("pipeline")
@@ -74,29 +134,18 @@ fn every_benchmark_variant_device_is_bit_identical_across_engines() {
         for dev in &devices {
             for name in &names {
                 let variant = variants.get(name).expect("listed variant");
-                let Some(cfg) = variant_config(&variant.tunables, variant.dims) else {
-                    continue;
-                };
-                let cfg_refs: Vec<(&str, i64)> =
-                    cfg.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-                let compiled = match variants.clone().on(dev).with_config(name, &cfg_refs) {
-                    Ok(c) => c,
-                    // Some (variant, device) pairs are legitimately
-                    // unbuildable (local memory over budget, work-group
-                    // limits); the sweep skips them, so do we.
-                    Err(_) => continue,
-                };
-                let run = |engine| {
-                    dev.clone().with_engine(engine).run(
-                        compiled.kernel(),
-                        &inputs,
-                        compiled.launch(),
-                    )
-                };
-                let (tree, plan) = (run(SimEngine::Tree), run(SimEngine::Plan));
-                let label = format!("{}/{name} on {}", bench.name, dev.profile().name);
-                match (tree, plan) {
-                    (Ok(t), Ok(p)) => {
+                for cfg in variant_configs(&variant.tunables, variant.dims) {
+                    let cfg_refs: Vec<(&str, i64)> =
+                        cfg.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+                    let compiled = match variants.clone().on(dev).with_config(name, &cfg_refs) {
+                        Ok(c) => c,
+                        // Some (variant, device) pairs are legitimately
+                        // unbuildable (local memory over budget, work-group
+                        // limits); the sweep skips them, so do we.
+                        Err(_) => continue,
+                    };
+                    let label = format!("{}/{name} {cfg:?} on {}", bench.name, dev.profile().name);
+                    if engines_agree(dev, compiled.kernel(), &inputs, compiled.launch(), &label) {
                         // Anything that runs clean must also *prove* clean:
                         // the static verifier may never cry wolf on an
                         // executed benchmark kernel.
@@ -105,51 +154,51 @@ fn every_benchmark_variant_device_is_bit_identical_across_engines() {
                             findings.is_empty(),
                             "verifier findings on executed kernel {label}: {findings:?}"
                         );
-                        assert_eq!(t.output, p.output, "outputs diverge for {label}");
-                        assert_eq!(t.stats, p.stats, "stats diverge for {label}");
-                        assert_eq!(
-                            t.time_s.to_bits(),
-                            p.time_s.to_bits(),
-                            "modeled times diverge for {label}: {} vs {}",
-                            t.time_s,
-                            p.time_s
-                        );
                         compared += 1;
                     }
-                    (Err(te), Err(pe)) => {
-                        // Same fault class either way; the plan engine may
-                        // report it from a different lane of the same
-                        // statement (op-major vs item-major evaluation).
-                        assert_eq!(
-                            std::mem::discriminant(&te),
-                            std::mem::discriminant(&pe),
-                            "fault classes diverge for {label}: {te} vs {pe}"
-                        );
-                    }
-                    (t, p) => panic!("one engine faulted for {label}: tree={t:?} plan={p:?}"),
                 }
             }
         }
+        compared
+    });
+    let mut compared: usize = per_bench.into_iter().sum();
+    for name in fig7_names() {
+        let bench = by_name(name);
+        let sizes = diff_sizes(bench.dims);
+        let reference = reference_kernel(&bench, &sizes);
+        let inputs: Vec<BufferData> = bench
+            .gen_inputs(&sizes, 7)
+            .into_iter()
+            .map(BufferData::F32)
+            .collect();
+        let launch = LaunchConfig::d3(reference.global, reference.local);
+        for dev in &devices {
+            let label = format!("hand-written {name} on {}", dev.profile().name);
+            assert!(
+                engines_agree(dev, &reference.kernel, &inputs, launch, &label),
+                "{label} must run"
+            );
+            compared += 1;
+        }
     }
     assert!(
-        compared >= 100,
+        compared >= 606,
         "expected a broad comparison matrix, only {compared} cells ran"
     );
 }
 
-/// Multi-step (host-rotated) execution agrees across engines too.
+/// Multi-step (host-rotated) execution agrees across engines too: three
+/// plan-engine steps against three reference launches rotated here.
 #[test]
 fn iterated_runs_are_bit_identical_across_engines() {
-    let bench = suite()
-        .into_iter()
-        .find(|b| b.name == "Jacobi2D5pt")
-        .expect("suite benchmark");
+    let bench = by_name("Jacobi2D5pt");
     let sizes = diff_sizes(2);
+    let dev = VirtualDevice::new(DeviceProfile::k20c());
     let compiled = Pipeline::from_benchmark(&bench, &sizes)
         .expect("pipeline")
         .explore()
         .expect("explores")
-        .on(&VirtualDevice::new(DeviceProfile::k20c()))
+        .on(&dev)
         .with_config("global", &[("lx", 8), ("ly", 4)])
         .expect("compiles");
     let inputs: Vec<BufferData> = bench
@@ -157,34 +206,39 @@ fn iterated_runs_are_bit_identical_across_engines() {
         .into_iter()
         .map(BufferData::F32)
         .collect();
-    let mut outs = Vec::new();
-    for engine in [SimEngine::Tree, SimEngine::Plan] {
-        // Each engine steps the unplanned kernel through a device that
-        // carries it.
-        let out = VirtualDevice::new(DeviceProfile::k20c())
-            .with_engine(engine)
-            .run_iterated(
-                compiled.kernel(),
-                &inputs,
-                compiled.launch(),
-                3,
-                Rotation::SingleBuffer,
-            )
+    let plan = dev
+        .run_iterated(
+            compiled.kernel(),
+            &inputs,
+            compiled.launch(),
+            3,
+            Rotation::SingleBuffer,
+        )
+        .expect("runs");
+
+    // The same three steps on the reference engine, rotating the single
+    // state buffer and summing modeled times in launch order.
+    let mut state = inputs.clone();
+    let mut time_s = 0.0;
+    for _ in 0..3 {
+        let out = dev
+            .run_reference(compiled.kernel(), &state, compiled.launch())
             .expect("runs");
-        outs.push((out.output, out.time_s));
+        time_s += out.time_s;
+        state[0] = out.output;
     }
-    assert_eq!(outs[0].0, outs[1].0, "iterated outputs diverge");
+    assert_eq!(plan.output, state[0], "iterated outputs diverge");
     assert_eq!(
-        outs[0].1.to_bits(),
-        outs[1].1.to_bits(),
+        plan.time_s.to_bits(),
+        time_s.to_bits(),
         "iterated modeled times diverge"
     );
 
-    // And the public planned entry point matches the engine default.
+    // And the public planned entry point matches the unplanned one.
     let it = compiled
         .run_iterated(&inputs, 3, Rotation::SingleBuffer)
         .expect("runs");
-    assert_eq!(it.output, outs[1].0);
+    assert_eq!(it.output, plan.output);
 }
 
 fn buf(name: &str, len: usize, is_output: bool) -> KernelParam {
