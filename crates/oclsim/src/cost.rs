@@ -41,7 +41,7 @@ use lift_codegen::clike::KernelParam;
 use crate::device::DeviceProfile;
 use crate::exec::{PlanMachine, SimError};
 use crate::perf::KernelStats;
-use crate::plan::{BufSlot, EOp, ExprRef, Inst, Plan, Row};
+use crate::plan::{BufSlot, EOp, ExprRef, Inst, Plan};
 use crate::runtime::{BufferData, LaunchConfig};
 
 /// A statically predicted [`KernelStats`], priced by the same
@@ -106,7 +106,7 @@ pub(crate) fn estimate_plan(
 /// from a buffer or reads a data row. Implicit flows need no tracking —
 /// with no data-dependent branch there is no data-dependent control.
 fn check_data_independent(plan: &Plan) -> Result<(), SimError> {
-    let mut data = vec![false; plan.n_int_rows + plan.n_var_rows];
+    let mut data = vec![false; plan.n_rows()];
     loop {
         let mut changed = false;
         for inst in &plan.code {
@@ -115,7 +115,7 @@ fn check_data_independent(plan: &Plan) -> Result<(), SimError> {
                     row, value: src, ..
                 }
                 | Inst::ForStep { row, step: src, .. } => {
-                    let slot = row_slot(plan, row);
+                    let slot = plan.row_index(row);
                     if reads_data(plan, src, &data)? && !data[slot] {
                         data[slot] = true;
                         changed = true;
@@ -133,7 +133,7 @@ fn check_data_independent(plan: &Plan) -> Result<(), SimError> {
                     if reads_data(plan, bound, &data)? {
                         return Err(refuse("a loop bound"));
                     }
-                    if data[row_slot(plan, row)] {
+                    if data[plan.row_index(row)] {
                         return Err(refuse("a loop counter"));
                     }
                 }
@@ -163,7 +163,7 @@ fn reads_data(plan: &Plan, er: ExprRef, data: &[bool]) -> Result<bool, SimError>
     for op in &plan.ecode[er.start as usize..er.end as usize] {
         match *op {
             EOp::I(_) | EOp::F(_) | EOp::B(_) | EOp::WorkItem(..) => stack.push(false),
-            EOp::Scalar(row) => stack.push(data[row_slot(plan, row)]),
+            EOp::Scalar(row) => stack.push(data[plan.row_index(row)]),
             EOp::Un(_) | EOp::Cast(_) | EOp::SelSwap => {}
             EOp::Bin(_) | EOp::SelJoin => {
                 let b = stack.pop().expect("second operand");
@@ -190,14 +190,6 @@ fn reads_data(plan: &Plan, er: ExprRef, data: &[bool]) -> Result<bool, SimError>
         }
     }
     Ok(stack.pop().expect("expression produces a value"))
-}
-
-/// The position of a scalar register row in the check's flat flag vector.
-fn row_slot(plan: &Plan, row: Row) -> usize {
-    match row {
-        Row::I(r) => r as usize,
-        Row::V(r) => plan.n_int_rows + r as usize,
-    }
 }
 
 fn refuse(site: &str) -> SimError {

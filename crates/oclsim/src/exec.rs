@@ -881,50 +881,47 @@ pub(crate) fn bin_op(op: BinOp, a: V, b: V) -> Result<V, SimError> {
 // The plan executor
 // ---------------------------------------------------------------------------
 
-/// A vector of per-lane values in its provable representation: raw `i64`,
-/// `f32` or `bool` lanes when plan compilation proved the kind, tagged
-/// [`V`] lanes otherwise. Typed slabs let the hot loops (index math,
-/// stencil data movement) run unboxed and unmasked — lanes outside the
-/// active mask may hold garbage, which is harmless because no consumer
-/// ever reads an inactive lane.
+/// A vector of per-lane values of the type plan compilation fixed for the
+/// op that produced it. Infallible ops run unmasked over every lane —
+/// lanes outside the active mask may hold garbage, which is harmless
+/// because no consumer ever reads an inactive lane.
 enum Slab {
     I(Vec<i64>),
     F(Vec<f32>),
     B(Vec<bool>),
-    V(Vec<V>),
 }
 
 impl Slab {
-    /// The lane as a tagged value (any slab kind).
-    #[inline]
-    fn lane(&self, i: usize) -> V {
+    /// The lanes of an `int` operand (indices, loop bounds and steps).
+    fn ints(&self) -> &[i64] {
         match self {
-            Slab::I(d) => V::I(d[i]),
-            Slab::F(d) => V::F(d[i]),
-            Slab::B(d) => V::B(d[i]),
-            Slab::V(d) => d[i],
+            Slab::I(d) => d,
+            _ => unreachable!("plan typing makes this operand int"),
         }
     }
 
-    /// The lane as a buffer index (the semantics of [`V::as_i`]).
-    #[inline]
-    fn idx(&self, i: usize) -> Result<i64, SimError> {
+    /// The lanes of a `float` operand (local and private stores).
+    fn floats(&self) -> &[f32] {
         match self {
-            Slab::I(d) => Ok(d[i]),
-            Slab::B(d) => Ok(d[i] as i64),
-            Slab::V(d) => d[i].as_i(),
-            Slab::F(_) => Err(SimError::TypeMismatch("expected int, found float".into())),
+            Slab::F(d) => d,
+            _ => unreachable!("plan typing makes this operand float"),
         }
     }
 
-    /// The lane as a condition (the semantics of [`V::as_b`]).
-    #[inline]
-    fn cond(&self, i: usize) -> Result<bool, SimError> {
+    /// The lanes of a `bool` operand (branch and select conditions).
+    fn bools(&self) -> &[bool] {
         match self {
-            Slab::B(d) => Ok(d[i]),
-            Slab::I(d) => Ok(d[i] != 0),
-            Slab::V(d) => d[i].as_b(),
-            Slab::F(_) => Err(SimError::TypeMismatch("expected bool, found float".into())),
+            Slab::B(d) => d,
+            _ => unreachable!("plan typing makes this operand bool"),
+        }
+    }
+
+    /// Lane `i` as a user-function argument.
+    fn scalar(&self, i: usize) -> Scalar {
+        match self {
+            Slab::I(d) => Scalar::I32(d[i] as i32),
+            Slab::F(d) => Scalar::F32(d[i]),
+            Slab::B(d) => Scalar::Bool(d[i]),
         }
     }
 }
@@ -941,15 +938,15 @@ struct SelFrame {
 }
 
 /// The register-machine inner loop: drives a pre-compiled [`Plan`] with one
-/// scratch arena (typed scalar register rows, typed private/local arenas,
-/// pending-access queues, mask slots, slab pools) allocated once per launch
-/// and reused across every work-group.
+/// scratch arena (scalar register rows, local/private arenas, pending-access
+/// queues, mask slots, slab pools) allocated once per launch and reused
+/// across every work-group.
 ///
 /// Expressions evaluate **op-major**: each bytecode op executes for every
-/// active lane before the next op, over pooled [`Slab`]s — one dispatch per
-/// op per group instead of per op per work-item, with unboxed loops
-/// wherever plan compilation proved the value kinds. Semantics — statement
-/// order, per-lane laziness of `?:` (via mask splits), event counting,
+/// active lane before the next op, over pooled [`Slab`]s of the type the
+/// plan fixed — one dispatch per op per group instead of per op per
+/// work-item, with unboxed loops throughout. Semantics — statement order,
+/// per-lane laziness of `?:` (via mask splits), event counting,
 /// [`simd_charge`] and the coalescing flush — mirror [`Machine`] exactly;
 /// lane-invariant (`uniform`) expressions are evaluated once per group with
 /// their ALU cost multiplied by the active-lane count. Every counter stays
@@ -964,16 +961,14 @@ pub(crate) struct PlanMachine<'a> {
     group_id: [usize; 3],
     /// Local id per work-item (precomputed once).
     lids: Vec<[usize; 3]>,
-    /// Integer scalar register rows, `n_int_rows × n_items`, slot-major.
+    /// Scalar register rows, slot-major: `n_int_rows × n_items` integers
+    /// and `n_float_rows × n_items` floats.
     iscalars: Vec<i64>,
-    /// Tagged scalar register rows, `n_var_rows × n_items`, slot-major.
-    vscalars: Vec<V>,
-    /// Float / tagged local-memory arenas (shared by the group).
-    locals_f: Vec<f32>,
-    locals_v: Vec<V>,
-    /// Float / tagged private arenas, item-major blocks.
-    privs_f: Vec<f32>,
-    privs_v: Vec<V>,
+    fscalars: Vec<f32>,
+    /// The local-memory arena (shared by the group).
+    locals: Vec<f32>,
+    /// The private arena, one block of `priv_total` per item.
+    privs: Vec<f32>,
     /// Pending global accesses per item for the coalescing flush.
     pend_loads: Vec<Vec<u64>>,
     pend_stores: Vec<Vec<u64>>,
@@ -987,7 +982,6 @@ pub(crate) struct PlanMachine<'a> {
     ipool: Vec<Vec<i64>>,
     fpool: Vec<Vec<f32>>,
     bpool: Vec<Vec<bool>>,
-    vpool: Vec<Vec<V>>,
     /// The evaluator's operand stack and select frames (reused across
     /// every expression of the launch).
     estack: Vec<Slab>,
@@ -1030,11 +1024,9 @@ impl<'a> PlanMachine<'a> {
             group_id: [0, 0, 0],
             lids,
             iscalars: vec![0; plan.n_int_rows * n_items],
-            vscalars: vec![V::I(0); plan.n_var_rows * n_items],
-            locals_f: vec![0.0; plan.local_f_total],
-            locals_v: vec![V::F(0.0); plan.local_v_total],
-            privs_f: vec![0.0; plan.priv_f_total * n_items],
-            privs_v: vec![V::F(0.0); plan.priv_v_total * n_items],
+            fscalars: vec![0.0; plan.n_float_rows * n_items],
+            locals: vec![0.0; plan.local_total],
+            privs: vec![0.0; plan.priv_total * n_items],
             pend_loads: vec![Vec::new(); n_items],
             pend_stores: vec![Vec::new(); n_items],
             any_pend: false,
@@ -1044,7 +1036,6 @@ impl<'a> PlanMachine<'a> {
             ipool: Vec::new(),
             fpool: Vec::new(),
             bpool: Vec::new(),
-            vpool: Vec::new(),
             estack: Vec::with_capacity(8),
             eframes: Vec::new(),
             uni_mask: {
@@ -1071,10 +1062,13 @@ impl<'a> PlanMachine<'a> {
             .unwrap_or_else(|| vec![false; self.n_items])
     }
 
-    fn vget(&mut self) -> Vec<V> {
-        self.vpool
-            .pop()
-            .unwrap_or_else(|| vec![V::I(0); self.n_items])
+    /// A pooled slab for values of type `ty`.
+    fn slab(&mut self, ty: CType) -> Slab {
+        match ty {
+            CType::Int => Slab::I(self.iget()),
+            CType::Float => Slab::F(self.fget()),
+            CType::Bool => Slab::B(self.bget()),
+        }
     }
 
     fn sput(&mut self, s: Slab) {
@@ -1082,7 +1076,6 @@ impl<'a> PlanMachine<'a> {
             Slab::I(v) => self.ipool.push(v),
             Slab::F(v) => self.fpool.push(v),
             Slab::B(v) => self.bpool.push(v),
-            Slab::V(v) => self.vpool.push(v),
         }
     }
 
@@ -1102,16 +1095,15 @@ impl<'a> PlanMachine<'a> {
     }
 
     /// Re-arms the scratch arena for the next work-group: scalars read
-    /// before assignment are integer zero, private and local storage is
-    /// float zero — the exact initial state [`Machine::make_group`]
-    /// allocates fresh.
+    /// before assignment are zero of their declared type, private and
+    /// local storage is float zero. [`Machine::make_group`] starts every
+    /// scalar as integer zero instead; only a read before any write — a
+    /// verifier `UninitRead` finding — can tell the two apart.
     fn reset_group(&mut self) {
         self.iscalars.fill(0);
-        self.vscalars.fill(V::I(0));
-        self.locals_f.fill(0.0);
-        self.locals_v.fill(V::F(0.0));
-        self.privs_f.fill(0.0);
-        self.privs_v.fill(V::F(0.0));
+        self.fscalars.fill(0.0);
+        self.locals.fill(0.0);
+        self.privs.fill(0.0);
         self.mask_stack.clear();
         self.mask_stack.push(0);
     }
@@ -1121,17 +1113,12 @@ impl<'a> PlanMachine<'a> {
         let mut pc = 0usize;
         while pc < plan.code.len() {
             match &plan.code[pc] {
-                Inst::SetScalar {
-                    row,
-                    value,
-                    coerce,
-                    charge,
-                } => {
-                    let (row, value, co, charge) = (*row, *value, *coerce, *charge);
+                Inst::SetScalar { row, value, charge } => {
+                    let (row, value, charge) = (*row, *value, *charge);
                     let ms = self.top_mask();
                     let mask = std::mem::take(&mut self.masks[ms]);
                     let before = self.stats.alu_ops;
-                    let r = self.set_scalar(&mask, row, value, co);
+                    let r = self.set_scalar(&mask, row, value);
                     if r.is_ok() {
                         if charge {
                             simd_charge(&mut self.stats, self.warp, &mask, before);
@@ -1247,87 +1234,50 @@ impl<'a> PlanMachine<'a> {
         *self.mask_stack.last().expect("mask stack never empties") as usize
     }
 
-    fn set_scalar(
+    /// Evaluates a statement operand: once per group when it is
+    /// lane-invariant, its ALU ops into `hoist_ops` for the caller to
+    /// multiply by the active-lane count; per lane otherwise, its ops into
+    /// `ops`. Returns the slab with the lane stride to read it at — 0
+    /// broadcasts a hoisted value's lane 0 — leaving
+    /// [`KernelStats::alu_ops`] identical to per-lane evaluation.
+    fn operand(
         &mut self,
+        er: ExprRef,
         mask: &[bool],
-        row: Row,
-        value: ExprRef,
-        co: Option<CType>,
-    ) -> Result<(), SimError> {
-        let n = self.n_items;
-        if value.uniform {
-            let mut ops = 0u64;
-            let mut v = self.eval_uniform(value, &mut ops)?;
-            if let Some(t) = co {
-                v = coerce(v, t);
-            }
-            let mut count = 0u64;
-            match row {
-                Row::I(r) => {
-                    let V::I(x) = v else {
-                        unreachable!("typed row receives a proven-int write");
-                    };
-                    let regs = &mut self.iscalars[r as usize * n..(r as usize + 1) * n];
-                    for (reg, &m) in regs.iter_mut().zip(mask) {
-                        if m {
-                            *reg = x;
-                            count += 1;
-                        }
-                    }
-                }
-                Row::V(r) => {
-                    let regs = &mut self.vscalars[r as usize * n..(r as usize + 1) * n];
-                    for (reg, &m) in regs.iter_mut().zip(mask) {
-                        if m {
-                            *reg = v;
-                            count += 1;
-                        }
-                    }
-                }
-            }
-            self.stats.alu_ops += ops * count;
+        ops: &mut u64,
+        hoist_ops: &mut u64,
+    ) -> Result<(Slab, usize), SimError> {
+        if er.uniform {
+            let um = std::mem::take(&mut self.uni_mask);
+            let r = self.eval_vec(er, &um, hoist_ops);
+            self.uni_mask = um;
+            Ok((r?, 0))
         } else {
-            let mut ops = 0u64;
-            let v = self.eval_vec(value, mask, &mut ops)?;
-            match row {
-                Row::I(r) => {
-                    let regs = &mut self.iscalars[r as usize * n..(r as usize + 1) * n];
-                    match (&v, co) {
-                        (Slab::I(d), _) => {
-                            for ((reg, &m), &val) in regs.iter_mut().zip(mask).zip(d) {
-                                if m {
-                                    *reg = val;
-                                }
-                            }
-                        }
-                        (Slab::B(d), Some(CType::Int)) => {
-                            for ((reg, &m), &val) in regs.iter_mut().zip(mask).zip(d) {
-                                if m {
-                                    *reg = val as i64;
-                                }
-                            }
-                        }
-                        _ => unreachable!("typed row receives a proven-int write"),
-                    }
-                }
-                Row::V(r) => {
-                    let regs = &mut self.vscalars[r as usize * n..(r as usize + 1) * n];
-                    for (i, (reg, &m)) in regs.iter_mut().zip(mask).enumerate() {
-                        if m {
-                            *reg = match co {
-                                Some(t) => coerce(v.lane(i), t),
-                                None => v.lane(i),
-                            };
-                        }
-                    }
-                }
-            }
-            self.sput(v);
-            self.stats.alu_ops += ops;
+            Ok((self.eval_vec(er, mask, ops)?, 1))
         }
+    }
+
+    fn set_scalar(&mut self, mask: &[bool], row: Row, value: ExprRef) -> Result<(), SimError> {
+        let (mut ops, mut hoist_ops) = (0u64, 0u64);
+        let (v, stride) = self.operand(value, mask, &mut ops, &mut hoist_ops)?;
+        let n = self.n_items;
+        let count = match (row, &v) {
+            (Row::I(r), Slab::I(d)) => {
+                write_lanes(&mut self.iscalars[r as usize * n..][..n], mask, d, stride)
+            }
+            (Row::F(r), Slab::F(d)) => {
+                write_lanes(&mut self.fscalars[r as usize * n..][..n], mask, d, stride)
+            }
+            _ => unreachable!("plan typing gives a write its row's type"),
+        };
+        self.sput(v);
+        self.stats.alu_ops += ops + hoist_ops * count;
         Ok(())
     }
 
+    /// One store for every active lane, in lane order: bounds check,
+    /// pending-access bookkeeping and the element write, exactly as the
+    /// tree interpreter's item-by-item stores.
     fn store_stmt(
         &mut self,
         mask: &[bool],
@@ -1335,247 +1285,60 @@ impl<'a> PlanMachine<'a> {
         idx: ExprRef,
         value: ExprRef,
     ) -> Result<(), SimError> {
-        let mut hoist_ops = 0u64;
-        let mut ops = 0u64;
-        // `Err` carries the hoisted (uniform) value, `Ok` the per-lane slab.
-        let idx_src = if idx.uniform {
-            Err(self.eval_uniform(idx, &mut hoist_ops)?.as_i()?)
-        } else {
-            Ok(self.eval_vec(idx, mask, &mut ops)?)
-        };
-        let val_src = if value.uniform {
-            Err(self.eval_uniform(value, &mut hoist_ops)?)
-        } else {
-            Ok(self.eval_vec(value, mask, &mut ops)?)
-        };
-        let mut count = 0u64;
-        let r = self.store_lanes(mask, buf, &idx_src, &val_src, &mut count);
-        if let Ok(s) = idx_src {
-            self.sput(s);
-        }
-        if let Ok(s) = val_src {
-            self.sput(s);
-        }
-        r?;
-        self.stats.alu_ops += ops + hoist_ops * count;
-        Ok(())
-    }
-
-    /// The per-lane store loop, with unboxed fast paths for the dominant
-    /// shapes (float data through integer indices into float storage) and
-    /// a tagged fallback that matches the tree interpreter case for case.
-    fn store_lanes(
-        &mut self,
-        mask: &[bool],
-        buf: BufSlot,
-        idx_src: &Result<Slab, i64>,
-        val_src: &Result<Slab, V>,
-        count: &mut u64,
-    ) -> Result<(), SimError> {
-        match buf {
+        let (mut ops, mut hoist_ops) = (0u64, 0u64);
+        let (idx, istride) = self.operand(idx, mask, &mut ops, &mut hoist_ops)?;
+        let (val, vs) = self.operand(value, mask, &mut ops, &mut hoist_ops)?;
+        let iv = idx.ints();
+        let count = match buf {
             BufSlot::Global { slot, name } => {
                 let slot = slot as usize;
                 let base = self.plan.global_bases[slot];
                 let len = self.global[slot].len();
-                // Fast path: float lanes through int indices into a float
-                // buffer — the shape of every stencil output write.
-                if let (BufferData::F32(_), Ok(Slab::I(iv)), Ok(Slab::F(fv))) =
-                    (&self.global[slot], idx_src, val_src)
-                {
-                    let mut fault = None;
-                    let pend = &mut self.pend_stores;
-                    let BufferData::F32(d) = &mut self.global[slot] else {
-                        unreachable!("matched above");
-                    };
-                    for (i, &m) in mask.iter().enumerate() {
-                        if !m {
-                            continue;
-                        }
-                        *count += 1;
-                        let index = iv[i];
-                        if index < 0 || index as usize >= len {
-                            fault = Some(SimError::OutOfBounds {
-                                buffer: self.plan.buf_names[name as usize].clone(),
-                                index,
-                                len,
-                            });
-                            break;
-                        }
-                        pend[i].push(base + index as u64 * 4);
-                        d[index as usize] = fv[i];
+                let pend = &mut self.pend_stores;
+                let r = match (&mut self.global[slot], &val) {
+                    (BufferData::F32(d), Slab::F(v)) => {
+                        for_each_index(mask, iv, istride, len, |i, x| {
+                            pend[i].push(base + x as u64 * 4);
+                            d[x] = v[i * vs];
+                        })
                     }
-                    self.stats.global_stores += *count;
-                    if *count > 0 {
-                        self.any_pend = true;
+                    (BufferData::I32(d), Slab::I(v)) => {
+                        for_each_index(mask, iv, istride, len, |i, x| {
+                            pend[i].push(base + x as u64 * 4);
+                            d[x] = v[i * vs] as i32;
+                        })
                     }
-                    return fault.map_or(Ok(()), Err);
-                }
-                let mut fault = None;
-                let mut stores = 0u64;
-                for (i, &m) in mask.iter().enumerate() {
-                    if !m {
-                        continue;
-                    }
-                    *count += 1;
-                    let index = match idx_src {
-                        Ok(s) => match s.idx(i) {
-                            Ok(v) => v,
-                            Err(e) => {
-                                fault = Some(e);
-                                break;
-                            }
-                        },
-                        Err(pre) => *pre,
-                    };
-                    if index < 0 || index as usize >= len {
-                        fault = Some(SimError::OutOfBounds {
-                            buffer: self.plan.buf_names[name as usize].clone(),
-                            index,
-                            len,
-                        });
-                        break;
-                    }
-                    let v = match val_src {
-                        Ok(s) => s.lane(i),
-                        Err(pre) => *pre,
-                    };
-                    stores += 1;
-                    self.pend_stores[i].push(base + index as u64 * 4);
-                    if let Err(e) = store_value(&mut self.global[slot], index as usize, v) {
-                        fault = Some(e);
-                        break;
-                    }
-                }
-                self.stats.global_stores += stores;
-                if stores > 0 {
-                    self.any_pend = true;
-                }
-                fault.map_or(Ok(()), Err)
+                    _ => unreachable!("plan typing gives a store its buffer's type"),
+                };
+                let count = r.map_err(|index| self.oob(name, index, len))?;
+                self.stats.global_stores += count;
+                self.any_pend |= count > 0;
+                count
             }
-            BufSlot::LocalF { off, len, name } => {
+            BufSlot::Local { off, len, name } => {
                 let (off, len) = (off as usize, len as usize);
-                let mut fault = None;
-                let mut accesses = 0u64;
-                let data = &mut self.locals_f[off..off + len];
-                for (i, &m) in mask.iter().enumerate() {
-                    if !m {
-                        continue;
-                    }
-                    *count += 1;
-                    let index = match idx_src {
-                        Ok(s) => match s.idx(i) {
-                            Ok(v) => v,
-                            Err(e) => {
-                                fault = Some(e);
-                                break;
-                            }
-                        },
-                        Err(pre) => *pre,
-                    };
-                    if index < 0 || index as usize >= len {
-                        fault = Some(SimError::OutOfBounds {
-                            buffer: self.plan.buf_names[name as usize].clone(),
-                            index,
-                            len,
-                        });
-                        break;
-                    }
-                    accesses += 1;
-                    let x = match val_src {
-                        Ok(Slab::F(fv)) => fv[i],
-                        Err(V::F(x)) => *x,
-                        _ => unreachable!("float local receives a proven-float store"),
-                    };
-                    data[index as usize] = x;
-                }
-                self.stats.local_accesses += accesses;
-                fault.map_or(Ok(()), Err)
+                let data = &mut self.locals[off..off + len];
+                let v = val.floats();
+                let count = for_each_index(mask, iv, istride, len, |i, x| data[x] = v[i * vs])
+                    .map_err(|index| self.oob(name, index, len))?;
+                self.stats.local_accesses += count;
+                count
             }
-            BufSlot::LocalV { off, len, name } => {
+            BufSlot::Priv { off, len, name } => {
                 let (off, len) = (off as usize, len as usize);
-                let mut fault = None;
-                let mut accesses = 0u64;
-                for (i, &m) in mask.iter().enumerate() {
-                    if !m {
-                        continue;
-                    }
-                    *count += 1;
-                    let index = match idx_src {
-                        Ok(s) => match s.idx(i) {
-                            Ok(v) => v,
-                            Err(e) => {
-                                fault = Some(e);
-                                break;
-                            }
-                        },
-                        Err(pre) => *pre,
-                    };
-                    if index < 0 || index as usize >= len {
-                        fault = Some(SimError::OutOfBounds {
-                            buffer: self.plan.buf_names[name as usize].clone(),
-                            index,
-                            len,
-                        });
-                        break;
-                    }
-                    accesses += 1;
-                    let v = match val_src {
-                        Ok(s) => s.lane(i),
-                        Err(pre) => *pre,
-                    };
-                    self.locals_v[off + index as usize] = v;
-                }
-                self.stats.local_accesses += accesses;
-                fault.map_or(Ok(()), Err)
+                let stride = self.plan.priv_total;
+                let privs = &mut self.privs;
+                let v = val.floats();
+                for_each_index(mask, iv, istride, len, |i, x| {
+                    privs[i * stride + off + x] = v[i * vs];
+                })
+                .map_err(|index| self.oob(name, index, len))?
             }
-            BufSlot::PrivF { off, len, name } => {
-                let (off, len) = (off as usize, len as usize);
-                let stride = self.plan.priv_f_total;
-                for (i, &m) in mask.iter().enumerate() {
-                    if !m {
-                        continue;
-                    }
-                    *count += 1;
-                    let index = match idx_src {
-                        Ok(s) => s.idx(i)?,
-                        Err(pre) => *pre,
-                    };
-                    if index < 0 || index as usize >= len {
-                        return Err(self.oob(name, index, len));
-                    }
-                    let x = match val_src {
-                        Ok(Slab::F(fv)) => fv[i],
-                        Err(V::F(x)) => *x,
-                        _ => unreachable!("float private receives a proven-float store"),
-                    };
-                    self.privs_f[i * stride + off + index as usize] = x;
-                }
-                Ok(())
-            }
-            BufSlot::PrivV { off, len, name } => {
-                let (off, len) = (off as usize, len as usize);
-                let stride = self.plan.priv_v_total;
-                for (i, &m) in mask.iter().enumerate() {
-                    if !m {
-                        continue;
-                    }
-                    *count += 1;
-                    let index = match idx_src {
-                        Ok(s) => s.idx(i)?,
-                        Err(pre) => *pre,
-                    };
-                    if index < 0 || index as usize >= len {
-                        return Err(self.oob(name, index, len));
-                    }
-                    let v = match val_src {
-                        Ok(s) => s.lane(i),
-                        Err(pre) => *pre,
-                    };
-                    self.privs_v[i * stride + off + index as usize] = v;
-                }
-                Ok(())
-            }
-        }
+        };
+        self.sput(idx);
+        self.sput(val);
+        self.stats.alu_ops += ops + hoist_ops * count;
+        Ok(())
     }
 
     fn for_head(
@@ -1587,189 +1350,64 @@ impl<'a> PlanMachine<'a> {
     ) -> Result<bool, SimError> {
         child.clear();
         child.resize(self.n_items, false);
-        let n = self.n_items;
         let before = self.stats.alu_ops;
+        let (mut ops, mut hoist_ops) = (0u64, 0u64);
+        let (bv, stride) = self.operand(bound, parent, &mut ops, &mut hoist_ops)?;
+        let regs = self.int_row(row);
+        let bounds = bv.ints();
         let mut any = false;
-        if bound.uniform {
-            let mut ops = 0u64;
-            let b = self.eval_uniform(bound, &mut ops)?.as_i()?;
-            let mut count = 0u64;
-            match row {
-                Row::I(r) => {
-                    let regs = &self.iscalars[r as usize * n..(r as usize + 1) * n];
-                    for i in 0..n {
-                        if !parent[i] {
-                            continue;
-                        }
-                        self.stats.alu_ops += 1; // the comparison
-                        if regs[i] < b {
-                            child[i] = true;
-                            any = true;
-                        }
-                        count += 1;
-                    }
-                }
-                Row::V(r) => {
-                    let regs = &self.vscalars[r as usize * n..(r as usize + 1) * n];
-                    for i in 0..n {
-                        if !parent[i] {
-                            continue;
-                        }
-                        let cur = regs[i].as_i()?;
-                        self.stats.alu_ops += 1;
-                        if cur < b {
-                            child[i] = true;
-                            any = true;
-                        }
-                        count += 1;
-                    }
+        let mut compared = 0u64;
+        for (i, &m) in parent.iter().enumerate() {
+            if m {
+                compared += 1;
+                if regs[i] < bounds[i * stride] {
+                    child[i] = true;
+                    any = true;
                 }
             }
-            self.stats.alu_ops += ops * count;
-        } else {
-            let mut ops = 0u64;
-            let bv = self.eval_vec(bound, parent, &mut ops)?;
-            let mut fault = None;
-            let mut compared = 0u64;
-            match row {
-                Row::I(r) => {
-                    let regs = &self.iscalars[r as usize * n..(r as usize + 1) * n];
-                    for i in 0..n {
-                        if !parent[i] {
-                            continue;
-                        }
-                        match bv.idx(i) {
-                            Ok(b) => {
-                                compared += 1;
-                                if regs[i] < b {
-                                    child[i] = true;
-                                    any = true;
-                                }
-                            }
-                            Err(e) => {
-                                fault = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                }
-                Row::V(r) => {
-                    let regs = &self.vscalars[r as usize * n..(r as usize + 1) * n];
-                    for i in 0..n {
-                        if !parent[i] {
-                            continue;
-                        }
-                        let r2 = regs[i].as_i().and_then(|cur| Ok((cur, bv.idx(i)?)));
-                        match r2 {
-                            Ok((cur, b)) => {
-                                compared += 1;
-                                if cur < b {
-                                    child[i] = true;
-                                    any = true;
-                                }
-                            }
-                            Err(e) => {
-                                fault = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            self.sput(bv);
-            if let Some(e) = fault {
-                return Err(e);
-            }
-            self.stats.alu_ops += compared + ops;
         }
+        self.sput(bv);
+        // One comparison per lane, plus the bound's ops.
+        self.stats.alu_ops += compared + ops + hoist_ops * compared;
         simd_charge(&mut self.stats, self.warp, parent, before);
         self.flush(parent);
         Ok(any)
     }
 
     fn for_step(&mut self, mask: &[bool], row: Row, step: ExprRef) -> Result<(), SimError> {
-        let n = self.n_items;
         let before = self.stats.alu_ops;
-        if step.uniform {
-            let mut ops = 0u64;
-            let st = self.eval_uniform(step, &mut ops)?.as_i()?;
-            let mut count = 0u64;
-            match row {
-                Row::I(r) => {
-                    let regs = &mut self.iscalars[r as usize * n..(r as usize + 1) * n];
-                    for (reg, &m) in regs.iter_mut().zip(mask) {
-                        if m {
-                            *reg += st;
-                            count += 1;
-                        }
-                    }
-                }
-                Row::V(r) => {
-                    let regs = &mut self.vscalars[r as usize * n..(r as usize + 1) * n];
-                    for (reg, &m) in regs.iter_mut().zip(mask) {
-                        if !m {
-                            continue;
-                        }
-                        let cur = reg.as_i()?;
-                        *reg = V::I(cur + st);
-                        count += 1;
-                    }
-                }
+        let (mut ops, mut hoist_ops) = (0u64, 0u64);
+        let (sv, stride) = self.operand(step, mask, &mut ops, &mut hoist_ops)?;
+        let Row::I(r) = row else {
+            unreachable!("plan typing makes loop variables int");
+        };
+        let n = self.n_items;
+        let steps = sv.ints();
+        let mut count = 0u64;
+        for (i, (reg, &m)) in self.iscalars[r as usize * n..][..n]
+            .iter_mut()
+            .zip(mask)
+            .enumerate()
+        {
+            if m {
+                *reg += steps[i * stride];
+                count += 1;
             }
-            self.stats.alu_ops += count + ops * count;
-        } else {
-            let mut ops = 0u64;
-            let sv = self.eval_vec(step, mask, &mut ops)?;
-            let mut count = 0u64;
-            let mut fault = None;
-            match row {
-                Row::I(r) => {
-                    let regs = &mut self.iscalars[r as usize * n..(r as usize + 1) * n];
-                    for (i, (reg, &m)) in regs.iter_mut().zip(mask).enumerate() {
-                        if !m {
-                            continue;
-                        }
-                        match sv.idx(i) {
-                            Ok(st) => {
-                                *reg += st;
-                                count += 1;
-                            }
-                            Err(e) => {
-                                fault = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                }
-                Row::V(r) => {
-                    let regs = &mut self.vscalars[r as usize * n..(r as usize + 1) * n];
-                    for (i, (reg, &m)) in regs.iter_mut().zip(mask).enumerate() {
-                        if !m {
-                            continue;
-                        }
-                        let r2 = sv.idx(i).and_then(|st| Ok((st, reg.as_i()?)));
-                        match r2 {
-                            Ok((st, cur)) => {
-                                *reg = V::I(cur + st);
-                                count += 1;
-                            }
-                            Err(e) => {
-                                fault = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            self.sput(sv);
-            if let Some(e) = fault {
-                return Err(e);
-            }
-            self.stats.alu_ops += count + ops;
         }
+        self.sput(sv);
+        // One addition per lane, plus the step's ops.
+        self.stats.alu_ops += count + ops + hoist_ops * count;
         simd_charge(&mut self.stats, self.warp, mask, before);
         self.flush(mask);
         Ok(())
+    }
+
+    /// The lanes of the loop variable in `row`.
+    fn int_row(&self, row: Row) -> &[i64] {
+        let Row::I(r) = row else {
+            unreachable!("plan typing makes loop variables int");
+        };
+        &self.iscalars[r as usize * self.n_items..][..self.n_items]
     }
 
     fn if_head(
@@ -1784,70 +1422,29 @@ impl<'a> PlanMachine<'a> {
         e.clear();
         e.resize(self.n_items, false);
         let before = self.stats.alu_ops;
+        let (mut ops, mut hoist_ops) = (0u64, 0u64);
+        let (cv, stride) = self.operand(cond, parent, &mut ops, &mut hoist_ops)?;
+        let conds = cv.bools();
         let (mut any_t, mut any_e) = (false, false);
-        if cond.uniform {
-            let mut ops = 0u64;
-            let c = self.eval_uniform(cond, &mut ops)?.as_b()?;
-            let mut count = 0u64;
-            for i in 0..self.n_items {
-                if !parent[i] {
-                    continue;
-                }
-                if c {
-                    t[i] = true;
-                    any_t = true;
-                } else {
-                    e[i] = true;
-                    any_e = true;
-                }
-                count += 1;
+        let mut count = 0u64;
+        for (i, &m) in parent.iter().enumerate() {
+            if !m {
+                continue;
             }
-            self.stats.alu_ops += ops * count;
-        } else {
-            let mut ops = 0u64;
-            let cv = self.eval_vec(cond, parent, &mut ops)?;
-            let mut fault = None;
-            for i in 0..self.n_items {
-                if !parent[i] {
-                    continue;
-                }
-                match cv.cond(i) {
-                    Ok(true) => {
-                        t[i] = true;
-                        any_t = true;
-                    }
-                    Ok(false) => {
-                        e[i] = true;
-                        any_e = true;
-                    }
-                    Err(err) => {
-                        fault = Some(err);
-                        break;
-                    }
-                }
+            count += 1;
+            if conds[i * stride] {
+                t[i] = true;
+                any_t = true;
+            } else {
+                e[i] = true;
+                any_e = true;
             }
-            self.sput(cv);
-            if let Some(err) = fault {
-                return Err(err);
-            }
-            self.stats.alu_ops += ops;
         }
+        self.sput(cv);
+        self.stats.alu_ops += ops + hoist_ops * count;
         simd_charge(&mut self.stats, self.warp, parent, before);
         self.flush(parent);
         Ok((any_t, any_e))
-    }
-
-    /// Evaluates a lane-invariant expression once (under the one-lane
-    /// mask); the caller multiplies `ops` by the active-lane count, leaving
-    /// [`KernelStats::alu_ops`] identical to per-lane evaluation.
-    fn eval_uniform(&mut self, er: ExprRef, ops: &mut u64) -> Result<V, SimError> {
-        let um = std::mem::take(&mut self.uni_mask);
-        let r = self.eval_vec(er, &um, ops);
-        self.uni_mask = um;
-        let v = r?;
-        let out = v.lane(0);
-        self.sput(v);
-        Ok(out)
     }
 
     /// Evaluates one compiled expression for every active lane of `mask`,
@@ -1934,13 +1531,13 @@ impl<'a> PlanMachine<'a> {
                     stack.push(match row {
                         Row::I(r) => {
                             let mut v = self.iget();
-                            v.copy_from_slice(&self.iscalars[r as usize * n..(r as usize + 1) * n]);
+                            v.copy_from_slice(&self.iscalars[r as usize * n..][..n]);
                             Slab::I(v)
                         }
-                        Row::V(r) => {
-                            let mut v = self.vget();
-                            v.copy_from_slice(&self.vscalars[r as usize * n..(r as usize + 1) * n]);
-                            Slab::V(v)
+                        Row::F(r) => {
+                            let mut v = self.fget();
+                            v.copy_from_slice(&self.fscalars[r as usize * n..][..n]);
+                            Slab::F(v)
                         }
                     });
                 }
@@ -1976,38 +1573,50 @@ impl<'a> PlanMachine<'a> {
                 }
                 EOp::Un(op) => {
                     let a = stack.pop().expect("unary operand");
-                    let (mask, count) = cur_mask!();
+                    let (_, count) = cur_mask!();
                     *ops += count;
-                    let r = self.un_vec(op, a, mask);
-                    stack.push(r?);
+                    stack.push(un_vec(op, a));
                 }
-                EOp::Call { fun, argc, cost } => {
-                    let argc = argc as usize;
-                    let base = stack.len() - argc;
-                    let mut out = self.vget();
+                EOp::Call {
+                    fun,
+                    argc,
+                    ret,
+                    cost,
+                } => {
+                    let base = stack.len() - argc as usize;
+                    let mut out = self.slab(ret);
                     let (mask, count) = cur_mask!();
                     *ops += cost * count;
                     let f = &plan.funs[fun as usize];
-                    for (i, slot) in out.iter_mut().enumerate() {
-                        if !mask[i] {
-                            continue;
-                        }
+                    for (i, _) in mask.iter().enumerate().filter(|(_, &m)| m) {
                         self.args.clear();
                         for av in &stack[base..] {
-                            self.args.push(av.lane(i).to_scalar());
+                            self.args.push(av.scalar(i));
                         }
-                        *slot = V::from_scalar(f.call(&self.args));
+                        match (&mut out, f.call(&self.args)) {
+                            (Slab::I(o), Scalar::I32(x)) => o[i] = i64::from(x),
+                            (Slab::F(o), Scalar::F32(x)) => o[i] = x,
+                            (Slab::B(o), Scalar::Bool(x)) => o[i] = x,
+                            // The typed slab cannot hold another kind.
+                            (_, r) => {
+                                return Err(SimError::TypeMismatch(format!(
+                                    "user function `{}` returned {}, declared {}",
+                                    f.name(),
+                                    r.kind().c_name(),
+                                    ret.c_name()
+                                )))
+                            }
+                        }
                     }
-                    for _ in 0..argc {
-                        let v = stack.pop().expect("call argument");
+                    for v in stack.drain(base..) {
                         self.sput(v);
                     }
-                    stack.push(Slab::V(out));
+                    stack.push(out);
                 }
                 EOp::Load(buf) => {
                     let idx = stack.pop().expect("load index");
                     let (mask, _) = cur_mask!();
-                    let r = self.load_vec(buf, &idx, mask);
+                    let r = self.load_vec(buf, idx.ints(), mask);
                     self.sput(idx);
                     stack.push(r?);
                 }
@@ -2020,39 +1629,15 @@ impl<'a> PlanMachine<'a> {
                     let cond = stack.pop().expect("select condition");
                     let (mask, count) = cur_mask!();
                     *ops += count;
-                    let mut mt = self.mget_sel();
-                    let mut me = self.mget_sel();
+                    let mut mt = self.bget();
+                    let mut me = self.bget();
                     let (mut ct, mut ce) = (0u64, 0u64);
-                    let mut fault = None;
-                    for i in 0..n {
-                        if !mask[i] {
-                            mt[i] = false;
-                            me[i] = false;
-                            continue;
-                        }
-                        match cond.cond(i) {
-                            Ok(true) => {
-                                mt[i] = true;
-                                me[i] = false;
-                                ct += 1;
-                            }
-                            Ok(false) => {
-                                mt[i] = false;
-                                me[i] = true;
-                                ce += 1;
-                            }
-                            Err(e) => {
-                                fault = Some(e);
-                                break;
-                            }
-                        }
+                    for (i, &c) in cond.bools().iter().enumerate() {
+                        (mt[i], me[i]) = (mask[i] && c, mask[i] && !c);
+                        ct += u64::from(mt[i]);
+                        ce += u64::from(me[i]);
                     }
                     self.sput(cond);
-                    if let Some(e) = fault {
-                        self.bpool.push(mt);
-                        self.bpool.push(me);
-                        return Err(e);
-                    }
                     frames.push(SelFrame {
                         mask_then: mt,
                         count_then: ct,
@@ -2081,341 +1666,118 @@ impl<'a> PlanMachine<'a> {
         Ok(stack.pop().expect("expression produces a value"))
     }
 
-    /// A pooled mask for a select split (distinct from the statement-level
-    /// mask slots, which are statically assigned).
-    fn mget_sel(&mut self) -> Vec<bool> {
-        self.bpool
-            .pop()
-            .map(|mut m| {
-                m.clear();
-                m.resize(self.n_items, false);
-                m
-            })
-            .unwrap_or_else(|| vec![false; self.n_items])
-    }
-
     /// Merges the two arms of a `?:`: then-lanes win where `mask_then` is
-    /// set. Same-typed arms merge in place; mixed arms promote to tagged
-    /// lanes (their compile kinds differed, so the merged slab is only
-    /// lane-wise meaningful anyway).
+    /// set.
     fn sel_merge(&mut self, t: Slab, e: Slab, mask_then: &[bool]) -> Slab {
         match (t, e) {
             (Slab::I(tv), Slab::I(mut ev)) => {
-                for (i, &m) in mask_then.iter().enumerate() {
-                    if m {
-                        ev[i] = tv[i];
-                    }
-                }
+                merge_lanes(&mut ev, &tv, mask_then);
                 self.ipool.push(tv);
                 Slab::I(ev)
             }
             (Slab::F(tv), Slab::F(mut ev)) => {
-                for (i, &m) in mask_then.iter().enumerate() {
-                    if m {
-                        ev[i] = tv[i];
-                    }
-                }
+                merge_lanes(&mut ev, &tv, mask_then);
                 self.fpool.push(tv);
                 Slab::F(ev)
             }
             (Slab::B(tv), Slab::B(mut ev)) => {
-                for (i, &m) in mask_then.iter().enumerate() {
-                    if m {
-                        ev[i] = tv[i];
-                    }
-                }
+                merge_lanes(&mut ev, &tv, mask_then);
                 self.bpool.push(tv);
                 Slab::B(ev)
             }
-            (Slab::V(tv), Slab::V(mut ev)) => {
-                for (i, &m) in mask_then.iter().enumerate() {
-                    if m {
-                        ev[i] = tv[i];
-                    }
-                }
-                self.vpool.push(tv);
-                Slab::V(ev)
-            }
-            (t, e) => {
-                let mut out = self.vget();
-                for (i, slot) in out.iter_mut().enumerate() {
-                    *slot = if mask_then[i] { t.lane(i) } else { e.lane(i) };
-                }
-                self.sput(t);
-                self.sput(e);
-                Slab::V(out)
-            }
+            _ => unreachable!("plan typing gives both `?:` arms one type"),
         }
     }
 
-    /// One binary op across the active lanes. Infallible typed cases run
-    /// unmasked (inactive lanes compute garbage nobody reads); fallible
-    /// cases (integer division, kind mismatches) check per active lane and
-    /// report the same fault, for the same first active lane, as the tree
-    /// interpreter.
+    /// One binary op across the lanes. Infallible cases run unmasked
+    /// (inactive lanes compute garbage nobody reads); integer division
+    /// checks per active lane and faults, like the tree interpreter, only
+    /// on a lane that divides by zero.
     fn bin_vec(&mut self, op: BinOp, a: Slab, b: Slab, mask: &[bool]) -> Result<Slab, SimError> {
         use BinOp::*;
-        match (a, b) {
-            (Slab::I(mut av), Slab::I(bv)) => {
-                let r = match op {
-                    Add => {
-                        for (x, y) in av.iter_mut().zip(&bv) {
-                            *x = x.wrapping_add(*y);
-                        }
-                        Ok(Slab::I(av))
-                    }
-                    Sub => {
-                        for (x, y) in av.iter_mut().zip(&bv) {
-                            *x = x.wrapping_sub(*y);
-                        }
-                        Ok(Slab::I(av))
-                    }
-                    Mul => {
-                        for (x, y) in av.iter_mut().zip(&bv) {
-                            *x = x.wrapping_mul(*y);
-                        }
-                        Ok(Slab::I(av))
-                    }
-                    Min => {
-                        for (x, y) in av.iter_mut().zip(&bv) {
-                            *x = (*x).min(*y);
-                        }
-                        Ok(Slab::I(av))
-                    }
-                    Max => {
-                        for (x, y) in av.iter_mut().zip(&bv) {
-                            *x = (*x).max(*y);
-                        }
-                        Ok(Slab::I(av))
-                    }
+        Ok(match (op, a, b) {
+            (Lt | Le | Gt | Ge | Eq | Ne, Slab::I(x), Slab::I(y)) => {
+                let out = self.compare(op, &x, &y);
+                self.ipool.push(x);
+                self.ipool.push(y);
+                out
+            }
+            (Lt | Le | Gt | Ge | Eq | Ne, Slab::F(x), Slab::F(y)) => {
+                let out = self.compare(op, &x, &y);
+                self.fpool.push(x);
+                self.fpool.push(y);
+                out
+            }
+            (_, Slab::I(mut x), Slab::I(y)) => {
+                match op {
+                    Add => zip_lanes(&mut x, &y, i64::wrapping_add),
+                    Sub => zip_lanes(&mut x, &y, i64::wrapping_sub),
+                    Mul => zip_lanes(&mut x, &y, i64::wrapping_mul),
+                    Min => zip_lanes(&mut x, &y, i64::min),
+                    Max => zip_lanes(&mut x, &y, i64::max),
                     Div | Mod => {
-                        // Masked: division by zero is a per-lane fault.
-                        let mut fault = false;
-                        for ((x, &y), &m) in av.iter_mut().zip(&bv).zip(mask) {
-                            if !m {
-                                continue;
+                        for ((v, &d), _) in x.iter_mut().zip(&y).zip(mask).filter(|(_, &m)| m) {
+                            if d == 0 {
+                                return Err(SimError::DivisionByZero);
                             }
-                            if y == 0 {
-                                fault = true;
-                                break;
-                            }
-                            *x = if matches!(op, Div) {
-                                x.wrapping_div(y)
+                            // C's truncating division and remainder.
+                            *v = if op == Div {
+                                v.wrapping_div(d)
                             } else {
-                                x.wrapping_rem(y)
+                                v.wrapping_rem(d)
                             };
                         }
-                        if fault {
-                            self.ipool.push(av);
-                            Err(SimError::DivisionByZero)
-                        } else {
-                            Ok(Slab::I(av))
-                        }
                     }
-                    Lt | Le | Gt | Ge | Eq | Ne => {
-                        let mut out = self.bget();
-                        for (o, (x, y)) in out.iter_mut().zip(av.iter().zip(&bv)) {
-                            *o = match op {
-                                Lt => x < y,
-                                Le => x <= y,
-                                Gt => x > y,
-                                Ge => x >= y,
-                                Eq => x == y,
-                                _ => x != y,
-                            };
-                        }
-                        self.ipool.push(av);
-                        Ok(Slab::B(out))
-                    }
-                    And | Or => {
-                        // Faults per active lane, like the tree interpreter.
-                        return self.bin_generic(op, Slab::I(av), Slab::I(bv), mask);
-                    }
-                };
-                match r {
-                    Ok(s) => {
-                        self.ipool.push(bv);
-                        Ok(s)
-                    }
-                    Err(e) => {
-                        self.ipool.push(bv);
-                        Err(e)
-                    }
+                    _ => unreachable!("plan typing admits no int {op:?}"),
                 }
+                self.ipool.push(y);
+                Slab::I(x)
             }
-            (Slab::F(mut av), Slab::F(bv)) => {
-                let r = match op {
-                    Add => {
-                        for (x, y) in av.iter_mut().zip(&bv) {
-                            *x += y;
-                        }
-                        Ok(Slab::F(av))
-                    }
-                    Sub => {
-                        for (x, y) in av.iter_mut().zip(&bv) {
-                            *x -= y;
-                        }
-                        Ok(Slab::F(av))
-                    }
-                    Mul => {
-                        for (x, y) in av.iter_mut().zip(&bv) {
-                            *x *= y;
-                        }
-                        Ok(Slab::F(av))
-                    }
-                    Div => {
-                        for (x, y) in av.iter_mut().zip(&bv) {
-                            *x /= y;
-                        }
-                        Ok(Slab::F(av))
-                    }
-                    Min => {
-                        for (x, y) in av.iter_mut().zip(&bv) {
-                            *x = x.min(*y);
-                        }
-                        Ok(Slab::F(av))
-                    }
-                    Max => {
-                        for (x, y) in av.iter_mut().zip(&bv) {
-                            *x = x.max(*y);
-                        }
-                        Ok(Slab::F(av))
-                    }
-                    Lt | Le | Gt | Ge | Eq | Ne => {
-                        let mut out = self.bget();
-                        for (o, (x, y)) in out.iter_mut().zip(av.iter().zip(&bv)) {
-                            *o = match op {
-                                Lt => x < y,
-                                Le => x <= y,
-                                Gt => x > y,
-                                Ge => x >= y,
-                                Eq => x == y,
-                                _ => x != y,
-                            };
-                        }
-                        self.fpool.push(av);
-                        Ok(Slab::B(out))
-                    }
-                    Mod | And | Or => {
-                        return self.bin_generic(op, Slab::F(av), Slab::F(bv), mask);
-                    }
-                };
-                match r {
-                    Ok(s) => {
-                        self.fpool.push(bv);
-                        Ok(s)
-                    }
-                    Err(e) => {
-                        self.fpool.push(bv);
-                        Err(e)
-                    }
+            (_, Slab::F(mut x), Slab::F(y)) => {
+                match op {
+                    Add => zip_lanes(&mut x, &y, |a, b| a + b),
+                    Sub => zip_lanes(&mut x, &y, |a, b| a - b),
+                    Mul => zip_lanes(&mut x, &y, |a, b| a * b),
+                    Div => zip_lanes(&mut x, &y, |a, b| a / b),
+                    Min => zip_lanes(&mut x, &y, f32::min),
+                    Max => zip_lanes(&mut x, &y, f32::max),
+                    _ => unreachable!("plan typing admits no float {op:?}"),
                 }
+                self.fpool.push(y);
+                Slab::F(x)
             }
-            (Slab::B(mut av), Slab::B(bv)) => match op {
-                And => {
-                    for (x, y) in av.iter_mut().zip(&bv) {
-                        *x = *x && *y;
-                    }
-                    self.bpool.push(bv);
-                    Ok(Slab::B(av))
-                }
-                Or => {
-                    for (x, y) in av.iter_mut().zip(&bv) {
-                        *x = *x || *y;
-                    }
-                    self.bpool.push(bv);
-                    Ok(Slab::B(av))
-                }
-                _ => self.bin_generic(op, Slab::B(av), Slab::B(bv), mask),
-            },
-            (a, b) => self.bin_generic(op, a, b, mask),
-        }
+            (And, Slab::B(mut x), Slab::B(y)) => {
+                zip_lanes(&mut x, &y, |a, b| a && b);
+                self.bpool.push(y);
+                Slab::B(x)
+            }
+            (Or, Slab::B(mut x), Slab::B(y)) => {
+                zip_lanes(&mut x, &y, |a, b| a || b);
+                self.bpool.push(y);
+                Slab::B(x)
+            }
+            _ => unreachable!("plan typing admits no {op:?} on these operands"),
+        })
     }
 
-    /// Mixed or tagged operands: lane-by-lane through the shared scalar
-    /// kernel, producing tagged lanes (per-lane kinds may differ).
-    /// Mismatched typed pairs fault at the first active lane with the
-    /// exact tree-interpreter message; an empty mask (a dead select arm)
-    /// faults nowhere, exactly as no lane would have evaluated it.
-    fn bin_generic(
-        &mut self,
-        op: BinOp,
-        a: Slab,
-        b: Slab,
-        mask: &[bool],
-    ) -> Result<Slab, SimError> {
-        let mut out = self.vget();
-        let mut fault = None;
-        for (i, &m) in mask.iter().enumerate() {
-            if !m {
-                continue;
-            }
-            match bin_op(op, a.lane(i), b.lane(i)) {
-                Ok(v) => out[i] = v,
-                Err(e) => {
-                    fault = Some(e);
-                    break;
-                }
-            }
+    /// A comparison across the lanes, into a pooled `bool` slab.
+    fn compare<T: PartialOrd>(&mut self, op: BinOp, x: &[T], y: &[T]) -> Slab {
+        let mut out = self.bget();
+        for (o, (a, b)) in out.iter_mut().zip(x.iter().zip(y)) {
+            *o = match op {
+                BinOp::Lt => a < b,
+                BinOp::Le => a <= b,
+                BinOp::Gt => a > b,
+                BinOp::Ge => a >= b,
+                BinOp::Eq => a == b,
+                _ => a != b,
+            };
         }
-        self.sput(a);
-        self.sput(b);
-        if let Some(e) = fault {
-            self.vpool.push(out);
-            return Err(e);
-        }
-        Ok(Slab::V(out))
+        Slab::B(out)
     }
 
-    fn un_vec(&mut self, op: UnOp, a: Slab, mask: &[bool]) -> Result<Slab, SimError> {
-        match (op, a) {
-            // Wrapping negation keeps the unmasked loop panic-free on
-            // garbage lanes; active-lane values behave as in the tree
-            // interpreter (two's-complement wrap at i64::MIN aside).
-            (UnOp::Neg, Slab::I(mut v)) => {
-                for x in v.iter_mut() {
-                    *x = x.wrapping_neg();
-                }
-                Ok(Slab::I(v))
-            }
-            (UnOp::Neg, Slab::F(mut v)) => {
-                for x in v.iter_mut() {
-                    *x = -*x;
-                }
-                Ok(Slab::F(v))
-            }
-            (UnOp::Not, Slab::B(mut v)) => {
-                for x in v.iter_mut() {
-                    *x = !*x;
-                }
-                Ok(Slab::B(v))
-            }
-            (op, a) => {
-                let mut out = self.vget();
-                let mut fault = None;
-                for (i, &m) in mask.iter().enumerate() {
-                    if !m {
-                        continue;
-                    }
-                    match un_op(op, a.lane(i)) {
-                        Ok(v) => out[i] = v,
-                        Err(e) => {
-                            fault = Some(e);
-                            break;
-                        }
-                    }
-                }
-                self.sput(a);
-                if let Some(e) = fault {
-                    self.vpool.push(out);
-                    return Err(e);
-                }
-                Ok(Slab::V(out))
-            }
-        }
-    }
-
-    /// Casts are total, so typed conversions run unmasked.
+    /// `(float)` of an int and `(int)` of a float convert; plan typing
+    /// makes every other cast the identity.
     fn cast_vec(&mut self, t: CType, a: Slab) -> Slab {
         match (t, a) {
             (CType::Float, Slab::I(v)) => {
@@ -2434,14 +1796,6 @@ impl<'a> PlanMachine<'a> {
                 self.fpool.push(v);
                 Slab::I(out)
             }
-            (t, Slab::V(mut v)) => {
-                for x in v.iter_mut() {
-                    *x = cast(t, *x);
-                }
-                Slab::V(v)
-            }
-            // Every other (type, slab) pair is the identity, exactly as
-            // the scalar `cast`.
             (_, s) => s,
         }
     }
@@ -2454,224 +1808,60 @@ impl<'a> PlanMachine<'a> {
         }
     }
 
-    /// One buffer load for every active lane: the buffer kind (and, for
-    /// global buffers, the element type) is dispatched once per op; the
-    /// per-lane loop does only the index conversion, bounds check,
-    /// pending-access bookkeeping and element read — in the same per-lane
-    /// order as the tree interpreter.
-    fn load_vec(&mut self, buf: BufSlot, idx: &Slab, mask: &[bool]) -> Result<Slab, SimError> {
+    /// One buffer load for every active lane: the buffer (and, for global
+    /// buffers, the element type) is dispatched once per op; the per-lane
+    /// loop does only the bounds check, pending-access bookkeeping and
+    /// element read — in the same per-lane order as the tree interpreter.
+    fn load_vec(&mut self, buf: BufSlot, idx: &[i64], mask: &[bool]) -> Result<Slab, SimError> {
+        let n = self.n_items;
         match buf {
             BufSlot::Global { slot, name } => {
                 let slot = slot as usize;
                 let base = self.plan.global_bases[slot];
                 let len = self.global[slot].len();
-                let mut count = 0u64;
-                let mut fault = None;
                 let pend = &mut self.pend_loads;
-                macro_rules! lanes {
-                    ($d:ident, $out:ident, $conv:expr) => {
-                        // Integer index lanes skip the per-lane kind check.
-                        if let Slab::I(iv) = idx {
-                            for (i, &m) in mask.iter().enumerate() {
-                                if !m {
-                                    continue;
-                                }
-                                let index = iv[i];
-                                if index < 0 || index as usize >= len {
-                                    fault = Some(SimError::OutOfBounds {
-                                        buffer: self.plan.buf_names[name as usize].clone(),
-                                        index,
-                                        len,
-                                    });
-                                    break;
-                                }
-                                pend[i].push(base + index as u64 * 4);
-                                $out[i] = $conv($d[index as usize]);
-                                count += 1;
-                            }
-                        } else {
-                            for (i, &m) in mask.iter().enumerate() {
-                                if !m {
-                                    continue;
-                                }
-                                let index = match idx.idx(i) {
-                                    Ok(v) => v,
-                                    Err(e) => {
-                                        fault = Some(e);
-                                        break;
-                                    }
-                                };
-                                if index < 0 || index as usize >= len {
-                                    fault = Some(SimError::OutOfBounds {
-                                        buffer: self.plan.buf_names[name as usize].clone(),
-                                        index,
-                                        len,
-                                    });
-                                    break;
-                                }
-                                pend[i].push(base + index as u64 * 4);
-                                $out[i] = $conv($d[index as usize]);
-                                count += 1;
-                            }
-                        }
-                    };
-                }
-                let out = match &self.global[slot] {
+                let (out, r) = match &self.global[slot] {
                     BufferData::F32(d) => {
-                        let mut out = self.fpool.pop().unwrap_or_else(|| vec![0.0; self.n_items]);
-                        lanes!(d, out, |x: f32| x);
-                        Slab::F(out)
+                        let mut out = self.fpool.pop().unwrap_or_else(|| vec![0.0; n]);
+                        let r = for_each_index(mask, idx, 1, len, |i, x| {
+                            pend[i].push(base + x as u64 * 4);
+                            out[i] = d[x];
+                        });
+                        (Slab::F(out), r)
                     }
                     BufferData::I32(d) => {
-                        let mut out = self.ipool.pop().unwrap_or_else(|| vec![0; self.n_items]);
-                        lanes!(d, out, |x: i32| x as i64);
-                        Slab::I(out)
+                        let mut out = self.ipool.pop().unwrap_or_else(|| vec![0; n]);
+                        let r = for_each_index(mask, idx, 1, len, |i, x| {
+                            pend[i].push(base + x as u64 * 4);
+                            out[i] = i64::from(d[x]);
+                        });
+                        (Slab::I(out), r)
                     }
                 };
+                let count = r.map_err(|index| self.oob(name, index, len))?;
                 self.stats.global_loads += count;
-                if count > 0 {
-                    self.any_pend = true;
-                }
-                match fault {
-                    Some(e) => {
-                        self.sput(out);
-                        Err(e)
-                    }
-                    None => Ok(out),
-                }
+                self.any_pend |= count > 0;
+                Ok(out)
             }
-            BufSlot::LocalF { off, len, name } => {
+            BufSlot::Local { off, len, name } => {
                 let (off, len) = (off as usize, len as usize);
-                let data = &self.locals_f[off..off + len];
-                let mut out = self.fpool.pop().unwrap_or_else(|| vec![0.0; self.n_items]);
-                let mut count = 0u64;
-                let mut fault = None;
-                for (i, &m) in mask.iter().enumerate() {
-                    if !m {
-                        continue;
-                    }
-                    let index = match idx.idx(i) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            fault = Some(e);
-                            break;
-                        }
-                    };
-                    if index < 0 || index as usize >= len {
-                        fault = Some(SimError::OutOfBounds {
-                            buffer: self.plan.buf_names[name as usize].clone(),
-                            index,
-                            len,
-                        });
-                        break;
-                    }
-                    out[i] = data[index as usize];
-                    count += 1;
-                }
+                let data = &self.locals[off..off + len];
+                let mut out = self.fpool.pop().unwrap_or_else(|| vec![0.0; n]);
+                let count = for_each_index(mask, idx, 1, len, |i, x| out[i] = data[x])
+                    .map_err(|index| self.oob(name, index, len))?;
                 self.stats.local_accesses += count;
-                match fault {
-                    Some(e) => {
-                        self.fpool.push(out);
-                        Err(e)
-                    }
-                    None => Ok(Slab::F(out)),
-                }
+                Ok(Slab::F(out))
             }
-            BufSlot::LocalV { off, len, name } => {
+            BufSlot::Priv { off, len, name } => {
                 let (off, len) = (off as usize, len as usize);
-                let mut out = self.vget();
-                let mut count = 0u64;
-                let mut fault = None;
-                for (i, &m) in mask.iter().enumerate() {
-                    if !m {
-                        continue;
-                    }
-                    let index = match idx.idx(i) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            fault = Some(e);
-                            break;
-                        }
-                    };
-                    if index < 0 || index as usize >= len {
-                        fault = Some(SimError::OutOfBounds {
-                            buffer: self.plan.buf_names[name as usize].clone(),
-                            index,
-                            len,
-                        });
-                        break;
-                    }
-                    out[i] = self.locals_v[off + index as usize];
-                    count += 1;
-                }
-                self.stats.local_accesses += count;
-                match fault {
-                    Some(e) => {
-                        self.vpool.push(out);
-                        Err(e)
-                    }
-                    None => Ok(Slab::V(out)),
-                }
-            }
-            BufSlot::PrivF { off, len, name } => {
-                let (off, len) = (off as usize, len as usize);
-                let stride = self.plan.priv_f_total;
-                let mut out = self.fpool.pop().unwrap_or_else(|| vec![0.0; self.n_items]);
-                let mut fault = None;
-                for (i, &m) in mask.iter().enumerate() {
-                    if !m {
-                        continue;
-                    }
-                    let index = match idx.idx(i) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            fault = Some(e);
-                            break;
-                        }
-                    };
-                    if index < 0 || index as usize >= len {
-                        fault = Some(self.oob(name, index, len));
-                        break;
-                    }
-                    out[i] = self.privs_f[i * stride + off + index as usize];
-                }
-                match fault {
-                    Some(e) => {
-                        self.fpool.push(out);
-                        Err(e)
-                    }
-                    None => Ok(Slab::F(out)),
-                }
-            }
-            BufSlot::PrivV { off, len, name } => {
-                let (off, len) = (off as usize, len as usize);
-                let stride = self.plan.priv_v_total;
-                let mut out = self.vget();
-                let mut fault = None;
-                for (i, &m) in mask.iter().enumerate() {
-                    if !m {
-                        continue;
-                    }
-                    let index = match idx.idx(i) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            fault = Some(e);
-                            break;
-                        }
-                    };
-                    if index < 0 || index as usize >= len {
-                        fault = Some(self.oob(name, index, len));
-                        break;
-                    }
-                    out[i] = self.privs_v[i * stride + off + index as usize];
-                }
-                match fault {
-                    Some(e) => {
-                        self.vpool.push(out);
-                        Err(e)
-                    }
-                    None => Ok(Slab::V(out)),
-                }
+                let stride = self.plan.priv_total;
+                let privs = &self.privs;
+                let mut out = self.fpool.pop().unwrap_or_else(|| vec![0.0; n]);
+                for_each_index(mask, idx, 1, len, |i, x| {
+                    out[i] = privs[i * stride + off + x];
+                })
+                .map_err(|index| self.oob(name, index, len))?;
+                Ok(Slab::F(out))
             }
         }
     }
@@ -2730,5 +1920,78 @@ impl<'a> PlanMachine<'a> {
             p.clear();
         }
         self.any_pend = false;
+    }
+}
+
+/// Visits the active lanes of `mask` in order with each lane's buffer
+/// index, `idx[i * stride]`, checked against `len`: returns the number of
+/// lanes visited, or the first index out of bounds.
+fn for_each_index(
+    mask: &[bool],
+    idx: &[i64],
+    stride: usize,
+    len: usize,
+    mut f: impl FnMut(usize, usize),
+) -> Result<u64, i64> {
+    let mut count = 0u64;
+    for (i, _) in mask.iter().enumerate().filter(|(_, &m)| m) {
+        let index = idx[i * stride];
+        if index < 0 || index as usize >= len {
+            return Err(index);
+        }
+        f(i, index as usize);
+        count += 1;
+    }
+    Ok(count)
+}
+
+/// Copies `src[i * stride]` into every active lane `i` of `regs`; returns
+/// the number of active lanes.
+fn write_lanes<T: Copy>(regs: &mut [T], mask: &[bool], src: &[T], stride: usize) -> u64 {
+    let mut count = 0u64;
+    for (i, (reg, &m)) in regs.iter_mut().zip(mask).enumerate() {
+        if m {
+            *reg = src[i * stride];
+            count += 1;
+        }
+    }
+    count
+}
+
+/// `x[i] = f(x[i], y[i])` for every lane.
+fn zip_lanes<T: Copy>(x: &mut [T], y: &[T], f: impl Fn(T, T) -> T) {
+    for (a, &b) in x.iter_mut().zip(y) {
+        *a = f(*a, b);
+    }
+}
+
+/// `dst[i] = src[i]` for every lane `i` set in `mask`.
+fn merge_lanes<T: Copy>(dst: &mut [T], src: &[T], mask: &[bool]) {
+    for ((d, &s), &m) in dst.iter_mut().zip(src).zip(mask) {
+        if m {
+            *d = s;
+        }
+    }
+}
+
+/// One unary op across every lane (infallible, so unmasked). Wrapping
+/// negation keeps the loop panic-free on garbage lanes; active lanes
+/// behave as in the tree interpreter (two's-complement wrap at
+/// `i64::MIN` aside).
+fn un_vec(op: UnOp, a: Slab) -> Slab {
+    match (op, a) {
+        (UnOp::Neg, Slab::I(mut v)) => {
+            v.iter_mut().for_each(|x| *x = x.wrapping_neg());
+            Slab::I(v)
+        }
+        (UnOp::Neg, Slab::F(mut v)) => {
+            v.iter_mut().for_each(|x| *x = -*x);
+            Slab::F(v)
+        }
+        (UnOp::Not, Slab::B(mut v)) => {
+            v.iter_mut().for_each(|x| *x = !*x);
+            Slab::B(v)
+        }
+        _ => unreachable!("plan typing admits no {op:?} on this operand"),
     }
 }

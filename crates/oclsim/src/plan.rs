@@ -19,11 +19,13 @@
 //! * lane-invariant (work-item-independent) expressions are marked
 //!   `uniform` so the executor evaluates them once per group and charges
 //!   the per-lane ALU cost arithmetically;
-//! * a sound kind-inference fixpoint types the storage: scalar slots whose
-//!   every write is provably an integer live in raw `i64` rows, and
-//!   local/private buffers whose every store is provably a float live in
-//!   raw `f32` arenas — so the hot index math and stencil data paths run
-//!   on unboxed vectors instead of per-lane tagged values.
+//! * one typing pass gives every scalar slot, buffer and expression its
+//!   type from the kernel's declarations (scalar and private-array
+//!   declarations, buffer element types, user-function signatures), with
+//!   no implicit conversions: `int` scalars live in `i64` rows, `float`
+//!   scalars in `f32` rows, local and private arrays in `f32` arenas, and
+//!   every op evaluates into a homogeneous `i64`, `f32` or `bool` slab. A
+//!   kernel that does not type is a plan-compile error.
 //!
 //! The resulting [`Plan`] is immutable and freely shareable; the
 //! register-machine inner loop in [`crate::exec`] drives it with one
@@ -31,12 +33,13 @@
 //!
 //! # Determinism contract
 //!
-//! For every kernel the plan path produces **byte-identical** outputs,
-//! [`KernelStats`] and modeled times to the tree interpreter: both engines
-//! execute the same statements over the same active lanes, count the same
-//! events, and differ only in how fast the host simulates them. The
-//! differential suite in `tests/sim_differential.rs` asserts this for
-//! every Table-1 benchmark × variant × device.
+//! For every kernel the plan compiler accepts, the plan path produces
+//! **byte-identical** outputs, [`KernelStats`] and modeled times to the
+//! tree interpreter: both engines execute the same statements over the
+//! same active lanes, count the same events, and differ only in how fast
+//! the host simulates them. The differential suite in
+//! `tests/sim_differential.rs` asserts this for every Table-1 benchmark ×
+//! variant × device.
 //!
 //! [`KernelStats`]: crate::perf::KernelStats
 
@@ -44,38 +47,42 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use lift_codegen::clike::{BinOp, CExpr, CStmt, CType, Kernel, UnOp, VarRef, WorkItemFn};
-use lift_core::scalar::ScalarKind;
 use lift_core::userfun::UserFun;
 
 use crate::exec::{call_cost, SimError};
 use crate::verify::VerifyFinding;
 
-/// Where a scalar variable's per-lane storage lives: a raw `i64` row (for
-/// slots whose every write is provably an integer) or a tagged-value row.
+/// Where a scalar variable's per-lane storage lives, fixed by its
+/// declared type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Row {
-    /// Row index into the `i64` register arena.
+    /// Row index into the `i64` register arena (an `int` scalar).
     I(u32),
-    /// Row index into the tagged-value register arena.
-    V(u32),
+    /// Row index into the `f32` register arena (a `float` scalar).
+    F(u32),
+}
+
+impl Row {
+    /// The declared type of the scalars this row holds.
+    fn ty(self) -> CType {
+        match self {
+            Row::I(_) => CType::Int,
+            Row::F(_) => CType::Float,
+        }
+    }
 }
 
 /// Where a buffer access resolves to, decided at plan-compile time. Local
-/// and private buffers carry their arena offset and length; the `F`/`V`
-/// split mirrors the storage typing (see the module docs).
+/// and private buffers are `float` arrays and carry their offset and
+/// length in the `f32` arenas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BufSlot {
     /// Global-memory parameter `slot`; `name` indexes [`Plan::buf_names`].
     Global { slot: u16, name: u16 },
-    /// Float-typed work-group local buffer.
-    LocalF { off: u32, len: u32, name: u16 },
-    /// Tagged-value local buffer (a store with unprovable kind exists).
-    LocalV { off: u32, len: u32, name: u16 },
-    /// Float-typed per-work-item private array (`off` within one item's
-    /// block).
-    PrivF { off: u32, len: u32, name: u16 },
-    /// Tagged-value private array.
-    PrivV { off: u32, len: u32, name: u16 },
+    /// Work-group local buffer.
+    Local { off: u32, len: u32, name: u16 },
+    /// Per-work-item private array (`off` within one item's block).
+    Priv { off: u32, len: u32, name: u16 },
 }
 
 /// One stack-machine expression operation.
@@ -96,12 +103,18 @@ pub(crate) enum EOp {
     /// Pop one operand, push the result; charges one ALU op per lane.
     Un(UnOp),
     /// Pop `argc` arguments, call [`Plan::funs`]`[fun]` per lane, push the
-    /// result; charges `cost` ALU ops per lane.
-    Call { fun: u16, argc: u8, cost: u64 },
+    /// result of the declared return type `ret`; charges `cost` ALU ops per
+    /// lane.
+    Call {
+        fun: u16,
+        argc: u8,
+        ret: CType,
+        cost: u64,
+    },
     /// Pop an index, push the loaded element (with the load's stats and
     /// coalescing side effects).
     Load(BufSlot),
-    /// Pop, convert, push.
+    /// Pop, convert (`int` ↔ `float`, or the identity), push.
     Cast(CType),
     /// Pop the `?:` select condition and split the active lanes into
     /// then/else sub-masks (charging one ALU op per active lane). The
@@ -135,13 +148,11 @@ pub(crate) struct ExprRef {
 #[derive(Debug, Clone)]
 pub(crate) enum Inst {
     /// Evaluate `value` for every active lane and write scalar row `row`
-    /// (`coerce` applies the declaration coercion; `charge` runs the
-    /// SIMD idle-lane charge as assignments do — `for`-loop initialisers
-    /// do not).
+    /// (`charge` runs the SIMD idle-lane charge as assignments do —
+    /// `for`-loop initialisers do not).
     SetScalar {
         row: Row,
         value: ExprRef,
-        coerce: Option<CType>,
         charge: bool,
     },
     /// Evaluate `idx` and `value` for every active lane and store.
@@ -151,8 +162,8 @@ pub(crate) enum Inst {
         value: ExprRef,
     },
     /// Loop head: build this iteration's mask in slot `mask` from the
-    /// current mask and `row < bound`; jump to `exit` when no lane
-    /// continues.
+    /// current mask and `row < bound` (`row` is an int row); jump to `exit`
+    /// when no lane continues.
     ForHead {
         row: Row,
         bound: ExprRef,
@@ -195,36 +206,34 @@ pub struct Plan {
     pub(crate) buf_names: Vec<String>,
     /// Segment-aligned virtual base address per global parameter slot.
     pub(crate) global_bases: Vec<u64>,
-    /// Rows in the `i64` scalar register arena.
+    /// Rows in the `i64` and the `f32` scalar register arenas.
     pub(crate) n_int_rows: usize,
-    /// Rows in the tagged-value scalar register arena.
-    pub(crate) n_var_rows: usize,
-    /// Elements in the float local arena / the tagged local arena.
-    pub(crate) local_f_total: usize,
-    pub(crate) local_v_total: usize,
-    /// Elements per work-item in the float / tagged private arenas.
-    pub(crate) priv_f_total: usize,
-    pub(crate) priv_v_total: usize,
+    pub(crate) n_float_rows: usize,
+    /// Elements in the local arena.
+    pub(crate) local_total: usize,
+    /// Elements per work-item in the private arena.
+    pub(crate) priv_total: usize,
     /// Mask scratch slots, including the base all-true mask at slot 0.
     pub(crate) n_masks: usize,
     pub(crate) local_bytes: usize,
 }
 
 impl Plan {
-    /// Compiles `kernel` into its execution plan.
+    /// Compiles `kernel` into its execution plan, typing every slot,
+    /// buffer and expression from the kernel's declarations.
     ///
     /// # Errors
     ///
     /// [`SimError::PlanCompile`] wrapping the underlying fault:
     /// [`SimError::UnboundVariable`] for a variable or buffer no
-    /// declaration binds, and [`SimError::TypeMismatch`] for operations
-    /// whose operand kinds are statically known to be incompatible. Both
-    /// name the kernel and the offending statement — faults the tree
-    /// interpreter only hits mid-simulation.
+    /// declaration binds, and [`SimError::TypeMismatch`] for a kernel that
+    /// does not type — an operation on operands of the wrong types, an
+    /// implicit conversion, a call that does not match its user function's
+    /// signature, or a declaration with no storage (a `bool` scalar or
+    /// buffer, an `int` local or private array). Both name the kernel and
+    /// the offending statement.
     pub fn compile(kernel: &Kernel) -> Result<Plan, SimError> {
         let slots = kernel.slot_map();
-        let marks = infer_marks(kernel, &slots);
-
         let mut b = Builder {
             code: Vec::new(),
             ecode: Vec::new(),
@@ -232,84 +241,81 @@ impl Plan {
             fun_ids: HashMap::new(),
             buf_names: Vec::new(),
             scalar_rows: HashMap::new(),
-            global_slots: HashMap::new(),
-            local_slots: HashMap::new(),
-            priv_slots: HashMap::new(),
+            bufs: HashMap::new(),
+            global_elems: kernel.params.iter().map(|p| p.elem).collect(),
             mask_depth: 1,
             n_masks: 1,
             context: vec![format!("kernel `{}`", kernel.name)],
         };
 
-        // Scalar slots → typed register rows, in stable slot order.
-        let (mut int_rows, mut var_rows) = (0u32, 0u32);
-        for (slot, (var, _)) in slots.scalars.iter().enumerate() {
-            let row = if marks.slot_int[slot] {
-                int_rows += 1;
-                Row::I(int_rows - 1)
-            } else {
-                var_rows += 1;
-                Row::V(var_rows - 1)
+        // Scalar slots → register rows of their declared type, in stable
+        // slot order.
+        let (mut n_int_rows, mut n_float_rows) = (0usize, 0usize);
+        for (var, ty) in &slots.scalars {
+            let row = match ty {
+                CType::Int => {
+                    n_int_rows += 1;
+                    Row::I(n_int_rows as u32 - 1)
+                }
+                CType::Float => {
+                    n_float_rows += 1;
+                    Row::F(n_float_rows as u32 - 1)
+                }
+                CType::Bool => return Err(b.no_storage(var, "a bool scalar")),
             };
             b.scalar_rows.insert(var.id(), row);
         }
 
-        // Private arrays → typed arena ranges, in stable slot order.
-        let (mut priv_f_total, mut priv_v_total) = (0usize, 0usize);
-        for (slot, (var, _, len)) in slots.priv_arrays.iter().enumerate() {
+        // Private arrays → ranges of the per-item `f32` arena.
+        let mut priv_total = 0usize;
+        for (var, ty, len) in &slots.priv_arrays {
+            if *ty != CType::Float {
+                return Err(b.no_storage(var, &format!("a private {} array", ty.c_name())));
+            }
             let name = b.intern_name(var);
-            let bs = if marks.priv_f[slot] {
-                let off = priv_f_total as u32;
-                priv_f_total += len;
-                BufSlot::PrivF {
-                    off,
-                    len: *len as u32,
-                    name,
-                }
-            } else {
-                let off = priv_v_total as u32;
-                priv_v_total += len;
-                BufSlot::PrivV {
-                    off,
-                    len: *len as u32,
-                    name,
-                }
+            let bs = BufSlot::Priv {
+                off: priv_total as u32,
+                len: *len as u32,
+                name,
             };
-            b.priv_slots.insert(var.id(), bs);
+            priv_total += len;
+            b.bufs.entry(var.id()).or_insert(bs);
         }
 
         let mut global_bases = Vec::new();
         let mut base = 0u64;
         for (slot, p) in kernel.params.iter().enumerate() {
+            if p.elem == CType::Bool {
+                return Err(b.no_storage(&p.var, "a bool buffer"));
+            }
             let name = b.intern_name(&p.var);
-            b.global_slots
-                .insert(p.var.id(), (slot as u16, name, p.elem));
+            b.bufs.insert(
+                p.var.id(),
+                BufSlot::Global {
+                    slot: slot as u16,
+                    name,
+                },
+            );
             global_bases.push(base);
             // Segment-align each buffer, exactly as the interpreter does.
             base += ((p.len as u64 * 4).div_ceil(crate::perf::SEGMENT_BYTES))
                 * crate::perf::SEGMENT_BYTES;
         }
 
-        let (mut local_f_total, mut local_v_total) = (0usize, 0usize);
-        for (slot, l) in kernel.locals.iter().enumerate() {
+        // Local buffers → ranges of the group's `f32` arena.
+        let mut local_total = 0usize;
+        for l in &kernel.locals {
+            if l.elem != CType::Float {
+                return Err(b.no_storage(&l.var, &format!("a local {} buffer", l.elem.c_name())));
+            }
             let name = b.intern_name(&l.var);
-            let bs = if marks.local_f[slot] {
-                let off = local_f_total as u32;
-                local_f_total += l.len;
-                BufSlot::LocalF {
-                    off,
-                    len: l.len as u32,
-                    name,
-                }
-            } else {
-                let off = local_v_total as u32;
-                local_v_total += l.len;
-                BufSlot::LocalV {
-                    off,
-                    len: l.len as u32,
-                    name,
-                }
+            let bs = BufSlot::Local {
+                off: local_total as u32,
+                len: l.len as u32,
+                name,
             };
-            b.local_slots.insert(l.var.id(), bs);
+            local_total += l.len;
+            b.bufs.entry(l.var.id()).or_insert(bs);
         }
 
         b.stmts(&kernel.body)?;
@@ -319,12 +325,10 @@ impl Plan {
             funs: b.funs,
             buf_names: b.buf_names,
             global_bases,
-            n_int_rows: int_rows as usize,
-            n_var_rows: var_rows as usize,
-            local_f_total,
-            local_v_total,
-            priv_f_total,
-            priv_v_total,
+            n_int_rows,
+            n_float_rows,
+            local_total,
+            priv_total,
             n_masks: b.n_masks as usize,
             local_bytes: kernel.local_bytes(),
         })
@@ -335,9 +339,18 @@ impl Plan {
         self.code.len()
     }
 
-    /// Number of expression operations (diagnostics and benches).
-    pub fn expr_ops(&self) -> usize {
-        self.ecode.len()
+    /// The position of `row` among all scalar rows, `int` rows first: the
+    /// index analyses keep their per-row state under.
+    pub(crate) fn row_index(&self, row: Row) -> usize {
+        match row {
+            Row::I(r) => r as usize,
+            Row::F(r) => self.n_int_rows + r as usize,
+        }
+    }
+
+    /// Number of scalar rows of either type.
+    pub(crate) fn n_rows(&self) -> usize {
+        self.n_int_rows + self.n_float_rows
     }
 }
 
@@ -470,345 +483,8 @@ impl PlannedKernel {
 }
 
 // ---------------------------------------------------------------------------
-// Storage-kind inference
-// ---------------------------------------------------------------------------
-
-/// Runtime *slab* kind of an expression: the representation its per-lane
-/// values provably take. `Un` means "not provable" (the executor falls
-/// back to tagged values). Distinct from the error-checking kind `K`
-/// below: `Sk` must be **sound** (a wrong claim would change results),
-/// while `K` is merely used to surface provable faults early.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Sk {
-    I,
-    F,
-    B,
-    Un,
-}
-
-/// Which storage may be typed: computed as a downward fixpoint. A scalar
-/// slot starts as "int" and stays so only while every write to it is
-/// provably an integer (the implicit group-start value is integer zero); a
-/// local/private buffer starts as "float" and stays so only while every
-/// store to it is provably a float (the group-start fill is float zero).
-struct Marks {
-    slot_int: Vec<bool>,
-    local_f: Vec<bool>,
-    priv_f: Vec<bool>,
-}
-
-/// A write site the fixpoint re-evaluates each round.
-enum Write<'k> {
-    Slot {
-        slot: usize,
-        value: &'k CExpr,
-        coerce: Option<CType>,
-    },
-    Local {
-        slot: usize,
-        value: &'k CExpr,
-    },
-    Priv {
-        slot: usize,
-        value: &'k CExpr,
-    },
-}
-
-fn infer_marks(kernel: &Kernel, slots: &lift_codegen::clike::SlotMap) -> Marks {
-    let slot_index: HashMap<u32, usize> = slots
-        .scalars
-        .iter()
-        .enumerate()
-        .map(|(i, (v, _))| (v.id(), i))
-        .collect();
-    let local_index: HashMap<u32, usize> = kernel
-        .locals
-        .iter()
-        .enumerate()
-        .map(|(i, l)| (l.var.id(), i))
-        .collect();
-    let priv_index: HashMap<u32, usize> = slots
-        .priv_arrays
-        .iter()
-        .enumerate()
-        .map(|(i, (v, _, _))| (v.id(), i))
-        .collect();
-    let global_kind: HashMap<u32, Sk> = kernel
-        .params
-        .iter()
-        .map(|p| {
-            (
-                p.var.id(),
-                match p.elem {
-                    CType::Float => Sk::F,
-                    CType::Int | CType::Bool => Sk::I,
-                },
-            )
-        })
-        .collect();
-
-    let mut writes: Vec<Write<'_>> = Vec::new();
-    collect_writes(
-        &kernel.body,
-        &slot_index,
-        &local_index,
-        &priv_index,
-        &mut writes,
-    );
-
-    let mut marks = Marks {
-        slot_int: vec![true; slots.scalars.len()],
-        local_f: vec![true; kernel.locals.len()],
-        priv_f: vec![true; slots.priv_arrays.len()],
-    };
-    // Downward fixpoint: a mark only ever flips optimistic → pessimistic,
-    // so this terminates within (#marks + 1) rounds.
-    loop {
-        let mut changed = false;
-        for w in &writes {
-            match w {
-                Write::Slot {
-                    slot,
-                    value,
-                    coerce,
-                } => {
-                    let mut sk = slab_kind(
-                        value,
-                        &marks,
-                        &slot_index,
-                        &local_index,
-                        &priv_index,
-                        &global_kind,
-                    );
-                    if let Some(ty) = coerce {
-                        sk = coerce_sk(*ty, sk);
-                    }
-                    if sk != Sk::I && marks.slot_int[*slot] {
-                        marks.slot_int[*slot] = false;
-                        changed = true;
-                    }
-                }
-                Write::Local { slot, value } => {
-                    let sk = slab_kind(
-                        value,
-                        &marks,
-                        &slot_index,
-                        &local_index,
-                        &priv_index,
-                        &global_kind,
-                    );
-                    if sk != Sk::F && marks.local_f[*slot] {
-                        marks.local_f[*slot] = false;
-                        changed = true;
-                    }
-                }
-                Write::Priv { slot, value } => {
-                    let sk = slab_kind(
-                        value,
-                        &marks,
-                        &slot_index,
-                        &local_index,
-                        &priv_index,
-                        &global_kind,
-                    );
-                    if sk != Sk::F && marks.priv_f[*slot] {
-                        marks.priv_f[*slot] = false;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            return marks;
-        }
-    }
-}
-
-fn collect_writes<'k>(
-    stmts: &'k [CStmt],
-    slot_index: &HashMap<u32, usize>,
-    local_index: &HashMap<u32, usize>,
-    priv_index: &HashMap<u32, usize>,
-    out: &mut Vec<Write<'k>>,
-) {
-    for s in stmts {
-        match s {
-            CStmt::DeclScalar {
-                var,
-                init: Some(e),
-                ty,
-            } => {
-                if let Some(&slot) = slot_index.get(&var.id()) {
-                    out.push(Write::Slot {
-                        slot,
-                        value: e,
-                        coerce: Some(*ty),
-                    });
-                }
-            }
-            CStmt::Assign { var, value } => {
-                if let Some(&slot) = slot_index.get(&var.id()) {
-                    out.push(Write::Slot {
-                        slot,
-                        value,
-                        coerce: None,
-                    });
-                }
-            }
-            CStmt::Store { buf, value, .. } => {
-                if let Some(&slot) = local_index.get(&buf.id()) {
-                    out.push(Write::Local { slot, value });
-                } else if let Some(&slot) = priv_index.get(&buf.id()) {
-                    out.push(Write::Priv { slot, value });
-                }
-            }
-            CStmt::For {
-                var, init, body, ..
-            } => {
-                // The loop latch always writes an integer; only the raw
-                // initialiser can demote the induction variable's row.
-                if let Some(&slot) = slot_index.get(&var.id()) {
-                    out.push(Write::Slot {
-                        slot,
-                        value: init,
-                        coerce: None,
-                    });
-                }
-                collect_writes(body, slot_index, local_index, priv_index, out);
-            }
-            CStmt::If { then_, else_, .. } => {
-                collect_writes(then_, slot_index, local_index, priv_index, out);
-                collect_writes(else_, slot_index, local_index, priv_index, out);
-            }
-            _ => {}
-        }
-    }
-}
-
-/// The declaration coercion's effect on a slab kind (mirrors `coerce` in
-/// the executor: `(Float, int) → float`, `(Int, bool) → int`, everything
-/// else unchanged).
-fn coerce_sk(ty: CType, sk: Sk) -> Sk {
-    match (ty, sk) {
-        (CType::Float, Sk::I) => Sk::F,
-        (CType::Int, Sk::B) => Sk::I,
-        (_, sk) => sk,
-    }
-}
-
-/// Sound slab-kind inference (see [`Sk`]). Anything not provable — calls,
-/// reads of untyped rows, mixed arithmetic — is `Un`.
-fn slab_kind(
-    e: &CExpr,
-    marks: &Marks,
-    slot_index: &HashMap<u32, usize>,
-    local_index: &HashMap<u32, usize>,
-    priv_index: &HashMap<u32, usize>,
-    global_kind: &HashMap<u32, Sk>,
-) -> Sk {
-    let rec = |e: &CExpr| slab_kind(e, marks, slot_index, local_index, priv_index, global_kind);
-    match e {
-        CExpr::Int(_) => Sk::I,
-        CExpr::Float(_) => Sk::F,
-        CExpr::Bool(_) => Sk::B,
-        CExpr::WorkItem(..) => Sk::I,
-        CExpr::Var(v) => match slot_index.get(&v.id()) {
-            Some(&slot) if marks.slot_int[slot] => Sk::I,
-            _ => Sk::Un,
-        },
-        CExpr::Bin(op, a, b) => {
-            use BinOp::*;
-            let (ka, kb) = (rec(a), rec(b));
-            match op {
-                Add | Sub | Mul | Div | Min | Max => match (ka, kb) {
-                    (Sk::I, Sk::I) => Sk::I,
-                    (Sk::F, Sk::F) => Sk::F,
-                    _ => Sk::Un,
-                },
-                Mod => match (ka, kb) {
-                    (Sk::I, Sk::I) => Sk::I,
-                    _ => Sk::Un,
-                },
-                Lt | Le | Gt | Ge | Eq | Ne => match (ka, kb) {
-                    (Sk::I, Sk::I) | (Sk::F, Sk::F) => Sk::B,
-                    _ => Sk::Un,
-                },
-                And | Or => match (ka, kb) {
-                    (Sk::B, Sk::B) => Sk::B,
-                    _ => Sk::Un,
-                },
-            }
-        }
-        CExpr::Un(op, a) => match (op, rec(a)) {
-            (UnOp::Neg, Sk::I) => Sk::I,
-            (UnOp::Neg, Sk::F) => Sk::F,
-            (UnOp::Not, Sk::B) => Sk::B,
-            _ => Sk::Un,
-        },
-        // Calls run arbitrary Rust; their runtime kind is not proven here.
-        CExpr::Call(..) => Sk::Un,
-        CExpr::Load { buf, .. } => {
-            if let Some(k) = global_kind.get(&buf.id()) {
-                *k
-            } else if let Some(&slot) = local_index.get(&buf.id()) {
-                if marks.local_f[slot] {
-                    Sk::F
-                } else {
-                    Sk::Un
-                }
-            } else if let Some(&slot) = priv_index.get(&buf.id()) {
-                if marks.priv_f[slot] {
-                    Sk::F
-                } else {
-                    Sk::Un
-                }
-            } else {
-                Sk::Un
-            }
-        }
-        CExpr::Select { then_, else_, .. } => {
-            let (kt, ke) = (rec(then_), rec(else_));
-            if kt == ke {
-                kt
-            } else {
-                Sk::Un
-            }
-        }
-        CExpr::Cast(t, a) => match (t, rec(a)) {
-            (_, Sk::Un) => Sk::Un,
-            (CType::Float, Sk::I) => Sk::F,
-            (CType::Int, Sk::F) => Sk::I,
-            (_, k) => k,
-        },
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Bytecode builder
 // ---------------------------------------------------------------------------
-
-/// Statically-known scalar kind of an expression, used only to surface
-/// provable faults at plan time. `Unknown` for anything reaching through a
-/// scalar variable, whose runtime kind would need a flow-sensitive
-/// fixpoint to prove — the check stays deliberately conservative so no
-/// kernel the tree interpreter executes successfully is ever rejected.
-/// Literals, work-item queries, typed-buffer loads, casts and
-/// user-function calls all have provable kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum K {
-    F,
-    I,
-    B,
-    Unknown,
-}
-
-fn kind_of_scalar(k: ScalarKind) -> K {
-    match k {
-        ScalarKind::F32 => K::F,
-        ScalarKind::I32 => K::I,
-        ScalarKind::Bool => K::B,
-    }
-}
 
 struct Builder {
     code: Vec<Inst>,
@@ -817,9 +493,9 @@ struct Builder {
     fun_ids: HashMap<String, u16>,
     buf_names: Vec<String>,
     scalar_rows: HashMap<u32, Row>,
-    global_slots: HashMap<u32, (u16, u16, CType)>,
-    local_slots: HashMap<u32, BufSlot>,
-    priv_slots: HashMap<u32, BufSlot>,
+    bufs: HashMap<u32, BufSlot>,
+    /// Element type per global parameter slot.
+    global_elems: Vec<CType>,
     /// Next free mask slot (slot 0 is the base mask).
     mask_depth: u16,
     n_masks: u16,
@@ -841,6 +517,29 @@ impl Builder {
         }
     }
 
+    fn mismatch(&self, msg: String) -> SimError {
+        self.fail(SimError::TypeMismatch(msg))
+    }
+
+    /// Requires `found == want` for the operand described by `what`.
+    fn expect(&self, found: CType, want: CType, what: &str) -> Result<(), SimError> {
+        if found == want {
+            return Ok(());
+        }
+        Err(self.mismatch(format!(
+            "expected {}, found {} ({what})",
+            want.c_name(),
+            found.c_name()
+        )))
+    }
+
+    /// The error for a declaration whose type has no storage in the plan.
+    fn no_storage(&mut self, var: &VarRef, what: &str) -> SimError {
+        self.context
+            .push(format!("declaration of `{}`", var.name()));
+        self.mismatch(format!("`{}` is {what}, which has no storage", var.name()))
+    }
+
     fn scalar_row(&self, var: &VarRef) -> Result<Row, SimError> {
         self.scalar_rows.get(&var.id()).copied().ok_or_else(|| {
             self.fail(SimError::UnboundVariable(format!(
@@ -849,6 +548,21 @@ impl Builder {
                 var.id()
             )))
         })
+    }
+
+    /// The slot of buffer `var` and its element type.
+    fn buf_slot(&self, var: &VarRef) -> Result<(BufSlot, CType), SimError> {
+        let slot = self.bufs.get(&var.id()).copied().ok_or_else(|| {
+            self.fail(SimError::UnboundVariable(format!(
+                "buffer `{}`",
+                var.name()
+            )))
+        })?;
+        let elem = match slot {
+            BufSlot::Global { slot, .. } => self.global_elems[slot as usize],
+            BufSlot::Local { .. } | BufSlot::Priv { .. } => CType::Float,
+        };
+        Ok((slot, elem))
     }
 
     fn stmts(&mut self, stmts: &[CStmt]) -> Result<(), SimError> {
@@ -861,19 +575,21 @@ impl Builder {
     fn stmt(&mut self, s: &CStmt) -> Result<(), SimError> {
         match s {
             CStmt::DeclScalar { var, init, ty } => {
+                self.context
+                    .push(format!("declaration of `{}`", var.name()));
+                let row = self.scalar_row(var)?;
+                // The row has the type of the variable's first declaration.
+                self.expect(*ty, row.ty(), "redeclared type")?;
                 if let Some(e) = init {
-                    self.context
-                        .push(format!("declaration of `{}`", var.name()));
-                    let row = self.scalar_row(var)?;
-                    let (value, _) = self.expr(e)?;
+                    let (value, vt) = self.expr(e)?;
+                    self.expect(vt, row.ty(), "initialiser")?;
                     self.code.push(Inst::SetScalar {
                         row,
                         value,
-                        coerce: Some(*ty),
                         charge: true,
                     });
-                    self.context.pop();
                 }
+                self.context.pop();
                 Ok(())
             }
             // Pre-allocated in the scratch arena.
@@ -881,11 +597,11 @@ impl Builder {
             CStmt::Assign { var, value } => {
                 self.context.push(format!("assignment to `{}`", var.name()));
                 let row = self.scalar_row(var)?;
-                let (value, _) = self.expr(value)?;
+                let (value, vt) = self.expr(value)?;
+                self.expect(vt, row.ty(), "assigned value")?;
                 self.code.push(Inst::SetScalar {
                     row,
                     value,
-                    coerce: None,
                     charge: true,
                 });
                 self.context.pop();
@@ -895,24 +611,11 @@ impl Builder {
                 buf, idx, value, ..
             } => {
                 self.context.push(format!("store to `{}`", buf.name()));
-                let slot = self.buf_slot(buf)?;
-                let (idx, ik) = self.expr(idx)?;
-                self.require_int(ik, "buffer index")?;
-                let (value, vk) = self.expr(value)?;
-                if let BufSlot::Global { slot: g, .. } = slot {
-                    // A float stored into an int buffer faults at runtime;
-                    // report it at plan time when provable.
-                    let elem = self
-                        .global_slots
-                        .values()
-                        .find(|(s, _, _)| *s == g)
-                        .map(|(_, _, e)| *e);
-                    if elem == Some(CType::Int) && vk == K::F {
-                        return Err(self.fail(SimError::TypeMismatch(
-                            "float stored into int buffer".into(),
-                        )));
-                    }
-                }
+                let (slot, elem) = self.buf_slot(buf)?;
+                let (idx, it) = self.expr(idx)?;
+                self.expect(it, CType::Int, "buffer index")?;
+                let (value, vt) = self.expr(value)?;
+                self.expect(vt, elem, "stored value")?;
                 self.code.push(Inst::Store {
                     buf: slot,
                     idx,
@@ -930,17 +633,18 @@ impl Builder {
             } => {
                 self.context.push(format!("for-loop over `{}`", var.name()));
                 let row = self.scalar_row(var)?;
-                let (init, _) = self.expr(init)?;
+                self.expect(row.ty(), CType::Int, "loop variable")?;
+                let (init, t) = self.expr(init)?;
+                self.expect(t, CType::Int, "loop start")?;
                 self.code.push(Inst::SetScalar {
                     row,
                     value: init,
-                    coerce: None,
                     charge: false,
                 });
-                let (bound, bk) = self.expr(bound)?;
-                self.require_int(bk, "loop bound")?;
-                let (step, sk) = self.expr(step)?;
-                self.require_int(sk, "loop step")?;
+                let (bound, t) = self.expr(bound)?;
+                self.expect(t, CType::Int, "loop bound")?;
+                let (step, t) = self.expr(step)?;
+                self.expect(t, CType::Int, "loop step")?;
                 let mask = self.mask_depth;
                 self.mask_depth += 1;
                 self.n_masks = self.n_masks.max(self.mask_depth);
@@ -968,12 +672,8 @@ impl Builder {
             }
             CStmt::If { cond, then_, else_ } => {
                 self.context.push("if-branch".to_string());
-                let (cond, ck) = self.expr(cond)?;
-                if ck == K::F {
-                    return Err(
-                        self.fail(SimError::TypeMismatch("expected bool, found float".into()))
-                    );
-                }
+                let (cond, ct) = self.expr(cond)?;
+                self.expect(ct, CType::Bool, "branch condition")?;
                 let tmask = self.mask_depth;
                 let emask = self.mask_depth + 1;
                 self.mask_depth += 2;
@@ -1022,68 +722,40 @@ impl Builder {
         }
     }
 
-    fn require_int(&self, k: K, what: &str) -> Result<(), SimError> {
-        if k == K::F {
-            return Err(self.fail(SimError::TypeMismatch(format!(
-                "expected int, found float ({what})"
-            ))));
-        }
-        Ok(())
-    }
-
-    fn buf_slot(&self, var: &VarRef) -> Result<BufSlot, SimError> {
-        if let Some((slot, name, _)) = self.global_slots.get(&var.id()) {
-            return Ok(BufSlot::Global {
-                slot: *slot,
-                name: *name,
-            });
-        }
-        if let Some(bs) = self.local_slots.get(&var.id()) {
-            return Ok(*bs);
-        }
-        if let Some(bs) = self.priv_slots.get(&var.id()) {
-            return Ok(*bs);
-        }
-        Err(self.fail(SimError::UnboundVariable(format!(
-            "buffer `{}`",
-            var.name()
-        ))))
-    }
-
     /// Compiles one expression, appending to [`Builder::ecode`]; returns
-    /// its range/uniformity and statically-inferred kind.
-    fn expr(&mut self, e: &CExpr) -> Result<(ExprRef, K), SimError> {
+    /// its range/uniformity and its type.
+    fn expr(&mut self, e: &CExpr) -> Result<(ExprRef, CType), SimError> {
         let start = self.ecode.len() as u32;
-        let (uniform, k) = self.emit(e)?;
+        let (uniform, ty) = self.emit(e)?;
         Ok((
             ExprRef {
                 start,
                 end: self.ecode.len() as u32,
                 uniform,
             },
-            k,
+            ty,
         ))
     }
 
-    /// Emits ops for `e`; returns `(uniform, kind)`.
-    fn emit(&mut self, e: &CExpr) -> Result<(bool, K), SimError> {
+    /// Emits ops for `e`; returns `(uniform, type)`.
+    fn emit(&mut self, e: &CExpr) -> Result<(bool, CType), SimError> {
         match e {
             CExpr::Int(v) => {
                 self.ecode.push(EOp::I(*v));
-                Ok((true, K::I))
+                Ok((true, CType::Int))
             }
             CExpr::Float(v) => {
                 self.ecode.push(EOp::F(*v));
-                Ok((true, K::F))
+                Ok((true, CType::Float))
             }
             CExpr::Bool(v) => {
                 self.ecode.push(EOp::B(*v));
-                Ok((true, K::B))
+                Ok((true, CType::Bool))
             }
             CExpr::Var(v) => {
                 let row = self.scalar_row(v)?;
                 self.ecode.push(EOp::Scalar(row));
-                Ok((false, K::Unknown))
+                Ok((false, row.ty()))
             }
             CExpr::WorkItem(f, d) => {
                 self.ecode.push(EOp::WorkItem(*f, *d));
@@ -1094,31 +766,65 @@ impl Builder {
                         | WorkItemFn::LocalSize
                         | WorkItemFn::NumGroups
                 );
-                Ok((uniform, K::I))
+                Ok((uniform, CType::Int))
             }
             CExpr::Bin(op, a, b) => {
-                let (ua, ka) = self.emit(a)?;
-                let (ub, kb) = self.emit(b)?;
+                use BinOp::*;
+                use CType::{Bool, Float, Int};
+                let (ua, ta) = self.emit(a)?;
+                let (ub, tb) = self.emit(b)?;
                 self.ecode.push(EOp::Bin(*op));
-                let k = self.bin_kind(*op, ka, kb)?;
-                Ok((ua && ub, k))
+                let ty = match (op, ta, tb) {
+                    (Add | Sub | Mul | Div | Min | Max, Int, Int) | (Mod, Int, Int) => Int,
+                    (Add | Sub | Mul | Div | Min | Max, Float, Float) => Float,
+                    (Lt | Le | Gt | Ge | Eq | Ne, Int, Int)
+                    | (Lt | Le | Gt | Ge | Eq | Ne, Float, Float)
+                    | (And | Or, Bool, Bool) => Bool,
+                    _ => {
+                        return Err(self.mismatch(format!(
+                            "operator {op:?} on {} and {} operands",
+                            ta.c_name(),
+                            tb.c_name()
+                        )))
+                    }
+                };
+                Ok((ua && ub, ty))
             }
             CExpr::Un(op, a) => {
-                let (u, k) = self.emit(a)?;
+                let (u, t) = self.emit(a)?;
                 self.ecode.push(EOp::Un(*op));
-                let k = match (op, k) {
-                    (_, K::Unknown) => K::Unknown,
-                    (UnOp::Neg, K::F) => K::F,
-                    (UnOp::Neg, K::I) => K::I,
-                    (UnOp::Not, K::B) => K::B,
-                    _ => return Err(self.fail(SimError::TypeMismatch("bad unary operand".into()))),
-                };
-                Ok((u, k))
+                match (op, t) {
+                    (UnOp::Neg, CType::Int | CType::Float) | (UnOp::Not, CType::Bool) => Ok((u, t)),
+                    _ => Err(self.mismatch(format!("operator {op:?} on a {} operand", t.c_name()))),
+                }
             }
             CExpr::Call(f, args) => {
-                for a in args {
-                    self.emit(a)?;
+                if args.len() != f.arity() {
+                    return Err(self.mismatch(format!(
+                        "user function `{}` takes {} arguments, called with {}",
+                        f.name(),
+                        f.arity(),
+                        args.len()
+                    )));
                 }
+                for (a, (param, pty)) in args.iter().zip(f.params()) {
+                    let (_, t) = self.emit(a)?;
+                    let want = pty.as_scalar();
+                    if want.map(CType::from_kind) != Some(t) {
+                        return Err(self.mismatch(format!(
+                            "argument `{param}` of user function `{}` is {}, found {}",
+                            f.name(),
+                            want.map_or("non-scalar", |k| k.c_name()),
+                            t.c_name()
+                        )));
+                    }
+                }
+                let ret = f.ret().as_scalar().map(CType::from_kind).ok_or_else(|| {
+                    self.mismatch(format!(
+                        "user function `{}` returns a non-scalar value",
+                        f.name()
+                    ))
+                })?;
                 let fun = match self.fun_ids.get(f.name()) {
                     Some(i) => *i,
                     None => {
@@ -1131,102 +837,42 @@ impl Builder {
                 self.ecode.push(EOp::Call {
                     fun,
                     argc: args.len() as u8,
+                    ret,
                     cost: call_cost(f.c_body()),
                 });
-                let k = f
-                    .ret()
-                    .as_scalar()
-                    .map(kind_of_scalar)
-                    .unwrap_or(K::Unknown);
-                Ok((false, k))
+                Ok((false, ret))
             }
             CExpr::Load { buf, idx, .. } => {
-                let (_, ik) = self.emit(idx)?;
-                self.require_int(ik, "buffer index")?;
-                let slot = self.buf_slot(buf)?;
-                let k = match slot {
-                    BufSlot::Global { slot, .. } => self
-                        .global_slots
-                        .values()
-                        .find(|(s, _, _)| *s == slot)
-                        .map(|(_, _, e)| match e {
-                            CType::Float => K::F,
-                            CType::Int => K::I,
-                            CType::Bool => K::B,
-                        })
-                        .unwrap_or(K::Unknown),
-                    _ => K::Unknown,
-                };
+                let (_, it) = self.emit(idx)?;
+                self.expect(it, CType::Int, "buffer index")?;
+                let (slot, elem) = self.buf_slot(buf)?;
                 self.ecode.push(EOp::Load(slot));
-                Ok((false, k))
+                Ok((false, elem))
             }
             CExpr::Select { cond, then_, else_ } => {
-                let (uc, ck) = self.emit(cond)?;
-                if ck == K::F {
-                    return Err(
-                        self.fail(SimError::TypeMismatch("expected bool, found float".into()))
-                    );
-                }
+                let (uc, ct) = self.emit(cond)?;
+                self.expect(ct, CType::Bool, "`?:` condition")?;
                 self.ecode.push(EOp::SelSplit);
-                let (ut, kt) = self.emit(then_)?;
+                let (ut, tt) = self.emit(then_)?;
                 self.ecode.push(EOp::SelSwap);
-                let (ue, ke) = self.emit(else_)?;
+                let (ue, te) = self.emit(else_)?;
                 self.ecode.push(EOp::SelJoin);
-                let k = if kt == ke { kt } else { K::Unknown };
-                Ok((uc && ut && ue, k))
+                if tt != te {
+                    return Err(self.mismatch(format!(
+                        "`?:` arms of types {} and {}",
+                        tt.c_name(),
+                        te.c_name()
+                    )));
+                }
+                Ok((uc && ut && ue, tt))
             }
             CExpr::Cast(t, a) => {
-                let (u, k) = self.emit(a)?;
+                let (u, at) = self.emit(a)?;
                 self.ecode.push(EOp::Cast(*t));
-                let k = match (t, k) {
-                    (_, K::Unknown) => K::Unknown,
-                    (CType::Float, K::I) => K::F,
-                    (CType::Int, K::F) => K::I,
-                    (_, k) => k,
-                };
-                Ok((u, k))
-            }
-        }
-    }
-
-    /// Result kind of a binary operation, or a plan-compile error when the
-    /// operand kinds are statically known to fault at runtime.
-    fn bin_kind(&self, op: BinOp, a: K, b: K) -> Result<K, SimError> {
-        use BinOp::*;
-        if a == K::Unknown || b == K::Unknown {
-            // The comparison/logic result kind is certain even when an
-            // operand's kind is not.
-            return Ok(match op {
-                Lt | Le | Gt | Ge | Eq | Ne | And | Or => K::B,
-                _ => K::Unknown,
-            });
-        }
-        match op {
-            Add | Sub | Mul | Div | Mod | Min | Max => {
-                if a == b && a != K::B && !(matches!(op, Mod) && a == K::F) {
-                    Ok(a)
-                } else {
-                    Err(self.fail(SimError::TypeMismatch(format!(
-                        "operator {op:?} on {a:?} and {b:?} operands"
-                    ))))
-                }
-            }
-            Lt | Le | Gt | Ge | Eq | Ne => {
-                if a == b && a != K::B {
-                    Ok(K::B)
-                } else {
-                    Err(self.fail(SimError::TypeMismatch(format!(
-                        "operator {op:?} on {a:?} and {b:?} operands"
-                    ))))
-                }
-            }
-            And | Or => {
-                if a == K::B && b == K::B {
-                    Ok(K::B)
-                } else {
-                    Err(self.fail(SimError::TypeMismatch(format!(
-                        "operator {op:?} on {a:?} and {b:?} operands"
-                    ))))
+                match (t, at) {
+                    (CType::Float, CType::Int) | (CType::Int, CType::Float) => Ok((u, *t)),
+                    (t, at) if *t == at => Ok((u, at)),
+                    _ => Err(self.mismatch(format!("cast of {} to {}", at.c_name(), t.c_name()))),
                 }
             }
         }

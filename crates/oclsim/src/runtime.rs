@@ -211,9 +211,10 @@ impl VirtualDevice {
     /// # Errors
     ///
     /// Fails on plan compilation, on launch misconfiguration (sizes,
-    /// local-memory overflow, argument mismatch) and on any runtime fault
-    /// the executor detects (out-of-bounds access, barrier divergence,
-    /// division by zero).
+    /// local-memory overflow, argument count, length or element type) and
+    /// on any runtime fault the executor detects (out-of-bounds access,
+    /// barrier divergence, division by zero, a user function returning
+    /// another type than it declares).
     pub fn run(
         &self,
         kernel: &Kernel,
@@ -299,6 +300,18 @@ impl VirtualDevice {
                         p.var.name(),
                         data.len(),
                         p.len
+                    )));
+                }
+                // The plan engine reads each buffer at its declared type.
+                if !matches!(
+                    (&data, p.elem),
+                    (BufferData::F32(_), CType::Float)
+                        | (BufferData::I32(_), CType::Int | CType::Bool)
+                ) {
+                    return Err(SimError::BadLaunch(format!(
+                        "buffer for `{}` does not hold {} elements",
+                        p.var.name(),
+                        p.elem.c_name()
                     )));
                 }
                 buffers.push(data);
@@ -521,6 +534,20 @@ mod tests {
             dev.run_reference(&kernel, &inputs, launch).unwrap_err(),
         ] {
             assert!(matches!(err, SimError::BadLaunch(_)));
+        }
+    }
+
+    #[test]
+    fn wrong_buffer_type_rejected() {
+        let kernel = jacobi3pt_lowered(64);
+        let dev = VirtualDevice::new(DeviceProfile::k20c());
+        let inputs = [vec![0i32; 64].into()];
+        let launch = LaunchConfig::d1(64, 16);
+        for err in [
+            dev.run(&kernel, &inputs, launch).unwrap_err(),
+            dev.run_reference(&kernel, &inputs, launch).unwrap_err(),
+        ] {
+            assert!(matches!(err, SimError::BadLaunch(_)), "{err:?}");
         }
     }
 

@@ -616,14 +616,10 @@ fn cmp_assumes(cmp: &CmpInfo, truth: bool) -> Vec<Assume> {
 // Access records (race analysis)
 // ---------------------------------------------------------------------------
 
-/// Arena identity of a local buffer: the `F`/`V` split plus arena offset.
-type LocalKey = (bool, u32);
-
 #[derive(Debug, Clone)]
 struct Access {
     stmt: usize,
     write: bool,
-    key: LocalKey,
     name: u16,
     idx: AbsVal,
     /// Per dimension: how many distinct `lid_d` values the lanes *active
@@ -671,10 +667,8 @@ pub fn verify_kernel(
 /// fixpoints).
 #[derive(Clone, PartialEq)]
 struct EnvSnap {
-    int_env: Vec<AbsVal>,
-    var_env: Vec<AbsVal>,
-    int_init: Vec<bool>,
-    var_init: Vec<bool>,
+    env: Vec<AbsVal>,
+    init: Vec<bool>,
 }
 
 struct Verifier<'a> {
@@ -683,13 +677,13 @@ struct Verifier<'a> {
     cfg: LaunchConfig,
     findings: Vec<VerifyFinding>,
     reported: HashSet<(FindingKind, usize, u64)>,
-    int_env: Vec<AbsVal>,
-    var_env: Vec<AbsVal>,
-    int_init: Vec<bool>,
-    var_init: Vec<bool>,
-    /// Local/private arena ranges some `Store` targets (never-stored
-    /// arrays are definite uninitialized reads).
-    stored: HashSet<(u8, u32)>,
+    /// Abstract value and must-init flag per scalar row, indexed by
+    /// [`Plan::row_index`].
+    env: Vec<AbsVal>,
+    init: Vec<bool>,
+    /// Local and private buffers (by name index) some `Store` targets
+    /// (never-stored arrays are definite uninitialized reads).
+    stored: HashSet<u16>,
     accesses: Vec<Access>,
     /// `false` during loop-fixpoint probe passes: no findings, no access
     /// records — only the final pass over the stabilized state reports.
@@ -732,8 +726,8 @@ impl<'a> Verifier<'a> {
         let mut stored = HashSet::new();
         for inst in &plan.code {
             if let Inst::Store { buf, .. } = inst {
-                if let Some((tag, off, _, _)) = arena_key(buf) {
-                    stored.insert((tag, off));
+                if let Some((_, name)) = arena_of(buf) {
+                    stored.insert(name);
                 }
             }
         }
@@ -743,10 +737,8 @@ impl<'a> Verifier<'a> {
             cfg,
             findings: Vec::new(),
             reported: HashSet::new(),
-            int_env: vec![AbsVal::unknown(); plan.n_int_rows],
-            var_env: vec![AbsVal::unknown(); plan.n_var_rows],
-            int_init: vec![false; plan.n_int_rows],
-            var_init: vec![false; plan.n_var_rows],
+            env: vec![AbsVal::unknown(); plan.n_rows()],
+            init: vec![false; plan.n_rows()],
             stored,
             accesses: Vec::new(),
             report: true,
@@ -790,53 +782,33 @@ impl<'a> Verifier<'a> {
     // -- environment --------------------------------------------------------
 
     fn row_get(&mut self, row: Row, stmt: usize) -> AbsVal {
-        let (init, v) = match row {
-            Row::I(r) => (self.int_init[r as usize], self.int_env[r as usize]),
-            Row::V(r) => (self.var_init[r as usize], self.var_env[r as usize]),
-        };
-        if !init {
-            let (tag, r) = match row {
-                Row::I(r) => (0u64, r),
-                Row::V(r) => (1u64, r),
-            };
+        let r = self.plan.row_index(row);
+        if !self.init[r] {
             self.push_finding(
                 FindingKind::UninitRead,
                 stmt,
-                (tag << 32) | u64::from(r),
+                r as u64,
                 None,
                 format!("scalar row {row:?} is read with no dominating write"),
             );
         }
-        v
+        self.env[r]
     }
 
     fn row_peek(&self, row: Row) -> AbsVal {
-        match row {
-            Row::I(r) => self.int_env[r as usize],
-            Row::V(r) => self.var_env[r as usize],
-        }
+        self.env[self.plan.row_index(row)]
     }
 
     fn row_set(&mut self, row: Row, v: AbsVal) {
-        match row {
-            Row::I(r) => {
-                self.int_env[r as usize] = v;
-                self.int_init[r as usize] = true;
-            }
-            Row::V(r) => {
-                self.var_env[r as usize] = v;
-                self.var_init[r as usize] = true;
-            }
-        }
+        let r = self.plan.row_index(row);
+        self.env[r] = v;
+        self.init[r] = true;
     }
 
     /// Narrow a row in place (branch refinement): meet intervals, keep
     /// the initialization flag as-is.
     fn row_meet(&mut self, row: Row, iv: Interval) {
-        let slot = match row {
-            Row::I(r) => &mut self.int_env[r as usize],
-            Row::V(r) => &mut self.var_env[r as usize],
-        };
+        let slot = &mut self.env[self.plan.row_index(row)];
         slot.iv = match slot.iv {
             Some(cur) => Some(cur.intersect(iv).unwrap_or(iv)),
             None => Some(iv),
@@ -845,56 +817,34 @@ impl<'a> Verifier<'a> {
 
     fn snapshot(&self) -> EnvSnap {
         EnvSnap {
-            int_env: self.int_env.clone(),
-            var_env: self.var_env.clone(),
-            int_init: self.int_init.clone(),
-            var_init: self.var_init.clone(),
+            env: self.env.clone(),
+            init: self.init.clone(),
         }
     }
 
     fn restore(&mut self, s: &EnvSnap) {
-        self.int_env.clone_from(&s.int_env);
-        self.var_env.clone_from(&s.var_env);
-        self.int_init.clone_from(&s.int_init);
-        self.var_init.clone_from(&s.var_init);
+        self.env.clone_from(&s.env);
+        self.init.clone_from(&s.init);
     }
 
     /// `state := state ⊔ other` (row-wise join; must-init intersects).
     fn join_with(&mut self, other: &EnvSnap) {
-        for (a, b) in self.int_env.iter_mut().zip(&other.int_env) {
+        for (a, b) in self.env.iter_mut().zip(&other.env) {
             *a = a.join(*b);
         }
-        for (a, b) in self.var_env.iter_mut().zip(&other.var_env) {
-            *a = a.join(*b);
-        }
-        for (a, b) in self.int_init.iter_mut().zip(&other.int_init) {
-            *a = *a && *b;
-        }
-        for (a, b) in self.var_init.iter_mut().zip(&other.var_init) {
+        for (a, b) in self.init.iter_mut().zip(&other.init) {
             *a = *a && *b;
         }
     }
 
     fn env_eq(&self, s: &EnvSnap) -> bool {
-        self.int_env == s.int_env
-            && self.var_env == s.var_env
-            && self.int_init == s.int_init
-            && self.var_init == s.var_init
+        self.env == s.env && self.init == s.init
     }
 
     /// Widen every row that still moved on the last pass to ⊤ (keeping
     /// only lane-invariance, which is monotone under `&&`).
     fn widen_changed(&mut self, before: &EnvSnap) {
-        for (a, b) in self.int_env.iter_mut().zip(&before.int_env) {
-            if a != b {
-                *a = AbsVal {
-                    iv: None,
-                    uniform: a.uniform && b.uniform,
-                    affine: None,
-                };
-            }
-        }
-        for (a, b) in self.var_env.iter_mut().zip(&before.var_env) {
+        for (a, b) in self.env.iter_mut().zip(&before.env) {
             if a != b {
                 *a = AbsVal {
                     iv: None,
@@ -911,17 +861,8 @@ impl<'a> Verifier<'a> {
         let mut i = start;
         while i < end {
             match self.plan.code[i].clone() {
-                Inst::SetScalar {
-                    row, value, coerce, ..
-                } => {
-                    let mut v = self.eval(value, i).v;
-                    if coerce == Some(CType::Float) {
-                        v = AbsVal {
-                            iv: None,
-                            uniform: v.uniform,
-                            affine: None,
-                        };
-                    }
+                Inst::SetScalar { row, value, .. } => {
+                    let v = self.eval(value, i).v;
                     self.row_set(row, v);
                     i += 1;
                 }
@@ -1073,8 +1014,7 @@ impl<'a> Verifier<'a> {
             }
         }
         // Reads in iteration 1 see only the entry's writes.
-        self.int_init.clone_from(&entry.int_init);
-        self.var_init.clone_from(&entry.var_init);
+        self.init.clone_from(&entry.init);
         self.report = saved_report;
         self.walk(head + 1, exit);
         self.div_ctx.pop();
@@ -1084,8 +1024,7 @@ impl<'a> Verifier<'a> {
         // otherwise, so join with the entry state (and drop body writes).
         self.join_with(&entry);
         if !guaranteed {
-            self.int_init.clone_from(&entry.int_init);
-            self.var_init.clone_from(&entry.var_init);
+            self.init.clone_from(&entry.init);
         }
         exit
     }
@@ -1103,10 +1042,9 @@ impl<'a> Verifier<'a> {
     fn buffer_len(&self, buf: &BufSlot) -> (i64, u16) {
         match *buf {
             BufSlot::Global { slot, name } => (self.kernel.params[slot as usize].len as i64, name),
-            BufSlot::LocalF { len, name, .. }
-            | BufSlot::LocalV { len, name, .. }
-            | BufSlot::PrivF { len, name, .. }
-            | BufSlot::PrivV { len, name, .. } => (i64::from(len), name),
+            BufSlot::Local { len, name, .. } | BufSlot::Priv { len, name, .. } => {
+                (i64::from(len), name)
+            }
         }
     }
 
@@ -1130,8 +1068,8 @@ impl<'a> Verifier<'a> {
             ),
             Some(_) => {}
         }
-        if let Some((tag, off, _, _)) = arena_key(buf) {
-            if !write && !self.stored.contains(&(tag, off)) {
+        if let Some((shared, _)) = arena_of(buf) {
+            if !write && !self.stored.contains(&name) {
                 self.push_finding(
                     FindingKind::UninitRead,
                     stmt,
@@ -1140,12 +1078,11 @@ impl<'a> Verifier<'a> {
                     "loaded but no statement ever stores to it".to_string(),
                 );
             }
-            // Only work-group-shared arenas can race across lanes.
-            if self.report && tag <= 1 {
+            // Only work-group-shared buffers can race across lanes.
+            if self.report && shared {
                 self.accesses.push(Access {
                     stmt,
                     write,
-                    key: (tag == 1, off),
                     name,
                     idx,
                     n: self.active,
@@ -1218,7 +1155,7 @@ impl<'a> Verifier<'a> {
         let accesses = std::mem::take(&mut self.accesses);
         for (i, a) in accesses.iter().enumerate() {
             for b in &accesses[i..] {
-                if !(a.write || b.write) || a.key != b.key {
+                if !(a.write || b.write) || a.name != b.name {
                     continue;
                 }
                 // Concurrent iff some barrier-free point reaches both.
@@ -1624,15 +1561,12 @@ fn unit(d: usize) -> [i64; 3] {
     c
 }
 
-/// `(arena tag, offset, len, name)` for local/private slots; tags 0/1 are
-/// the work-group-shared arenas, 2/3 the per-lane private ones.
-fn arena_key(buf: &BufSlot) -> Option<(u8, u32, u32, u16)> {
+/// `(work-group shared, name)` for local and private buffers.
+fn arena_of(buf: &BufSlot) -> Option<(bool, u16)> {
     match *buf {
         BufSlot::Global { .. } => None,
-        BufSlot::LocalF { off, len, name } => Some((0, off, len, name)),
-        BufSlot::LocalV { off, len, name } => Some((1, off, len, name)),
-        BufSlot::PrivF { off, len, name } => Some((2, off, len, name)),
-        BufSlot::PrivV { off, len, name } => Some((3, off, len, name)),
+        BufSlot::Local { name, .. } => Some((true, name)),
+        BufSlot::Priv { name, .. } => Some((false, name)),
     }
 }
 

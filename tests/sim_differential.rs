@@ -14,7 +14,14 @@
 //!
 //! [`KernelStats`]: lift_oclsim::KernelStats
 
-use lift_codegen::clike::{AddressSpace, CExpr, CStmt, CType, Kernel, KernelParam, VarRef};
+use std::sync::Arc;
+
+use lift_codegen::clike::{
+    AddressSpace, BinOp, CExpr, CStmt, CType, Kernel, KernelParam, LocalBuffer, VarRef, WorkItemFn,
+};
+use lift_core::scalar::Scalar;
+use lift_core::types::Type;
+use lift_core::userfun::{add_f32, UserFun};
 use lift_driver::Pipeline;
 use lift_oclsim::{
     BufferData, DeviceProfile, LaunchConfig, Plan, Rotation, SimError, VirtualDevice,
@@ -285,29 +292,213 @@ fn plan_compile_reports_unbound_variables_with_context() {
     assert!(src.to_string().contains("ghost"), "source was: {src}");
 }
 
-/// A provable type mismatch (float literal as a buffer index) is rejected
-/// at plan-compile time instead of mid-simulation.
+/// Every kernel that does not type is rejected at plan-compile time with a
+/// `TypeMismatch` naming the kernel and the statement, one hand-built
+/// kernel per rule.
 #[test]
 fn plan_compile_reports_provable_type_mismatches() {
     let a = buf("A", 8, false);
     let out = buf("out", 8, true);
-    let kernel = Kernel {
-        name: "bad_index".into(),
+    let (x, flag, tile) = (
+        VarRef::fresh("x"),
+        VarRef::fresh("flag"),
+        VarRef::fresh("tile"),
+    );
+    let store = |buf: &VarRef, space, idx, value| CStmt::Store {
+        buf: buf.clone(),
+        space,
+        idx,
+        value,
+    };
+    let to_out = |value| store(&out.var, AddressSpace::Global, CExpr::Int(0), value);
+    let bin = |op, l, r| CExpr::Bin(op, Box::new(l), Box::new(r));
+    // (kernel name, statement the message names, body)
+    let cases: Vec<(&str, &str, Vec<CStmt>)> = vec![
+        (
+            "float_index",
+            "store to `out`",
+            vec![store(
+                &out.var,
+                AddressSpace::Global,
+                CExpr::Float(1.5),
+                CExpr::Float(0.0),
+            )],
+        ),
+        (
+            "int_plus_float",
+            "store to `out`",
+            vec![to_out(bin(BinOp::Add, CExpr::Int(1), CExpr::Float(2.0)))],
+        ),
+        (
+            "float_into_int",
+            "assignment to `x`",
+            vec![
+                CStmt::DeclScalar {
+                    var: x.clone(),
+                    ty: CType::Int,
+                    init: Some(CExpr::Int(0)),
+                },
+                CStmt::Assign {
+                    var: x.clone(),
+                    value: CExpr::Float(1.5),
+                },
+            ],
+        ),
+        (
+            "mixed_select",
+            "store to `out`",
+            vec![to_out(CExpr::Select {
+                cond: Box::new(CExpr::Bool(true)),
+                then_: Box::new(CExpr::Int(1)),
+                else_: Box::new(CExpr::Float(2.0)),
+            })],
+        ),
+        (
+            "int_into_local_float",
+            "store to `tile`",
+            vec![store(
+                &tile,
+                AddressSpace::Local,
+                CExpr::Int(0),
+                CExpr::Int(1),
+            )],
+        ),
+        (
+            "float_condition",
+            "if-branch",
+            vec![CStmt::If {
+                cond: CExpr::Float(1.0),
+                then_: vec![to_out(CExpr::Float(0.0))],
+                else_: vec![],
+            }],
+        ),
+        (
+            "bool_scalar",
+            "declaration of `flag`",
+            vec![CStmt::DeclScalar {
+                var: flag.clone(),
+                ty: CType::Bool,
+                init: Some(CExpr::Bool(true)),
+            }],
+        ),
+    ];
+    for (name, stmt, body) in cases {
+        let kernel = Kernel {
+            name: name.into(),
+            body,
+            params: vec![a.clone(), out.clone()],
+            locals: vec![LocalBuffer {
+                var: tile.clone(),
+                elem: CType::Float,
+                len: 8,
+            }],
+            user_funs: vec![],
+        };
+        let err = Plan::compile(&kernel).expect_err(name);
+        assert!(
+            matches!(&err, SimError::PlanCompile { cause, .. }
+                if matches!(**cause, SimError::TypeMismatch(_))),
+            "{name}: wrong fault: {err:?}"
+        );
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&format!("kernel `{name}`")) && msg.contains(stmt),
+            "{name}: context missing from: {msg}"
+        );
+    }
+}
+
+/// A one-launch kernel over `A` and `out` (eight elements each) that
+/// stores `value` to `out[get_global_id(0)]`.
+fn store_kernel(name: &str, value: impl FnOnce(CExpr) -> CExpr, funs: Vec<Arc<UserFun>>) -> Kernel {
+    let a = buf("A", 8, false);
+    let out = buf("out", 8, true);
+    let gid = CExpr::WorkItem(WorkItemFn::GlobalId, 0);
+    let a_gid = CExpr::Load {
+        buf: a.var.clone(),
+        space: AddressSpace::Global,
+        idx: Box::new(gid.clone()),
+    };
+    Kernel {
+        name: name.into(),
         body: vec![CStmt::Store {
             buf: out.var.clone(),
             space: AddressSpace::Global,
-            idx: CExpr::Float(1.5),
-            value: CExpr::Int(0),
+            idx: gid,
+            value: value(a_gid),
         }],
         params: vec![a, out],
         locals: vec![],
-        user_funs: vec![],
+        user_funs: funs,
+    }
+}
+
+/// Runs `kernel` on the plan engine over eight floats.
+fn run_plan(kernel: &Kernel) -> Result<lift_oclsim::RunOutput, SimError> {
+    let dev = VirtualDevice::new(DeviceProfile::k20c());
+    dev.run(
+        kernel,
+        &[BufferData::F32(vec![1.0; 8])],
+        LaunchConfig::d1(8, 8),
+    )
+}
+
+/// The plan-compile `TypeMismatch` cause of `err`, which must name `what`.
+fn plan_mismatch(err: SimError, what: &str) {
+    let SimError::PlanCompile { cause, .. } = &err else {
+        panic!("expected a plan-compile error, got {err:?}");
     };
-    let err = Plan::compile(&kernel).expect_err("must be rejected");
     assert!(
-        matches!(&err, SimError::PlanCompile { cause, .. }
-            if matches!(**cause, SimError::TypeMismatch(_))),
+        matches!(&**cause, SimError::TypeMismatch(m) if m.contains(what)),
+        "wrong cause: {cause:?}"
+    );
+}
+
+/// A call whose argument types differ from the user function's declared
+/// parameters is a plan-compile error, not a panic mid-launch.
+#[test]
+fn user_function_argument_types_are_checked() {
+    let add = add_f32();
+    let kernel = store_kernel(
+        "int_argument",
+        |a_gid| CExpr::Call(add.clone(), vec![CExpr::Int(1), a_gid]),
+        vec![add.clone()],
+    );
+    plan_mismatch(run_plan(&kernel).expect_err("rejected"), "`add`");
+}
+
+/// A call with the wrong number of arguments is a plan-compile error, not
+/// a panic mid-launch.
+#[test]
+fn user_function_arity_is_checked() {
+    let add = add_f32();
+    let kernel = store_kernel(
+        "one_argument",
+        |a_gid| CExpr::Call(add.clone(), vec![a_gid]),
+        vec![add.clone()],
+    );
+    plan_mismatch(run_plan(&kernel).expect_err("rejected"), "`add`");
+}
+
+/// A user function whose `eval` returns another kind than its declared
+/// return type fails the launch with a `TypeMismatch` naming it.
+#[test]
+fn user_function_return_types_are_checked() {
+    let liar = UserFun::new(
+        "liar",
+        [("x", Type::f32())],
+        Type::f32(),
+        "return x;",
+        |_| Scalar::I32(1),
+    );
+    let kernel = store_kernel(
+        "lying_call",
+        |a_gid| CExpr::Call(liar.clone(), vec![a_gid]),
+        vec![liar.clone()],
+    );
+    let err = run_plan(&kernel).expect_err("rejected");
+    assert!(
+        matches!(&err, SimError::TypeMismatch(m) if m.contains("`liar`")),
         "wrong fault: {err:?}"
     );
-    assert!(err.to_string().contains("bad_index"), "context: {err}");
 }
