@@ -57,11 +57,10 @@ impl Value {
     ///
     /// A human-readable message with the byte offset of the first problem.
     pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let v = parse_value(text, &mut pos)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(format!("trailing characters at byte {pos}"));
         }
         Ok(v)
@@ -218,14 +217,15 @@ fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<Value, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Value::Null),
         Some(b't') => expect(bytes, pos, "true").map(|()| Value::Bool(true)),
         Some(b'f') => expect(bytes, pos, "false").map(|()| Value::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Value::Str),
+        Some(b'"') => parse_string(text, pos).map(Value::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -235,7 +235,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -257,10 +257,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                let val = parse_value(bytes, pos)?;
+                let val = parse_value(text, pos)?;
                 members.push((key, val));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -277,7 +277,8 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
         return Err(format!("expected a string at byte {pos}", pos = *pos));
     }
@@ -321,12 +322,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is
-                // always well-formed).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().expect("non-empty checked");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash in one
+                // step. Both are ASCII, so the run ends on a character
+                // boundary, and each byte is visited once.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                out.push_str(text.get(*pos..end).ok_or("string splits a character")?);
+                *pos = end;
             }
         }
     }
@@ -417,6 +421,24 @@ mod tests {
         ] {
             assert!(Value::parse(bad).is_err(), "`{bad}` must not parse");
         }
+    }
+
+    #[test]
+    fn multi_byte_strings_round_trip() {
+        for s in [
+            "café — ünïcode",
+            "日本語 \"quoted\" and \\ slashes",
+            "emoji 🦀 tab\t newline\n bell\u{7}",
+            "",
+            "ends with é",
+        ] {
+            let text = Value::Str(s.into()).to_json();
+            assert_eq!(Value::parse(&text).unwrap().as_str(), Some(s), "{text}");
+            let doc = Value::Obj(vec![(s.into(), Value::Arr(vec![Value::Str(s.into())]))]);
+            assert_eq!(Value::parse(&doc.to_json()).unwrap(), doc);
+        }
+        let v = Value::parse(r#"{"ключ": "значение\u00e9\n"}"#).unwrap();
+        assert_eq!(v.get("ключ").unwrap().as_str(), Some("значениеé\n"));
     }
 
     #[test]
