@@ -56,6 +56,7 @@ pub mod device;
 pub mod exec;
 pub mod perf;
 pub mod plan;
+mod reference;
 pub mod runtime;
 pub mod verify;
 

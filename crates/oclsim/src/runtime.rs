@@ -3,9 +3,10 @@
 use lift_codegen::clike::{CType, Kernel};
 
 use crate::device::DeviceProfile;
-use crate::exec::{Machine, PlanMachine, SimError};
+use crate::exec::{PlanMachine, SimError};
 use crate::perf::KernelStats;
 use crate::plan::{Plan, PlannedKernel};
+use crate::reference::Machine;
 
 /// A host/device buffer.
 #[derive(Debug, Clone, PartialEq)]
