@@ -78,9 +78,9 @@ impl KernelCache {
     ///
     /// A miss also compiles the simulator execution plan eagerly, so every
     /// structural fault — including the plan-level ones
-    /// (`UnboundVariable`, provable `TypeMismatch`) — surfaces here, at
-    /// compile time, with the kernel name and statement context, rather
-    /// than mid-simulation.
+    /// (`UnboundVariable`, `TypeMismatch`) — surfaces here, at compile
+    /// time, with the kernel name and statement context, rather than
+    /// mid-simulation.
     ///
     /// Concurrency: compilation runs outside the lock (codegen can be slow
     /// and other keys should not wait on it), so two threads racing on the

@@ -1,4 +1,4 @@
-//! The lock-step work-group executors.
+//! The lock-step work-group executor that runs every launch.
 //!
 //! Work-items of one group execute each statement together (an active-mask
 //! walks the statements, as in POCL's work-item loops): local-memory
@@ -6,19 +6,20 @@
 //! under a divergent mask is reported as an error — the same constraint the
 //! OpenCL specification places on real devices.
 //!
-//! Two engines implement these semantics:
+//! The plan engine, `PlanMachine`, is the production inner loop: a
+//! register machine driving a pre-compiled [`Plan`] (see [`crate::plan`])
+//! with one scratch arena reused across every work-group of a launch. It
+//! runs only the types plan compilation fixed — every op evaluates into a
+//! homogeneous `i64`, `f32` or `bool` slab — which is what makes the
+//! simulator fast enough to sit on the autotuner's hot path. It also
+//! prices launches: [`crate::cost`] runs it on zero-filled buffers and
+//! has no counting code of its own.
 //!
-//! * `PlanMachine` — the production inner loop: a register machine
-//!   driving a pre-compiled [`Plan`] (see [`crate::plan`]) with one scratch
-//!   arena reused across every work-group of a launch. This is what makes
-//!   the simulator fast enough to sit on the autotuner's hot path. It also
-//!   prices launches: [`crate::cost`] runs it on zero-filled buffers and
-//!   has no counting code of its own.
-//! * `Machine` — the original tree-walking interpreter, kept as the
-//!   executable reference semantics and reached only through
-//!   [`VirtualDevice::run_reference`](crate::VirtualDevice::run_reference).
-//!   The differential suite runs every benchmark through both engines;
-//!   outputs, [`KernelStats`] and modeled times must match bit-for-bit.
+//! The tree-walking reference interpreter in `crate::reference` shares
+//! [`SimError`], `call_cost` and `simd_charge` with it. The differential
+//! suite runs every benchmark through both engines; outputs,
+//! [`KernelStats`] and modeled times must match bit-for-bit on every
+//! kernel the plan compiler accepts.
 
 use std::error::Error;
 use std::fmt;
@@ -46,16 +47,19 @@ pub enum SimError {
     BarrierDivergence,
     /// Launch configuration invalid for this kernel/device.
     BadLaunch(String),
-    /// Value of the wrong kind reached an operation (compiler bug).
+    /// A value of the wrong type: the cause of a [`SimError::PlanCompile`]
+    /// for a kernel that does not type, a user function whose `eval`
+    /// returns another type than it declares, or — in the reference
+    /// interpreter only — an ill-typed operation reached at run time.
     TypeMismatch(String),
     /// Integer division by zero in generated index math.
     DivisionByZero,
     /// Variable read before assignment (compiler bug).
     UnboundVariable(String),
     /// Plan compilation rejected the kernel before simulation: the wrapped
-    /// cause (an [`SimError::UnboundVariable`] or
-    /// [`SimError::TypeMismatch`]) was detected statically, with the kernel
-    /// and statement it sits in.
+    /// cause (an [`SimError::UnboundVariable`], or a
+    /// [`SimError::TypeMismatch`] for a kernel that does not type) names
+    /// the kernel and statement it sits in.
     PlanCompile {
         /// Where in the kernel the fault sits (kernel name plus the
         /// statement breadcrumb trail).

@@ -30,8 +30,10 @@
 //! 1. **Plan compilation** ([`plan`]): the kernel AST is lowered once into
 //!    a flat, slot-resolved bytecode [`Plan`] — variables and buffers
 //!    become dense indices (an unbound variable is a *compile-time* error),
-//!    structured control flow becomes jump offsets, and lane-invariant
-//!    expressions are marked for once-per-group evaluation.
+//!    every slot, buffer and expression takes its type from the kernel's
+//!    declarations (a kernel that does not type is a compile-time error
+//!    too), structured control flow becomes jump offsets, and
+//!    lane-invariant expressions are marked for once-per-group evaluation.
 //! 2. **Launch** ([`exec`]): a register-machine inner loop drives the plan
 //!    with one scratch arena reused across all work-groups.
 //!
@@ -40,14 +42,15 @@
 //! `lift-driver` kernel cache stores these, so tuning a variant across
 //! hundreds of configurations plans exactly once.
 //!
-//! **Reference semantics:** the original tree-walking interpreter is kept
-//! as the executable specification the plan engine is tested against.
-//! [`VirtualDevice::run_reference`] drives it through the same launch
-//! validation and buffer binding as [`VirtualDevice::run`], and the
-//! differential suite (`tests/sim_differential.rs` at the workspace root)
-//! asserts that the two produce byte-identical outputs, [`KernelStats`]
-//! and modeled times. Every other launch runs on the plan engine. This
-//! crate reads no environment.
+//! **Reference semantics:** the original tree-walking interpreter, with
+//! its dynamically tagged values, is kept as the executable specification
+//! the plan engine is tested against. [`VirtualDevice::run_reference`]
+//! drives it through the same launch validation and buffer binding as
+//! [`VirtualDevice::run`], and the differential suite
+//! (`tests/sim_differential.rs` at the workspace root) asserts that the
+//! two produce byte-identical outputs, [`KernelStats`] and modeled times
+//! on every kernel the plan compiler accepts. Every other launch runs on
+//! the plan engine. This crate reads no environment.
 
 #![forbid(unsafe_code)]
 

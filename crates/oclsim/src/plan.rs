@@ -1,10 +1,10 @@
 //! Execution-plan compilation: lowering a [`Kernel`] AST into a flat,
 //! slot-resolved bytecode program.
 //!
-//! The tree-walking interpreter in [`crate::exec`] resolves every variable
-//! through a `HashMap`, clones the kernel body per work-group and re-walks
-//! `CStmt`/`CExpr` trees per work-item — fine for one launch, ruinous when
-//! the autotuner scores thousands of configurations. This module performs
+//! The tree-walking reference interpreter (`crate::reference`) resolves
+//! every variable through a `HashMap` and re-walks `CStmt`/`CExpr` trees
+//! per work-item over dynamically tagged values — fine for one launch,
+//! ruinous when the autotuner scores thousands of configurations. This module performs
 //! that resolution **once per kernel**:
 //!
 //! * every scalar variable and buffer becomes a dense slot index (an

@@ -7,10 +7,13 @@
 //! [`VirtualDevice::run`] and [`VirtualDevice::run_reference`], and
 //! asserts that the outputs, every [`KernelStats`] counter and the modeled
 //! time are **bit-identical** (`f64::to_bits` on times, structural
-//! equality everywhere else). It also pins the plan-compile error
-//! reporting contract: unbound variables and provable type mismatches
-//! surface at plan-compile time with the kernel name and statement
-//! context.
+//! equality everywhere else). The plan engine runs only kernels that type
+//! from their declarations, so every kernel here must plan-compile. The
+//! suite also pins the plan-compile error reporting contract: unbound
+//! variables and kernels that do not type surface at plan-compile time
+//! with the kernel name and statement context, and user-function calls
+//! that do not match their declarations fail with typed errors, never
+//! panics.
 //!
 //! [`KernelStats`]: lift_oclsim::KernelStats
 
