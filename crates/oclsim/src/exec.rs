@@ -630,7 +630,7 @@ impl<'a> PlanMachine<'a> {
         let before = self.stats.alu_ops;
         let (mut ops, mut hoist_ops) = (0u64, 0u64);
         let (bv, stride) = self.operand(bound, parent, &mut ops, &mut hoist_ops)?;
-        let regs = self.int_row(row);
+        let regs = &self.iscalars[self.int_row(row)];
         let bounds = bv.ints();
         let mut any = false;
         let mut compared = 0u64;
@@ -655,17 +655,10 @@ impl<'a> PlanMachine<'a> {
         let before = self.stats.alu_ops;
         let (mut ops, mut hoist_ops) = (0u64, 0u64);
         let (sv, stride) = self.operand(step, mask, &mut ops, &mut hoist_ops)?;
-        let Row::I(r) = row else {
-            unreachable!("plan typing makes loop variables int");
-        };
-        let n = self.n_items;
+        let rows = self.int_row(row);
         let steps = sv.ints();
         let mut count = 0u64;
-        for (i, (reg, &m)) in self.iscalars[r as usize * n..][..n]
-            .iter_mut()
-            .zip(mask)
-            .enumerate()
-        {
+        for (i, (reg, &m)) in self.iscalars[rows].iter_mut().zip(mask).enumerate() {
             if m {
                 *reg += steps[i * stride];
                 count += 1;
@@ -679,12 +672,12 @@ impl<'a> PlanMachine<'a> {
         Ok(())
     }
 
-    /// The lanes of the loop variable in `row`.
-    fn int_row(&self, row: Row) -> &[i64] {
+    /// Where the lanes of loop variable `row` sit in the int registers.
+    fn int_row(&self, row: Row) -> std::ops::Range<usize> {
         let Row::I(r) = row else {
             unreachable!("plan typing makes loop variables int");
         };
-        &self.iscalars[r as usize * self.n_items..][..self.n_items]
+        r as usize * self.n_items..(r as usize + 1) * self.n_items
     }
 
     fn if_head(
