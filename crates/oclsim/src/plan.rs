@@ -4,8 +4,8 @@
 //! The tree-walking reference interpreter (`crate::reference`) resolves
 //! every variable through a `HashMap` and re-walks `CStmt`/`CExpr` trees
 //! per work-item over dynamically tagged values — fine for one launch,
-//! ruinous when the autotuner scores thousands of configurations. This module performs
-//! that resolution **once per kernel**:
+//! ruinous when the autotuner scores thousands of configurations. This
+//! module performs that resolution **once per kernel**:
 //!
 //! * every scalar variable and buffer becomes a dense slot index (an
 //!   unresolvable variable is a *plan-compile* error, not a mid-simulation
@@ -279,7 +279,7 @@ impl Plan {
                 name,
             };
             priv_total += len;
-            b.bufs.entry(var.id()).or_insert(bs);
+            b.bufs.insert(var.id(), bs);
         }
 
         let mut global_bases = Vec::new();
@@ -315,7 +315,7 @@ impl Plan {
                 name,
             };
             local_total += l.len;
-            b.bufs.entry(l.var.id()).or_insert(bs);
+            b.bufs.insert(l.var.id(), bs);
         }
 
         b.stmts(&kernel.body)?;

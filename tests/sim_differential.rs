@@ -315,7 +315,8 @@ fn plan_compile_reports_provable_type_mismatches() {
     };
     let to_out = |value| store(&out.var, AddressSpace::Global, CExpr::Int(0), value);
     let bin = |op, l, r| CExpr::Bin(op, Box::new(l), Box::new(r));
-    // (kernel name, statement the message names, body)
+    // (kernel name, statement the message names, body). Each body breaks
+    // exactly one rule: without it the kernel would type.
     let cases: Vec<(&str, &str, Vec<CStmt>)> = vec![
         (
             "float_index",
@@ -328,9 +329,9 @@ fn plan_compile_reports_provable_type_mismatches() {
             )],
         ),
         (
-            "int_plus_float",
+            "float_plus_int",
             "store to `out`",
-            vec![to_out(bin(BinOp::Add, CExpr::Int(1), CExpr::Float(2.0)))],
+            vec![to_out(bin(BinOp::Add, CExpr::Float(2.0), CExpr::Int(1)))],
         ),
         (
             "float_into_int",
@@ -352,8 +353,8 @@ fn plan_compile_reports_provable_type_mismatches() {
             "store to `out`",
             vec![to_out(CExpr::Select {
                 cond: Box::new(CExpr::Bool(true)),
-                then_: Box::new(CExpr::Int(1)),
-                else_: Box::new(CExpr::Float(2.0)),
+                then_: Box::new(CExpr::Float(2.0)),
+                else_: Box::new(CExpr::Int(1)),
             })],
         ),
         (
