@@ -316,30 +316,26 @@ pub(crate) fn outputs_match(got: &[f32], want: &[f32]) -> bool {
             .all(|(a, b)| (a - b).abs() <= 1e-3 * b.abs().max(1.0))
 }
 
-/// Compiles and executes one bound configuration, returning the modeled
-/// time if it runs and validates. During a search a failing configuration
-/// is worthless, not fatal — but the *cause* is returned rather than
-/// swallowed, so when not a single configuration works the resulting
-/// [`LiftError::NoValidConfiguration`] can say why (the first failure per
-/// variant is kept in its detail/source chain).
-fn evaluate_config(
+/// Binds one configuration of `variant`: collects the tunables `cfg`
+/// names, rejects invalid values, compiles the bound kernel through the
+/// cache and derives its launch. Simulation and estimation both start
+/// here, so they always price the same kernel under the same launch.
+fn bind_config(
     ctx: &TuneContext<'_>,
     variant: &Variant,
     variant_fp: u64,
     cfg: &[(String, i64)],
-) -> Result<f64, LiftError> {
+) -> Result<(std::sync::Arc<lift_oclsim::PlannedKernel>, LaunchConfig), LiftError> {
     let tun_values: Vec<(String, i64)> = variant
         .tunables
         .iter()
         .filter_map(|t| value_of(cfg, t.var()).map(|v| (t.var().to_string(), v)))
         .collect();
-    if tun_values.iter().any(|(n, v)| {
-        variant
-            .tunables
-            .iter()
-            .find(|t| t.var() == n)
-            .is_some_and(|t| !t.is_valid(*v))
-    }) {
+    if variant
+        .tunables
+        .iter()
+        .any(|t| value_of(cfg, t.var()).is_some_and(|v| !t.is_valid(v)))
+    {
         return Err(LiftError::InvalidConfig(format!(
             "tunable values {tun_values:?} are invalid for variant `{}`",
             variant.name
@@ -359,6 +355,22 @@ fn evaluate_config(
             variant.name
         ))
     })?;
+    Ok((kernel, launch))
+}
+
+/// Compiles and executes one bound configuration, returning the modeled
+/// time if it runs and validates. During a search a failing configuration
+/// is worthless, not fatal — but the *cause* is returned rather than
+/// swallowed, so when not a single configuration works the resulting
+/// [`LiftError::NoValidConfiguration`] can say why (the first failure per
+/// variant is kept in its detail/source chain).
+fn evaluate_config(
+    ctx: &TuneContext<'_>,
+    variant: &Variant,
+    variant_fp: u64,
+    cfg: &[(String, i64)],
+) -> Result<f64, LiftError> {
+    let (kernel, launch) = bind_config(ctx, variant, variant_fp, cfg)?;
     // Statically-unsafe configurations never reach the simulator: the
     // verifier proves bounds, barrier convergence, race freedom and
     // initialization per (kernel, launch) and the result is cached on the
@@ -395,30 +407,7 @@ fn model_time(
     variant_fp: u64,
     cfg: &[(String, i64)],
 ) -> Option<f64> {
-    let tun_values: Vec<(String, i64)> = variant
-        .tunables
-        .iter()
-        .filter_map(|t| value_of(cfg, t.var()).map(|v| (t.var().to_string(), v)))
-        .collect();
-    if tun_values.iter().any(|(n, v)| {
-        variant
-            .tunables
-            .iter()
-            .find(|t| t.var() == n)
-            .is_some_and(|t| !t.is_valid(*v))
-    }) {
-        return None;
-    }
-    let kernel = compile_bound(
-        ctx.cache,
-        ctx.device,
-        &ctx.name,
-        variant,
-        variant_fp,
-        &tun_values,
-    )
-    .ok()?;
-    let launch = launch_for(variant, &ctx.out_sizes, cfg)?;
+    let (kernel, launch) = bind_config(ctx, variant, variant_fp, cfg).ok()?;
     let est = kernel.estimate(launch, ctx.device.profile()).ok()?;
     Some(est.time(ctx.device.profile()))
 }

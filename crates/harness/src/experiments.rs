@@ -71,7 +71,7 @@ pub fn validate_shard(shard: Shard) -> Result<Shard, LiftError> {
 
 /// Selects this shard's cells from the full work list, preserving global
 /// cell indices.
-fn shard_cells<W>(work: Vec<W>, (index, count): Shard) -> Vec<(usize, W)> {
+fn shard_cells<W>(work: impl IntoIterator<Item = W>, (index, count): Shard) -> Vec<(usize, W)> {
     work.into_iter()
         .enumerate()
         .filter(|(i, _)| i % count == index)
@@ -130,10 +130,7 @@ pub struct Fig7Row {
 /// plus [`LiftError::InvalidConfig`] for an invalid shard.
 pub fn fig7_shard(cfg: &RunConfig, shard: Shard) -> Result<ShardRows<Fig7Row>, LiftError> {
     let shard = validate_shard(shard)?;
-    let work: Vec<(DeviceProfile, &'static str)> = DeviceProfile::all()
-        .into_iter()
-        .flat_map(|d| fig7_names().into_iter().map(move |n| (d.clone(), n)))
-        .collect();
+    let work = fig7_work();
     let cells = work.len();
     let mine = shard_cells(work, shard);
     let (outer, inner) = split_budget(cfg.tune.threads, mine.len());
@@ -190,20 +187,7 @@ pub struct Fig8Row {
 /// framing: its cells appear with an empty row list.
 pub fn fig8_shard(cfg: &RunConfig, shard: Shard) -> Result<ShardRows<Fig8Row>, LiftError> {
     let shard = validate_shard(shard)?;
-    // The work list mirrors the sequential iteration order, with the
-    // paper's ARM large-size skip applied up front.
-    let mut work: Vec<(DeviceProfile, &'static str, &'static str, bool)> = Vec::new();
-    for dev_profile in DeviceProfile::all() {
-        let is_arm = dev_profile.name.contains("Mali");
-        for name in fig8_names() {
-            for (size_name, large) in [("small", false), ("large", true)] {
-                if large && is_arm {
-                    continue;
-                }
-                work.push((dev_profile.clone(), name, size_name, large));
-            }
-        }
-    }
+    let work = fig8_work();
     let cells = work.len();
     let mine = shard_cells(work, shard);
     let (outer, inner) = split_budget(cfg.tune.threads, mine.len());
@@ -266,15 +250,7 @@ pub fn ablation_shard(
     shard: Shard,
 ) -> Result<ShardRows<AblationRow>, LiftError> {
     let shard = validate_shard(shard)?;
-    let work: Vec<(DeviceProfile, String)> = DeviceProfile::all()
-        .into_iter()
-        .flat_map(|d| {
-            bench_names
-                .iter()
-                .map(move |n| (d.clone(), n.to_string()))
-                .collect::<Vec<_>>()
-        })
-        .collect();
+    let work = ablation_work(bench_names);
     let cells = work.len();
     let mine = shard_cells(work, shard);
     let (outer, inner) = split_budget(cfg.tune.threads, mine.len());
@@ -308,27 +284,51 @@ pub fn ablation_shard(
 /// enough to show every rewrite variant's contribution at both ranks).
 pub const ABLATION_BENCHES: [&str; 2] = ["Jacobi2D5pt", "Jacobi3D7pt"];
 
+/// Figure 7's work list: every device × Figure-7 benchmark.
+fn fig7_work() -> Vec<(DeviceProfile, &'static str)> {
+    DeviceProfile::all()
+        .into_iter()
+        .flat_map(|d| fig7_names().into_iter().map(move |n| (d.clone(), n)))
+        .collect()
+}
+
+/// Figure 8's work list: every device × Figure-8 benchmark × size, with
+/// the paper's ARM large-size skip applied up front.
+fn fig8_work() -> Vec<(DeviceProfile, &'static str, &'static str, bool)> {
+    let mut work = Vec::new();
+    for dev_profile in DeviceProfile::all() {
+        let is_arm = dev_profile.name.contains("Mali");
+        for name in fig8_names() {
+            for (size_name, large) in [("small", false), ("large", true)] {
+                if large && is_arm {
+                    continue;
+                }
+                work.push((dev_profile.clone(), name, size_name, large));
+            }
+        }
+    }
+    work
+}
+
+/// The ablation's work list: every device × ablated benchmark.
+fn ablation_work(bench_names: &[&str]) -> Vec<(DeviceProfile, String)> {
+    DeviceProfile::all()
+        .into_iter()
+        .flat_map(|d| bench_names.iter().map(move |n| (d.clone(), n.to_string())))
+        .collect()
+}
+
 /// Total grid cells of a shardable experiment, computed without running
 /// anything — the denominator a campaign needs to name its missing cells
-/// even when *no* shard managed to report. Mirrors the work-list
-/// construction of the corresponding `*_shard` function exactly. `None`
-/// for unknown experiments.
+/// even when *no* shard managed to report. It is the length of the work
+/// list the corresponding `*_shard` function runs. `None` for unknown
+/// experiments.
 pub fn experiment_cells(experiment: &str, ablation_benches: &[&str]) -> Option<usize> {
-    let devices = DeviceProfile::all();
     match experiment {
-        "fig7" => Some(devices.len() * fig7_names().len()),
-        "fig8" => Some(
-            devices
-                .iter()
-                .map(|d| {
-                    // Large sizes are skipped on the ARM GPU, as in the paper.
-                    let sizes = if d.name.contains("Mali") { 1 } else { 2 };
-                    fig8_names().len() * sizes
-                })
-                .sum(),
-        ),
-        "ablation" => Some(devices.len() * ablation_benches.len()),
-        "bench" => Some(devices.len()),
+        "fig7" => Some(fig7_work().len()),
+        "fig8" => Some(fig8_work().len()),
+        "ablation" => Some(ablation_work(ablation_benches).len()),
+        "bench" => Some(DeviceProfile::all().len()),
         _ => None,
     }
 }
@@ -391,7 +391,7 @@ pub fn bench_shard(
         .find(|b| b.name == name)
         .ok_or_else(|| LiftError::UnknownBenchmark(name.to_string()))?;
     let sizes = bench.size(large, cfg.full_sizes);
-    let work: Vec<DeviceProfile> = DeviceProfile::all().into_iter().collect();
+    let work = DeviceProfile::all();
     let cells = work.len();
     let mine = shard_cells(work, shard);
     let (outer, inner) = split_budget(cfg.tune.threads, mine.len());
@@ -449,11 +449,9 @@ pub struct VerifyRow {
 
 /// Representative parameter assignments for one variant: each tunable's
 /// smallest and largest usable candidate, crossed with the default launch
-/// geometry and an explicit square-ish work-group. Shared by the `verify`
-/// sweep and the cost-model accuracy sweep (`lift-harness model`), so the
-/// model's accuracy is reported over exactly the configurations the
-/// verifier gates.
-pub(crate) fn rep_configs(variant: &Variant) -> Vec<Vec<(String, i64)>> {
+/// geometry and an explicit square-ish work-group: the configurations the
+/// `verify` sweep gates.
+fn rep_configs(variant: &Variant) -> Vec<Vec<(String, i64)>> {
     let mut tun_choices: Vec<Vec<(String, i64)>> = vec![Vec::new()];
     for t in &variant.tunables {
         let cands = t.candidates(64);

@@ -3,6 +3,9 @@
 //! All orchestration lives in `lift-driver`'s staged [`Pipeline`] API —
 //! this crate only iterates the benchmark × device grid, collects rows and
 //! renders them ([`report`]) as text or JSON (`--json` on the binary).
+//! Beside the paper's experiments it holds the static-verification sweep
+//! behind `lift-harness verify` ([`verify_sweep`]) and the cross-process
+//! sharding below.
 //!
 //! Every experiment takes its configuration as an argument: a
 //! [`RunConfig`] (tuning options and grid sizes) and, for
@@ -20,14 +23,11 @@
 #![forbid(unsafe_code)]
 
 pub mod campaign;
-pub mod compare;
 pub mod config;
 pub mod experiments;
-pub mod model;
 pub mod report;
 
 pub use campaign::{run_campaign, CampaignOptions, CampaignReport};
-pub use compare::compare_docs;
 pub use config::{ConfigError, ConfigFlags, RunConfig};
 pub use experiments::{
     ablation_shard, bench_shard, experiment_cells, fig7_shard, fig8_shard, table1, validate_shard,
@@ -36,5 +36,4 @@ pub use experiments::{
 };
 pub use lift_driver::{BenchResult, LiftError, Pipeline, TunedVariant};
 pub use lift_tuner::parallel_map;
-pub use model::{model_report, ModelReport};
 pub use report::{merge_available, merge_parts};

@@ -13,10 +13,6 @@
 //! lift-harness --list-benchmarks  # exact names, ranks and domain sizes
 //! lift-harness verify [--json]    # static verifier over every kernel
 //!                                 # (non-zero exit on any finding)
-//! lift-harness model [--json]     # cost-model accuracy + tuning savings
-//!                                 # (non-zero exit below the gates)
-//! lift-harness compare a.json b.json  # diff two reports; non-zero exit
-//!                                     # on any regression
 //!
 //! # Distributed & resumable tuning:
 //! lift-harness --checkpoint ck.json fig7         # resumable (kill + rerun)
@@ -51,10 +47,10 @@
 //! library crates read no environment. A malformed value is a usage error.
 //!
 //! Exit codes: 0 on success, 1 when an experiment fails (e.g. no valid
-//! configuration for a benchmark — a broken compiler must fail CI) or a
-//! `compare` finds a regression, 2 for usage errors (flags or `LIFT_*`
-//! variables), 3 when infrastructure fails (a campaign shard exhausts its
-//! retries — the experiment itself may be fine, rerun or adopt).
+//! configuration for a benchmark — a broken compiler must fail CI), 2 for
+//! usage errors (flags or `LIFT_*` variables), 3 when infrastructure
+//! fails (a campaign shard exhausts its retries — the experiment itself
+//! may be fine, rerun or adopt).
 
 #![forbid(unsafe_code)]
 
@@ -90,24 +86,12 @@ USAGE:
                                      verification of every benchmark x
                                      device x variant kernel; exits 1 on
                                      any finding — the CI safety gate)
-    lift-harness model [--json]     (static cost model vs the simulator:
-                                     per-cell Spearman rank correlation
-                                     over benchmark x device x variant x
-                                     config, plus evaluations-to-best with
-                                     and without model guidance; exits 1
-                                     when a cell's correlation falls below
-                                     0.8 or the guided and unguided tuners
-                                     disagree on a winner)
-    lift-harness compare <a.json> <b.json>
-                                    (diff two --json reports: config
-                                     deltas, prune-count drift, throughput
-                                     or speedup regressions; exits 1 on
-                                     any regression)
     lift-harness --list-benchmarks [--json]
 
 FLAGS:
     --json                machine-readable JSON instead of text
-    --large               use the large grid size (bench <name> only)
+    --large               use the large grid size (bench <name> and
+                          campaign bench <name> only)
     --threads <N>         worker threads within this process
                           (= LIFT_TUNE_THREADS)
     --checkpoint <PATH>   resumable tuning: write search state to PATH and
@@ -137,8 +121,7 @@ CAMPAIGN OPTIONS (campaign <experiment> only):
 
 EXIT CODES:
     0   success
-    1   experiment failure (no valid configuration, verifier finding,
-        model gate) or a `compare` regression
+    1   experiment failure (no valid configuration, verifier finding)
     2   command-line misuse, or a malformed LIFT_* variable
     3   infrastructure failure: a campaign shard exhausted its retries
         (partial report + missing-cell manifest were still emitted)
@@ -168,6 +151,11 @@ unset; a malformed value is a usage error, exit 2):
                           truncate-checkpoint:<k>. Injected processes
                           exit with code 86.
 ";
+
+/// Every command `main` dispatches; `all` is the default.
+const COMMANDS: [&str; 9] = [
+    "table1", "fig7", "fig8", "ablation", "bench", "all", "merge", "verify", "campaign",
+];
 
 /// Exit code for infrastructure failures (dead shard workers, campaign
 /// shards out of retries) — distinct from experiment failures (1) and
@@ -264,11 +252,7 @@ fn run_campaign_cmd(
     retries: Option<&str>,
     summary: Option<&str>,
     faults: &[String],
-    conflicting_mode: bool,
 ) -> ! {
-    if conflicting_mode {
-        usage_error("campaign supervises its own workers; drop --shard");
-    }
     let Some(experiment) = args.first() else {
         usage_error("campaign needs an experiment: campaign <fig7|fig8|ablation|bench <name>>");
     };
@@ -287,13 +271,8 @@ fn run_campaign_cmd(
         if args.len() > 2 {
             usage_error(&format!("unexpected argument `{}`", args[2]));
         }
-    } else {
-        if args.len() > 1 {
-            usage_error(&format!("unexpected argument `{}`", args[1]));
-        }
-        if large {
-            usage_error("--large only applies to `campaign bench <name>`");
-        }
+    } else if args.len() > 1 {
+        usage_error(&format!("unexpected argument `{}`", args[1]));
     }
     let positive = |flag: &str, v: &str| -> usize {
         match v.parse::<usize>() {
@@ -447,13 +426,7 @@ fn run(cmd: &str, json: bool, cfg: &RunConfig) -> Result<(), LiftError> {
                 print!("{s}");
             }
         }
-        other => {
-            eprintln!(
-                "unknown experiment `{other}`; use table1|fig7|fig8|ablation|bench <name>|all|\
-                 merge|verify|model|compare (or --help)"
-            );
-            std::process::exit(2);
-        }
+        _ => unreachable!("main rejects unknown commands"),
     }
     Ok(())
 }
@@ -530,6 +503,26 @@ fn main() {
         .first()
         .cloned()
         .unwrap_or_else(|| "all".to_string());
+    if !COMMANDS.contains(&cmd.as_str()) {
+        usage_error(&format!(
+            "unknown experiment `{cmd}`; use {} (or --help)",
+            COMMANDS.join("|")
+        ));
+    }
+    // A selection flag is rejected wherever it would be silently ignored.
+    let shardable = matches!(cmd.as_str(), "fig7" | "fig8" | "ablation" | "bench");
+    if shard_flag.is_some() && (list || !shardable) {
+        usage_error(if cmd == "campaign" {
+            "campaign supervises its own workers; drop --shard"
+        } else {
+            "--shard applies to fig7|fig8|ablation|bench <name>"
+        });
+    }
+    let sized =
+        cmd == "bench" || (cmd == "campaign" && positional.get(1).is_some_and(|e| e == "bench"));
+    if large && (list || !sized) {
+        usage_error("--large only applies to `bench <name>` and `campaign bench <name>`");
+    }
 
     // The one place configuration is resolved: flags > env > defaults.
     // Campaign workers checkpoint every tell unless told otherwise —
@@ -597,7 +590,6 @@ fn main() {
             retries_flag.as_deref(),
             summary_flag.as_deref(),
             &fault_flags,
-            shard.is_some(),
         );
     }
     if campaign_workers_flag.is_some()
@@ -656,63 +648,6 @@ fn main() {
         return;
     }
 
-    if cmd == "compare" {
-        let files = &positional[1..];
-        let [a, b] = files else {
-            usage_error("compare needs exactly two report files: compare <a.json> <b.json>");
-        };
-        let read = |f: &String| {
-            std::fs::read_to_string(f).unwrap_or_else(|e| {
-                eprintln!("lift-harness: {f}: {e}");
-                std::process::exit(1);
-            })
-        };
-        match lift_harness::compare_docs(a, &read(a), b, &read(b)) {
-            Ok(c) => {
-                print!("{}", c.render());
-                if c.regressed() {
-                    eprintln!("lift-harness: {} regression(s) vs {a}", c.regressions.len());
-                    std::process::exit(1);
-                }
-            }
-            Err(e) => {
-                eprintln!("lift-harness: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    if cmd == "model" {
-        if positional.len() > 1 {
-            usage_error("model takes no further arguments");
-        }
-        match lift_harness::model_report(&cfg) {
-            Ok(report) => {
-                print!(
-                    "{}",
-                    if json {
-                        report.to_json()
-                    } else {
-                        report.render()
-                    }
-                );
-                let failures = report.gate_failures();
-                if !failures.is_empty() {
-                    for f in &failures {
-                        eprintln!("lift-harness: model gate: {f}");
-                    }
-                    std::process::exit(1);
-                }
-            }
-            Err(e) => {
-                eprintln!("lift-harness: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
     if positional.len() > 2 || (positional.len() == 2 && cmd != "bench") {
         usage_error(&format!(
             "unexpected argument `{}`",
@@ -723,14 +658,8 @@ fn main() {
     if cmd == "bench" && bench_name.is_none() {
         usage_error("`bench` needs a benchmark name; try `lift-harness --list-benchmarks`");
     }
-    if large && cmd != "bench" {
-        usage_error("--large only applies to `bench <name>`");
-    }
 
     let result = if let Some(shard) = shard {
-        if !matches!(cmd.as_str(), "fig7" | "fig8" | "ablation" | "bench") {
-            usage_error("--shard applies to fig7|fig8|ablation|bench <name>");
-        }
         if !json {
             usage_error("--shard writes a partial JSON report; add --json");
         }

@@ -148,6 +148,17 @@ fn cli_misuse_fails_loudly() {
         (&["--shard", "0/2", "--json", "table1"], &[], 2), // not shardable
         (&["merge"], &[], 2),                              // no files
         (&["merge", "/no/such/file.json"], &[], 1),
+        // Selection flags are never silently ignored.
+        (&["--shard", "0/2", "verify"], &[], 2),
+        (&["--large", "verify"], &[], 2),
+        (&["--shard", "0/2", "merge", "/no/such/file.json"], &[], 2),
+        (&["--large", "merge", "/no/such/file.json"], &[], 2),
+        (&["--shard", "0/2", "--list-benchmarks"], &[], 2),
+        (&["--large", "--list-benchmarks"], &[], 2),
+        (&["--large", "--json", "fig7"], &[], 2),
+        // Retired commands.
+        (&["model"], &[], 2),
+        (&["compare", "a.json", "b.json"], &[], 2),
         (&["--checkpoint"], &[], 2), // missing value
         (&["--threads", "0", "table1"], &[], 2),
         // Malformed variables are usage errors, never silent defaults.
@@ -174,6 +185,11 @@ fn cli_misuse_fails_loudly() {
         for (name, _) in *env {
             assert!(stderr.contains(name), "the message names {name}: {stderr}");
         }
+        for flag in ["--shard", "--large"] {
+            if args.contains(&flag) {
+                assert!(stderr.contains(flag), "the message names {flag}: {stderr}");
+            }
+        }
     }
     // --help succeeds and documents the surfaces.
     let help = stdout_of(bin().arg("--help"));
@@ -186,8 +202,14 @@ fn cli_misuse_fails_loudly() {
     ] {
         assert!(help.contains(needle), "--help misses {needle}");
     }
-    assert!(
-        !help.contains("--spawn-workers"),
-        "--help documents a removed flag"
-    );
+    for removed in [
+        "--spawn-workers",
+        "lift-harness model",
+        "lift-harness compare",
+    ] {
+        assert!(
+            !help.contains(removed),
+            "--help documents removed `{removed}`"
+        );
+    }
 }

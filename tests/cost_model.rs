@@ -6,7 +6,8 @@
 //!    depend on buffer contents (every generated stencil qualifies), the
 //!    statically predicted `KernelStats` equal the executor-measured
 //!    ones **bit for bit**, and so does the modeled time. This is checked
-//!    across every Table-1 benchmark × explored variant × device profile.
+//!    across every Table-1 benchmark × explored variant × device profile,
+//!    at each variant's low and high tunable corner.
 //! 2. **Refusal** — where buffer data reaches control flow (a branch, a
 //!    loop bound, a `?:` condition) or a global address, a run on
 //!    zero-filled buffers would not count what a real run counts, so the
@@ -29,29 +30,37 @@ fn diff_sizes(dims: usize) -> Vec<usize> {
     }
 }
 
-fn variant_config(tunables: &[Tunable], dims: usize) -> Option<Vec<(String, i64)>> {
+/// One corner of a variant's space, with tunable values drawn from the
+/// tuner's usable candidates (at most 64, and tile sizes at least the
+/// neighbourhood plus 3):
+///
+/// * low: each tunable's smallest usable value, with an 8×4×2 launch;
+/// * high: each tunable's largest usable value, with a square 4×4×2
+///   launch — the high corner the `verify` sweep also checks.
+///
+/// `None` when a tunable has no usable value.
+fn corner_config(tunables: &[Tunable], dims: usize, high: bool) -> Option<Vec<(String, i64)>> {
     let mut cfg: Vec<(String, i64)> = Vec::new();
     for t in tunables {
-        let cands = t.candidates(64);
-        let v = match t {
-            Tunable::TileSize { nbh_size, .. } => cands.into_iter().find(|u| *u >= nbh_size + 3)?,
-            Tunable::CoarsenFactor { .. } => cands.into_iter().next()?,
-        };
-        cfg.push((t.var().to_string(), v));
+        let mut usable = t.candidates(64).into_iter().filter(|u| match t {
+            Tunable::TileSize { nbh_size, .. } => *u >= nbh_size + 3,
+            Tunable::CoarsenFactor { .. } => true,
+        });
+        let v = if high { usable.max() } else { usable.next() };
+        cfg.push((t.var().to_string(), v?));
     }
-    cfg.push(("lx".into(), 8));
-    if dims >= 2 {
-        cfg.push(("ly".into(), 4));
-    }
-    if dims >= 3 {
-        cfg.push(("lz".into(), 2));
+    let launch = if high { [4, 4, 2] } else { [8, 4, 2] };
+    for (name, l) in ["lx", "ly", "lz"].into_iter().zip(launch).take(dims) {
+        cfg.push((name.to_string(), l));
     }
     Some(cfg)
 }
 
-/// Every Table-1 benchmark × variant × device: the static estimate is
-/// exact and every stats counter — and therefore the modeled time —
-/// matches the measured run bit for bit.
+/// Every Table-1 benchmark × variant × device, at both corners: the
+/// static estimate is exact and every stats counter — and therefore the
+/// modeled time — matches the measured run bit for bit. Low corners are
+/// priced on a fresh plan of the kernel, high corners through the
+/// pipeline's `CompiledStencil::estimate`.
 #[test]
 fn estimates_are_bit_exact_on_every_benchmark_variant_device() {
     let devices: Vec<VirtualDevice> = DeviceProfile::all()
@@ -74,52 +83,60 @@ fn estimates_are_bit_exact_on_every_benchmark_variant_device() {
         for dev in &devices {
             for name in &names {
                 let variant = variants.get(name).expect("listed variant");
-                let Some(cfg) = variant_config(&variant.tunables, variant.dims) else {
-                    continue;
-                };
-                let cfg_refs: Vec<(&str, i64)> =
-                    cfg.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-                let compiled = match variants.clone().on(dev).with_config(name, &cfg_refs) {
-                    Ok(c) => c,
-                    Err(_) => continue,
-                };
-                let label = format!("{}/{name} on {}", bench.name, dev.profile().name);
-                let measured = match dev.run(compiled.kernel(), &inputs, compiled.launch()) {
-                    Ok(m) => m,
-                    // A faulting cell is out of scope here (the engines'
-                    // differential suite covers fault agreement).
-                    Err(_) => continue,
-                };
-                let planned = PlannedKernel::from_arc(compiled.kernel().clone());
-                let est = planned
-                    .estimate(compiled.launch(), dev.profile())
-                    .unwrap_or_else(|e| panic!("estimate refused for {label}: {e}"));
-                assert!(est.exact, "stencil kernel not statically exact: {label}");
-                assert_eq!(
-                    est.stats, measured.stats,
-                    "static stats diverge from measured for {label}"
-                );
-                assert_eq!(
-                    est.time(dev.profile()).to_bits(),
-                    measured.time_s.to_bits(),
-                    "modeled times diverge for {label}: {} vs {}",
-                    est.time(dev.profile()),
-                    measured.time_s
-                );
-                // Memoisation returns the identical Arc.
-                let again = planned
-                    .estimate(compiled.launch(), dev.profile())
-                    .expect("cached estimate");
-                assert!(
-                    std::sync::Arc::ptr_eq(&est, &again),
-                    "cache miss for {label}"
-                );
-                compared += 1;
+                for high in [false, true] {
+                    let Some(cfg) = corner_config(&variant.tunables, variant.dims, high) else {
+                        continue;
+                    };
+                    let cfg_refs: Vec<(&str, i64)> =
+                        cfg.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+                    let compiled = match variants.clone().on(dev).with_config(name, &cfg_refs) {
+                        Ok(c) => c,
+                        Err(_) => continue,
+                    };
+                    let label = format!("{}/{name} {cfg:?} on {}", bench.name, dev.profile().name);
+                    let measured = match dev.run(compiled.kernel(), &inputs, compiled.launch()) {
+                        Ok(m) => m,
+                        // A faulting cell is out of scope here (the engines'
+                        // differential suite covers fault agreement).
+                        Err(_) => continue,
+                    };
+                    let planned = PlannedKernel::from_arc(compiled.kernel().clone());
+                    let estimate = || -> Result<_, String> {
+                        if high {
+                            compiled.estimate().map_err(|e| e.to_string())
+                        } else {
+                            planned
+                                .estimate(compiled.launch(), dev.profile())
+                                .map_err(|e| e.to_string())
+                        }
+                    };
+                    let est =
+                        estimate().unwrap_or_else(|e| panic!("estimate refused for {label}: {e}"));
+                    assert!(est.exact, "stencil kernel not statically exact: {label}");
+                    assert_eq!(
+                        est.stats, measured.stats,
+                        "static stats diverge from measured for {label}"
+                    );
+                    assert_eq!(
+                        est.time(dev.profile()).to_bits(),
+                        measured.time_s.to_bits(),
+                        "modeled times diverge for {label}: {} vs {}",
+                        est.time(dev.profile()),
+                        measured.time_s
+                    );
+                    // Memoisation returns the identical Arc.
+                    let again = estimate().expect("cached estimate");
+                    assert!(
+                        std::sync::Arc::ptr_eq(&est, &again),
+                        "cache miss for {label}"
+                    );
+                    compared += 1;
+                }
             }
         }
     }
     assert!(
-        compared >= 100,
+        compared >= 550,
         "expected a broad comparison matrix, only {compared} cells ran"
     );
 }

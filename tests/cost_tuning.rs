@@ -5,6 +5,7 @@
 use std::sync::Arc;
 
 use lift::lift_oclsim::{DeviceProfile, VirtualDevice};
+use lift::lift_stencils::{by_name, fig7_names};
 use lift::{CostModel, KernelCache, Pipeline, TuneOptions, TunedVariant};
 
 fn fingerprint(v: &TunedVariant) -> (String, String, Vec<(String, i64)>) {
@@ -41,16 +42,22 @@ fn tune(
 
 /// The safety half of the contract: with the model on (the default) every
 /// variant's best is identical — score bits, configuration and winner — to
-/// the unguided (`off`) search, on every device profile. The model can
-/// only prune configurations whose exact estimate matches or exceeds the
-/// incumbent's — a worse one loses on score, an
-/// exactly-tied one loses the (score, proposal-index) tie-break — and for
-/// launch-determined kernels the exact estimate *is* the simulated score.
+/// the unguided (`off`) search, on every device profile, for Jacobi2D5pt,
+/// Heat and the six Figure-7 benchmarks (on 18² and 8³ grids). The model
+/// can only prune configurations whose exact estimate matches or exceeds
+/// the incumbent's — a worse one loses on score, an exactly-tied one loses
+/// the (score, proposal-index) tie-break — and for launch-determined
+/// kernels the exact estimate *is* the simulated score.
 #[test]
 fn pruned_tuning_finds_the_unpruned_incumbent() {
+    let benches = ["Jacobi2D5pt", "Heat"].into_iter().chain(fig7_names());
     for profile in DeviceProfile::all() {
         let dev = VirtualDevice::new(profile);
-        for (bench, sizes) in [("Jacobi2D5pt", vec![18usize, 18]), ("Heat", vec![8, 8, 8])] {
+        for bench in benches.clone() {
+            let sizes = match by_name(bench).dims {
+                3 => vec![8, 8, 8],
+                _ => vec![18, 18],
+            };
             let guided = tune(&dev, bench, &sizes, CostModel::default(), 1);
             let unguided = tune(&dev, bench, &sizes, CostModel::off(), 1);
             assert_eq!(

@@ -50,7 +50,7 @@ fn diff_sizes(dims: usize) -> Vec<usize> {
 ///
 /// * each tunable's smallest usable value, with an 8×4×2 launch;
 /// * each tunable's largest usable value, with a square 4×4×2 launch —
-///   the corner the `verify` and `model` sweeps also check.
+///   the corner the `verify` sweep and `tests/cost_model.rs` also check.
 ///
 /// A variant with a tunable that has no usable value gets no
 /// configuration.
