@@ -12,8 +12,9 @@
 //! runs only the types plan compilation fixed — every op evaluates into a
 //! homogeneous `i64`, `f32` or `bool` slab — which is what makes the
 //! simulator fast enough to sit on the autotuner's hot path. It also
-//! prices launches: [`crate::cost`] runs it on zero-filled buffers and
-//! has no counting code of its own.
+//! prices launches: [`crate::cost`] runs it on zero-filled buffers, one
+//! group at a time through `PlanMachine::run_group` with its trace
+//! recorder attached, and has no counting code of its own.
 //!
 //! The tree-walking reference interpreter in `crate::reference` shares
 //! [`SimError`], `call_cost` and `simd_charge` with it. The differential
@@ -27,6 +28,7 @@ use std::fmt;
 use lift_codegen::clike::{BinOp, CType, UnOp, WorkItemFn};
 use lift_core::scalar::Scalar;
 
+use crate::cost::Recorder;
 use crate::perf::{KernelStats, SEGMENT_BYTES};
 use crate::plan::{BufSlot, EOp, ExprRef, Inst, Plan, Row};
 use crate::runtime::{BufferData, LaunchConfig};
@@ -231,7 +233,7 @@ pub(crate) struct PlanMachine<'a> {
     global: &'a mut [BufferData],
     pub(crate) stats: KernelStats,
     warp: usize,
-    cfg: LaunchConfig,
+    pub(crate) cfg: LaunchConfig,
     n_items: usize,
     group_id: [usize; 3],
     /// Local id per work-item (precomputed once).
@@ -267,6 +269,9 @@ pub(crate) struct PlanMachine<'a> {
     args: Vec<Scalar>,
     /// Segment scratch for the coalescing flush.
     segs: Vec<u64>,
+    /// The cost model's trace hook: `None` (the default) for every real
+    /// launch, so a run pays one branch per site and records nothing.
+    pub(crate) rec: Option<Recorder>,
 }
 
 impl<'a> PlanMachine<'a> {
@@ -320,6 +325,7 @@ impl<'a> PlanMachine<'a> {
             },
             args: Vec::with_capacity(4),
             segs: Vec::with_capacity(warp.max(1)),
+            rec: None,
         }
     }
 
@@ -359,14 +365,19 @@ impl<'a> PlanMachine<'a> {
         for gz in 0..groups[2] {
             for gy in 0..groups[1] {
                 for gx in 0..groups[0] {
-                    self.group_id = [gx, gy, gz];
-                    self.reset_group();
-                    self.exec()?;
+                    self.run_group([gx, gy, gz])?;
                 }
             }
         }
         self.stats.finalise();
         Ok(())
+    }
+
+    /// Runs work-group `group`, adding its events to [`Self::stats`].
+    pub(crate) fn run_group(&mut self, group: [usize; 3]) -> Result<(), SimError> {
+        self.group_id = group;
+        self.reset_group();
+        self.exec()
     }
 
     /// Re-arms the scratch arena for the next work-group: scalars read
@@ -411,7 +422,7 @@ impl<'a> PlanMachine<'a> {
                     let ms = self.top_mask();
                     let mask = std::mem::take(&mut self.masks[ms]);
                     let before = self.stats.alu_ops;
-                    let r = self.store_stmt(&mask, buf, idx, value);
+                    let r = self.store_stmt(pc, &mask, buf, idx, value);
                     if r.is_ok() {
                         simd_charge(&mut self.stats, self.warp, &mask, before);
                         self.flush(&mask);
@@ -430,7 +441,7 @@ impl<'a> PlanMachine<'a> {
                     let ps = self.top_mask();
                     let parent = std::mem::take(&mut self.masks[ps]);
                     let mut child = std::mem::take(&mut self.masks[mslot]);
-                    let r = self.for_head(&parent, &mut child, row, bound);
+                    let r = self.for_head(pc, &parent, &mut child, row, bound);
                     self.masks[ps] = parent;
                     self.masks[mslot] = child;
                     if r? {
@@ -557,6 +568,7 @@ impl<'a> PlanMachine<'a> {
     /// tree interpreter's item-by-item stores.
     fn store_stmt(
         &mut self,
+        pc: usize,
         mask: &[bool],
         buf: BufSlot,
         idx: ExprRef,
@@ -566,6 +578,11 @@ impl<'a> PlanMachine<'a> {
         let (idx, istride) = self.operand(idx, mask, &mut ops, &mut hoist_ops)?;
         let (val, vs) = self.operand(value, mask, &mut ops, &mut hoist_ops)?;
         let iv = idx.ints();
+        if let Some(rec) = &mut self.rec {
+            if let Some(check) = rec.inst_site(pc) {
+                rec.values(check, mask, iv, istride);
+            }
+        }
         let count = match buf {
             BufSlot::Global { slot, name } => {
                 let slot = slot as usize;
@@ -620,6 +637,7 @@ impl<'a> PlanMachine<'a> {
 
     fn for_head(
         &mut self,
+        pc: usize,
         parent: &[bool],
         child: &mut Vec<bool>,
         row: Row,
@@ -632,6 +650,11 @@ impl<'a> PlanMachine<'a> {
         let (bv, stride) = self.operand(bound, parent, &mut ops, &mut hoist_ops)?;
         let regs = &self.iscalars[self.int_row(row)];
         let bounds = bv.ints();
+        if let Some(rec) = &mut self.rec {
+            if let Some(check) = rec.inst_site(pc) {
+                rec.diffs(check, parent, regs, bounds, stride);
+            }
+        }
         let mut any = false;
         let mut compared = 0u64;
         for (i, &m) in parent.iter().enumerate() {
@@ -838,6 +861,16 @@ impl<'a> PlanMachine<'a> {
                     let a = stack.pop().expect("binary operand");
                     let (mask, count) = cur_mask!();
                     *ops += count;
+                    if let Some(rec) = &mut self.rec {
+                        if let Some(check) = rec.op_site(pc) {
+                            // A divisor is checked itself; a comparison or
+                            // `min`/`max` by its operands' gap.
+                            match op {
+                                BinOp::Div | BinOp::Mod => rec.values(check, mask, b.ints(), 1),
+                                _ => rec.diffs(check, mask, a.ints(), b.ints(), 1),
+                            }
+                        }
+                    }
                     let r = self.bin_vec(op, a, b, mask);
                     stack.push(r?);
                 }
@@ -886,6 +919,11 @@ impl<'a> PlanMachine<'a> {
                 EOp::Load(buf) => {
                     let idx = stack.pop().expect("load index");
                     let (mask, _) = cur_mask!();
+                    if let Some(rec) = &mut self.rec {
+                        if let Some(check) = rec.op_site(pc) {
+                            rec.values(check, mask, idx.ints(), 1);
+                        }
+                    }
                     let r = self.load_vec(buf, idx.ints(), mask);
                     self.sput(idx);
                     stack.push(r?);
@@ -1144,6 +1182,10 @@ impl<'a> PlanMachine<'a> {
     fn flush(&mut self, mask: &[bool]) {
         if !self.any_pend {
             return;
+        }
+        if let Some(rec) = &mut self.rec {
+            rec.addresses(mask, &self.pend_loads);
+            rec.addresses(mask, &self.pend_stores);
         }
         let warp = self.warp.max(1);
         let n = self.n_items;

@@ -1,7 +1,5 @@
 //! Event counting and the analytic timing model.
 
-use std::collections::HashSet;
-
 use crate::device::DeviceProfile;
 
 /// Size of one global-memory transaction segment in bytes (one cache line /
@@ -42,7 +40,36 @@ pub struct KernelStats {
     /// Local memory bytes used per group.
     pub local_bytes_per_group: u64,
     /// Internal: segment dedup set (not part of the public report).
-    pub(crate) seen_segments: HashSet<u64>,
+    pub(crate) seen_segments: SegmentSet,
+}
+
+/// The distinct global segments a launch touches: a growable bitset over
+/// segment ids plus its population count. Segment ids are dense from 0,
+/// because global buffers are laid out segment-aligned from address 0.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct SegmentSet {
+    words: Vec<u64>,
+    len: u64,
+}
+
+impl SegmentSet {
+    /// Adds segment `seg`.
+    pub(crate) fn insert(&mut self, seg: u64) {
+        let word = (seg / 64) as usize;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let bit = 1u64 << (seg % 64);
+        if self.words[word] & bit == 0 {
+            self.words[word] |= bit;
+            self.len += 1;
+        }
+    }
+
+    /// Number of distinct segments inserted.
+    pub(crate) fn len(&self) -> u64 {
+        self.len
+    }
 }
 
 impl KernelStats {
@@ -131,8 +158,36 @@ impl KernelStats {
 
     /// Finalises internal bookkeeping (called once by the executor).
     pub(crate) fn finalise(&mut self) {
-        self.unique_segments = self.seen_segments.len() as u64;
-        self.seen_segments = HashSet::new();
+        self.unique_segments = self.seen_segments.len();
+        self.seen_segments = SegmentSet::default();
+    }
+
+    /// Moves the additive event counters out — every field but the launch
+    /// shape and the segment bookkeeping — leaving them zero.
+    pub(crate) fn take_counters(&mut self) -> KernelStats {
+        KernelStats {
+            global_loads: std::mem::take(&mut self.global_loads),
+            global_stores: std::mem::take(&mut self.global_stores),
+            load_transactions: std::mem::take(&mut self.load_transactions),
+            store_transactions: std::mem::take(&mut self.store_transactions),
+            local_accesses: std::mem::take(&mut self.local_accesses),
+            alu_ops: std::mem::take(&mut self.alu_ops),
+            divergence_ops: std::mem::take(&mut self.divergence_ops),
+            barriers: std::mem::take(&mut self.barriers),
+            ..KernelStats::default()
+        }
+    }
+
+    /// Adds `times` copies of `group`'s additive event counters.
+    pub(crate) fn add_counters(&mut self, group: &KernelStats, times: u64) {
+        self.global_loads += group.global_loads * times;
+        self.global_stores += group.global_stores * times;
+        self.load_transactions += group.load_transactions * times;
+        self.store_transactions += group.store_transactions * times;
+        self.local_accesses += group.local_accesses * times;
+        self.alu_ops += group.alu_ops * times;
+        self.divergence_ops += group.divergence_ops * times;
+        self.barriers += group.barriers * times;
     }
 }
 
@@ -155,7 +210,7 @@ mod tests {
             work_groups: 4096,
             wg_size: 256,
             local_bytes_per_group: 0,
-            seen_segments: HashSet::new(),
+            seen_segments: SegmentSet::default(),
         }
     }
 

@@ -445,23 +445,25 @@ impl PlannedKernel {
 
     /// Predicts the kernel's [`crate::KernelStats`] for one launch
     /// configuration on one device without its input data: a
-    /// data-dependence check, then a run on zero-filled buffers (see
-    /// [`crate::cost`]). Results are memoised per (launch, warp width), so
-    /// tuners probing thousands of launches over a handful of kernels pay
-    /// for each estimate once. The estimate is a pure function of
+    /// data-dependence check, then a zero-data run of one representative
+    /// work-group per class (see [`crate::cost`]). Results are memoised
+    /// per (launch, warp width), so tuners probing thousands of launches
+    /// over a handful of kernels pay for each estimate once. The estimate is a pure function of
     /// (plan, launch, warp) — bit-identical across threads and shards.
     ///
     /// # Errors
     ///
-    /// As [`PlannedKernel::plan`], plus [`SimError::Estimate`] when buffer
-    /// data reaches the kernel's control flow or global addressing, or any
-    /// fault of the zero-data run ([`SimError::BadLaunch`],
-    /// [`SimError::OutOfBounds`], ...). Failures are not cached.
+    /// As [`PlannedKernel::plan`], plus the [`SimError::BadLaunch`] a run
+    /// raises for a launch the device cannot run, [`SimError::Estimate`]
+    /// when buffer data reaches the kernel's control flow or global
+    /// addressing, or any fault of the zero-data run
+    /// ([`SimError::OutOfBounds`], ...). Failures are not cached.
     pub fn estimate(
         &self,
         cfg: crate::runtime::LaunchConfig,
         profile: &crate::device::DeviceProfile,
     ) -> Result<Arc<crate::cost::CostEstimate>, SimError> {
+        cfg.validate(profile)?;
         let warp = profile.warp_width as usize;
         let key = (cfg, warp);
         if let Some(hit) = self.estimated.lock().expect("estimate cache").get(&key) {

@@ -126,7 +126,10 @@ impl LaunchConfig {
         self.local.iter().product()
     }
 
-    fn validate(&self, dev: &DeviceProfile) -> Result<(), SimError> {
+    /// Rejects a launch `dev` cannot run: a zero size, a global size the
+    /// work-group does not divide, or a work-group over the device maximum.
+    /// Runs and cost estimates share it.
+    pub(crate) fn validate(&self, dev: &DeviceProfile) -> Result<(), SimError> {
         for d in 0..3 {
             if self.local[d] == 0 || self.global[d] == 0 {
                 return Err(SimError::BadLaunch(format!("zero size in dimension {d}")));

@@ -366,3 +366,491 @@ fn data_dependent_sites_refuse_cleanly() {
         assert_refused(gid_kernel(&a, &out, &gid, body), site);
     }
 }
+
+/// `get_group_id(dim)`.
+fn group_id(dim: u8) -> CExpr {
+    CExpr::WorkItem(WorkItemFn::GroupId, dim)
+}
+
+/// What the class estimate must do with one adversarial launch.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Expect {
+    /// Partition the grid: fewer groups run than the launch has.
+    Classes,
+    /// Run every group once: the full zero-data run, or a partition into
+    /// one-group classes.
+    FullRun,
+    /// Fault exactly as `run` does.
+    Fault,
+}
+
+/// One adversarial row: a name, a kernel over input `A` (of `a_len`
+/// elements) and output `out` (of `out_len`), its launch, and the outcome.
+struct Row {
+    name: &'static str,
+    a_len: usize,
+    out_len: usize,
+    body: Vec<CStmt>,
+    launch: LaunchConfig,
+    expect: Expect,
+}
+
+/// Launches the class estimate must get exactly right: classes that split
+/// along one dimension, alignment residues that cycle, lanes of one warp
+/// whose addresses move by different slopes, partial groups, and the plans
+/// it must leave to the full run. Every row, on every device, asserts the
+/// estimate's stats (and so its modeled time) equal `run`'s bit for bit,
+/// or its fault equals `run`'s, and checks `groups_run` against the
+/// launch's work-groups.
+#[test]
+fn class_estimates_match_runs_on_adversarial_launches() {
+    let a = buf("A", 0, false);
+    let out = buf("out", 0, true);
+    let gid = VarRef::fresh("gid");
+    let id = || CExpr::Var(gid.clone());
+    let copy = |idx: CExpr| store(&out, id(), load(&a, idx));
+    let d1 = |n| LaunchConfig::d1(n, 16);
+    let (gx, gy, gz) = (
+        VarRef::fresh("gx"),
+        VarRef::fresh("gy"),
+        VarRef::fresh("gz"),
+    );
+    let flat = bin(
+        BinOp::Add,
+        bin(
+            BinOp::Mul,
+            bin(
+                BinOp::Add,
+                bin(BinOp::Mul, CExpr::Var(gz.clone()), CExpr::Int(8)),
+                CExpr::Var(gy.clone()),
+            ),
+            CExpr::Int(16),
+        ),
+        CExpr::Var(gx.clone()),
+    );
+    let rows = vec![
+        Row {
+            // if (get_group_id(0) == 5) out[gid] = A[gid] + 1; else out[gid] = A[gid];
+            name: "one special group",
+            a_len: 256,
+            out_len: 256,
+            body: vec![CStmt::If {
+                cond: bin(BinOp::Eq, group_id(0), CExpr::Int(5)),
+                then_: vec![store(
+                    &out,
+                    id(),
+                    bin(BinOp::Add, load(&a, id()), CExpr::Float(1.0)),
+                )],
+                else_: vec![copy(id())],
+            }],
+            launch: d1(256),
+            expect: Expect::Classes,
+        },
+        Row {
+            // out[gid] = A[3 * gid]: 24 words per 8-wide group, so the
+            // groups' alignment cycles through four residues.
+            name: "stride of 3 elements",
+            a_len: 768,
+            out_len: 256,
+            body: vec![copy(bin(BinOp::Mul, CExpr::Int(3), id()))],
+            launch: LaunchConfig::d1(256, 8),
+            expect: Expect::Classes,
+        },
+        Row {
+            // out[gid] = A[min(gid, 40)]: one group picks both operands.
+            name: "clamp inside a warp",
+            a_len: 256,
+            out_len: 256,
+            body: vec![copy(bin(BinOp::Min, id(), CExpr::Int(40)))],
+            launch: d1(256),
+            expect: Expect::Classes,
+        },
+        Row {
+            // out[gid] = A[get_group_id(0) * get_local_id(0)]: every lane
+            // moves by its own slope, so no two groups share a class.
+            name: "lanes with their own slopes",
+            a_len: 256,
+            out_len: 256,
+            body: vec![copy(bin(
+                BinOp::Mul,
+                group_id(0),
+                CExpr::WorkItem(WorkItemFn::LocalId, 0),
+            ))],
+            launch: d1(256),
+            expect: Expect::FullRun,
+        },
+        Row {
+            // out[lid] = A[max(get_group_id(0) - get_group_id(1), 0) * 16 +
+            // get_local_id(0)]: group (0, 0) sits on the tie of a `max`
+            // whose gap grows along x and shrinks along y, and a wrong
+            // pick moves a 32-lane read across a segment boundary.
+            name: "a tie that slopes apart in x and y",
+            a_len: 144,
+            out_len: 32,
+            body: vec![store(
+                &out,
+                CExpr::WorkItem(WorkItemFn::LocalId, 0),
+                load(
+                    &a,
+                    bin(
+                        BinOp::Add,
+                        bin(
+                            BinOp::Mul,
+                            bin(
+                                BinOp::Max,
+                                bin(BinOp::Sub, group_id(0), group_id(1)),
+                                CExpr::Int(0),
+                            ),
+                            CExpr::Int(16),
+                        ),
+                        CExpr::WorkItem(WorkItemFn::LocalId, 0),
+                    ),
+                ),
+            )],
+            launch: LaunchConfig::d2(256, 32, 32, 4),
+            expect: Expect::Classes,
+        },
+        Row {
+            // for (gid = get_global_id(0); gid < 1000; gid += get_global_size(0))
+            //   out[gid] = A[gid];  — 1008 work-items, the last group partial.
+            name: "grid the work-group does not divide",
+            a_len: 1000,
+            out_len: 1000,
+            body: vec![CStmt::For {
+                var: gid.clone(),
+                init: CExpr::WorkItem(WorkItemFn::GlobalId, 0),
+                bound: CExpr::Int(1000),
+                step: CExpr::WorkItem(WorkItemFn::GlobalSize, 0),
+                body: vec![copy(id())],
+            }],
+            launch: d1(1008),
+            expect: Expect::Classes,
+        },
+        Row {
+            // if (gz < 5) out[idx] = A[idx] + 1; else out[idx] = A[idx];
+            // over a 16×8×12 grid of 8×4×2 groups: z-group 2 splits.
+            name: "3-D classes split in z",
+            a_len: 16 * 8 * 12,
+            out_len: 16 * 8 * 12,
+            body: vec![
+                decl_int(&gx, CExpr::WorkItem(WorkItemFn::GlobalId, 0)),
+                decl_int(&gy, CExpr::WorkItem(WorkItemFn::GlobalId, 1)),
+                decl_int(&gz, CExpr::WorkItem(WorkItemFn::GlobalId, 2)),
+                CStmt::If {
+                    cond: bin(BinOp::Lt, CExpr::Var(gz.clone()), CExpr::Int(5)),
+                    then_: vec![store(
+                        &out,
+                        flat.clone(),
+                        bin(BinOp::Add, load(&a, flat.clone()), CExpr::Float(1.0)),
+                    )],
+                    else_: vec![store(&out, flat.clone(), load(&a, flat.clone()))],
+                },
+            ],
+            launch: LaunchConfig::d3([16, 8, 12], [8, 4, 2]),
+            expect: Expect::Classes,
+        },
+        Row {
+            // if (gid % 3 == 0) out[gid] = A[gid]; — `%` hides the group.
+            name: "gid % 3 in a branch",
+            a_len: 256,
+            out_len: 256,
+            body: vec![CStmt::If {
+                cond: bin(
+                    BinOp::Eq,
+                    bin(BinOp::Mod, id(), CExpr::Int(3)),
+                    CExpr::Int(0),
+                ),
+                then_: vec![copy(id())],
+                else_: vec![],
+            }],
+            launch: d1(256),
+            expect: Expect::FullRun,
+        },
+        Row {
+            // out[gid] = A[gid * gid]; — a product of two group-dependent
+            // values is not affine.
+            name: "gid * gid as an index",
+            a_len: 256 * 256,
+            out_len: 256,
+            body: vec![copy(bin(BinOp::Mul, id(), id()))],
+            launch: d1(256),
+            expect: Expect::FullRun,
+        },
+        Row {
+            // out[gid] = A[gid + 1]; — the last lane of the last group reads
+            // past the end.
+            name: "out of bounds in the last group",
+            a_len: 256,
+            out_len: 256,
+            body: vec![copy(bin(BinOp::Add, id(), CExpr::Int(1)))],
+            launch: d1(256),
+            expect: Expect::Fault,
+        },
+    ];
+    for row in rows {
+        let a = KernelParam {
+            len: row.a_len,
+            ..a.clone()
+        };
+        let out = KernelParam {
+            len: row.out_len,
+            ..out.clone()
+        };
+        let kernel = gid_kernel(&a, &out, &gid, row.body);
+        let inputs = vec![BufferData::F32(
+            (0..row.a_len).map(|i| (i % 13) as f32).collect(),
+        )];
+        for profile in DeviceProfile::all() {
+            let label = format!("{} on {}", row.name, profile.name);
+            let dev = VirtualDevice::new(profile);
+            let measured = dev.run(&kernel, &inputs, row.launch);
+            let est = PlannedKernel::new(kernel.clone()).estimate(row.launch, dev.profile());
+            let (m, e) = match (measured, est) {
+                (Err(re), Err(ee)) => {
+                    assert_eq!(row.expect, Expect::Fault, "{label}: {re}");
+                    assert_eq!(ee, re, "{label}: estimate and run fault differently");
+                    continue;
+                }
+                (Ok(m), Ok(e)) => (m, e),
+                (m, e) => panic!("{label}: run {:?} but estimate {:?}", m.err(), e.err()),
+            };
+            assert_eq!(e.stats, m.stats, "{label}: stats diverge");
+            assert_eq!(
+                e.time(dev.profile()).to_bits(),
+                m.time_s.to_bits(),
+                "{label}"
+            );
+            let groups = m.stats.work_groups;
+            match row.expect {
+                Expect::Classes => assert!(
+                    e.groups_run < groups,
+                    "{label}: {} of {groups} groups run",
+                    e.groups_run
+                ),
+                Expect::FullRun => assert_eq!(e.groups_run, groups, "{label}"),
+                Expect::Fault => panic!("{label}: expected a fault"),
+            }
+        }
+    }
+}
+
+/// `estimate` validates a launch with the same check `run` does: a
+/// Jacobi2D5pt `global` kernel with a 32×16 work-group exceeds the
+/// HD 7970's 256-item maximum, and both refuse it with the same error.
+#[test]
+fn estimate_and_run_reject_the_same_launch() {
+    let dev = VirtualDevice::new(DeviceProfile::hd7970());
+    let variants = Pipeline::for_benchmark("Jacobi2D5pt", &[64, 64])
+        .expect("pipeline")
+        .explore()
+        .expect("explores");
+    let k20c = VirtualDevice::new(DeviceProfile::k20c());
+    let compiled = variants
+        .on(&k20c)
+        .with_config("global", &[("lx", 32), ("ly", 16)])
+        .expect("a 512-item group is valid on the K20c");
+    let inputs = vec![BufferData::F32(vec![1.0; 64 * 64])];
+    let run = dev
+        .run(compiled.kernel(), &inputs, compiled.launch())
+        .expect_err("too big for the HD 7970");
+    let est = PlannedKernel::from_arc(compiled.kernel().clone())
+        .estimate(compiled.launch(), dev.profile())
+        .expect_err("too big for the HD 7970");
+    assert_eq!(est, run);
+    assert_eq!(
+        run.to_string(),
+        "invalid launch: work-group size 512 exceeds device maximum 256"
+    );
+}
+
+/// The tuner's work-group shapes for a `dims`-dimensional variant on a
+/// device admitting `max_wg` work-items: powers of two in 32–`max_wg`
+/// (1-D), 8–64 × 4–32 (2-D) or 8–64 × 2–16 × 1–2 (3-D).
+fn launch_shapes(dims: usize, max_wg: usize) -> Vec<Vec<(String, i64)>> {
+    let pow2 = |lo: i64, hi: i64| -> Vec<i64> {
+        (0..)
+            .map(|e| 1i64 << e)
+            .skip_while(|&v| v < lo)
+            .take_while(|&v| v <= hi)
+            .collect()
+    };
+    let axes: Vec<(&str, Vec<i64>)> = match dims {
+        1 => vec![("lx", pow2(32, max_wg as i64))],
+        2 => vec![("lx", pow2(8, 64)), ("ly", pow2(4, 32))],
+        _ => vec![("lx", pow2(8, 64)), ("ly", pow2(2, 16)), ("lz", vec![1, 2])],
+    };
+    let mut shapes: Vec<Vec<(String, i64)>> = vec![Vec::new()];
+    for (name, values) in axes {
+        shapes = shapes
+            .iter()
+            .flat_map(|s| {
+                values.iter().map(move |&v| {
+                    let mut s = s.clone();
+                    s.push((name.to_string(), v));
+                    s
+                })
+            })
+            .collect();
+    }
+    shapes.retain(|s| s.iter().map(|(_, v)| *v as usize).product::<usize>() <= max_wg);
+    shapes
+}
+
+/// Every Table-1 benchmark × variant × device on grids no work-group
+/// divides (`sizes` per rank), `draws` configurations each: tunables and
+/// work-group shapes drawn with `SplitMix64` from the tuner's candidates.
+/// Each estimate must equal its run bit for bit, or fault as the run
+/// does. Returns the number of cells compared.
+fn random_sweep(seed: u64, draws: usize, sizes: &[Vec<usize>; 3]) -> usize {
+    let mut rng = lift_tuner::SplitMix64::new(seed);
+    let devices: Vec<VirtualDevice> = DeviceProfile::all()
+        .into_iter()
+        .map(VirtualDevice::new)
+        .collect();
+    let mut compared = 0;
+    for bench in suite() {
+        let sizes = &sizes[bench.dims - 1];
+        let variants = Pipeline::from_benchmark(&bench, sizes)
+            .expect("pipeline")
+            .explore()
+            .expect("explores");
+        let inputs: Vec<BufferData> = bench
+            .gen_inputs(sizes, seed)
+            .into_iter()
+            .map(BufferData::F32)
+            .collect();
+        for dev in &devices {
+            for variant in variants.variants() {
+                let shapes = launch_shapes(variant.dims, dev.profile().max_wg_size);
+                for _ in 0..draws {
+                    let mut cfg = Vec::new();
+                    for t in &variant.tunables {
+                        let usable: Vec<i64> = t
+                            .candidates(64)
+                            .into_iter()
+                            .filter(|u| match t {
+                                Tunable::TileSize { nbh_size, .. } => *u >= nbh_size + 3,
+                                Tunable::CoarsenFactor { .. } => true,
+                            })
+                            .collect();
+                        if !usable.is_empty() {
+                            cfg.push((t.var().to_string(), usable[rng.gen_range(usable.len())]));
+                        }
+                    }
+                    cfg.extend(shapes[rng.gen_range(shapes.len())].iter().cloned());
+                    let refs: Vec<(&str, i64)> =
+                        cfg.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+                    let Ok(compiled) = variants.clone().on(dev).with_config(&variant.name, &refs)
+                    else {
+                        continue;
+                    };
+                    let label = format!(
+                        "{}/{} {cfg:?} on {}",
+                        bench.name,
+                        variant.name,
+                        dev.profile().name
+                    );
+                    let measured = dev.run(compiled.kernel(), &inputs, compiled.launch());
+                    let est = PlannedKernel::from_arc(compiled.kernel().clone())
+                        .estimate(compiled.launch(), dev.profile());
+                    match (measured, est) {
+                        (Ok(m), Ok(e)) => {
+                            assert_eq!(e.stats, m.stats, "stats diverge for {label}");
+                            assert!(e.groups_run <= 2 * m.stats.work_groups, "{label}");
+                        }
+                        // The local-memory capacity check is the run's alone.
+                        (Err(lift_oclsim::SimError::BadLaunch(_)), _) => continue,
+                        (Err(re), Err(ee)) => assert_eq!(ee, re, "faults diverge for {label}"),
+                        (m, e) => panic!("{label}: run {:?} but estimate {:?}", m.err(), e.err()),
+                    }
+                    compared += 1;
+                }
+            }
+        }
+    }
+    compared
+}
+
+/// A fixed-seed slice of the random sweep, one draw per benchmark ×
+/// variant × device.
+#[test]
+fn class_estimates_equal_runs_on_random_configurations() {
+    let sizes = [vec![131], vec![37, 45], vec![11, 13, 17]];
+    let compared = random_sweep(2018, 1, &sizes);
+    assert!(compared >= 250, "only {compared} cells compared");
+}
+
+/// The wide sweep: more draws on two size sets. Run it in release:
+/// `cargo test --release --test cost_model -- --ignored`.
+#[test]
+#[ignore = "minutes at the tier-1 profile; run in release"]
+fn class_estimates_equal_runs_on_many_random_configurations() {
+    let mut compared = 0;
+    for (seed, sizes) in [
+        (7, [vec![131], vec![37, 45], vec![11, 13, 17]]),
+        (42, [vec![203], vec![61, 53], vec![9, 19, 14]]),
+    ] {
+        compared += random_sweep(seed, 8, &sizes);
+    }
+    assert!(compared >= 4000, "only {compared} cells compared");
+}
+
+/// The class estimate's point: on every Figure-7 benchmark × variant at
+/// its small size, with a 16×8(×2) launch on the K20c and each tunable at
+/// its smallest usable value, a grid of at least 256 work-groups is priced
+/// by running at most a quarter of them (2-D) or half (3-D). The estimate
+/// stays exact.
+#[test]
+fn class_estimates_run_a_fraction_of_the_groups() {
+    let dev = VirtualDevice::new(DeviceProfile::k20c());
+    let mut checked = 0;
+    for name in lift_stencils::fig7_names() {
+        let bench = lift_stencils::by_name(name);
+        let sizes = bench.small.to_vec();
+        let variants = Pipeline::from_benchmark(&bench, &sizes)
+            .expect("pipeline")
+            .explore()
+            .expect("explores");
+        let inputs: Vec<BufferData> = bench
+            .gen_inputs(&sizes, 7)
+            .into_iter()
+            .map(BufferData::F32)
+            .collect();
+        for variant in variants.variants() {
+            let Some(mut cfg) = corner_config(&variant.tunables, 0, false) else {
+                continue;
+            };
+            for (n, l) in ["lx", "ly", "lz"]
+                .into_iter()
+                .zip([16, 8, 2])
+                .take(variant.dims)
+            {
+                cfg.push((n.to_string(), l));
+            }
+            let refs: Vec<(&str, i64)> = cfg.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+            let compiled = variants
+                .clone()
+                .on(&dev)
+                .with_config(&variant.name, &refs)
+                .expect("configures");
+            let label = format!("{name}/{} {cfg:?}", variant.name);
+            let measured = dev
+                .run(compiled.kernel(), &inputs, compiled.launch())
+                .expect("runs");
+            let est = compiled.estimate().expect("estimates");
+            assert_eq!(est.stats, measured.stats, "stats diverge for {label}");
+            let groups = measured.stats.work_groups;
+            if groups < 256 {
+                continue;
+            }
+            let share = if variant.dims == 3 { 2 } else { 4 };
+            assert!(
+                est.groups_run * share <= groups,
+                "{label}: {} of {groups} groups run",
+                est.groups_run
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked >= 20, "only {checked} launches of 256+ groups");
+}
