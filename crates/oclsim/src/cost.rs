@@ -91,7 +91,7 @@
 //! no ambient state, bit-identical across thread counts and shards — the
 //! property the tuner's pruning layer relies on (see ARCHITECTURE.md).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use lift_codegen::clike::{BinOp, CType, KernelParam, WorkItemFn};
 
@@ -744,7 +744,7 @@ struct Classes<'m, 'a> {
     /// Whether each group (x fastest) already belongs to a box.
     assigned: Vec<bool>,
     /// Groups run but not yet assigned, by linear index.
-    kept: HashMap<usize, Run>,
+    kept: BTreeMap<usize, Run>,
     kept_values: usize,
     runs: u64,
     segments: SegmentSet,
@@ -757,7 +757,7 @@ impl<'m, 'a> Classes<'m, 'a> {
         Classes {
             grid,
             assigned: vec![false; grid.iter().product()],
-            kept: HashMap::new(),
+            kept: BTreeMap::new(),
             kept_values: 0,
             runs: 0,
             segments: SegmentSet::default(),
@@ -824,16 +824,16 @@ impl<'m, 'a> Classes<'m, 'a> {
         (!trace.failed).then_some(Run { counters, trace })
     }
 
-    /// Keeps `run` of group `g` for a later box, within the budget.
+    /// Keeps `run` of group `g` for a later box. Over the budget, the runs
+    /// furthest ahead in scan order, which boxes reach last, go first.
     fn keep(&mut self, g: [usize; 3], run: Run) {
-        let n = run.trace.vals.len();
-        if self.kept_values + n > KEPT_VALUES {
-            self.kept.clear();
-            self.kept_values = 0;
-        }
-        self.kept_values += n;
+        self.kept_values += run.trace.vals.len();
         let key = self.lin(g);
         self.kept.insert(key, run);
+        while self.kept_values > KEPT_VALUES {
+            let (_, last) = self.kept.pop_last().expect("kept values are held by runs");
+            self.kept_values -= last.trace.vals.len();
+        }
     }
 
     /// Builds the box that starts at `r`, adds its classes' counters to
