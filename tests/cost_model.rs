@@ -817,6 +817,7 @@ fn class_estimates_run_a_fraction_of_the_groups() {
             .map(BufferData::F32)
             .collect();
         for variant in variants.variants() {
+            // Rank 0 takes the low corner's tunables without its launch.
             let Some(mut cfg) = corner_config(&variant.tunables, 0, false) else {
                 continue;
             };
