@@ -1,14 +1,20 @@
-//! Durable tuning checkpoints: crash-safe, resumable search state.
+//! Durable tuning checkpoints: crash-safe records of what each search
+//! was told.
 //!
 //! A [`CheckpointManager`] owns one checkpoint file and collects the
-//! serialized [`SearchState`] of every search a tuning run performs —
-//! keyed by `(program, device, sizes, variant)` so one file can cover a
-//! whole harness sweep. The file is rewritten atomically (temp file +
-//! rename) every [`TuneOptions::checkpoint_every`] applied tells, and a
-//! fresh run pointed at the same file resumes every search from its last
-//! recorded state — **bit-identically** to a run that was never
-//! interrupted, because proposals are deterministic and re-evaluating a
-//! configuration on the virtual device always reproduces its score.
+//! record of every search a tuning run performs — keyed by `(program,
+//! device, sizes, variant)` so one file can cover a whole harness sweep.
+//! A record holds the search's seed and budget, the estimates its warm
+//! start ranked the initial block by (guided runs only), every told
+//! proposal in proposal order with its outcome, and the first failure's
+//! message. The file is rewritten atomically (temp file + rename) every
+//! [`TuneOptions::checkpoint_every`] applied tells, and a fresh run
+//! pointed at the same file *replays* every record: a new search with the
+//! recorded seed and ranks is told the recorded outcomes before it
+//! evaluates anything. Because proposals depend only on the seed, the
+//! ranking and the outcomes told so far, the resumed run is
+//! **bit-identical** to one that was never interrupted, and it compiles
+//! nothing it already measured.
 //!
 //! Managers are process-wide singletons per path (see
 //! [`CheckpointManager::at`]): concurrent sweep cells share one manager
@@ -21,17 +27,23 @@
 //!
 //! ```json
 //! {
-//!   "schema_version": 2,
+//!   "schema_version": 3,
 //!   "entries": {
 //!     "Jacobi2D5pt@Nvidia Tesla K20c@18x18#tiled-local": {
-//!       "state": { ... },          // SearchState JSON (its own schema)
-//!       "first_failure": null,     // or the recorded failure message
-//!       "pruned_verify": 0,        // configs the static verifier rejected
-//!       "pruned_model": 0          // configs the cost model pruned
+//!       "seed": 4409381015186392573,
+//!       "budget": 10,
+//!       "ranks": [[[16, 8], 2.1e-6], [[8, 4], null]],   // null if unguided
+//!       "tells": [[[16, 8], 2.1e-6], [[8, 4], "model"],
+//!                 [[4, 4], "verify"], [[32, 2], "failed"]],
+//!       "first_failure": null      // or the first failure's message
 //!     }
 //!   }
 //! }
 //! ```
+//!
+//! A told outcome is the modeled time of a simulated configuration, or
+//! `"model"` (pruned by the cost model), `"verify"` (rejected by the
+//! static verifier) or `"failed"` (failed to compile, run or validate).
 //!
 //! [`TuneOptions::checkpoint_every`]: crate::TuneOptions
 
@@ -40,16 +52,16 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use lift_tuner::json::Value;
-use lift_tuner::SearchState;
 
 use crate::error::LiftError;
 use crate::fault;
 
 /// The version written into (and required from) every checkpoint file.
-/// Version 2 split the verifier/cost-model prune counters; version-1 files
-/// are rejected with a clear [`LiftError::Checkpoint`] (delete the file or
-/// re-run with the build that wrote it).
-pub const CHECKPOINT_SCHEMA_VERSION: u64 = 2;
+/// Version 3 records what each search was told instead of a snapshot of
+/// the search engine; files of earlier versions are rejected with a clear
+/// [`LiftError::Checkpoint`] (delete the file or re-run with the build
+/// that wrote it).
+pub const CHECKPOINT_SCHEMA_VERSION: u64 = 3;
 
 /// Why a checkpoint file failed to load. The distinction matters for
 /// recovery: a [`ParseError::Version`] file is *intact* — some other build
@@ -73,17 +85,42 @@ impl std::fmt::Display for ParseError {
     }
 }
 
-/// One checkpointed search: its engine state plus the first failure the
-/// driver recorded for it (kept so a resumed all-variants-failed run can
-/// still explain itself).
-#[derive(Debug, Clone)]
+/// How one told proposal ended.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Outcome {
+    /// Simulated and validated, with this modeled time.
+    Score(f64),
+    /// Dropped by the cost model before simulation.
+    PrunedModel,
+    /// Rejected by the static verifier before simulation.
+    PrunedVerify,
+    /// Failed to compile, run or validate.
+    Failed,
+}
+
+impl Outcome {
+    /// The score the search is told: `None` unless simulated.
+    pub fn score(self) -> Option<f64> {
+        match self {
+            Outcome::Score(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+/// The record of one search: what it was started with and what it was
+/// told, in proposal order, plus the first failure's message (kept so a
+/// resumed all-variants-failed run can still explain itself).
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CheckpointEntry {
-    pub state: SearchState,
+    pub seed: u64,
+    pub budget: usize,
+    /// The warm start's estimate for each configuration of the initial
+    /// block, in proposal order; `None` when the search was unguided.
+    pub ranks: Option<Vec<(Vec<i64>, Option<f64>)>>,
+    /// Every told proposal with its outcome, in proposal order.
+    pub tells: Vec<(Vec<i64>, Outcome)>,
     pub first_failure: Option<String>,
-    /// Configurations the static verifier rejected before simulation.
-    pub pruned_verify: usize,
-    /// Configurations the static cost model pruned before simulation.
-    pub pruned_model: usize,
 }
 
 struct Inner {
@@ -95,9 +132,9 @@ struct Inner {
 }
 
 /// The process-wide owner of one checkpoint file: it accumulates every
-/// search's [`SearchState`] under `(program, device, sizes, variant)`
-/// keys, rewrites the file atomically every `every` applied tells, and
-/// hands recorded states back to resuming searches. One file covers a
+/// search's record under `(program, device, sizes, variant)` keys,
+/// rewrites the file atomically every `every` applied tells, and hands
+/// the records back to resuming searches. One file covers a
 /// whole sweep; one manager exists per path per process (see
 /// [`CheckpointManager::at`]). Distinct processes must use distinct
 /// paths.
@@ -187,29 +224,13 @@ impl CheckpointManager {
             .cloned()
     }
 
-    /// Records the latest state of one search and schedules a write once
+    /// Stores the latest record of one search and schedules a write once
     /// `tells_delta` accumulated tells reach the manager's cadence. Write
     /// failures are deferred to [`CheckpointManager::flush`] — tuning
     /// itself never aborts mid-search over a full disk.
-    pub(crate) fn record(
-        &self,
-        key: &str,
-        state: SearchState,
-        first_failure: Option<String>,
-        pruned_verify: usize,
-        pruned_model: usize,
-        tells_delta: usize,
-    ) {
+    pub(crate) fn record(&self, key: &str, entry: &CheckpointEntry, tells_delta: usize) {
         let mut inner = self.inner.lock().expect("checkpoint lock poisoned");
-        inner.entries.insert(
-            key.to_string(),
-            CheckpointEntry {
-                state,
-                first_failure,
-                pruned_verify,
-                pruned_model,
-            },
-        );
+        inner.entries.insert(key.to_string(), entry.clone());
         inner.tells_since_write += tells_delta;
         if inner.tells_since_write >= self.every {
             inner.tells_since_write = 0;
@@ -342,40 +363,97 @@ fn parse_file(text: &str) -> Result<BTreeMap<String, CheckpointEntry>, ParseErro
     parse_entries(members).map_err(ParseError::Corrupt)
 }
 
+/// Writes `[[configuration, value], …]`, encoding each value with `value`.
+fn pairs_to_json<T>(items: &[(Vec<i64>, T)], value: impl Fn(&T) -> Value) -> Value {
+    Value::Arr(
+        items
+            .iter()
+            .map(|(cfg, v)| {
+                let cfg = cfg.iter().map(|x| Value::Int(*x)).collect();
+                Value::Arr(vec![Value::Arr(cfg), value(v)])
+            })
+            .collect(),
+    )
+}
+
+/// Reads `[[configuration, value], …]`, decoding each value with `value`;
+/// `None` when anything is missing or malformed.
+fn pairs_from_json<T>(
+    items: Option<&Value>,
+    value: impl Fn(&Value) -> Option<T>,
+) -> Option<Vec<(Vec<i64>, T)>> {
+    items?
+        .as_arr()?
+        .iter()
+        .map(|item| {
+            let [cfg, v] = item.as_arr()? else {
+                return None;
+            };
+            let cfg = cfg
+                .as_arr()?
+                .iter()
+                .map(Value::as_i64)
+                .collect::<Option<_>>()?;
+            Some((cfg, value(v)?))
+        })
+        .collect()
+}
+
+fn outcome_to_json(outcome: &Outcome) -> Value {
+    match outcome {
+        Outcome::Score(s) => Value::Float(*s),
+        Outcome::PrunedModel => Value::Str("model".into()),
+        Outcome::PrunedVerify => Value::Str("verify".into()),
+        Outcome::Failed => Value::Str("failed".into()),
+    }
+}
+
+fn outcome_from_json(v: &Value) -> Option<Outcome> {
+    Some(match v.as_str() {
+        Some("model") => Outcome::PrunedModel,
+        Some("verify") => Outcome::PrunedVerify,
+        Some("failed") => Outcome::Failed,
+        _ => Outcome::Score(v.as_f64()?),
+    })
+}
+
+fn rank_from_json(v: &Value) -> Option<Option<f64>> {
+    match v {
+        Value::Null => Some(None),
+        v => v.as_f64().map(Some),
+    }
+}
+
 fn parse_entries(members: &[(String, Value)]) -> Result<BTreeMap<String, CheckpointEntry>, String> {
     let mut entries = BTreeMap::new();
     for (key, entry) in members {
-        let state_json = entry
-            .get("state")
-            .ok_or_else(|| format!("entry `{key}` has no `state`"))?;
-        let state =
-            SearchState::from_json(state_json).map_err(|e| format!("entry `{key}`: {e}"))?;
+        let bad = |field: &str| format!("entry `{key}`: `{field}` is missing or malformed");
+        let uint = |field: &str| {
+            entry
+                .get(field)
+                .and_then(Value::as_u64)
+                .ok_or_else(|| bad(field))
+        };
+        let ranks = match entry.get("ranks") {
+            Some(Value::Null) => None,
+            ranks => Some(pairs_from_json(ranks, rank_from_json).ok_or_else(|| bad("ranks"))?),
+        };
         let first_failure = match entry.get("first_failure") {
-            None | Some(Value::Null) => None,
-            Some(other) => Some(
-                other
-                    .as_str()
-                    .ok_or_else(|| format!("entry `{key}`: `first_failure` is not a string"))?
-                    .to_string(),
+            Some(Value::Null) => None,
+            msg => Some(
+                msg.and_then(Value::as_str)
+                    .ok_or_else(|| bad("first_failure"))?,
             ),
         };
-        let count = |field: &str| -> Result<usize, String> {
-            match entry.get(field) {
-                None | Some(Value::Null) => Ok(0),
-                Some(Value::UInt(n)) => Ok(*n as usize),
-                Some(Value::Int(n)) => Ok((*n).max(0) as usize),
-                Some(_) => Err(format!("entry `{key}`: `{field}` is not an integer")),
-            }
+        let entry = CheckpointEntry {
+            seed: uint("seed")?,
+            budget: uint("budget")? as usize,
+            ranks,
+            tells: pairs_from_json(entry.get("tells"), outcome_from_json)
+                .ok_or_else(|| bad("tells"))?,
+            first_failure: first_failure.map(str::to_string),
         };
-        entries.insert(
-            key.clone(),
-            CheckpointEntry {
-                state,
-                first_failure,
-                pruned_verify: count("pruned_verify")?,
-                pruned_model: count("pruned_model")?,
-            },
-        );
+        entries.insert(key.clone(), entry);
     }
     Ok(entries)
 }
@@ -384,28 +462,27 @@ fn render_file(entries: &BTreeMap<String, CheckpointEntry>) -> String {
     let members = entries
         .iter()
         .map(|(key, entry)| {
-            (
-                key.clone(),
-                Value::Obj(vec![
-                    ("state".into(), entry.state.to_json()),
-                    (
-                        "first_failure".into(),
-                        entry
-                            .first_failure
-                            .as_ref()
-                            .map(|m| Value::Str(m.clone()))
-                            .unwrap_or(Value::Null),
-                    ),
-                    (
-                        "pruned_verify".into(),
-                        Value::UInt(entry.pruned_verify as u64),
-                    ),
-                    (
-                        "pruned_model".into(),
-                        Value::UInt(entry.pruned_model as u64),
-                    ),
-                ]),
-            )
+            let rank = |r: &Option<f64>| r.map_or(Value::Null, Value::Float);
+            let entry = Value::Obj(vec![
+                ("seed".into(), Value::UInt(entry.seed)),
+                ("budget".into(), Value::UInt(entry.budget as u64)),
+                (
+                    "ranks".into(),
+                    entry
+                        .ranks
+                        .as_ref()
+                        .map_or(Value::Null, |ranks| pairs_to_json(ranks, rank)),
+                ),
+                ("tells".into(), pairs_to_json(&entry.tells, outcome_to_json)),
+                (
+                    "first_failure".into(),
+                    entry
+                        .first_failure
+                        .as_ref()
+                        .map_or(Value::Null, |m| Value::Str(m.clone())),
+                ),
+            ]);
+            (key.clone(), entry)
         })
         .collect();
     let doc = Value::Obj(vec![
@@ -440,65 +517,60 @@ fn write_file(path: &Path, entries: &BTreeMap<String, CheckpointEntry>) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lift_tuner::{ParamSpace, ParamSpec, Search};
 
-    fn state() -> SearchState {
-        Search::new(ParamSpace::new([ParamSpec::new("x", vec![1, 2, 3])]), 10, 7).snapshot()
+    fn entry() -> CheckpointEntry {
+        CheckpointEntry {
+            seed: u64::MAX - 6,
+            budget: 10,
+            ranks: Some(vec![(vec![16, 8], Some(2.1e-6)), (vec![8, 4], None)]),
+            tells: vec![
+                (vec![16, 8], Outcome::Score(2.1e-6)),
+                (vec![8, 4], Outcome::PrunedModel),
+                (vec![4, 4], Outcome::PrunedVerify),
+                (vec![32, 2], Outcome::Failed),
+            ],
+            first_failure: Some("local memory exhausted".into()),
+        }
     }
 
     #[test]
     fn file_round_trips_entries_and_failures() {
-        let mut entries = BTreeMap::new();
-        entries.insert(
-            "B@dev@8x8#global".to_string(),
-            CheckpointEntry {
-                state: state(),
-                first_failure: Some("local memory exhausted".into()),
-                pruned_verify: 3,
-                pruned_model: 7,
-            },
-        );
-        entries.insert(
-            "B@dev@8x8#tiled".to_string(),
-            CheckpointEntry {
-                state: state(),
-                first_failure: None,
-                pruned_verify: 0,
-                pruned_model: 0,
-            },
-        );
-        let text = render_file(&entries);
-        let back = parse_file(&text).expect("parses");
-        assert_eq!(back.len(), 2);
-        assert_eq!(
-            back["B@dev@8x8#global"].state,
-            entries["B@dev@8x8#global"].state
-        );
+        let unguided = CheckpointEntry {
+            ranks: None,
+            tells: vec![(vec![-1, 0], Outcome::Score(0.1 + 0.2))],
+            first_failure: None,
+            ..entry()
+        };
+        let entries = BTreeMap::from([
+            ("B@dev@8x8#global".to_string(), entry()),
+            ("B@dev@8x8#tiled".to_string(), unguided),
+        ]);
+        // Every outcome kind, 64-bit seeds and scores survive bit-exactly.
+        let back = parse_file(&render_file(&entries)).expect("parses");
+        assert_eq!(back, entries);
         assert_eq!(
             back["B@dev@8x8#global"].first_failure.as_deref(),
             Some("local memory exhausted")
         );
-        assert_eq!(back["B@dev@8x8#tiled"].first_failure, None);
-        assert_eq!(back["B@dev@8x8#global"].pruned_verify, 3);
-        assert_eq!(back["B@dev@8x8#global"].pruned_model, 7);
-        assert_eq!(back["B@dev@8x8#tiled"].pruned_verify, 0);
-        assert_eq!(back["B@dev@8x8#tiled"].pruned_model, 0);
+        assert_eq!(back["B@dev@8x8#tiled"].ranks, None);
     }
 
     #[test]
     fn version_mismatch_is_a_clear_error() {
-        let err = parse_file(r#"{"schema_version": 9, "entries": {}}"#).unwrap_err();
-        assert!(matches!(err, ParseError::Version(_)), "{err:?}");
-        let msg = err.to_string();
-        assert!(msg.contains("schema_version 9"), "{msg}");
-        assert!(msg.contains("version 2"), "{msg}");
-        // A version-1 file (pre cost-model prune split) is rejected the
-        // same way: a clear error, never a panic or silent zeroing.
-        let err = parse_file(r#"{"schema_version": 1, "entries": {}}"#).unwrap_err();
-        assert!(matches!(err, ParseError::Version(_)), "{err:?}");
-        let msg = err.to_string();
-        assert!(msg.contains("schema_version 1"), "{msg}");
-        assert!(msg.contains("version 2"), "{msg}");
+        // A schema-2 file (engine snapshots), a schema-1 file (one prune
+        // counter) and a future one are all rejected the same way: a clear
+        // error, never a panic or a silent restart.
+        let v2 = r#"{"schema_version": 2, "entries": {"k": {"state": {"schema_version": 1},
+            "first_failure": null, "pruned_verify": 0, "pruned_model": 0}}}"#;
+        let v1 = r#"{"schema_version": 1, "entries": {}}"#;
+        let v9 = r#"{"schema_version": 9, "entries": {}}"#;
+        for (version, doc) in [(2, v2), (1, v1), (9, v9)] {
+            let err = parse_file(doc).unwrap_err();
+            assert!(matches!(err, ParseError::Version(_)), "{err:?}");
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("schema_version {version}")), "{msg}");
+            assert!(msg.contains("version 3"), "{msg}");
+        }
     }
 
     #[test]
@@ -511,18 +583,17 @@ mod tests {
         let err = parse_file("not json at all").unwrap_err();
         assert!(matches!(err, ParseError::Corrupt(_)), "{err:?}");
         // Right version, damaged payload: still corrupt.
-        let err = parse_file(r#"{"schema_version": 2, "entries": {"k": {}}}"#).unwrap_err();
+        let v = CHECKPOINT_SCHEMA_VERSION;
+        let err = parse_file(&format!(
+            r#"{{"schema_version": {v}, "entries": {{"k": {{}}}}}}"#
+        ))
+        .unwrap_err();
         assert!(matches!(err, ParseError::Corrupt(_)), "{err:?}");
+        // A told outcome that is neither a score nor a verdict: corrupt.
+        let text = render_file(&BTreeMap::from([("k".to_string(), entry())]));
+        let err = parse_file(&text.replace("\"model\"", "\"maybe\"")).unwrap_err();
+        assert!(err.to_string().contains("`tells`"), "{err}");
         // A valid document truncated mid-stream: corrupt.
-        let text = render_file(&BTreeMap::from([(
-            "k".to_string(),
-            CheckpointEntry {
-                state: state(),
-                first_failure: None,
-                pruned_verify: 0,
-                pruned_model: 0,
-            },
-        )]));
         let err = parse_file(&text[..text.len() / 2]).unwrap_err();
         assert!(matches!(err, ParseError::Corrupt(_)), "{err:?}");
     }
@@ -549,7 +620,7 @@ mod tests {
             "quarantine preserves the damaged bytes for post-mortem"
         );
         assert!(mgr.lookup("k").is_none(), "manager starts fresh");
-        mgr.record("k", state(), None, 0, 0, 1);
+        mgr.record("k", &entry(), 1);
         mgr.flush().unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(parse_file(&text).unwrap().contains_key("k"));
@@ -586,7 +657,7 @@ mod tests {
         let a = CheckpointManager::at(&path, 1).unwrap();
         let b = CheckpointManager::at(&path, 999).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "one manager per path");
-        a.record("k", state(), None, 0, 0, 5);
+        a.record("k", &entry(), 5);
         assert!(path.exists(), "cadence 1 writes on the first record");
         assert!(b.lookup("k").is_some(), "shared state visible through both");
         b.flush().unwrap();

@@ -80,8 +80,8 @@ pub enum LiftError {
     },
     /// A tuning checkpoint could not be read, written, parsed or matched
     /// to the current run (I/O failure, corrupt JSON, a `schema_version`
-    /// this build does not read, or a snapshot recorded for a different
-    /// space/seed/budget).
+    /// this build does not read, or a record made with another seed,
+    /// budget or cost-model setting, or that the search's proposals leave).
     Checkpoint(String),
     /// The pipeline stage cannot handle this program shape.
     Unsupported(String),

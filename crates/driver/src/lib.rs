@@ -67,8 +67,8 @@
 //!   fanning out over variants and configuration batches. Thread count
 //!   never changes results: the same seed yields identical winners,
 //!   configurations and scores at any parallelism. With
-//!   [`TuneOptions::checkpoint`] every search's state is persisted
-//!   atomically as it progresses, and a later run resumes from the file
+//!   [`TuneOptions::checkpoint`] what every search was told is recorded
+//!   atomically as it progresses, and a later run replays the file
 //!   bit-identically to a run that was never interrupted — see
 //!   [`CheckpointManager`].
 //!
@@ -104,6 +104,7 @@ pub use tune::{ppcg_baseline, reference_baseline, BenchResult, CostModel, TunedV
 mod tests {
     use super::*;
     use lift_oclsim::{DeviceProfile, VirtualDevice};
+    use lift_tuner::json::Value;
     use std::sync::Arc;
 
     #[test]
@@ -377,6 +378,165 @@ mod tests {
                 .all(|(_, e)| matches!(**e, LiftError::Checkpoint(_))),
             "every variant reports the checkpoint mismatch: {err}"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn member<'a>(obj: &'a mut Value, name: &str) -> &'a mut Value {
+        let Value::Obj(members) = obj else {
+            panic!("`{name}` lives in an object")
+        };
+        &mut members.iter_mut().find(|(k, _)| k == name).expect(name).1
+    }
+
+    /// Rewrites the `tells` array of every entry of a checkpoint document.
+    fn edit_tells(text: &str, edit: impl Fn(&mut Vec<Value>)) -> String {
+        let mut doc = Value::parse(text).expect("a checkpoint parses");
+        let Value::Obj(entries) = member(&mut doc, "entries") else {
+            panic!("`entries` is an object")
+        };
+        for (_, entry) in entries {
+            let Value::Arr(tells) = member(entry, "tells") else {
+                panic!("`tells` is an array")
+            };
+            edit(tells);
+        }
+        doc.to_json()
+    }
+
+    fn tune_jacobi(dev: &VirtualDevice, opts: TuneOptions) -> Result<BenchResult, LiftError> {
+        Ok(Pipeline::for_benchmark("Jacobi2D5pt", &[18, 18])?
+            .explore()?
+            .on(dev)
+            .with_cache(Arc::new(KernelCache::new()))
+            .tune_full(opts)?
+            .report)
+    }
+
+    /// A K20c without local memory: every configuration that stages
+    /// through local memory fails the static verifier, so records hold
+    /// failures as well as scores and prunes.
+    fn no_local_memory() -> VirtualDevice {
+        VirtualDevice::new(DeviceProfile {
+            name: "No-LocalMem",
+            lmem_bytes_per_cu: 0,
+            ..DeviceProfile::k20c()
+        })
+    }
+
+    #[test]
+    fn resuming_any_prefix_of_the_record_is_bit_identical() {
+        let dir = std::env::temp_dir().join(format!("lift-ck-prefix-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let dev = no_local_memory();
+        let opts = |path: &std::path::Path| {
+            TuneOptions::evaluations(6)
+                .with_seed(4)
+                .with_checkpoint_every(1)
+                .with_checkpoint(path)
+        };
+        let full_path = dir.join("full.json");
+        let reference = tune_jacobi(&dev, opts(&full_path)).expect("tunes");
+        let full = std::fs::read_to_string(&full_path).unwrap();
+        let doc = Value::parse(&full).unwrap();
+        let Some(Value::Obj(entries)) = doc.get("entries") else {
+            panic!("`entries` is an object")
+        };
+        let longest = entries
+            .iter()
+            .map(|(_, e)| e.get("tells").and_then(Value::as_arr).unwrap().len())
+            .max()
+            .expect("the sweep records its searches");
+        // Every interruption point: each search keeps its first k tells.
+        for k in 0..=longest {
+            let path = dir.join(format!("cut{k}.json"));
+            std::fs::write(&path, edit_tells(&full, |tells| tells.truncate(k))).unwrap();
+            let resumed = tune_jacobi(&dev, opts(&path)).expect("resumes");
+            assert_eq!(
+                report_fingerprint(&resumed),
+                report_fingerprint(&reference),
+                "k={k}"
+            );
+            assert_eq!(
+                std::fs::read_to_string(&path).unwrap(),
+                full,
+                "k={k}: resuming rebuilds the uninterrupted record"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_resumed_failure_keeps_its_recorded_message() {
+        let path =
+            std::env::temp_dir().join(format!("lift-ck-failure-{}.json", std::process::id()));
+        let bench = lift_stencils::by_name("Jacobi2D5pt");
+        let opts = TuneOptions::evaluations(6)
+            .with_seed(1)
+            .with_checkpoint(&path);
+        let first_failure = || {
+            let err = ppcg_baseline(&bench, &[18, 18], &no_local_memory(), opts.clone())
+                .expect_err("local staging cannot fit in zero local memory");
+            let LiftError::NoValidConfiguration { failures, .. } = err else {
+                panic!("expected NoValidConfiguration, got {err}");
+            };
+            failures[0].1.to_string()
+        };
+        let measured = first_failure();
+        assert!(measured.contains("local memory"), "{measured}");
+        // The replay evaluates nothing, so the cause comes from the record.
+        assert_eq!(
+            first_failure(),
+            format!("checkpoint error: recorded before resume: {measured}")
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_record_that_diverges_from_the_search_refuses_to_resume() {
+        let dir = std::env::temp_dir().join(format!("lift-ck-diverge-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let dev = VirtualDevice::new(DeviceProfile::k20c());
+        let opts = || {
+            TuneOptions::evaluations(6)
+                .with_seed(4)
+                .with_checkpoint_every(1)
+        };
+        let full_path = dir.join("full.json");
+        tune_jacobi(&dev, opts().with_checkpoint(&full_path)).expect("tunes");
+        let full = std::fs::read_to_string(&full_path).unwrap();
+        let altered = dir.join("altered.json");
+        std::fs::write(
+            &altered,
+            edit_tells(&full, |tells| {
+                if let Some(Value::Arr(first)) = tells.first_mut() {
+                    if let Value::Arr(cfg) = &mut first[0] {
+                        cfg[0] = Value::Int(-1);
+                    }
+                }
+            }),
+        )
+        .unwrap();
+        // Another first proposal, and the right record under the other
+        // cost-model setting: neither may silently retune.
+        let runs = [
+            opts().with_checkpoint(&altered),
+            opts()
+                .with_checkpoint(&full_path)
+                .with_cost_prune(CostModel::off()),
+        ];
+        for opts in runs {
+            let err = tune_jacobi(&dev, opts).expect_err("a diverging record must not resume");
+            let LiftError::NoValidConfiguration { failures, .. } = &err else {
+                panic!("expected NoValidConfiguration, got {err}");
+            };
+            assert!(
+                !failures.is_empty()
+                    && failures
+                        .iter()
+                        .all(|(_, e)| matches!(**e, LiftError::Checkpoint(_))),
+                "every variant reports the divergence: {err}"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

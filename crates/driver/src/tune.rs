@@ -15,7 +15,7 @@ use lift_stencils::Benchmark;
 use lift_tuner::{parallel_map, ParamSpace, ParamSpec, Search};
 
 use crate::cache::{program_fingerprint, CacheKey, KernelCache};
-use crate::checkpoint::CellCheckpoint;
+use crate::checkpoint::{CellCheckpoint, CheckpointEntry, Outcome};
 use crate::error::LiftError;
 
 /// One tuned implementation with its best configuration.
@@ -85,7 +85,7 @@ pub(crate) struct TuneContext<'a> {
     /// thread count never changes results — only wall-clock.
     pub threads: usize,
     /// Checkpoint handle for resumable tuning (`None` = no
-    /// checkpointing). Restoring never changes results either — it only
+    /// checkpointing). Replaying never changes results either — it only
     /// skips re-evaluating what a previous process already measured.
     pub checkpoint: Option<CellCheckpoint>,
     /// Cost-model guidance (pruning + warm-start); see [`CostModel`].
@@ -539,75 +539,96 @@ fn tune_variant_batched(
         .map(|p| p.name().to_string())
         .collect();
 
+    let named = |cfg: &[i64]| -> Vec<(String, i64)> {
+        names.iter().cloned().zip(cfg.iter().copied()).collect()
+    };
+    let model = |cfg: &[i64]| model_time(ctx, variant, variant_fp, &named(cfg));
+    let failed = |e: LiftError| VariantOutcome {
+        tuned: None,
+        first_failure: Some(e),
+    };
+    let diverged = |why: String| {
+        failed(LiftError::Checkpoint(format!(
+            "checkpointed search for variant `{}` diverges from this run: {why}; \
+             delete the checkpoint or rerun with the build and options that wrote it",
+            variant.name
+        )))
+    };
+
     let search_seed = ctx.seed ^ hash(&variant.name);
+    let mut search = Search::new(space, ctx.budget, search_seed);
     let ck_key = ctx.checkpoint.as_ref().map(|c| c.key(&variant.name));
-    let mut first_failure: Option<LiftError> = None;
-    // The raw failure message as written to the checkpoint file; kept
-    // separate from `first_failure` so repeated resumes never re-wrap it.
-    let mut failure_msg: Option<String> = None;
-    // Configurations the static verifier rejected and the cost model
-    // pruned; resumes restore the counts so interrupted and uninterrupted
-    // runs report the same totals.
-    let mut pruned_verify = 0usize;
-    let mut pruned_model = 0usize;
-    // A checkpointed search resumes from its recorded state instead of
-    // starting over; a snapshot that does not belong to this run (other
-    // space, seed or budget) is a hard, explained failure rather than a
-    // silent restart that would break the resumed-run-equals-uninterrupted
-    // guarantee.
-    let mut search = match ctx
+    // A checkpointed search resumes by replaying its record: the warm start
+    // is re-applied from the recorded estimates, and the recorded outcomes
+    // are told in proposal order before anything new is decided or
+    // evaluated. A record that does not belong to this run (other seed,
+    // budget, guidance or proposals) is a hard, explained failure rather
+    // than a silent restart that would break the resumed-run-equals-
+    // uninterrupted guarantee.
+    let recorded = ctx
         .checkpoint
         .as_ref()
         .zip(ck_key.as_deref())
-        .and_then(|(c, key)| c.mgr.lookup(key))
-    {
+        .and_then(|(c, key)| c.mgr.lookup(key));
+    let mut entry = match recorded {
         Some(entry) => {
-            if entry.state.seed != search_seed || entry.state.budget != ctx.budget {
-                return VariantOutcome {
-                    tuned: None,
-                    first_failure: Some(LiftError::Checkpoint(format!(
-                        "checkpointed search for variant `{}` was recorded with seed {} and \
-                         budget {}, but this run uses seed {search_seed} and budget {}; \
-                         delete the checkpoint or rerun with the original options",
-                        variant.name, entry.state.seed, entry.state.budget, ctx.budget
-                    ))),
-                };
+            if entry.seed != search_seed || entry.budget != ctx.budget {
+                return failed(LiftError::Checkpoint(format!(
+                    "checkpointed search for variant `{}` was recorded with seed {} and \
+                     budget {}, but this run uses seed {search_seed} and budget {}; \
+                     delete the checkpoint or rerun with the original options",
+                    variant.name, entry.seed, entry.budget, ctx.budget
+                )));
             }
-            failure_msg = entry.first_failure;
-            pruned_verify = entry.pruned_verify;
-            pruned_model = entry.pruned_model;
-            first_failure = failure_msg
-                .clone()
-                .map(|m| LiftError::Checkpoint(format!("recorded before resume: {m}")));
-            match Search::restore(space, entry.state) {
-                Ok(s) => s,
-                Err(e) => {
-                    return VariantOutcome {
-                        tuned: None,
-                        first_failure: Some(LiftError::Checkpoint(format!(
-                            "cannot resume variant `{}`: {e}",
-                            variant.name
-                        ))),
+            match &entry.ranks {
+                Some(ranks) if ctx.cost.enabled => {
+                    // Ranking from the record keeps replay free of compiles.
+                    let mut ranks = ranks.iter();
+                    let mut agrees = true;
+                    search.warm_start_by(|cfg| match ranks.next() {
+                        Some((recorded, rank)) if recorded == cfg => *rank,
+                        _ => {
+                            agrees = false;
+                            None
+                        }
+                    });
+                    if !agrees || ranks.next().is_some() {
+                        return diverged("its warm start ranked other configurations".into());
                     }
                 }
+                None if !ctx.cost.enabled => {}
+                _ => return diverged("it was recorded under the other cost-model setting".into()),
             }
+            entry
         }
         None => {
-            let mut s = Search::new(space, ctx.budget, search_seed);
-            if ctx.cost.enabled {
-                // Model-ranked warm-start: the first batch simulated is the
-                // model's top proposals instead of pure PRNG draws. The
-                // ranker is a pure function of (cfg, device), so the
-                // reorder — and everything downstream — is deterministic.
-                s.warm_start_by(|cfg| {
-                    let named: Vec<(String, i64)> =
-                        names.iter().cloned().zip(cfg.iter().copied()).collect();
-                    model_time(ctx, variant, variant_fp, &named)
+            // Model-ranked warm-start: the first batch simulated is the
+            // model's top proposals instead of pure PRNG draws. The ranker
+            // is a pure function of (cfg, device), so the reorder — and
+            // everything downstream — is deterministic.
+            let ranks = ctx.cost.enabled.then(|| {
+                let mut ranks = Vec::new();
+                search.warm_start_by(|cfg| {
+                    let rank = model(cfg);
+                    ranks.push((cfg.to_vec(), rank));
+                    rank
                 });
+                ranks
+            });
+            CheckpointEntry {
+                seed: search_seed,
+                budget: ctx.budget,
+                ranks,
+                tells: Vec::new(),
+                first_failure: None,
             }
-            s
         }
     };
+    // How many of the first proposals the record answers. Every proposal
+    // is told in proposal order, so `search.evaluations()` is the index of
+    // the next one to tell.
+    let replay = entry.tells.len();
+    let mut first_failure: Option<LiftError> = None;
     loop {
         // With the model enabled, proposals are consumed one at a time so
         // every prune decision consults the *freshest* incumbent — under
@@ -626,22 +647,42 @@ fn tune_variant_batched(
         } else {
             eval_threads * 2
         };
-        let batch = search.ask(ask_n);
+        let mut batch = search.ask(ask_n);
         if batch.is_empty() {
             break;
+        }
+        // Replayed tells are not recorded again, and the fault seam counts
+        // only fresh ones.
+        let fresh = batch.split_off(replay.saturating_sub(search.evaluations()).min(batch.len()));
+        for cfg in batch {
+            let told = search.evaluations();
+            let (recorded, outcome) = &entry.tells[told];
+            if *recorded != cfg {
+                return diverged(format!(
+                    "proposal {told} is {cfg:?}, but the record holds {recorded:?}"
+                ));
+            }
+            // Pruning by the model is no failure.
+            let is_failure = matches!(outcome, Outcome::PrunedVerify | Outcome::Failed);
+            if is_failure && first_failure.is_none() {
+                first_failure = Some(LiftError::Checkpoint(format!(
+                    "recorded before resume: {}",
+                    entry
+                        .first_failure
+                        .as_deref()
+                        .unwrap_or("no message recorded")
+                )));
+            }
+            search.tell(&cfg, outcome.score());
+        }
+        if fresh.is_empty() {
+            continue;
         }
         // The prune threshold for this window: the incumbent's estimate.
         // Until something succeeds there is no incumbent and nothing is
         // pruned, so the search can never starve itself.
-        let threshold: Option<f64> = if ctx.cost.enabled {
-            search.best().and_then(|b| {
-                let named: Vec<(String, i64)> = names
-                    .iter()
-                    .cloned()
-                    .zip(b.values.iter().copied())
-                    .collect();
-                model_time(ctx, variant, variant_fp, &named)
-            })
+        let threshold = if ctx.cost.enabled {
+            search.best().and_then(|b| model(&b.values))
         } else {
             None
         };
@@ -651,14 +692,10 @@ fn tune_variant_batched(
         // worse one loses on score, and an exactly-tied one loses the
         // (score, proposal-index) tie-break, because the incumbent was
         // necessarily told at an earlier proposal index.
-        let decisions: Vec<(Vec<i64>, bool)> = batch
+        let decisions: Vec<(Vec<i64>, bool)> = fresh
             .into_iter()
             .map(|cfg| {
-                let prune = threshold.is_some_and(|inc| {
-                    let named: Vec<(String, i64)> =
-                        names.iter().cloned().zip(cfg.iter().copied()).collect();
-                    model_time(ctx, variant, variant_fp, &named).is_some_and(|t| t >= inc)
-                });
+                let prune = threshold.is_some_and(|inc| model(&cfg).is_some_and(|t| t >= inc));
                 (cfg, prune)
             })
             .collect();
@@ -668,9 +705,7 @@ fn tune_variant_batched(
             .map(|(cfg, _)| cfg.clone())
             .collect();
         let evaluated = parallel_map(eval_threads, to_eval, |cfg| {
-            let named: Vec<(String, i64)> =
-                names.iter().cloned().zip(cfg.iter().copied()).collect();
-            evaluate_config(ctx, variant, variant_fp, &named)
+            evaluate_config(ctx, variant, variant_fp, &named(&cfg))
         });
         // Tell in batch order == proposal order: the trace, incumbent and
         // recorded first failure stay deterministic. A pruned proposal is
@@ -680,59 +715,54 @@ fn tune_variant_batched(
         let tells = decisions.len();
         let mut scores = evaluated.into_iter();
         for (cfg, prune) in decisions {
-            if prune {
-                pruned_model += 1;
-                search.tell(&cfg, None);
-                continue;
-            }
-            match scores.next().expect("one score per unpruned proposal") {
-                Ok(s) => search.tell(&cfg, Some(s)),
-                Err(e) => {
-                    if matches!(e, LiftError::Verify { .. }) {
-                        pruned_verify += 1;
+            let outcome = if prune {
+                Outcome::PrunedModel
+            } else {
+                match scores.next().expect("one score per unpruned proposal") {
+                    Ok(s) => Outcome::Score(s),
+                    Err(e) => {
+                        let outcome = if matches!(e, LiftError::Verify { .. }) {
+                            Outcome::PrunedVerify
+                        } else {
+                            Outcome::Failed
+                        };
+                        if first_failure.is_none() {
+                            entry.first_failure = Some(e.to_string());
+                            first_failure = Some(e);
+                        }
+                        outcome
                     }
-                    if first_failure.is_none() {
-                        failure_msg = Some(e.to_string());
-                        first_failure = Some(e);
-                    }
-                    search.tell(&cfg, None);
                 }
-            }
+            };
+            search.tell(&cfg, outcome.score());
+            entry.tells.push((cfg, outcome));
         }
         if let Some((c, key)) = ctx.checkpoint.as_ref().zip(ck_key.as_deref()) {
-            c.mgr.record(
-                key,
-                search.snapshot(),
-                failure_msg.clone(),
-                pruned_verify,
-                pruned_model,
-                tells,
-            );
+            c.mgr.record(key, &entry, tells);
         }
         // Fault-injection seam: fires *after* this batch is checkpointed,
         // so an injected crash always dies with its completed work durable
         // — the scenario checkpoint adoption exists to recover.
         crate::fault::after_tells(tells);
     }
-    // Record the finished search too, so a later process replays the
-    // result instead of re-tuning a completed variant.
-    if let Some((c, key)) = ctx.checkpoint.as_ref().zip(ck_key.as_deref()) {
-        c.mgr.record(
-            key,
-            search.snapshot(),
-            failure_msg.clone(),
-            pruned_verify,
-            pruned_model,
-            0,
-        );
+    if search.evaluations() < replay {
+        return diverged(format!(
+            "the record holds {replay} tells, but the search ended after {}",
+            search.evaluations()
+        ));
     }
+    // The prune counters follow from the outcomes, replayed or fresh, so
+    // interrupted and uninterrupted runs report the same totals.
+    let count = |kind: Outcome| entry.tells.iter().filter(|(_, o)| *o == kind).count();
+    let pruned_verify = count(Outcome::PrunedVerify);
+    let pruned_model = count(Outcome::PrunedModel);
     let evaluations = search.evaluations();
     let result = search.into_result();
     let tuned = result.best.and_then(|best| {
         // How many successful simulations it took to first measure the
         // winning score — the paper-scale "evaluations to best" metric.
-        // Derived from the trace (which checkpoints carry), so resumed
-        // runs report the same number as uninterrupted ones.
+        // Derived from the trace, which replay rebuilds, so resumed runs
+        // report the same number as uninterrupted ones.
         let evals_to_best = result
             .trace
             .iter()

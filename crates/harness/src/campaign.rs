@@ -30,22 +30,27 @@
 //! to the worker's first attempt as `LIFT_FAULT` — see the driver's
 //! fault seam) to rehearse all of the above without flaky sleeps.
 //!
-//! Workers are configured explicitly: each gets the campaign's thread
-//! count and checkpoint base as flags and its checkpoint cadence as
-//! `LIFT_CHECKPOINT_EVERY`, all taken from [`CampaignOptions`]; the other
-//! `LIFT_*` settings reach it through the inherited environment, which the
-//! supervisor's own `main` has already validated.
+//! Workers are configured explicitly from the supervisor's resolved
+//! [`RunConfig`] ([`CampaignOptions::config`]): each gets its thread count
+//! and the checkpoint base as flags, and the budget, seed, checkpoint
+//! cadence, cost-model guidance and full-size switch as `LIFT_*`
+//! variables, so no tuning setting reaches a worker through the
+//! environment it inherits.
 
 use std::collections::VecDeque;
 use std::io::Read;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::time::{Duration, Instant, SystemTime};
 
+use lift_driver::TuneOptions;
 use lift_tuner::json::Value;
 
+use crate::config::RunConfig;
 use crate::report::{merge_available, merge_parts};
 
 /// Everything `lift-harness campaign` configures.
+#[derive(Clone)]
 pub struct CampaignOptions {
     /// `fig7`, `fig8`, `ablation` or `bench`.
     pub experiment: String,
@@ -62,15 +67,14 @@ pub struct CampaignOptions {
     pub timeout: Duration,
     /// Re-runs allowed per shard beyond the first attempt.
     pub retries: usize,
-    /// Base checkpoint path; `None` uses a campaign-private temp dir
-    /// (cleaned up on full success, kept for adoption-on-rerun after a
-    /// failure).
-    pub checkpoint: Option<PathBuf>,
-    /// Applied tells between a worker's checkpoint writes. Adoption and
+    /// The supervisor's resolved configuration, handed to every worker.
+    /// `config.tune.checkpoint` is the base checkpoint path; `None` uses a
+    /// campaign-private temp dir (cleaned up on full success, kept for
+    /// adoption-on-rerun after a failure). `config.tune.threads` are the
+    /// tuning threads within each worker, and `config.tune.checkpoint_every`
+    /// the applied tells between its checkpoint writes: adoption and
     /// liveness are only as fine-grained as the writes, hence default 1.
-    pub checkpoint_every: usize,
-    /// Tuning threads within each worker.
-    pub threads: usize,
+    pub config: RunConfig,
     /// Deterministic fault plans, `(shard index, LIFT_FAULT plan)`,
     /// injected into that shard's *first* attempt only.
     pub faults: Vec<(usize, String)>,
@@ -91,9 +95,10 @@ impl CampaignOptions {
             shards: 0, // resolved to `workers` in run_campaign
             timeout: Duration::from_secs(600),
             retries: 2,
-            checkpoint: None,
-            checkpoint_every: 1,
-            threads: 1,
+            config: RunConfig {
+                tune: TuneOptions::default().with_checkpoint_every(1),
+                ..RunConfig::default()
+            },
             faults: Vec::new(),
             backoff: Duration::from_millis(250),
         }
@@ -200,24 +205,26 @@ fn count_quarantines(ck: &Path) -> usize {
         .unwrap_or(0)
 }
 
-/// Spawns one shard worker: this binary, `--json --shard i/n`, with the
-/// campaign's thread count and checkpoint base (the worker derives its
-/// own `.shard<i>of<n>` path) and the shard's fault plan on the first
-/// attempt only — replacement workers must run clean or the fault would
-/// re-fire forever.
-fn spawn_worker(
+/// The command line of one shard worker: `exe --json --shard i/n` with
+/// the campaign's thread count and checkpoint base as flags (the worker
+/// derives its own `.shard<i>of<n>` path), every other tuning setting of
+/// the resolved config as its `LIFT_*` variable, and the shard's fault
+/// plan on the first attempt only — replacement workers must run clean or
+/// the fault would re-fire forever.
+fn worker_command(
+    exe: &Path,
     opts: &CampaignOptions,
     shard: usize,
     attempt: usize,
     ck_base: &Path,
-) -> Result<Running, String> {
-    let exe = std::env::current_exe().map_err(|e| format!("cannot find own binary: {e}"))?;
-    let mut c = std::process::Command::new(&exe);
+) -> Command {
+    let tune = &opts.config.tune;
+    let mut c = Command::new(exe);
     c.arg("--json")
         .arg("--shard")
         .arg(format!("{shard}/{}", opts.shards))
         .arg("--threads")
-        .arg(opts.threads.to_string())
+        .arg(tune.threads.to_string())
         .arg("--checkpoint")
         .arg(ck_base);
     c.arg(&opts.experiment);
@@ -227,7 +234,12 @@ fn spawn_worker(
     if opts.large {
         c.arg("--large");
     }
-    c.env("LIFT_CHECKPOINT_EVERY", opts.checkpoint_every.to_string());
+    let bit = |b: bool| if b { "1" } else { "0" };
+    c.env("LIFT_TUNE_BUDGET", tune.evaluations.to_string())
+        .env("LIFT_SEED", tune.seed.to_string())
+        .env("LIFT_CHECKPOINT_EVERY", tune.checkpoint_every.to_string())
+        .env("LIFT_COST_PRUNE", bit(tune.cost_prune.enabled))
+        .env("LIFT_FULL_SIZES", bit(opts.config.full_sizes));
     // The supervisor may itself run under LIFT_FAULT in a test; workers
     // get a fault only when their shard's plan says so, on attempt 1.
     c.env_remove("LIFT_FAULT");
@@ -236,6 +248,18 @@ fn spawn_worker(
             c.env("LIFT_FAULT", plan);
         }
     }
+    c
+}
+
+/// Spawns one shard worker (see [`worker_command`]) with its output piped.
+fn spawn_worker(
+    opts: &CampaignOptions,
+    shard: usize,
+    attempt: usize,
+    ck_base: &Path,
+) -> Result<Running, String> {
+    let exe = std::env::current_exe().map_err(|e| format!("cannot find own binary: {e}"))?;
+    let mut c = worker_command(&exe, opts, shard, attempt, ck_base);
     c.stdout(std::process::Stdio::piped());
     c.stderr(std::process::Stdio::piped());
     let mut child = c
@@ -289,18 +313,10 @@ fn backoff_for(base: Duration, attempts_done: usize) -> Duration {
 /// dir, inconsistent partial reports); worker failures are supervised and
 /// surface as `complete == false` with a missing-cell manifest.
 pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignReport, String> {
-    let mut opts = CampaignOptions {
-        shards: if opts.shards == 0 {
-            opts.workers
-        } else {
-            opts.shards
-        },
-        experiment: opts.experiment.clone(),
-        bench: opts.bench.clone(),
-        checkpoint: opts.checkpoint.clone(),
-        faults: opts.faults.clone(),
-        ..*opts
-    };
+    let mut opts = opts.clone();
+    if opts.shards == 0 {
+        opts.shards = opts.workers;
+    }
     opts.workers = opts.workers.max(1);
     let campaign_started = Instant::now();
 
@@ -308,7 +324,7 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignReport, String> {
     // without a configured path gets a private temp dir — removed again
     // only when every shard completes (a failed campaign's checkpoints
     // are exactly what a rerun wants to adopt).
-    let (ck_base, owned_dir) = match &opts.checkpoint {
+    let (ck_base, owned_dir) = match &opts.config.tune.checkpoint {
         Some(path) => (path.clone(), None),
         None => {
             let dir = std::env::temp_dir().join(format!("lift-campaign-{}", std::process::id()));
@@ -655,6 +671,70 @@ mod tests {
         std::fs::write(dir.join("ck.json.shard1of2.corrupt-1"), "x").unwrap();
         assert_eq!(count_quarantines(&ck), 2);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn workers_get_every_tuning_setting_of_the_resolved_config() {
+        let mut opts = CampaignOptions::new("bench");
+        opts.bench = Some("Heat".into());
+        opts.shards = 3;
+        opts.faults = vec![(1, "exit-after:2".into())];
+        opts.config = RunConfig {
+            tune: TuneOptions::evaluations(3)
+                .with_seed(7)
+                .with_threads(2)
+                .with_checkpoint_every(4)
+                .with_cost_prune(lift_driver::CostModel::off()),
+            full_sizes: true,
+        };
+        let env = |c: &Command, name: &str| {
+            c.get_envs()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.map(|v| v.to_string_lossy().into_owned()))
+        };
+        let c = worker_command(Path::new("lift-harness"), &opts, 1, 1, Path::new("ck.json"));
+        let args: Vec<_> = c.get_args().map(|a| a.to_string_lossy()).collect();
+        assert_eq!(
+            args,
+            [
+                "--json",
+                "--shard",
+                "1/3",
+                "--threads",
+                "2",
+                "--checkpoint",
+                "ck.json",
+                "bench",
+                "Heat"
+            ]
+        );
+        for (name, value) in [
+            ("LIFT_TUNE_BUDGET", "3"),
+            ("LIFT_SEED", "7"),
+            ("LIFT_CHECKPOINT_EVERY", "4"),
+            ("LIFT_COST_PRUNE", "0"),
+            ("LIFT_FULL_SIZES", "1"),
+            ("LIFT_FAULT", "exit-after:2"),
+        ] {
+            assert_eq!(env(&c, name), Some(Some(value.to_string())), "{name}");
+        }
+        // The worker's own config resolves back to the supervisor's.
+        let resolved = RunConfig::default()
+            .resolve(&crate::ConfigFlags::default(), |k| env(&c, k).flatten())
+            .unwrap();
+        assert_eq!(resolved.tune.evaluations, 3);
+        assert_eq!(resolved.tune.seed, 7);
+        assert_eq!(resolved.tune.cost_prune, lift_driver::CostModel::off());
+        assert!(resolved.full_sizes);
+        // A replacement attempt, and any other shard, runs fault-free.
+        for (shard, attempt) in [(1, 2), (0, 1)] {
+            let c = worker_command(Path::new("w"), &opts, shard, attempt, Path::new("ck"));
+            assert_eq!(
+                env(&c, "LIFT_FAULT"),
+                Some(None),
+                "shard {shard} attempt {attempt}"
+            );
+        }
     }
 
     #[test]

@@ -317,9 +317,7 @@ fn run_campaign_cmd(
         }
         opts.faults.push((shard, plan));
     }
-    opts.checkpoint = cfg.tune.checkpoint.clone();
-    opts.checkpoint_every = cfg.tune.checkpoint_every;
-    opts.threads = cfg.tune.threads;
+    opts.config = cfg.clone();
     let report = match lift_harness::run_campaign(&opts) {
         Ok(r) => r,
         Err(e) => {

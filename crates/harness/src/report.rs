@@ -20,26 +20,13 @@ use crate::experiments::{
 /// report.
 pub const PARTIAL_SCHEMA_VERSION: u64 = 1;
 
-/// Escapes a string for a JSON literal (the names here are ASCII, but the
-/// device names contain spaces and the code must not silently corrupt
-/// anything else). Public so every hand-assembled JSON document in the
-/// harness (rows here, the binary's `--list-benchmarks`) shares one
-/// escaper.
+/// Escapes a string for a JSON literal with [`lift_tuner::json`]'s writer
+/// (the names here are ASCII, but the device names contain spaces and the
+/// code must not silently corrupt anything else). Public so every
+/// hand-assembled JSON document in the harness (rows here, the binary's
+/// `--list-benchmarks`) shares the one escaper.
 pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    Value::Str(s.to_string()).to_json()
 }
 
 /// JSON numbers must be finite; a failed run's NaN/inf becomes `null`.

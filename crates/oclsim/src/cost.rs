@@ -72,7 +72,7 @@
 //! Each group runs at most once: a probe that does not join its box keeps
 //! its trace until it becomes an `r` itself. The estimate falls back to the
 //! full zero-data run when any group it runs faults (so the error is the
-//! one the full run raises first), when a recorded operand leaves ±2⁴⁰ or a
+//! one the full run raises first), when a recorded operand leaves ±2²⁹ or a
 //! trace outgrows its budget (the magnitudes that keep the extension inside
 //! `i64`), or when the partition would run more groups than the grid has.
 //! [`CostEstimate::groups_run`] reports the groups executed either way.

@@ -2,15 +2,18 @@
 //! semantics and models their performance on calibrated GPU profiles.
 //!
 //! The paper evaluates on three real GPUs (Nvidia Tesla K20c, AMD Radeon
-//! HD 7970, ARM Mali-T628). This environment has none, so this crate
-//! substitutes a **two-part virtual device** (see DESIGN.md §1):
+//! HD 7970, ARM Mali-T628). The reproduction runs without them, so this
+//! crate substitutes a **two-part virtual device**:
 //!
-//! 1. **Executor** ([`exec`]): a lock-step work-group executor for the
-//!    [`lift_codegen::Kernel`] AST. Work-items of a group advance statement
-//!    by statement (the classic POCL work-item-loop construction), which
-//!    gives exact OpenCL barrier semantics for the uniform control flow Lift
-//!    generates, and detects barriers in divergent flow as errors. Outputs
-//!    are bit-exact, so kernels are validated against golden references.
+//! 1. **Executor** ([`exec`]): a lock-step work-group executor that runs
+//!    the [`Plan`] a [`lift_codegen::Kernel`] compiles to (see the two
+//!    stages below). Work-items of a group advance statement by statement
+//!    (the classic POCL work-item-loop construction), which gives exact
+//!    OpenCL barrier semantics for the uniform control flow Lift generates,
+//!    and detects barriers in divergent flow as errors. Outputs are
+//!    bit-exact, so kernels are validated against golden references. The
+//!    kernel AST itself is interpreted only by the private reference
+//!    interpreter described at the end.
 //! 2. **Performance model** ([`perf`]): while executing, the executor
 //!    collects *memory transactions* (128-byte segment coalescing per
 //!    warp/wavefront), local-memory traffic, ALU work and barriers; the

@@ -1,17 +1,17 @@
 //! A minimal JSON value model, parser and writer.
 //!
-//! Checkpoint files ([`crate::SearchState`]), the driver's tuning
-//! checkpoints and the harness's partial shard reports all need to read
-//! *and* write JSON; like [`crate::rng`] (for `rand`) and [`crate::pool`]
-//! (for `rayon`), this module is the in-repo stand-in for the external
-//! dependency (`serde_json`) the build deliberately avoids.
+//! The driver's tuning checkpoints and the harness's partial shard
+//! reports both need to read *and* write JSON; like [`crate::rng`] (for
+//! `rand`) and [`crate::pool`] (for `rayon`), this module is the in-repo
+//! stand-in for the external dependency (`serde_json`) the build
+//! deliberately avoids.
 //!
 //! Two properties matter for the resumability contract and are tested
 //! here:
 //!
 //! * **Integers round-trip exactly.** Numbers without a fraction or
 //!   exponent parse into [`Value::Int`] (`i64`) or [`Value::UInt`]
-//!   (`u64`) — a 64-bit RNG state must not pass through an `f64` and
+//!   (`u64`) — a 64-bit search seed must not pass through an `f64` and
 //!   lose its low bits.
 //! * **Floats round-trip bit-exactly.** Floats are written with Rust's
 //!   `{:?}` formatting (the shortest representation that parses back to

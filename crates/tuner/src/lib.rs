@@ -14,12 +14,11 @@
 //! bit-identical to a one-at-a-time loop for the same seed, whatever the
 //! batch size or thread count.
 //!
-//! Searches are also **checkpointable**: [`Search::snapshot`] captures the
-//! full engine state as a serializable [`SearchState`] (JSON via
-//! [`SearchState::to_json`]), and [`Search::restore`] picks the search
-//! back up bit-identically to a run that was never interrupted. This is
-//! what lets the driver's long tuning campaigns survive process kills and
-//! be distributed across machines.
+//! Searches are also **resumable by replay**: a fresh search with the same
+//! seed and warm-start ranking, told the recorded scores in proposal order,
+//! proposes exactly what an uninterrupted run would have next. This is what
+//! lets the driver's long tuning campaigns survive process kills: its
+//! checkpoints record what each search was told, not the engine's state.
 //!
 //! # Example
 //!
@@ -53,7 +52,7 @@ pub mod search;
 
 pub use pool::parallel_map;
 pub use rng::SplitMix64;
-pub use search::{Search, SearchState, SnapshotError, SEARCH_STATE_SCHEMA_VERSION};
+pub use search::Search;
 
 /// One tunable parameter with its candidate values.
 #[derive(Debug, Clone)]
@@ -398,12 +397,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_is_bit_identical_at_every_interruption_point() {
-        // Interrupt the search after every single tell, round-trip the
-        // snapshot through JSON, and finish on the restored engine: every
-        // interruption point must reproduce the uninterrupted result
-        // bit-for-bit (trace scores compared via to_bits through
-        // PartialEq on f64 — exact, not approximate).
+    fn replay_is_bit_identical_at_every_interruption_point() {
+        // Record what an uninterrupted search is told. Then, for every k,
+        // tell a fresh search the first k recorded outcomes (at a different
+        // batch size) and evaluate only the rest: it must propose what the
+        // record holds and finish bit-identically (trace scores compared
+        // exactly through PartialEq on f64).
         let mk = || {
             ParamSpace::new([
                 ParamSpec::new("x", (1..=40).collect::<Vec<_>>()),
@@ -418,146 +417,38 @@ mod tests {
                 Some((cfg[0] as f64 - 6.3).powi(2) + (cfg[1] as f64 - 4.1).powi(2))
             }
         };
-        let reference = drive(Search::new(mk(), 24, 17), 1, eval);
-        for stop_after in 0..=24usize {
+        let mut search = Search::new(mk(), 24, 17);
+        let mut record = Vec::new();
+        while !search.is_done() {
+            for cfg in search.ask(1) {
+                let score = eval(&cfg);
+                search.tell(&cfg, score);
+                record.push((cfg, score));
+            }
+        }
+        let reference = search.into_result();
+        assert_eq!(record.len(), reference.evaluations);
+        for k in 0..=record.len() {
             let mut search = Search::new(mk(), 24, 17);
             let mut told = 0;
-            'outer: while !search.is_done() {
-                for cfg in search.ask(1) {
-                    if told == stop_after {
-                        break 'outer;
-                    }
-                    search.tell(&cfg, eval(&cfg));
+            while !search.is_done() {
+                for cfg in search.ask(3) {
+                    let score = match record[..k].get(told) {
+                        Some((recorded, score)) => {
+                            assert_eq!(&cfg, recorded, "k={k}: proposal {told} left the record");
+                            *score
+                        }
+                        None => eval(&cfg),
+                    };
+                    search.tell(&cfg, score);
                     told += 1;
                 }
             }
-            let json = search.snapshot().to_json().to_json();
-            let state = SearchState::from_json(&json::Value::parse(&json).unwrap()).unwrap();
-            let resumed = Search::restore(mk(), state).unwrap();
-            let got = drive(resumed, 3, eval);
-            assert_eq!(got.trace, reference.trace, "stop_after={stop_after}");
-            assert_eq!(got.best, reference.best, "stop_after={stop_after}");
-            assert_eq!(
-                got.evaluations, reference.evaluations,
-                "stop_after={stop_after}"
-            );
+            let got = search.into_result();
+            assert_eq!(got.trace, reference.trace, "k={k}");
+            assert_eq!(got.best, reference.best, "k={k}");
+            assert_eq!(got.evaluations, reference.evaluations, "k={k}");
         }
-    }
-
-    #[test]
-    fn snapshot_rolls_in_flight_proposals_back_into_pending() {
-        // Ask out a whole batch, tell only part of it out of order, then
-        // snapshot: the restored search must re-propose the untold
-        // configurations and still converge to the reference result.
-        let mk = || {
-            ParamSpace::new([
-                ParamSpec::new("x", (1..=60).collect::<Vec<_>>()),
-                ParamSpec::new("y", (1..=60).collect::<Vec<_>>()),
-            ])
-        };
-        let eval = |cfg: &[i64]| Some((cfg[0] as f64 - 20.0).abs() + (cfg[1] as f64 - 9.0).abs());
-        let reference = drive(Search::new(mk(), 20, 3), 1, eval);
-
-        let mut search = Search::new(mk(), 20, 3);
-        let batch = search.ask(10);
-        assert!(batch.len() >= 4, "sampling batch");
-        // Tell the 4th and 2nd only: both stay buffered behind the untold
-        // 1st and must be discarded by the snapshot.
-        search.tell(&batch[3], eval(&batch[3]));
-        search.tell(&batch[1], eval(&batch[1]));
-        let state = search.snapshot();
-        assert_eq!(state.evaluations, 0, "no tell was applied yet");
-        assert!(
-            state.pending.iter().any(|c| c == &batch[1]),
-            "buffered-but-unapplied proposals are re-proposed"
-        );
-        let got = drive(Search::restore(mk(), state).unwrap(), 7, eval);
-        assert_eq!(got.trace, reference.trace);
-        assert_eq!(got.best, reference.best);
-    }
-
-    #[test]
-    fn restore_rejects_a_mismatched_space() {
-        let space_a = ParamSpace::new([ParamSpec::new("x", vec![1, 2, 3])]);
-        let space_b = ParamSpace::new([ParamSpec::new("x", vec![1, 2, 4])]);
-        let state = Search::new(space_a, 10, 0).snapshot();
-        let err = match Search::restore(space_b, state) {
-            Err(e) => e,
-            Ok(_) => panic!("a mismatched space must be rejected"),
-        };
-        assert!(
-            err.to_string().contains("different parameter space"),
-            "{err}"
-        );
-        // A matching digest with a truncated configuration vector (file
-        // corruption the digest cannot see) is rejected, not a later
-        // index-out-of-bounds panic.
-        let mk = || {
-            ParamSpace::new([
-                ParamSpec::new("x", vec![1, 2, 3]),
-                ParamSpec::new("y", vec![1, 2]),
-            ])
-        };
-        let mut state = Search::new(mk(), 10, 0).snapshot();
-        state.best = Some(Candidate {
-            values: vec![1],
-            score: 0.5,
-        });
-        let err = match Search::restore(mk(), state) {
-            Err(e) => e,
-            Ok(_) => panic!("a truncated configuration must be rejected"),
-        };
-        assert!(err.to_string().contains("arity"), "{err}");
-    }
-
-    #[test]
-    fn from_json_rejects_version_mismatch_and_garbage() {
-        let space = ParamSpace::new([ParamSpec::new("x", vec![1, 2, 3])]);
-        let mut v = Search::new(space, 10, 0).snapshot().to_json();
-        // Bump the version: must name both versions in the error.
-        if let json::Value::Obj(members) = &mut v {
-            members[0].1 = json::Value::UInt(99);
-        }
-        let err = SearchState::from_json(&v).unwrap_err();
-        assert!(err.to_string().contains("schema_version 99"), "{err}");
-        assert!(err.to_string().contains("version 1"), "{err}");
-        // A missing version is equally loud.
-        let err = SearchState::from_json(&json::Value::Obj(vec![])).unwrap_err();
-        assert!(err.to_string().contains("<missing>"), "{err}");
-        // Missing fields name themselves.
-        let err = SearchState::from_json(
-            &json::Value::parse(r#"{"schema_version": 1, "seed": 0}"#).unwrap(),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains('`'), "{err}");
-    }
-
-    #[test]
-    fn tuner_resume_matches_uninterrupted_run() {
-        let mk = || {
-            ParamSpace::new([
-                ParamSpec::new("x", (1..=100).collect::<Vec<_>>()),
-                ParamSpec::new("y", (1..=100).collect::<Vec<_>>()),
-            ])
-        };
-        let reference = drive(Search::new(mk(), 40, 8), 1, quadratic);
-        // Interrupt after 11 tells.
-        let mut search = Search::new(mk(), 40, 8);
-        let mut told = 0;
-        'outer: while !search.is_done() {
-            for cfg in search.ask(1) {
-                if told == 11 {
-                    break 'outer;
-                }
-                search.tell(&cfg, quadratic(&cfg));
-                told += 1;
-            }
-        }
-        let restored = Search::restore(mk(), search.snapshot()).expect("space matches");
-        let got = drive(restored, 1, quadratic);
-        assert_eq!(got.trace, reference.trace);
-        assert_eq!(got.best, reference.best);
-        assert_eq!(got.evaluations, reference.evaluations);
     }
 
     #[test]

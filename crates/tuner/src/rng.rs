@@ -15,13 +15,6 @@ impl SplitMix64 {
         SplitMix64 { state: seed }
     }
 
-    /// The current stream position. [`SplitMix64::new`] with this value
-    /// resumes the stream exactly where it stands — the state word *is*
-    /// the position, which is what makes searches checkpointable.
-    pub fn state(&self) -> u64 {
-        self.state
-    }
-
     /// The next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e3779b97f4a7c15);
@@ -43,18 +36,6 @@ impl SplitMix64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn state_resumes_the_stream() {
-        let mut r = SplitMix64::new(99);
-        for _ in 0..17 {
-            r.next_u64();
-        }
-        let mut resumed = SplitMix64::new(r.state());
-        for _ in 0..50 {
-            assert_eq!(r.next_u64(), resumed.next_u64());
-        }
-    }
 
     #[test]
     fn deterministic_given_seed() {

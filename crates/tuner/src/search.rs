@@ -23,6 +23,13 @@
 //! the block is fully told the next block is derived from the (now
 //! deterministic) incumbent.
 //!
+//! Because proposals depend only on the seed, the warm-start ranking and
+//! the scores told so far, a search is resumed by *replaying* it: a fresh
+//! search with the same seed, re-ranked the same way and told the same
+//! scores in proposal order, proposes exactly what the interrupted one
+//! would have next. The engine therefore has no serialized form; the
+//! driver's checkpoints record what each search was told.
+//!
 //! ```
 //! use lift_tuner::{ParamSpace, ParamSpec, Search};
 //!
@@ -40,10 +47,7 @@
 //! ```
 
 use std::collections::{HashSet, VecDeque};
-use std::error::Error;
-use std::fmt;
 
-use crate::json::Value;
 use crate::rng::SplitMix64;
 use crate::{Candidate, ParamSpace, TuneResult};
 
@@ -61,27 +65,6 @@ enum Phase {
     Done,
 }
 
-impl Phase {
-    fn as_str(self) -> &'static str {
-        match self {
-            Phase::Exhaustive => "exhaustive",
-            Phase::Sampling => "sampling",
-            Phase::Refining => "refining",
-            Phase::Done => "done",
-        }
-    }
-
-    fn from_str(s: &str) -> Option<Phase> {
-        Some(match s {
-            "exhaustive" => Phase::Exhaustive,
-            "sampling" => Phase::Sampling,
-            "refining" => Phase::Refining,
-            "done" => Phase::Done,
-            _ => return None,
-        })
-    }
-}
-
 /// A proposal that has been handed out by [`Search::ask`] and is awaiting
 /// (or buffering) its [`Search::tell`].
 #[derive(Debug)]
@@ -97,7 +80,6 @@ struct Outstanding {
 pub struct Search {
     space: ParamSpace,
     budget: usize,
-    seed: u64,
     phase: Phase,
     rng: SplitMix64,
     seen: HashSet<Vec<i64>>,
@@ -126,7 +108,6 @@ impl Search {
             rng: SplitMix64::new(seed),
             space,
             budget,
-            seed,
             phase: Phase::Done,
             seen: HashSet::new(),
             pending: VecDeque::new(),
@@ -179,11 +160,10 @@ impl Search {
     /// still resolves the same way whenever tied proposals tie in rank.
     ///
     /// Only the not-yet-asked proposals of the first block are reordered:
-    /// the call is a no-op once any proposal has been handed out or told
-    /// (in particular on a search restored mid-run from a snapshot, whose
-    /// recorded proposal order must be preserved for resume determinism —
-    /// a snapshot taken *after* warm-starting records the reordered queue,
-    /// so resumed and uninterrupted warm-started runs still agree).
+    /// the call is a no-op once any proposal has been handed out or told.
+    /// A resumed search re-applies the warm start with the ranks the
+    /// interrupted one used, before it tells anything, so both propose in
+    /// the same order.
     pub fn warm_start_by<F>(&mut self, mut rank: F)
     where
         F: FnMut(&[i64]) -> Option<f64>,
@@ -360,349 +340,5 @@ impl Search {
         } else {
             Phase::Refining
         };
-    }
-
-    /// Captures the search as a serializable [`SearchState`].
-    ///
-    /// The snapshot is taken *as of the last applied tell*: proposals that
-    /// have been handed out by [`Search::ask`] but whose tells have not
-    /// been applied yet are rolled back into the pending queue (in
-    /// proposal order), and buffered out-of-order tells are discarded.
-    /// With a deterministic evaluator this is invisible — the restored
-    /// search re-proposes those configurations and receives the same
-    /// scores — and it is exactly the right semantics for crash recovery,
-    /// where in-flight evaluations died with the process.
-    ///
-    /// The guarantee tested in this crate: for any interleaving of `ask`,
-    /// `tell`, `snapshot` and [`Search::restore`], the restored search
-    /// driven by the same deterministic evaluator finishes with a
-    /// [`TuneResult`] bit-identical to the uninterrupted run's.
-    pub fn snapshot(&self) -> SearchState {
-        let mut pending: Vec<Vec<i64>> = self.outstanding.iter().map(|o| o.cfg.clone()).collect();
-        pending.extend(self.pending.iter().cloned());
-        let mut seen: Vec<Vec<i64>> = self.seen.iter().cloned().collect();
-        seen.sort_unstable(); // HashSet order is unstable; keep files tidy
-        SearchState {
-            seed: self.seed,
-            budget: self.budget,
-            space_digest: space_digest(&self.space),
-            rng_state: self.rng.state(),
-            phase: self.phase.as_str().to_string(),
-            proposed: self.proposed,
-            evaluations: self.evaluations,
-            pending,
-            seen,
-            trace: self.trace.clone(),
-            best: self.best.clone(),
-            pass_start_score: self.pass_start_score,
-        }
-    }
-
-    /// Rebuilds a search from a [`SearchState`] over a freshly constructed
-    /// `space` (parameter spaces carry constraint closures and cannot be
-    /// serialized themselves).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError`] when `space` does not match the space the
-    /// snapshot was taken over (parameter names or candidate lists
-    /// differ), or when the state is internally inconsistent (an unknown
-    /// phase name).
-    pub fn restore(space: ParamSpace, state: SearchState) -> Result<Search, SnapshotError> {
-        let digest = space_digest(&space);
-        if digest != state.space_digest {
-            return Err(SnapshotError(format!(
-                "snapshot was taken over a different parameter space \
-                 (digest {:#x}, this space is {:#x}); checkpoints cannot \
-                 be shared across programs, variants or devices",
-                state.space_digest, digest
-            )));
-        }
-        let phase = Phase::from_str(&state.phase)
-            .ok_or_else(|| SnapshotError(format!("unknown search phase `{}`", state.phase)))?;
-        // The digest proves the snapshot was taken over this space's
-        // *shape*, but a bit-rotted or hand-edited file can still carry
-        // truncated configuration vectors under a matching digest — catch
-        // that here instead of panicking deep inside a refinement pass.
-        let arity = space.params().len();
-        let bad_arity = state
-            .pending
-            .iter()
-            .chain(state.seen.iter())
-            .chain(state.trace.iter().map(|c| &c.values))
-            .chain(state.best.iter().map(|c| &c.values))
-            .any(|cfg| cfg.len() != arity);
-        if bad_arity {
-            return Err(SnapshotError(format!(
-                "snapshot contains a configuration whose arity differs from the space's \
-                 {arity} parameters; the checkpoint file is corrupt"
-            )));
-        }
-        Ok(Search {
-            rng: SplitMix64::new(state.rng_state),
-            space,
-            budget: state.budget,
-            seed: state.seed,
-            phase,
-            seen: state.seen.into_iter().collect(),
-            pending: state.pending.into(),
-            outstanding: VecDeque::new(),
-            proposed: state.proposed,
-            evaluations: state.evaluations,
-            trace: state.trace,
-            best: state.best,
-            pass_start_score: state.pass_start_score,
-        })
-    }
-}
-
-/// Digest of a parameter space's *shape* (names and candidate lists, in
-/// declaration order; constraints are closures and cannot participate).
-/// Stored in every snapshot so a checkpoint recorded for one (program,
-/// variant, device) cannot silently resume another.
-fn space_digest(space: &ParamSpace) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut eat = |bytes: &[u8]| {
-        for b in bytes {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
-    for p in space.params() {
-        eat(p.name().as_bytes());
-        eat(&[0xff]);
-        for c in p.candidates() {
-            eat(&c.to_le_bytes());
-        }
-        eat(&[0xfe]);
-    }
-    h
-}
-
-/// A failure to snapshot, parse or restore a [`SearchState`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotError(pub String);
-
-impl fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "search snapshot error: {}", self.0)
-    }
-}
-
-impl Error for SnapshotError {}
-
-/// The version written into (and required from) every serialized
-/// [`SearchState`].
-pub const SEARCH_STATE_SCHEMA_VERSION: u64 = 1;
-
-/// A serializable snapshot of a [`Search`], produced by
-/// [`Search::snapshot`] and consumed by [`Search::restore`].
-///
-/// # JSON schema (version 1)
-///
-/// [`SearchState::to_json`] writes one JSON object; all fields are
-/// required. [`SearchState::from_json`] rejects a missing or different
-/// `schema_version` with a [`SnapshotError`] naming both versions — a
-/// checkpoint written by a future incompatible release fails loudly
-/// instead of resuming garbage.
-///
-/// ```json
-/// {
-///   "schema_version": 1,         // this layout; checked on parse
-///   "seed": 2018,                // the seed the search was created with
-///   "budget": 10,                // total evaluation budget
-///   "space_digest": 123456,      // u64 digest of the parameter space shape
-///   "rng_state": 987654,         // SplitMix64 stream position (u64)
-///   "phase": "sampling",         // exhaustive | sampling | refining | done
-///   "proposed": 30,              // proposals drawn so far (budget spent)
-///   "tells_applied": 12,         // tells applied so far (== evaluations())
-///   "pending": [[1, 2], ...],    // proposals not yet evaluated, in order
-///   "seen": [[1, 2], ...],       // configurations ever proposed (sorted)
-///   "trace": [                   // applied successful evaluations, in order
-///     {"values": [1, 2], "score": 0.5}, ...
-///   ],
-///   "best": {"values": [1, 2], "score": 0.5},   // or null
-///   "pass_start_score": null     // incumbent score when the current
-/// }                              // refinement pass started, or null
-/// ```
-///
-/// Integers are written as JSON integers (never through `f64` — the RNG
-/// state uses all 64 bits) and scores with Rust's shortest round-tripping
-/// float format, so a parse of the written form reproduces every field
-/// bit-exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SearchState {
-    /// Seed the original search was created with.
-    pub seed: u64,
-    /// Total evaluation budget.
-    pub budget: usize,
-    /// Digest of the parameter space shape (see [`Search::restore`]).
-    pub space_digest: u64,
-    /// SplitMix64 stream position.
-    pub rng_state: u64,
-    /// Proposal phase (`"exhaustive"`, `"sampling"`, `"refining"`,
-    /// `"done"`).
-    pub phase: String,
-    /// Proposals drawn so far.
-    pub proposed: usize,
-    /// Tells applied so far.
-    pub evaluations: usize,
-    /// Proposals awaiting evaluation, in proposal order (includes any
-    /// that were in flight when the snapshot was taken).
-    pub pending: Vec<Vec<i64>>,
-    /// Every configuration ever proposed (deduplication set), sorted.
-    pub seen: Vec<Vec<i64>>,
-    /// Applied successful evaluations, in proposal order.
-    pub trace: Vec<Candidate>,
-    /// The incumbent, if any evaluation succeeded yet.
-    pub best: Option<Candidate>,
-    /// The incumbent's score when the current refinement pass started.
-    pub pass_start_score: Option<f64>,
-}
-
-fn cfg_to_json(cfg: &[i64]) -> Value {
-    Value::Arr(cfg.iter().map(|v| Value::Int(*v)).collect())
-}
-
-fn cfg_from_json(v: &Value) -> Result<Vec<i64>, SnapshotError> {
-    v.as_arr()
-        .ok_or_else(|| SnapshotError("configuration is not an array".into()))?
-        .iter()
-        .map(|x| {
-            x.as_i64()
-                .ok_or_else(|| SnapshotError("configuration value is not an integer".into()))
-        })
-        .collect()
-}
-
-fn candidate_to_json(c: &Candidate) -> Value {
-    Value::Obj(vec![
-        ("values".into(), cfg_to_json(&c.values)),
-        ("score".into(), Value::Float(c.score)),
-    ])
-}
-
-fn candidate_from_json(v: &Value) -> Result<Candidate, SnapshotError> {
-    let values = cfg_from_json(
-        v.get("values")
-            .ok_or_else(|| SnapshotError("candidate has no `values`".into()))?,
-    )?;
-    let score = v
-        .get("score")
-        .and_then(Value::as_f64)
-        .ok_or_else(|| SnapshotError("candidate has no numeric `score`".into()))?;
-    Ok(Candidate { values, score })
-}
-
-impl SearchState {
-    /// Serializes the state as a JSON object (schema above).
-    pub fn to_json(&self) -> Value {
-        Value::Obj(vec![
-            (
-                "schema_version".into(),
-                Value::UInt(SEARCH_STATE_SCHEMA_VERSION),
-            ),
-            ("seed".into(), Value::UInt(self.seed)),
-            ("budget".into(), Value::UInt(self.budget as u64)),
-            ("space_digest".into(), Value::UInt(self.space_digest)),
-            ("rng_state".into(), Value::UInt(self.rng_state)),
-            ("phase".into(), Value::Str(self.phase.clone())),
-            ("proposed".into(), Value::UInt(self.proposed as u64)),
-            ("tells_applied".into(), Value::UInt(self.evaluations as u64)),
-            (
-                "pending".into(),
-                Value::Arr(self.pending.iter().map(|c| cfg_to_json(c)).collect()),
-            ),
-            (
-                "seen".into(),
-                Value::Arr(self.seen.iter().map(|c| cfg_to_json(c)).collect()),
-            ),
-            (
-                "trace".into(),
-                Value::Arr(self.trace.iter().map(candidate_to_json).collect()),
-            ),
-            (
-                "best".into(),
-                self.best
-                    .as_ref()
-                    .map(candidate_to_json)
-                    .unwrap_or(Value::Null),
-            ),
-            (
-                "pass_start_score".into(),
-                self.pass_start_score
-                    .map(Value::Float)
-                    .unwrap_or(Value::Null),
-            ),
-        ])
-    }
-
-    /// Deserializes a state from the JSON written by
-    /// [`SearchState::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError`] on a missing or mismatched `schema_version`
-    /// (naming both the expected and the found version) or any missing or
-    /// ill-typed field.
-    pub fn from_json(v: &Value) -> Result<SearchState, SnapshotError> {
-        let version = v.get("schema_version").and_then(Value::as_u64);
-        if version != Some(SEARCH_STATE_SCHEMA_VERSION) {
-            return Err(SnapshotError(format!(
-                "unsupported checkpoint schema_version {} (this build reads version {})",
-                version.map_or("<missing>".to_string(), |x| x.to_string()),
-                SEARCH_STATE_SCHEMA_VERSION
-            )));
-        }
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| SnapshotError(format!("checkpoint field `{name}` is missing")))
-        };
-        let uint = |name: &str| {
-            field(name)?.as_u64().ok_or_else(|| {
-                SnapshotError(format!("checkpoint field `{name}` is not an integer"))
-            })
-        };
-        let cfgs = |name: &str| -> Result<Vec<Vec<i64>>, SnapshotError> {
-            field(name)?
-                .as_arr()
-                .ok_or_else(|| SnapshotError(format!("checkpoint field `{name}` is not an array")))?
-                .iter()
-                .map(cfg_from_json)
-                .collect()
-        };
-        let trace = field("trace")?
-            .as_arr()
-            .ok_or_else(|| SnapshotError("checkpoint field `trace` is not an array".into()))?
-            .iter()
-            .map(candidate_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let best = match field("best")? {
-            Value::Null => None,
-            other => Some(candidate_from_json(other)?),
-        };
-        let pass_start_score = match field("pass_start_score")? {
-            Value::Null => None,
-            other => Some(other.as_f64().ok_or_else(|| {
-                SnapshotError("checkpoint field `pass_start_score` is not a number".into())
-            })?),
-        };
-        Ok(SearchState {
-            seed: uint("seed")?,
-            budget: uint("budget")? as usize,
-            space_digest: uint("space_digest")?,
-            rng_state: uint("rng_state")?,
-            phase: field("phase")?
-                .as_str()
-                .ok_or_else(|| SnapshotError("checkpoint field `phase` is not a string".into()))?
-                .to_string(),
-            proposed: uint("proposed")? as usize,
-            evaluations: uint("tells_applied")? as usize,
-            pending: cfgs("pending")?,
-            seen: cfgs("seen")?,
-            trace,
-            best,
-            pass_start_score,
-        })
     }
 }
