@@ -5,9 +5,9 @@
 //! record of every search a tuning run performs — keyed by `(program,
 //! device, sizes, variant)` so one file can cover a whole harness sweep.
 //! A record holds the search's seed and budget, the estimates its warm
-//! start ranked the initial block by (guided runs only), every told
-//! proposal in proposal order with its outcome, and the first failure's
-//! message. The file is rewritten atomically (temp file + rename) every
+//! start ranked the initial block by, every told proposal in proposal
+//! order with its outcome, and the first failure's message. The file is
+//! rewritten atomically (temp file + rename) every
 //! [`TuneOptions::checkpoint_every`] applied tells, and a fresh run
 //! pointed at the same file *replays* every record: a new search with the
 //! recorded seed and ranks is told the recorded outcomes before it
@@ -27,12 +27,12 @@
 //!
 //! ```json
 //! {
-//!   "schema_version": 3,
+//!   "schema_version": 4,
 //!   "entries": {
 //!     "Jacobi2D5pt@Nvidia Tesla K20c@18x18#tiled-local": {
 //!       "seed": 4409381015186392573,
 //!       "budget": 10,
-//!       "ranks": [[[16, 8], 2.1e-6], [[8, 4], null]],   // null if unguided
+//!       "ranks": [[[16, 8], 2.1e-6], [[8, 4], null]],   // null: no estimate
 //!       "tells": [[[16, 8], 2.1e-6], [[8, 4], "model"],
 //!                 [[4, 4], "verify"], [[32, 2], "failed"]],
 //!       "first_failure": null      // or the first failure's message
@@ -57,11 +57,12 @@ use crate::error::LiftError;
 use crate::fault;
 
 /// The version written into (and required from) every checkpoint file.
-/// Version 3 records what each search was told instead of a snapshot of
-/// the search engine; files of earlier versions are rejected with a clear
+/// Version 4 records what each search was told, always with the warm
+/// start's ranks (version 3 allowed unguided records without them);
+/// files of earlier versions are rejected with a clear
 /// [`LiftError::Checkpoint`] (delete the file or re-run with the build
 /// that wrote it).
-pub const CHECKPOINT_SCHEMA_VERSION: u64 = 3;
+pub const CHECKPOINT_SCHEMA_VERSION: u64 = 4;
 
 /// Why a checkpoint file failed to load. The distinction matters for
 /// recovery: a [`ParseError::Version`] file is *intact* — some other build
@@ -73,7 +74,7 @@ pub const CHECKPOINT_SCHEMA_VERSION: u64 = 3;
 enum ParseError {
     /// Well-formed file written by an incompatible schema version.
     Version(String),
-    /// Unreadable content: invalid JSON, missing/damaged fields.
+    /// Unreadable content: invalid UTF-8 or JSON, missing/damaged fields.
     Corrupt(String),
 }
 
@@ -116,8 +117,8 @@ pub(crate) struct CheckpointEntry {
     pub seed: u64,
     pub budget: usize,
     /// The warm start's estimate for each configuration of the initial
-    /// block, in proposal order; `None` when the search was unguided.
-    pub ranks: Option<Vec<(Vec<i64>, Option<f64>)>>,
+    /// block, in proposal order (`None` where the model has no estimate).
+    pub ranks: Vec<(Vec<i64>, Option<f64>)>,
     /// Every told proposal with its outcome, in proposal order.
     pub tells: Vec<(Vec<i64>, Outcome)>,
     pub first_failure: Option<String>,
@@ -176,8 +177,8 @@ impl CheckpointManager {
             return Ok(mgr.clone());
         }
         sweep_stale_tmp(path);
-        let entries = match std::fs::read_to_string(path) {
-            Ok(text) => match parse_file(&text) {
+        let entries = match std::fs::read(path) {
+            Ok(bytes) => match parse_file(&bytes) {
                 Ok(entries) => entries,
                 Err(ParseError::Version(e)) => {
                     return Err(LiftError::Checkpoint(format!("{}: {e}", path.display())))
@@ -224,14 +225,15 @@ impl CheckpointManager {
             .cloned()
     }
 
-    /// Stores the latest record of one search and schedules a write once
-    /// `tells_delta` accumulated tells reach the manager's cadence. Write
-    /// failures are deferred to [`CheckpointManager::flush`] — tuning
-    /// itself never aborts mid-search over a full disk.
-    pub(crate) fn record(&self, key: &str, entry: &CheckpointEntry, tells_delta: usize) {
+    /// Stores the latest record of one search, one tell longer than the
+    /// last, and writes the file once the tells since the last write reach
+    /// the manager's cadence. Write failures are deferred to
+    /// [`CheckpointManager::flush`] — tuning itself never aborts
+    /// mid-search over a full disk.
+    pub(crate) fn record(&self, key: &str, entry: &CheckpointEntry) {
         let mut inner = self.inner.lock().expect("checkpoint lock poisoned");
         inner.entries.insert(key.to_string(), entry.clone());
-        inner.tells_since_write += tells_delta;
+        inner.tells_since_write += 1;
         if inner.tells_since_write >= self.every {
             inner.tells_since_write = 0;
             if let Err(e) = write_file(&self.path, &inner.entries) {
@@ -337,7 +339,8 @@ fn quarantine(path: &Path) -> Result<PathBuf, String> {
     ))
 }
 
-fn parse_file(text: &str) -> Result<BTreeMap<String, CheckpointEntry>, ParseError> {
+fn parse_file(bytes: &[u8]) -> Result<BTreeMap<String, CheckpointEntry>, ParseError> {
+    let text = std::str::from_utf8(bytes).map_err(|e| ParseError::Corrupt(e.to_string()))?;
     let v = Value::parse(text).map_err(ParseError::Corrupt)?;
     let version = v.get("schema_version").and_then(Value::as_u64);
     if version != Some(CHECKPOINT_SCHEMA_VERSION) {
@@ -434,10 +437,6 @@ fn parse_entries(members: &[(String, Value)]) -> Result<BTreeMap<String, Checkpo
                 .and_then(Value::as_u64)
                 .ok_or_else(|| bad(field))
         };
-        let ranks = match entry.get("ranks") {
-            Some(Value::Null) => None,
-            ranks => Some(pairs_from_json(ranks, rank_from_json).ok_or_else(|| bad("ranks"))?),
-        };
         let first_failure = match entry.get("first_failure") {
             Some(Value::Null) => None,
             msg => Some(
@@ -448,7 +447,8 @@ fn parse_entries(members: &[(String, Value)]) -> Result<BTreeMap<String, Checkpo
         let entry = CheckpointEntry {
             seed: uint("seed")?,
             budget: uint("budget")? as usize,
-            ranks,
+            ranks: pairs_from_json(entry.get("ranks"), rank_from_json)
+                .ok_or_else(|| bad("ranks"))?,
             tells: pairs_from_json(entry.get("tells"), outcome_from_json)
                 .ok_or_else(|| bad("tells"))?,
             first_failure: first_failure.map(str::to_string),
@@ -466,13 +466,7 @@ fn render_file(entries: &BTreeMap<String, CheckpointEntry>) -> String {
             let entry = Value::Obj(vec![
                 ("seed".into(), Value::UInt(entry.seed)),
                 ("budget".into(), Value::UInt(entry.budget as u64)),
-                (
-                    "ranks".into(),
-                    entry
-                        .ranks
-                        .as_ref()
-                        .map_or(Value::Null, |ranks| pairs_to_json(ranks, rank)),
-                ),
+                ("ranks".into(), pairs_to_json(&entry.ranks, rank)),
                 ("tells".into(), pairs_to_json(&entry.tells, outcome_to_json)),
                 (
                     "first_failure".into(),
@@ -522,7 +516,7 @@ mod tests {
         CheckpointEntry {
             seed: u64::MAX - 6,
             budget: 10,
-            ranks: Some(vec![(vec![16, 8], Some(2.1e-6)), (vec![8, 4], None)]),
+            ranks: vec![(vec![16, 8], Some(2.1e-6)), (vec![8, 4], None)],
             tells: vec![
                 (vec![16, 8], Outcome::Score(2.1e-6)),
                 (vec![8, 4], Outcome::PrunedModel),
@@ -535,41 +529,44 @@ mod tests {
 
     #[test]
     fn file_round_trips_entries_and_failures() {
-        let unguided = CheckpointEntry {
-            ranks: None,
+        let unranked = CheckpointEntry {
+            ranks: vec![(vec![-1, 0], None)],
             tells: vec![(vec![-1, 0], Outcome::Score(0.1 + 0.2))],
             first_failure: None,
             ..entry()
         };
         let entries = BTreeMap::from([
             ("B@dev@8x8#global".to_string(), entry()),
-            ("B@dev@8x8#tiled".to_string(), unguided),
+            ("B@dev@8x8#tiled".to_string(), unranked),
         ]);
         // Every outcome kind, 64-bit seeds and scores survive bit-exactly.
-        let back = parse_file(&render_file(&entries)).expect("parses");
+        let back = parse_file(render_file(&entries).as_bytes()).expect("parses");
         assert_eq!(back, entries);
         assert_eq!(
             back["B@dev@8x8#global"].first_failure.as_deref(),
             Some("local memory exhausted")
         );
-        assert_eq!(back["B@dev@8x8#tiled"].ranks, None);
+        assert_eq!(back["B@dev@8x8#tiled"].ranks, [(vec![-1, 0], None)]);
     }
 
     #[test]
     fn version_mismatch_is_a_clear_error() {
-        // A schema-2 file (engine snapshots), a schema-1 file (one prune
-        // counter) and a future one are all rejected the same way: a clear
-        // error, never a panic or a silent restart.
+        // A schema-3 file (ranks optional), a schema-2 file (engine
+        // snapshots), a schema-1 file (one prune counter) and a future one
+        // are all rejected the same way: a clear error, never a panic or a
+        // silent restart.
+        let v3 = r#"{"schema_version": 3, "entries": {"k": {"seed": 1, "budget": 2,
+            "ranks": null, "tells": [], "first_failure": null}}}"#;
         let v2 = r#"{"schema_version": 2, "entries": {"k": {"state": {"schema_version": 1},
             "first_failure": null, "pruned_verify": 0, "pruned_model": 0}}}"#;
         let v1 = r#"{"schema_version": 1, "entries": {}}"#;
         let v9 = r#"{"schema_version": 9, "entries": {}}"#;
-        for (version, doc) in [(2, v2), (1, v1), (9, v9)] {
-            let err = parse_file(doc).unwrap_err();
+        for (version, doc) in [(3, v3), (2, v2), (1, v1), (9, v9)] {
+            let err = parse_file(doc.as_bytes()).unwrap_err();
             assert!(matches!(err, ParseError::Version(_)), "{err:?}");
             let msg = err.to_string();
             assert!(msg.contains(&format!("schema_version {version}")), "{msg}");
-            assert!(msg.contains("version 3"), "{msg}");
+            assert!(msg.contains("version 4"), "{msg}");
         }
     }
 
@@ -577,24 +574,35 @@ mod tests {
     fn damage_classifies_as_corrupt_not_version_skew() {
         // No version field at all: indistinguishable from damage, so
         // corrupt (quarantine) rather than a hard versioned rejection.
-        let err = parse_file(r#"{"entries": {}}"#).unwrap_err();
+        let err = parse_file(br#"{"entries": {}}"#).unwrap_err();
         assert!(matches!(err, ParseError::Corrupt(_)), "{err:?}");
         assert!(err.to_string().contains("<missing>"), "{err}");
-        let err = parse_file("not json at all").unwrap_err();
+        let err = parse_file(b"not json at all").unwrap_err();
+        assert!(matches!(err, ParseError::Corrupt(_)), "{err:?}");
+        // A high bit flipped into an ASCII document: not UTF-8, corrupt.
+        let err = parse_file(b"{\"schema_version\": \xb4}").unwrap_err();
         assert!(matches!(err, ParseError::Corrupt(_)), "{err:?}");
         // Right version, damaged payload: still corrupt.
         let v = CHECKPOINT_SCHEMA_VERSION;
-        let err = parse_file(&format!(
-            r#"{{"schema_version": {v}, "entries": {{"k": {{}}}}}}"#
-        ))
+        let err = parse_file(
+            format!(r#"{{"schema_version": {v}, "entries": {{"k": {{}}}}}}"#).as_bytes(),
+        )
         .unwrap_err();
         assert!(matches!(err, ParseError::Corrupt(_)), "{err:?}");
         // A told outcome that is neither a score nor a verdict: corrupt.
         let text = render_file(&BTreeMap::from([("k".to_string(), entry())]));
-        let err = parse_file(&text.replace("\"model\"", "\"maybe\"")).unwrap_err();
+        let err = parse_file(text.replace("\"model\"", "\"maybe\"").as_bytes()).unwrap_err();
         assert!(err.to_string().contains("`tells`"), "{err}");
+        // Every record carries its ranks.
+        let unranked = text.replace(
+            r#""ranks":[[[16,8],2.1e-6],[[8,4],null]]"#,
+            r#""ranks":null"#,
+        );
+        assert_ne!(unranked, text);
+        let err = parse_file(unranked.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("`ranks`"), "{err}");
         // A valid document truncated mid-stream: corrupt.
-        let err = parse_file(&text[..text.len() / 2]).unwrap_err();
+        let err = parse_file(&text.as_bytes()[..text.len() / 2]).unwrap_err();
         assert!(matches!(err, ParseError::Corrupt(_)), "{err:?}");
     }
 
@@ -620,9 +628,9 @@ mod tests {
             "quarantine preserves the damaged bytes for post-mortem"
         );
         assert!(mgr.lookup("k").is_none(), "manager starts fresh");
-        mgr.record("k", &entry(), 1);
+        mgr.record("k", &entry());
         mgr.flush().unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
+        let text = std::fs::read(&path).unwrap();
         assert!(parse_file(&text).unwrap().contains_key("k"));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -657,12 +665,12 @@ mod tests {
         let a = CheckpointManager::at(&path, 1).unwrap();
         let b = CheckpointManager::at(&path, 999).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "one manager per path");
-        a.record("k", &entry(), 5);
+        a.record("k", &entry());
         assert!(path.exists(), "cadence 1 writes on the first record");
         assert!(b.lookup("k").is_some(), "shared state visible through both");
         b.flush().unwrap();
         // A fresh parse of the on-disk file sees the entry.
-        let text = std::fs::read_to_string(&path).unwrap();
+        let text = std::fs::read(&path).unwrap();
         assert!(parse_file(&text).unwrap().contains_key("k"));
         std::fs::remove_dir_all(&dir).ok();
     }

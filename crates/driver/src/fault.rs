@@ -15,8 +15,8 @@
 //! | `truncate-checkpoint:<k>`    | the `k`-th checkpoint write (1-based) writes a truncated file *directly over the target* — deliberately bypassing the atomic temp+rename path — and exits (a torn write by a dying machine) |
 //!
 //! The hooks are threaded through the two layers a real fault would hit:
-//! `after_tells` fires from the tuning loop (`tune_variant_batched`)
-//! after each batch of tells is applied and checkpointed, and
+//! `after_tell` fires from the tuning loop (`tune_variant`) after each
+//! fresh tell is applied and checkpointed, and
 //! `sabotage_checkpoint_write` fires from the checkpoint writer. Tells
 //! and writes are counted process-wide, so `exit-after:3` means "the third
 //! applied tell anywhere in this process" regardless of which variant or
@@ -103,11 +103,11 @@ static CHECKPOINT_WRITES: AtomicU64 = AtomicU64::new(0);
 /// A stall fires once; racing tuner threads must not all announce it.
 static STALLED: AtomicBool = AtomicBool::new(false);
 
-/// Tuning-loop hook: `applied` more tells were just applied (and, when
+/// Tuning-loop hook: one more tell was just applied (and, when
 /// checkpointing is on, recorded). Fires `exit-after` / `stall` plans.
-pub(crate) fn after_tells(applied: usize) {
+pub(crate) fn after_tell() {
     let Some(plan) = active() else { return };
-    let total = TELLS.fetch_add(applied as u64, Ordering::SeqCst) + applied as u64;
+    let total = TELLS.fetch_add(1, Ordering::SeqCst) + 1;
     match plan {
         FaultPlan::ExitAfterTells(k) if total >= k => {
             eprintln!("lift-driver: injected fault: exiting after {total} applied tells");

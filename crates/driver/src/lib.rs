@@ -8,7 +8,7 @@
 //! result stays inspectable:
 //!
 //! ```
-//! use lift_driver::{Budget, Pipeline};
+//! use lift_driver::{Pipeline, TuneOptions};
 //! use lift_oclsim::{BufferData, DeviceProfile, VirtualDevice};
 //!
 //! # fn main() -> Result<(), lift_driver::LiftError> {
@@ -16,7 +16,7 @@
 //! let stencil = Pipeline::for_benchmark("Jacobi2D5pt", &[18, 18])? // stage 1: typed program
 //!     .explore()?                          // stage 2: rewrite-derived VariantSet
 //!     .on(&device)                         // stage 3: DeviceSession
-//!     .tune(Budget::evaluations(2))?;      // stage 4: CompiledStencil (winner)
+//!     .tune(TuneOptions::evaluations(2))?; // stage 4: CompiledStencil (winner)
 //! assert!(stencil.source().contains("__kernel"));
 //! let inputs: Vec<BufferData> = lift_stencils::by_name("Jacobi2D5pt")
 //!     .gen_inputs(&[18, 18], 1)
@@ -62,11 +62,14 @@
 //!   once; see [`KernelCache::stats`]. The cache is safe under concurrent
 //!   tuning: racing threads on one key settle on a single cached kernel
 //!   and the compile counter counts only the winning insert.
-//! * **Parallel, deterministic tuning** — the search runs on the tuner's
-//!   batched ask/tell engine across [`TuneOptions::threads`] workers,
-//!   fanning out over variants and configuration batches. Thread count
-//!   never changes results: the same seed yields identical winners,
-//!   configurations and scores at any parallelism. With
+//! * **Parallel, deterministic, model-guided tuning** — every variant is
+//!   searched on the tuner's ask/tell engine one proposal at a time: the
+//!   static cost model ranks the initial proposals and prunes any whose
+//!   exact estimate cannot beat the incumbent's, so only candidates that
+//!   could win are simulated. Variants fan out across
+//!   [`TuneOptions::threads`] workers, and the thread count never changes
+//!   results: the same seed yields identical winners, configurations and
+//!   scores at any parallelism. With
 //!   [`TuneOptions::checkpoint`] what every search was told is recorded
 //!   atomically as it progresses, and a later run replays the file
 //!   bit-identically to a run that was never interrupted — see
@@ -96,9 +99,9 @@ pub use error::LiftError;
 pub use fault::FAULT_EXIT_CODE;
 pub use lift_rewrite::strategy::{Tunable, Variant};
 pub use pipeline::{
-    Budget, CompiledStencil, DeviceSession, Pipeline, TuneOptions, TuneOutcome, VariantSet,
+    CompiledStencil, DeviceSession, Pipeline, TuneOptions, TuneOutcome, VariantSet,
 };
-pub use tune::{ppcg_baseline, reference_baseline, BenchResult, CostModel, TunedVariant};
+pub use tune::{ppcg_baseline, reference_baseline, BenchResult, TunedVariant};
 
 #[cfg(test)]
 mod tests {
@@ -115,7 +118,7 @@ mod tests {
             .explore()
             .expect("explores")
             .on(&dev)
-            .tune_full(Budget::evaluations(4).with_seed(1))
+            .tune_full(TuneOptions::evaluations(4).with_seed(1))
             .expect("tunes");
         assert!(outcome.report.winner.time_s > 0.0);
         assert!(
@@ -240,7 +243,7 @@ mod tests {
             .explore()
             .expect("explores")
             .on(&dev)
-            .tune(Budget::evaluations(4).with_seed(3))
+            .tune(TuneOptions::evaluations(4).with_seed(3))
             .expect("a free-standing expression tunes too");
         let input: Vec<f32> = (0..n).map(|i| (i as f32 * 0.3).sin()).collect();
         let out = compiled.run(&[input.clone().into()]).expect("runs");
@@ -278,7 +281,7 @@ mod tests {
             .explore()
             .expect("explores")
             .on(&dev)
-            .tune(Budget::evaluations(2))
+            .tune(TuneOptions::evaluations(2))
             .unwrap_err();
         assert!(matches!(err, LiftError::Unsupported(_)), "{err}");
     }
@@ -516,27 +519,19 @@ mod tests {
             }),
         )
         .unwrap();
-        // Another first proposal, and the right record under the other
-        // cost-model setting: neither may silently retune.
-        let runs = [
-            opts().with_checkpoint(&altered),
-            opts()
-                .with_checkpoint(&full_path)
-                .with_cost_prune(CostModel::off()),
-        ];
-        for opts in runs {
-            let err = tune_jacobi(&dev, opts).expect_err("a diverging record must not resume");
-            let LiftError::NoValidConfiguration { failures, .. } = &err else {
-                panic!("expected NoValidConfiguration, got {err}");
-            };
-            assert!(
-                !failures.is_empty()
-                    && failures
-                        .iter()
-                        .all(|(_, e)| matches!(**e, LiftError::Checkpoint(_))),
-                "every variant reports the divergence: {err}"
-            );
-        }
+        // Another first proposal may not silently retune.
+        let err = tune_jacobi(&dev, opts().with_checkpoint(&altered))
+            .expect_err("a diverging record must not resume");
+        let LiftError::NoValidConfiguration { failures, .. } = &err else {
+            panic!("expected NoValidConfiguration, got {err}");
+        };
+        assert!(
+            !failures.is_empty()
+                && failures
+                    .iter()
+                    .all(|(_, e)| matches!(**e, LiftError::Checkpoint(_))),
+            "every variant reports the divergence: {err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -592,7 +587,7 @@ mod tests {
             .unwrap()
             .on(&dev)
             .with_cache(cache.clone())
-            .tune(Budget::evaluations(8).with_seed(2))
+            .tune(TuneOptions::evaluations(8).with_seed(2))
             .expect("tunes");
         let stats = cache.stats();
         assert!(

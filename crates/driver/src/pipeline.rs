@@ -26,14 +26,14 @@ use crate::cache::KernelCache;
 use crate::error::LiftError;
 use crate::tune::{
     bench_golden, bench_inputs, compile_bound, launch_for, program_fingerprint_of, tune_variants,
-    BenchResult, CostModel, TuneContext,
+    BenchResult, TuneContext,
 };
 
 /// Tuning options: the evaluation budget per variant, the search seed,
-/// the worker-thread count, the optional checkpoint file and the cost-model
-/// guidance. Every field is a plain value: this crate reads no environment,
-/// so a caller that wants environment knobs resolves them itself (the
-/// `lift-harness` binary does, once, in `main`).
+/// the worker-thread count and the optional checkpoint file. Every field
+/// is a plain value: this crate reads no environment, so a caller that
+/// wants environment knobs resolves them itself (the `lift-harness`
+/// binary does, once, in `main`).
 ///
 /// Threading only changes wall-clock, never results: for the same seed,
 /// `threads: 1` and `threads: N` produce identical winners, configurations
@@ -48,9 +48,8 @@ pub struct TuneOptions {
     pub evaluations: usize,
     /// Seed for the deterministic search.
     pub seed: u64,
-    /// Worker threads for parallel evaluation across variants and
-    /// configuration batches; 1 (the default) is sequential, and 0 is
-    /// treated as 1.
+    /// Worker threads for tuning variants concurrently; 1 (the default)
+    /// is sequential, and 0 is treated as 1.
     pub threads: usize,
     /// Checkpoint file for resumable tuning; `None` (the default) disables
     /// checkpointing. Each process needs its own file — see
@@ -59,14 +58,7 @@ pub struct TuneOptions {
     /// Applied tells between checkpoint writes (default 16; 0 is treated
     /// as 1).
     pub checkpoint_every: usize,
-    /// Cost-model guidance: warm-start and lossless pruning of dominated
-    /// configurations, enabled by default. See [`CostModel`].
-    pub cost_prune: CostModel,
 }
-
-/// The historical name of [`TuneOptions`] (PR 1 introduced it as the
-/// "budget"); kept as an alias so existing sessions read naturally.
-pub type Budget = TuneOptions;
 
 impl Default for TuneOptions {
     fn default() -> Self {
@@ -76,7 +68,6 @@ impl Default for TuneOptions {
             threads: 1,
             checkpoint: None,
             checkpoint_every: 16,
-            cost_prune: CostModel::default(),
         }
     }
 }
@@ -112,12 +103,6 @@ impl TuneOptions {
     /// Sets the checkpoint write cadence in applied tells.
     pub fn with_checkpoint_every(mut self, tells: usize) -> Self {
         self.checkpoint_every = tells;
-        self
-    }
-
-    /// Sets the cost-model guidance.
-    pub fn with_cost_prune(mut self, cost: CostModel) -> Self {
-        self.cost_prune = cost;
         self
     }
 
@@ -424,17 +409,17 @@ impl DeviceSession {
     ///
     /// [`LiftError::NoValidConfiguration`] when nothing compiles, runs and
     /// validates.
-    pub fn tune(self, budget: Budget) -> Result<CompiledStencil, LiftError> {
-        self.tune_full(budget).map(|o| o.winner)
+    pub fn tune(self, opts: TuneOptions) -> Result<CompiledStencil, LiftError> {
+        self.tune_full(opts).map(|o| o.winner)
     }
 
     /// Like [`DeviceSession::tune`], also returning the full per-variant
     /// report (the paper's ablation data).
-    pub fn tune_full(self, budget: Budget) -> Result<TuneOutcome, LiftError> {
+    pub fn tune_full(self, opts: TuneOptions) -> Result<TuneOutcome, LiftError> {
         let out_sizes = self.out_sizes()?;
-        let (inputs, golden) = self.inputs_and_golden(budget.seed)?;
+        let (inputs, golden) = self.inputs_and_golden(opts.seed)?;
         let name = self.program_name();
-        let manager = budget.checkpoint_manager()?;
+        let manager = opts.checkpoint_manager()?;
         let report = {
             let ctx = TuneContext {
                 name: name.clone(),
@@ -443,9 +428,9 @@ impl DeviceSession {
                 golden,
                 device: &self.device,
                 cache: self.cache(),
-                budget: budget.evaluations,
-                seed: budget.seed,
-                threads: budget.threads,
+                budget: opts.evaluations,
+                seed: opts.seed,
+                threads: opts.threads,
                 checkpoint: manager.clone().map(|mgr| {
                     crate::checkpoint::CellCheckpoint::new(
                         mgr,
@@ -454,7 +439,6 @@ impl DeviceSession {
                         &out_sizes,
                     )
                 }),
-                cost: budget.cost_prune,
             };
             tune_variants(&ctx, self.set.variants())?
         };

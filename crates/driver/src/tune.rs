@@ -81,65 +81,14 @@ pub(crate) struct TuneContext<'a> {
     pub cache: &'a KernelCache,
     pub budget: usize,
     pub seed: u64,
-    /// Worker threads for parallel evaluation (1 = fully sequential). The
-    /// thread count never changes results — only wall-clock.
+    /// Worker threads for tuning variants concurrently (1 = fully
+    /// sequential). The thread count never changes results — only
+    /// wall-clock.
     pub threads: usize,
     /// Checkpoint handle for resumable tuning (`None` = no
     /// checkpointing). Replaying never changes results either — it only
     /// skips re-evaluating what a previous process already measured.
     pub checkpoint: Option<CellCheckpoint>,
-    /// Cost-model guidance (pruning + warm-start); see [`CostModel`].
-    pub cost: CostModel,
-}
-
-/// How the static cost model steers a search (see `lift_oclsim::cost`):
-/// when enabled, the initial proposal block is reordered so the model's
-/// top-ranked configurations are simulated first, and any configuration
-/// whose estimate matches or exceeds the incumbent's estimate is dropped
-/// without simulating (told as failed, counted in `pruned_model`). Every
-/// estimate the model returns is exact — it equals the simulated time bit
-/// for bit, and a kernel it cannot price exactly gets no estimate — which
-/// is what makes pruning lossless: a worse candidate can never have
-/// beaten the incumbent, and an exactly-tied one loses the (score,
-/// proposal-index) tie-break to the incumbent, which was told first.
-/// Estimates are pure functions of (plan, launch, device), and prune
-/// decisions are made on fixed-size proposal windows, so results stay
-/// bit-identical across thread counts and shards. Set through
-/// [`crate::TuneOptions::cost_prune`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CostModel {
-    /// `false` ([`CostModel::off`]) restores pure-PRNG proposal order
-    /// and simulates every proposal, byte-reproducing unguided reports.
-    pub enabled: bool,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel { enabled: true }
-    }
-}
-
-impl CostModel {
-    /// The disabled setting (`off`).
-    pub fn off() -> Self {
-        CostModel { enabled: false }
-    }
-
-    /// Parses the `LIFT_COST_PRUNE` syntax, case-insensitively and
-    /// ignoring surrounding whitespace: `on`/`1` enables guidance,
-    /// `off`/`0` disables it.
-    ///
-    /// # Errors
-    ///
-    /// Anything else, described for a usage message — junk must never
-    /// silently pick a setting.
-    pub fn parse(setting: &str) -> Result<Self, String> {
-        match setting.trim().to_ascii_lowercase().as_str() {
-            "on" | "1" => Ok(CostModel::default()),
-            "off" | "0" => Ok(CostModel::off()),
-            _ => Err("`on`, `1`, `off` or `0`".to_string()),
-        }
-    }
 }
 
 fn round_up(n: usize, m: usize) -> usize {
@@ -423,10 +372,9 @@ pub(crate) struct VariantOutcome {
 
 /// Tunes every variant and returns the per-variant bests plus the winner.
 ///
-/// Variants are tuned concurrently on up to `ctx.threads` workers, each
-/// evaluating its configuration batches on the remaining share of the
-/// thread budget. Results are identical to the sequential sweep for the
-/// same seed: every variant searches its own deterministic stream, the
+/// Variants are tuned concurrently on up to `ctx.threads` workers, one
+/// variant per worker. Results are identical to the sequential sweep for
+/// the same seed: every variant searches its own deterministic stream, the
 /// bests are collected in exploration order, and the winner tie-breaks by
 /// (time, exploration index).
 ///
@@ -439,16 +387,8 @@ pub(crate) fn tune_variants(
     ctx: &TuneContext<'_>,
     variants: &[Variant],
 ) -> Result<BenchResult, LiftError> {
-    let outer = ctx.threads.min(variants.len()).max(1);
-    // Distribute the whole thread budget: every variant worker gets the
-    // base share and the first `extra` ones absorb the remainder, so e.g.
-    // 8 threads over 5 variants run as 3×2 + 2×1 workers instead of
-    // stranding 3 threads. Worker counts never affect results.
-    let base = (ctx.threads / outer).max(1);
-    let extra = ctx.threads.saturating_sub(base * outer);
-    let indexed: Vec<(usize, &Variant)> = variants.iter().enumerate().collect();
-    let outcomes = parallel_map(outer, indexed, |(i, v)| {
-        tune_variant_batched(ctx, v, base + usize::from(i < extra))
+    let outcomes = parallel_map(ctx.threads, variants.iter().collect(), |v| {
+        tune_variant(ctx, v)
     });
     let mut all = Vec::new();
     let mut failures = Vec::new();
@@ -480,25 +420,20 @@ pub(crate) fn tune_variants(
     })
 }
 
-/// Tunes one variant on `ctx.threads` evaluation workers.
-pub(crate) fn tune_variant(ctx: &TuneContext<'_>, variant: &Variant) -> VariantOutcome {
-    tune_variant_batched(ctx, variant, ctx.threads.max(1))
-}
-
-/// Tunes one variant with the batched ask/tell engine, evaluating each
-/// batch on up to `eval_threads` workers. `tuned` is `None` when no
+/// Tunes one variant, one proposal at a time, steered by the static cost
+/// model (see `lift_oclsim::cost`). `tuned` is `None` when no
 /// configuration of this variant is valid (other variants may still win);
 /// `first_failure` then explains the earliest proposal's failure.
 ///
-/// Determinism: [`Search`] proposes from the seed's RNG stream regardless
-/// of batch size, tells are applied in proposal order, and the first
-/// failure is recorded in proposal order — so any `eval_threads` produces
-/// the identical outcome.
-fn tune_variant_batched(
-    ctx: &TuneContext<'_>,
-    variant: &Variant,
-    eval_threads: usize,
-) -> VariantOutcome {
+/// The model's top-ranked configurations of the initial block are
+/// simulated first, and a proposal whose estimate matches or exceeds the
+/// freshest incumbent's is dropped unsimulated (`pruned_model`). Estimates
+/// equal simulated times bit for bit (a kernel the model cannot price
+/// exactly gets none), so pruning is lossless: a worse proposal loses on
+/// score, a tied one the (score, proposal-index) tie-break. Proposals
+/// depend only on the seed, the estimates and the outcomes told so far, so
+/// results are bit-identical across thread counts, shards and resumes.
+pub(crate) fn tune_variant(ctx: &TuneContext<'_>, variant: &Variant) -> VariantOutcome {
     let max_wg = ctx.device.profile().max_wg_size;
     let variant_fp = program_fingerprint(&variant.program);
     let mut specs = Vec::new();
@@ -562,9 +497,9 @@ fn tune_variant_batched(
     // is re-applied from the recorded estimates, and the recorded outcomes
     // are told in proposal order before anything new is decided or
     // evaluated. A record that does not belong to this run (other seed,
-    // budget, guidance or proposals) is a hard, explained failure rather
-    // than a silent restart that would break the resumed-run-equals-
-    // uninterrupted guarantee.
+    // budget or proposals) is a hard, explained failure rather than a
+    // silent restart that would break the resumed-run-equals-uninterrupted
+    // guarantee.
     let recorded = ctx
         .checkpoint
         .as_ref()
@@ -580,40 +515,31 @@ fn tune_variant_batched(
                     variant.name, entry.seed, entry.budget, ctx.budget
                 )));
             }
-            match &entry.ranks {
-                Some(ranks) if ctx.cost.enabled => {
-                    // Ranking from the record keeps replay free of compiles.
-                    let mut ranks = ranks.iter();
-                    let mut agrees = true;
-                    search.warm_start_by(|cfg| match ranks.next() {
-                        Some((recorded, rank)) if recorded == cfg => *rank,
-                        _ => {
-                            agrees = false;
-                            None
-                        }
-                    });
-                    if !agrees || ranks.next().is_some() {
-                        return diverged("its warm start ranked other configurations".into());
-                    }
+            // Ranking from the record keeps replay free of compiles.
+            let mut ranks = entry.ranks.iter();
+            let mut agrees = true;
+            search.warm_start_by(|cfg| match ranks.next() {
+                Some((recorded, rank)) if recorded == cfg => *rank,
+                _ => {
+                    agrees = false;
+                    None
                 }
-                None if !ctx.cost.enabled => {}
-                _ => return diverged("it was recorded under the other cost-model setting".into()),
+            });
+            if !agrees || ranks.next().is_some() {
+                return diverged("its warm start ranked other configurations".into());
             }
             entry
         }
         None => {
-            // Model-ranked warm-start: the first batch simulated is the
-            // model's top proposals instead of pure PRNG draws. The ranker
+            // Model-ranked warm-start: the first proposals simulated are
+            // the model's top picks instead of pure PRNG draws. The ranker
             // is a pure function of (cfg, device), so the reorder — and
             // everything downstream — is deterministic.
-            let ranks = ctx.cost.enabled.then(|| {
-                let mut ranks = Vec::new();
-                search.warm_start_by(|cfg| {
-                    let rank = model(cfg);
-                    ranks.push((cfg.to_vec(), rank));
-                    rank
-                });
-                ranks
+            let mut ranks = Vec::new();
+            search.warm_start_by(|cfg| {
+                let rank = model(cfg);
+                ranks.push((cfg.to_vec(), rank));
+                rank
             });
             CheckpointEntry {
                 seed: search_seed,
@@ -625,37 +551,15 @@ fn tune_variant_batched(
         }
     };
     // How many of the first proposals the record answers. Every proposal
-    // is told in proposal order, so `search.evaluations()` is the index of
-    // the next one to tell.
+    // is told before the next is asked, so `search.evaluations()` is the
+    // index of the one in hand.
     let replay = entry.tells.len();
     let mut first_failure: Option<LiftError> = None;
-    loop {
-        // With the model enabled, proposals are consumed one at a time so
-        // every prune decision consults the *freshest* incumbent — under
-        // warm-start the first proposal is the model's top pick, and once
-        // its simulation establishes the incumbent, each later proposal
-        // is pruned or simulated against the tightest threshold available
-        // (with an exact model, that is the minimal-simulation lossless
-        // pruner). Decisions depend only on the tell history — never on
-        // the worker count — so results stay bit-identical across thread
-        // counts, shards and checkpoint resumes; the few configurations
-        // that survive pruning still fan out across variants and sweep
-        // cells. Without the model, batch size never affects results, so
-        // it just keeps the pool fed.
-        let ask_n = if ctx.cost.enabled {
-            1
-        } else {
-            eval_threads * 2
-        };
-        let mut batch = search.ask(ask_n);
-        if batch.is_empty() {
-            break;
-        }
-        // Replayed tells are not recorded again, and the fault seam counts
-        // only fresh ones.
-        let fresh = batch.split_off(replay.saturating_sub(search.evaluations()).min(batch.len()));
-        for cfg in batch {
-            let told = search.evaluations();
+    while let Some(cfg) = search.ask(1).pop() {
+        let told = search.evaluations();
+        if told < replay {
+            // Replayed tells are not recorded again, and the fault seam
+            // counts only fresh ones.
             let (recorded, outcome) = &entry.tells[told];
             if *recorded != cfg {
                 return diverged(format!(
@@ -674,76 +578,44 @@ fn tune_variant_batched(
                 )));
             }
             search.tell(&cfg, outcome.score());
-        }
-        if fresh.is_empty() {
             continue;
         }
-        // The prune threshold for this window: the incumbent's estimate.
-        // Until something succeeds there is no incumbent and nothing is
-        // pruned, so the search can never starve itself.
-        let threshold = if ctx.cost.enabled {
-            search.best().and_then(|b| model(&b.values))
-        } else {
-            None
-        };
-        // Split the window into simulate/prune, preserving proposal order.
-        // Every estimate equals the simulated time bit-for-bit, so a pruned
-        // configuration provably cannot improve the incumbent — a strictly
-        // worse one loses on score, and an exactly-tied one loses the
-        // (score, proposal-index) tie-break, because the incumbent was
-        // necessarily told at an earlier proposal index.
-        let decisions: Vec<(Vec<i64>, bool)> = fresh
-            .into_iter()
-            .map(|cfg| {
-                let prune = threshold.is_some_and(|inc| model(&cfg).is_some_and(|t| t >= inc));
-                (cfg, prune)
-            })
-            .collect();
-        let to_eval: Vec<Vec<i64>> = decisions
-            .iter()
-            .filter(|(_, prune)| !prune)
-            .map(|(cfg, _)| cfg.clone())
-            .collect();
-        let evaluated = parallel_map(eval_threads, to_eval, |cfg| {
-            evaluate_config(ctx, variant, variant_fp, &named(&cfg))
-        });
-        // Tell in batch order == proposal order: the trace, incumbent and
-        // recorded first failure stay deterministic. A pruned proposal is
-        // told as failed without ever reaching the simulator; it is not a
+        // The prune threshold is the incumbent's estimate. Until something
+        // succeeds there is no incumbent and nothing is pruned, so the
+        // search can never starve itself.
+        let threshold = search.best().and_then(|b| model(&b.values));
+        let prune = threshold.is_some_and(|inc| model(&cfg).is_some_and(|t| t >= inc));
+        // A pruned proposal never reaches the simulator; it is not a
         // *failure* (nothing is wrong with it), so it never claims the
         // first-failure slot.
-        let tells = decisions.len();
-        let mut scores = evaluated.into_iter();
-        for (cfg, prune) in decisions {
-            let outcome = if prune {
-                Outcome::PrunedModel
-            } else {
-                match scores.next().expect("one score per unpruned proposal") {
-                    Ok(s) => Outcome::Score(s),
-                    Err(e) => {
-                        let outcome = if matches!(e, LiftError::Verify { .. }) {
-                            Outcome::PrunedVerify
-                        } else {
-                            Outcome::Failed
-                        };
-                        if first_failure.is_none() {
-                            entry.first_failure = Some(e.to_string());
-                            first_failure = Some(e);
-                        }
-                        outcome
+        let outcome = if prune {
+            Outcome::PrunedModel
+        } else {
+            match evaluate_config(ctx, variant, variant_fp, &named(&cfg)) {
+                Ok(s) => Outcome::Score(s),
+                Err(e) => {
+                    let outcome = if matches!(e, LiftError::Verify { .. }) {
+                        Outcome::PrunedVerify
+                    } else {
+                        Outcome::Failed
+                    };
+                    if first_failure.is_none() {
+                        entry.first_failure = Some(e.to_string());
+                        first_failure = Some(e);
                     }
+                    outcome
                 }
-            };
-            search.tell(&cfg, outcome.score());
-            entry.tells.push((cfg, outcome));
-        }
+            }
+        };
+        search.tell(&cfg, outcome.score());
+        entry.tells.push((cfg, outcome));
         if let Some((c, key)) = ctx.checkpoint.as_ref().zip(ck_key.as_deref()) {
-            c.mgr.record(key, &entry, tells);
+            c.mgr.record(key, &entry);
         }
-        // Fault-injection seam: fires *after* this batch is checkpointed,
+        // Fault-injection seam: fires *after* this tell is checkpointed,
         // so an injected crash always dies with its completed work durable
         // — the scenario checkpoint adoption exists to recover.
-        crate::fault::after_tells(tells);
+        crate::fault::after_tell();
     }
     if search.evaluations() < replay {
         return diverged(format!(
@@ -865,7 +737,6 @@ pub fn ppcg_baseline(
         checkpoint: manager
             .clone()
             .map(|mgr| CellCheckpoint::new(mgr, bench.name, dev.profile().name, sizes)),
-        cost: opts.cost_prune,
     };
     let outcome = tune_variant(&ctx, &variant);
     if let Some(mgr) = manager {

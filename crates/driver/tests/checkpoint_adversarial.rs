@@ -1,6 +1,6 @@
 //! Adversarial checkpoint recovery: every way a checkpoint file can be
-//! damaged in the field — truncation, bit flips, version skew, a stale
-//! atomic-write temp from a crash — must restore cleanly. Damage is
+//! damaged in the field — truncation, bit flips, runaway nesting, version
+//! skew, a stale atomic-write temp from a crash — must restore cleanly. Damage is
 //! quarantined and the run restarts fresh; version skew is an intact
 //! file from another build and stays a hard, explained error. Nothing
 //! here may panic, and every recovered run must converge to the
@@ -73,38 +73,17 @@ fn genuine_checkpoint(dir: &Path) -> String {
 fn truncated_checkpoint_quarantines_and_converges() {
     let dir = tmp_dir("trunc");
     let text = genuine_checkpoint(&dir);
-    let path = dir.join("ck.json");
     // A torn write: the first half of a valid document.
-    std::fs::write(&path, &text.as_bytes()[..text.len() / 2]).unwrap();
-    let report = run(opts().with_checkpoint(&path)).expect("truncation is not fatal");
-    assert_eq!(
-        fingerprint(&report),
-        fault_free(),
-        "recovered run converges"
-    );
-    assert!(
-        dir.join("ck.json.corrupt-1").exists(),
-        "truncated file preserved in quarantine"
-    );
+    quarantines_and_converges(&dir, &text.as_bytes()[..text.len() / 2]);
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn bit_flipped_checkpoint_quarantines_and_converges() {
-    let dir = tmp_dir("flip");
-    let text = genuine_checkpoint(&dir);
-    // Flip a bit in the middle of the document — deterministically, at
-    // the first structural `{` past the midpoint, which reliably breaks
-    // JSON nesting.
-    let mut bytes = text.into_bytes();
-    let mid = bytes.len() / 2;
-    let pos = (mid..bytes.len())
-        .find(|&i| bytes[i] == b'{')
-        .expect("a brace past the midpoint");
-    bytes[pos] ^= 0x40;
+/// Writes `bytes` as a checkpoint, runs against it and checks that the
+/// damage is quarantined byte for byte and the run converges.
+fn quarantines_and_converges(dir: &Path, bytes: &[u8]) {
     let path = dir.join("ck.json");
-    std::fs::write(&path, &bytes).unwrap();
-    let report = run(opts().with_checkpoint(&path)).expect("bit rot is not fatal");
+    std::fs::write(&path, bytes).unwrap();
+    let report = run(opts().with_checkpoint(&path)).expect("damage is not fatal");
     assert_eq!(
         fingerprint(&report),
         fault_free(),
@@ -117,6 +96,31 @@ fn bit_flipped_checkpoint_quarantines_and_converges() {
         bytes,
         "quarantine preserves the damaged bytes untouched"
     );
+}
+
+#[test]
+fn bit_flipped_checkpoint_quarantines_and_converges() {
+    // Flip a bit in the middle of the document — deterministically, at
+    // the first structural `{` past the midpoint: bit 6 breaks JSON
+    // nesting, and the high bit makes the file invalid UTF-8.
+    for (tag, bit) in [("flip40", 0x40), ("flip80", 0x80)] {
+        let dir = tmp_dir(tag);
+        let mut bytes = genuine_checkpoint(&dir).into_bytes();
+        let mid = bytes.len() / 2;
+        let pos = (mid..bytes.len())
+            .find(|&i| bytes[i] == b'{')
+            .expect("a brace past the midpoint");
+        bytes[pos] ^= bit;
+        quarantines_and_converges(&dir, &bytes);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn deeply_nested_checkpoint_quarantines_and_converges() {
+    // Nesting deep enough to overflow a recursive parser's stack.
+    let dir = tmp_dir("deep");
+    quarantines_and_converges(&dir, "[".repeat(200_000).as_bytes());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -33,9 +33,8 @@
 //! Workers are configured explicitly from the supervisor's resolved
 //! [`RunConfig`] ([`CampaignOptions::config`]): each gets its thread count
 //! and the checkpoint base as flags, and the budget, seed, checkpoint
-//! cadence, cost-model guidance and full-size switch as `LIFT_*`
-//! variables, so no tuning setting reaches a worker through the
-//! environment it inherits.
+//! cadence and full-size switch as `LIFT_*` variables, so no tuning
+//! setting reaches a worker through the environment it inherits.
 
 use std::collections::VecDeque;
 use std::io::Read;
@@ -234,12 +233,13 @@ fn worker_command(
     if opts.large {
         c.arg("--large");
     }
-    let bit = |b: bool| if b { "1" } else { "0" };
     c.env("LIFT_TUNE_BUDGET", tune.evaluations.to_string())
         .env("LIFT_SEED", tune.seed.to_string())
         .env("LIFT_CHECKPOINT_EVERY", tune.checkpoint_every.to_string())
-        .env("LIFT_COST_PRUNE", bit(tune.cost_prune.enabled))
-        .env("LIFT_FULL_SIZES", bit(opts.config.full_sizes));
+        .env(
+            "LIFT_FULL_SIZES",
+            if opts.config.full_sizes { "1" } else { "0" },
+        );
     // The supervisor may itself run under LIFT_FAULT in a test; workers
     // get a fault only when their shard's plan says so, on attempt 1.
     c.env_remove("LIFT_FAULT");
@@ -683,8 +683,7 @@ mod tests {
             tune: TuneOptions::evaluations(3)
                 .with_seed(7)
                 .with_threads(2)
-                .with_checkpoint_every(4)
-                .with_cost_prune(lift_driver::CostModel::off()),
+                .with_checkpoint_every(4),
             full_sizes: true,
         };
         let env = |c: &Command, name: &str| {
@@ -712,7 +711,6 @@ mod tests {
             ("LIFT_TUNE_BUDGET", "3"),
             ("LIFT_SEED", "7"),
             ("LIFT_CHECKPOINT_EVERY", "4"),
-            ("LIFT_COST_PRUNE", "0"),
             ("LIFT_FULL_SIZES", "1"),
             ("LIFT_FAULT", "exit-after:2"),
         ] {
@@ -724,7 +722,6 @@ mod tests {
             .unwrap();
         assert_eq!(resolved.tune.evaluations, 3);
         assert_eq!(resolved.tune.seed, 7);
-        assert_eq!(resolved.tune.cost_prune, lift_driver::CostModel::off());
         assert!(resolved.full_sizes);
         // A replacement attempt, and any other shard, runs fault-free.
         for (shard, attempt) in [(1, 2), (0, 1)] {

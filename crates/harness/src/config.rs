@@ -2,23 +2,24 @@
 //! typed value.
 //!
 //! [`RunConfig`] wraps the driver's [`TuneOptions`] (budget, seed,
-//! threads, checkpointing, cost-model guidance) and adds the one setting
-//! that is not about tuning: the paper's full grid sizes. The
-//! `lift-harness` binary builds it once, in `main`, with
-//! [`RunConfig::resolve`] — flags beat the environment, which beats the
-//! defaults — and every experiment receives it as `&RunConfig`. The
-//! resolver is pure: it takes the environment lookup as a parameter, and
-//! no library crate reads the environment itself.
+//! threads, checkpointing) and adds the one setting that is not about
+//! tuning: the paper's full grid sizes. The `lift-harness` binary builds
+//! it once, in `main`, with [`RunConfig::resolve`] — flags beat the
+//! environment, which beats the defaults — and every experiment receives
+//! it as `&RunConfig`. The resolver is pure: it takes the environment
+//! lookup as a parameter, and no library crate reads the environment
+//! itself.
 //!
-//! [`RunConfig::resolve`] reads seven `LIFT_*` variables (budget, seed,
-//! threads, checkpoint file and cadence, cost-model guidance, full sizes;
-//! `lift-harness --help` lists them with their defaults). [`resolve_fault`]
-//! reads the eighth, `LIFT_FAULT`, which arms a process-wide seam rather
-//! than configuring a run. An empty value counts as unset; a malformed one
-//! is a [`ConfigError`] naming its variable.
+//! [`RunConfig::resolve`] reads six `LIFT_*` variables (budget, seed,
+//! threads, checkpoint file and cadence, full sizes; `lift-harness --help`
+//! lists them with their defaults). [`resolve_fault`] reads the seventh,
+//! `LIFT_FAULT`, which arms a process-wide seam rather than configuring a
+//! run. An empty value counts as unset; a malformed one is a
+//! [`ConfigError`] naming its variable. Any other variable, a retired one
+//! included, is ignored.
 
 use lift_driver::fault::{parse_plan, FaultPlan};
-use lift_driver::{CostModel, TuneOptions};
+use lift_driver::TuneOptions;
 
 /// Everything an experiment run is configured by.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -72,12 +73,6 @@ fn invalid(setting: &'static str, value: &str, problem: &str) -> ConfigError {
     }
 }
 
-fn count<T: std::str::FromStr>(setting: &'static str, value: &str) -> Result<T, ConfigError> {
-    value
-        .parse()
-        .map_err(|_| invalid(setting, value, "expected a non-negative integer"))
-}
-
 fn positive(setting: &'static str, value: &str) -> Result<usize, ConfigError> {
     match value.parse::<usize>() {
         Ok(n) if n > 0 => Ok(n),
@@ -102,10 +97,12 @@ impl RunConfig {
         let flag = |name: &'static str, value: &Option<String>| value.clone().map(|v| (name, v));
         let tune = &mut self.tune;
         if let Some((name, v)) = var("LIFT_TUNE_BUDGET") {
-            tune.evaluations = count(name, &v)?;
+            tune.evaluations = positive(name, &v)?;
         }
         if let Some((name, v)) = var("LIFT_SEED") {
-            tune.seed = count(name, &v)?;
+            tune.seed = v
+                .parse()
+                .map_err(|_| invalid(name, &v, "expected a non-negative integer"))?;
         }
         if let Some((name, v)) =
             flag("--threads", &flags.threads).or_else(|| var("LIFT_TUNE_THREADS"))
@@ -122,10 +119,6 @@ impl RunConfig {
         }
         if let Some((name, v)) = var("LIFT_CHECKPOINT_EVERY") {
             tune.checkpoint_every = positive(name, &v)?;
-        }
-        if let Some((name, v)) = var("LIFT_COST_PRUNE") {
-            tune.cost_prune =
-                CostModel::parse(&v).map_err(|e| invalid(name, &v, &format!("expected {e}")))?;
         }
         if let Some((name, v)) = var("LIFT_FULL_SIZES") {
             self.full_sizes = match v.as_str() {
@@ -176,7 +169,6 @@ mod tests {
         assert_eq!(cfg.tune.seed, 2018);
         assert_eq!(cfg.tune.threads, 1);
         assert_eq!(cfg.tune.checkpoint_every, 16);
-        assert_eq!(cfg.tune.cost_prune, CostModel::default());
         assert!(!cfg.full_sizes);
     }
 
@@ -190,7 +182,6 @@ mod tests {
                 ("LIFT_TUNE_THREADS", "3"),
                 ("LIFT_CHECKPOINT", "ck.json"),
                 ("LIFT_CHECKPOINT_EVERY", "2"),
-                ("LIFT_COST_PRUNE", "off"),
                 ("LIFT_FULL_SIZES", "1"),
             ],
         )
@@ -200,7 +191,6 @@ mod tests {
         assert_eq!(cfg.tune.threads, 3);
         assert_eq!(cfg.tune.checkpoint, Some("ck.json".into()));
         assert_eq!(cfg.tune.checkpoint_every, 2);
-        assert_eq!(cfg.tune.cost_prune, CostModel::off());
         assert!(cfg.full_sizes);
         // The caller's defaults are what env overrides, not the crate's.
         let campaign = RunConfig {
@@ -234,7 +224,6 @@ mod tests {
             "LIFT_TUNE_THREADS",
             "LIFT_CHECKPOINT",
             "LIFT_CHECKPOINT_EVERY",
-            "LIFT_COST_PRUNE",
             "LIFT_FULL_SIZES",
         ]
         .iter()
@@ -251,14 +240,12 @@ mod tests {
         let cases = [
             ("LIFT_TUNE_BUDGET", "abc"),
             ("LIFT_TUNE_BUDGET", "-1"),
+            ("LIFT_TUNE_BUDGET", "0"),
             ("LIFT_SEED", "x"),
             ("LIFT_TUNE_THREADS", "0"),
             ("LIFT_TUNE_THREADS", "many"),
             ("LIFT_CHECKPOINT_EVERY", "abc"),
             ("LIFT_CHECKPOINT_EVERY", "0"),
-            ("LIFT_COST_PRUNE", "fast"),
-            ("LIFT_COST_PRUNE", "-1"),
-            ("LIFT_COST_PRUNE", "1.0"),
             ("LIFT_FULL_SIZES", "true"),
         ];
         for (name, value) in cases {

@@ -81,14 +81,14 @@ fn shard_cells<W>(work: impl IntoIterator<Item = W>, (index, count): Shard) -> V
 /// Splits a thread budget between the sweep (`outer` workers over grid
 /// cells) and each cell's tuner (the remaining share), so a sweep of many
 /// cells parallelises across them while a single-cell run parallelises
-/// inside the search.
+/// across its variants.
 fn split_budget(budget: usize, cells: usize) -> (usize, usize) {
     let outer = budget.min(cells).max(1);
     (outer, (budget / outer).max(1))
 }
 
 /// Explore + tune one benchmark on one device through the pipeline, with
-/// `tuner_threads` workers evaluating configuration batches.
+/// `tuner_threads` workers tuning its variants.
 fn tune(
     cfg: &RunConfig,
     bench: &Benchmark,

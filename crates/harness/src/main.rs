@@ -24,8 +24,8 @@
 //! ```
 //!
 //! `--threads N` (equivalently `LIFT_TUNE_THREADS=N`) fans the benchmark ×
-//! device sweep and the tuner's configuration batches out over `N` workers
-//! *within* this process. `--shard i/n` distributes the same grid *across*
+//! device sweep and each cell's variants out over `N` workers *within*
+//! this process. `--shard i/n` distributes the same grid *across*
 //! processes: each worker prints a partial JSON report and `merge`
 //! recombines a complete set byte-identically to the single-process
 //! document. `--checkpoint PATH` (equivalently `LIFT_CHECKPOINT=PATH`)
@@ -141,11 +141,6 @@ unset; a malformed value is a usage error, exit 2):
     LIFT_FULL_SIZES       1 = the paper's original grid sizes (slow),
                           0 = the scaled sizes (default)
     LIFT_SEED             experiment seed (default 2018)
-    LIFT_COST_PRUNE       cost-model tuning guidance: `on`/`1` (default)
-                          enables warm-start + pruning, `off`/`0`
-                          disables it. Never changes tuning results,
-                          only how many simulator evaluations reach
-                          them.
     LIFT_FAULT            deterministic fault injection (testing only):
                           exit-after:<k> | stall[-after:<k>] |
                           truncate-checkpoint:<k>. Injected processes
@@ -264,10 +259,7 @@ fn run_campaign_cmd(
     let mut opts = lift_harness::CampaignOptions::new(experiment);
     opts.large = large;
     if experiment == "bench" {
-        let Some(name) = args.get(1) else {
-            usage_error("campaign bench needs a benchmark name");
-        };
-        opts.bench = Some(name.clone());
+        opts.bench = Some(bench_name_arg(args.get(1)));
         if args.len() > 2 {
             usage_error(&format!("unexpected argument `{}`", args[2]));
         }
@@ -432,6 +424,18 @@ fn run(cmd: &str, json: bool, cfg: &RunConfig) -> Result<(), LiftError> {
 fn usage_error(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(2);
+}
+
+/// The `bench <name>` argument, a usage error unless it names a Table-1
+/// benchmark — raised before any tuning or worker starts.
+fn bench_name_arg(name: Option<&String>) -> String {
+    match name {
+        Some(name) if lift_stencils::suite().iter().any(|b| b.name == name) => name.clone(),
+        Some(name) => usage_error(&format!(
+            "unknown benchmark `{name}`; try `lift-harness --list-benchmarks`"
+        )),
+        None => usage_error("`bench` needs a benchmark name; try `lift-harness --list-benchmarks`"),
+    }
 }
 
 fn main() {
@@ -652,10 +656,7 @@ fn main() {
             positional.last().expect("len checked")
         ));
     }
-    let bench_name = positional.get(1).cloned();
-    if cmd == "bench" && bench_name.is_none() {
-        usage_error("`bench` needs a benchmark name; try `lift-harness --list-benchmarks`");
-    }
+    let bench_name = (cmd == "bench").then(|| bench_name_arg(positional.get(1)));
 
     let result = if let Some(shard) = shard {
         if !json {

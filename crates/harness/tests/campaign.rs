@@ -164,11 +164,16 @@ fn corrupted_checkpoint_write_is_quarantined_and_converges() {
 fn exhausted_retries_degrade_to_a_partial_report_with_manifest() {
     let summary_path = tmp_summary("exhaust");
     let summary_str = summary_path.display().to_string();
+    // The failed campaign keeps its private checkpoint dir for a rerun to
+    // adopt; a test-owned temp dir keeps it from outliving the test.
+    let tmp = std::env::temp_dir().join(format!("lift-campexh-{}", std::process::id()));
+    std::fs::create_dir_all(&tmp).expect("temp dir");
     // Shard 1 dies instantly on every allowed attempt (retries 0 means
     // one attempt total); shard 0 completes. The campaign must emit the
     // surviving cells, name the missing ones, and exit with the
     // infra-failure code.
     let out = bin()
+        .env("TMPDIR", &tmp)
         .args([
             "campaign",
             "bench",
@@ -212,7 +217,9 @@ fn exhausted_retries_degrade_to_a_partial_report_with_manifest() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("shard 1/2"), "attributable diagnosis:\n{err}");
     assert!(err.contains("missing"), "manifest announced:\n{err}");
+    assert!(err.contains("keeping campaign checkpoints"), "{err}");
     std::fs::remove_file(&summary_path).ok();
+    std::fs::remove_dir_all(&tmp).ok();
 }
 
 #[test]
@@ -220,17 +227,20 @@ fn injected_fault_kills_a_bare_worker_with_the_fault_code() {
     // The seam itself, without a supervisor: a worker under
     // LIFT_FAULT=exit-after dies with the distinct fault exit code, so
     // supervisors and CI can tell injected crashes from real ones.
+    let ck = std::env::temp_dir().join(format!("lift-bare-fault-{}.json", std::process::id()));
     let out = bin()
         .args(["--json", "bench", BENCH])
         .env("LIFT_FAULT", "exit-after:1")
-        .env(
-            "LIFT_CHECKPOINT",
-            std::env::temp_dir().join(format!("lift-bare-fault-{}.json", std::process::id())),
-        )
+        .env("LIFT_CHECKPOINT", &ck)
         .env("LIFT_CHECKPOINT_EVERY", "1")
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(FAULT_EXIT));
+    assert!(
+        ck.exists(),
+        "the fault fires after the tell is checkpointed"
+    );
+    std::fs::remove_file(&ck).ok();
     // Junk plans are a usage error: a run that silently ignored its
     // fault would pass for a survived one.
     let out = bin()
@@ -249,19 +259,20 @@ fn injected_fault_kills_a_bare_worker_with_the_fault_code() {
 fn campaign_cli_misuse_fails_loudly() {
     // (args, expected exit code)
     let cases: &[(&[&str], i32)] = &[
-        (&["campaign"], 2),                                  // no experiment
-        (&["campaign", "table1"], 2),                        // not shardable
-        (&["campaign", "bench"], 2),                         // no bench name
-        (&["campaign", "fig7", "--workers", "0"], 2),        // zero workers
-        (&["campaign", "fig7", "--workers", "x"], 2),        // junk workers
-        (&["campaign", "fig7", "--timeout", "0"], 2),        // zero timeout
-        (&["campaign", "fig7", "--retries", "-1"], 2),       // junk retries
-        (&["campaign", "fig7", "--fault", "9:stall"], 2),    // shard out of range
-        (&["campaign", "fig7", "--fault", "stall"], 2),      // no shard prefix
-        (&["campaign", "fig7", "--fault", "0:segfault"], 2), // junk plan
-        (&["campaign", "fig7", "--shard", "0/2"], 2),        // conflicting mode
-        (&["campaign", "fig7", "--large"], 2),               // --large without bench
-        (&["--workers", "2", "fig7"], 2),                    // campaign flag without campaign
+        (&["campaign"], 2),                                      // no experiment
+        (&["campaign", "table1"], 2),                            // not shardable
+        (&["campaign", "bench"], 2),                             // no bench name
+        (&["campaign", "bench", "NoSuch", "--workers", "1"], 2), // unknown bench
+        (&["campaign", "fig7", "--workers", "0"], 2),            // zero workers
+        (&["campaign", "fig7", "--workers", "x"], 2),            // junk workers
+        (&["campaign", "fig7", "--timeout", "0"], 2),            // zero timeout
+        (&["campaign", "fig7", "--retries", "-1"], 2),           // junk retries
+        (&["campaign", "fig7", "--fault", "9:stall"], 2),        // shard out of range
+        (&["campaign", "fig7", "--fault", "stall"], 2),          // no shard prefix
+        (&["campaign", "fig7", "--fault", "0:segfault"], 2),     // junk plan
+        (&["campaign", "fig7", "--shard", "0/2"], 2),            // conflicting mode
+        (&["campaign", "fig7", "--large"], 2),                   // --large without bench
+        (&["--workers", "2", "fig7"], 2),                        // campaign flag without campaign
         (&["--summary", "/tmp/x", "fig7"], 2),
     ];
     for (args, want) in cases {

@@ -161,12 +161,13 @@ fn cli_misuse_fails_loudly() {
         (&["compare", "a.json", "b.json"], &[], 2),
         (&["--checkpoint"], &[], 2), // missing value
         (&["--threads", "0", "table1"], &[], 2),
+        (&["bench", "NoSuch"], &[], 2), // unknown benchmark
         // Malformed variables are usage errors, never silent defaults.
         (&["table1"], &[("LIFT_TUNE_BUDGET", "abc")], 2),
+        (&["table1"], &[("LIFT_TUNE_BUDGET", "0")], 2),
         (&["table1"], &[("LIFT_SEED", "x")], 2),
         (&["table1"], &[("LIFT_TUNE_THREADS", "0")], 2),
         (&["table1"], &[("LIFT_CHECKPOINT_EVERY", "abc")], 2),
-        (&["table1"], &[("LIFT_COST_PRUNE", "fast")], 2),
         (&["table1"], &[("LIFT_FULL_SIZES", "true")], 2),
     ];
     for (args, env, want) in cases {

@@ -28,6 +28,10 @@
 
 use std::fmt::Write as _;
 
+/// The deepest nesting of arrays and objects [`Value::parse`] accepts.
+/// The documents this repo writes nest a handful of levels.
+const MAX_DEPTH: usize = 256;
+
 /// A JSON value. Object member order is preserved (members are a vector of
 /// pairs, not a map), so writing is deterministic.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,10 +59,12 @@ impl Value {
     ///
     /// # Errors
     ///
-    /// A human-readable message with the byte offset of the first problem.
+    /// A human-readable message with the byte offset of the first problem,
+    /// including arrays and objects nested deeper than 256 levels —
+    /// recursion that deep would overflow the stack instead.
     pub fn parse(text: &str) -> Result<Value, String> {
         let mut pos = 0usize;
-        let v = parse_value(text, &mut pos)?;
+        let v = parse_value(text, &mut pos, 0)?;
         skip_ws(text.as_bytes(), &mut pos);
         if pos != text.len() {
             return Err(format!("trailing characters at byte {pos}"));
@@ -217,9 +223,16 @@ fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(text: &str, pos: &mut usize) -> Result<Value, String> {
+/// Parses one value whose enclosing arrays and objects number `depth`.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Value, String> {
     let bytes = text.as_bytes();
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Value::Null),
@@ -235,7 +248,7 @@ fn parse_value(text: &str, pos: &mut usize) -> Result<Value, String> {
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(text, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -260,7 +273,7 @@ fn parse_value(text: &str, pos: &mut usize) -> Result<Value, String> {
                 let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                let val = parse_value(text, pos)?;
+                let val = parse_value(text, pos, depth + 1)?;
                 members.push((key, val));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -306,14 +319,16 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
                             .ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape digits")?;
+                        // Exactly four hex digits, no sign.
+                        let code = hex
+                            .iter()
+                            .try_fold(0, |code, &b| Some(code * 16 + char::from(b).to_digit(16)?))
+                            .ok_or("bad \\u escape digits")?;
                         // Surrogate pairs are not needed for the ASCII
                         // identifiers this repo writes; reject them loudly
                         // instead of silently mangling.
                         let c = char::from_u32(code)
-                            .ok_or(format!("\\u{hex} is not a scalar value"))?;
+                            .ok_or(format!("\\u{code:04x} is not a scalar value"))?;
                         out.push(c);
                         *pos += 4;
                     }
@@ -418,9 +433,21 @@ mod tests {
             "1.2.3",
             "\"\\q\"",
             "[] []",
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "\"\\u04g1\"",
         ] {
             assert!(Value::parse(bad).is_err(), "`{bad}` must not parse");
         }
+        // Nesting past the cap is an error naming where, not a stack
+        // overflow; nesting up to it still parses.
+        let deep = "[".repeat(200_000);
+        let err = Value::parse(&deep).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        let objects = "{\"k\":".repeat(MAX_DEPTH + 1);
+        assert!(Value::parse(&objects).unwrap_err().contains("nesting"));
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Value::parse(&at_cap).is_ok());
     }
 
     #[test]

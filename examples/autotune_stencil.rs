@@ -7,7 +7,7 @@
 //! ```
 
 use lift::lift_oclsim::{DeviceProfile, VirtualDevice};
-use lift::{Budget, LiftError, Pipeline};
+use lift::{LiftError, Pipeline, TuneOptions};
 
 fn main() -> Result<(), LiftError> {
     let (name, sizes) = ("Jacobi2D5pt", [66usize, 66]);
@@ -21,7 +21,7 @@ fn main() -> Result<(), LiftError> {
         let outcome = Pipeline::for_benchmark(name, &sizes)?
             .explore()?
             .on(&dev)
-            .tune_full(Budget::evaluations(12).with_seed(42))?;
+            .tune_full(TuneOptions::evaluations(12).with_seed(42))?;
         let report = &outcome.report;
         println!("[{}]", dev.profile().name);
         for v in &report.all {

@@ -38,7 +38,7 @@ fn main() -> Result<(), LiftError> {
     println!("{:?}\n", variants.names());
 
     // Stage 3+4: fix the device, pick the plain global lowering with an
-    // 8-wide work-group (`.tune(Budget::default())` would search instead).
+    // 8-wide work-group (`.tune(TuneOptions::default())` would search instead).
     let device = VirtualDevice::new(DeviceProfile::k20c());
     let compiled = variants.on(&device).with_config("global", &[("lx", 8)])?;
     println!("== Generated OpenCL (pad/slide became pure index math) ==");

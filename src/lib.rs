@@ -13,7 +13,7 @@
 //! process-wide cache so serving the same stencil twice compiles once:
 //!
 //! ```
-//! use lift::{Pipeline, Budget};
+//! use lift::{Pipeline, TuneOptions};
 //! use lift::lift_oclsim::{DeviceProfile, VirtualDevice};
 //!
 //! # fn main() -> Result<(), lift::LiftError> {
@@ -21,7 +21,7 @@
 //! let stencil = Pipeline::for_benchmark("Jacobi2D5pt", &[18, 18])? // typed program
 //!     .explore()?                        // derive tiled/local/unrolled variants
 //!     .on(&device)                       // fix the execution target
-//!     .tune(Budget::evaluations(4))?;    // search, validate, compile the winner
+//!     .tune(TuneOptions::evaluations(4))?; // search, validate, compile the winner
 //! println!("{}", stencil.source());      // the generated OpenCL C
 //! # Ok(())
 //! # }
@@ -46,8 +46,9 @@
 //!   resumable by replaying what it was told),
 //! * [`lift_ppcg`] — the PPCG-like polyhedral baseline,
 //! * [`lift_stencils`] — the paper's benchmark suite (Table 1),
-//! * [`lift_driver`] — the staged pipeline, unified errors, kernel cache,
-//!   tuning checkpoints that resume by replay,
+//! * [`lift_driver`] — the staged pipeline, cost-model-guided tuning,
+//!   unified errors, kernel cache, tuning checkpoints that resume by
+//!   replay,
 //! * [`lift_harness`] — drivers regenerating Figures 7 and 8.
 
 #![forbid(unsafe_code)]
@@ -64,6 +65,6 @@ pub use lift_stencils;
 pub use lift_tuner;
 
 pub use lift_driver::{
-    BenchResult, Budget, CacheStats, CheckpointManager, CompiledStencil, CostModel, DeviceSession,
-    KernelCache, LiftError, Pipeline, TuneOptions, TuneOutcome, TunedVariant, VariantSet,
+    BenchResult, CacheStats, CheckpointManager, CompiledStencil, DeviceSession, KernelCache,
+    LiftError, Pipeline, TuneOptions, TuneOutcome, TunedVariant, VariantSet,
 };

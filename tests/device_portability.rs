@@ -3,7 +3,7 @@
 //! different implementations (§7.2 of the paper).
 
 use lift::lift_oclsim::{DeviceProfile, VirtualDevice};
-use lift::{BenchResult, Budget, Pipeline};
+use lift::{BenchResult, Pipeline, TuneOptions};
 
 fn tune(name: &str, sizes: &[usize], dev: &VirtualDevice, evals: usize, seed: u64) -> BenchResult {
     Pipeline::for_benchmark(name, sizes)
@@ -11,7 +11,7 @@ fn tune(name: &str, sizes: &[usize], dev: &VirtualDevice, evals: usize, seed: u6
         .explore()
         .expect("explores")
         .on(dev)
-        .tune_full(Budget::evaluations(evals).with_seed(seed))
+        .tune_full(TuneOptions::evaluations(evals).with_seed(seed))
         .expect("tunes")
         .report
 }

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use lift::lift_oclsim::{BufferData, DeviceProfile, VirtualDevice};
-use lift::{Budget, KernelCache, LiftError, Pipeline};
+use lift::{KernelCache, LiftError, Pipeline, TuneOptions};
 
 fn tiny(sizes: &[usize]) -> Vec<usize> {
     sizes.iter().map(|s| (*s).clamp(6, 12)).collect()
@@ -143,7 +143,7 @@ fn tuned_winner_is_reusable_from_the_cache() {
         .unwrap()
         .on(&dev)
         .with_cache(cache.clone())
-        .tune_full(Budget::evaluations(6).with_seed(5))
+        .tune_full(TuneOptions::evaluations(6).with_seed(5))
         .expect("tunes");
     let compiles_after_tune = cache.stats().compiles;
 
