@@ -80,8 +80,9 @@ pub enum LiftError {
     },
     /// A tuning checkpoint could not be read, written, parsed or matched
     /// to the current run (I/O failure, corrupt JSON, a `schema_version`
-    /// this build does not read, or a record made with another seed,
-    /// budget or cost-model setting, or that the search's proposals leave).
+    /// this build does not read, or a record made with another seed or
+    /// budget, or that the search's proposals leave). A record that does
+    /// not match fails the whole tuning run and names its variant.
     Checkpoint(String),
     /// The pipeline stage cannot handle this program shape.
     Unsupported(String),

@@ -197,6 +197,26 @@ mod tests {
             panic!("expected UnknownVariant, got {err}");
         };
         assert!(available.iter().any(|n| n == "global"));
+
+        // A zero budget names itself instead of finding "no valid
+        // configuration" with no cause.
+        let err = Pipeline::for_benchmark("Jacobi2D5pt", &[18, 18])
+            .unwrap()
+            .explore()
+            .unwrap()
+            .on(&dev)
+            .tune(TuneOptions::evaluations(0))
+            .unwrap_err();
+        assert!(
+            matches!(&err, LiftError::InvalidConfig(m) if m.contains("budget of 0")),
+            "{err}"
+        );
+        let bench = lift_stencils::by_name("Jacobi2D5pt");
+        let err = ppcg_baseline(&bench, &[18, 18], &dev, TuneOptions::evaluations(0)).unwrap_err();
+        assert!(
+            matches!(&err, LiftError::InvalidConfig(m) if m.contains("budget of 0")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -372,14 +392,12 @@ mod tests {
                     .with_checkpoint(&copy_path),
             )
             .expect_err("seed mismatch must not silently retune");
-        let LiftError::NoValidConfiguration { failures, .. } = &err else {
-            panic!("expected NoValidConfiguration, got {err}");
+        let LiftError::Checkpoint(msg) = &err else {
+            panic!("expected a checkpoint error, got {err}");
         };
         assert!(
-            failures
-                .iter()
-                .all(|(_, e)| matches!(**e, LiftError::Checkpoint(_))),
-            "every variant reports the checkpoint mismatch: {err}"
+            msg.contains("variant `") && msg.contains("seed"),
+            "the error names the variant and the mismatch: {msg}"
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -522,15 +540,12 @@ mod tests {
         // Another first proposal may not silently retune.
         let err = tune_jacobi(&dev, opts().with_checkpoint(&altered))
             .expect_err("a diverging record must not resume");
-        let LiftError::NoValidConfiguration { failures, .. } = &err else {
-            panic!("expected NoValidConfiguration, got {err}");
+        let LiftError::Checkpoint(msg) = &err else {
+            panic!("expected a checkpoint error, got {err}");
         };
         assert!(
-            !failures.is_empty()
-                && failures
-                    .iter()
-                    .all(|(_, e)| matches!(**e, LiftError::Checkpoint(_))),
-            "every variant reports the divergence: {err}"
+            msg.contains("variant `") && msg.contains("proposal 0"),
+            "the error names the variant and the diverging proposal: {msg}"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -22,12 +22,9 @@ use lift_oclsim::{BufferData, IteratedOutput, LaunchConfig, Rotation, RunOutput,
 use lift_rewrite::strategy::{enumerate_variants, Variant};
 use lift_stencils::Benchmark;
 
-use crate::cache::KernelCache;
+use crate::cache::{program_fingerprint, KernelCache};
 use crate::error::LiftError;
-use crate::tune::{
-    bench_golden, bench_inputs, compile_bound, launch_for, program_fingerprint_of, tune_variants,
-    BenchResult, TuneContext,
-};
+use crate::tune::{bench_golden, bench_inputs, bind_config, tune_cell, BenchResult};
 
 /// Tuning options: the evaluation budget per variant, the search seed,
 /// the worker-thread count and the optional checkpoint file. Every field
@@ -37,14 +34,16 @@ use crate::tune::{
 ///
 /// Threading only changes wall-clock, never results: for the same seed,
 /// `threads: 1` and `threads: N` produce identical winners, configurations
-/// and scores (the ask/tell engine proposes deterministically and applies
-/// scores in proposal order). Checkpointing shares the guarantee: a run
-/// resumed from `checkpoint` finishes bit-identically to one that was
-/// never interrupted — the file only lets it skip re-evaluating what an
-/// earlier process already measured.
+/// and scores (threads tune variants side by side, and each variant's
+/// search takes one proposal at a time from its own seeded stream).
+/// Checkpointing shares the guarantee: a run resumed from `checkpoint`
+/// finishes bit-identically to one that was never interrupted — the file
+/// only lets it skip re-evaluating what an earlier process already
+/// measured.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TuneOptions {
-    /// Tuner evaluations per (variant, device) pair.
+    /// Tuner evaluations per (variant, device) pair; tuning with 0 is a
+    /// [`LiftError::InvalidConfig`].
     pub evaluations: usize,
     /// Seed for the deterministic search.
     pub seed: u64,
@@ -104,16 +103,6 @@ impl TuneOptions {
     pub fn with_checkpoint_every(mut self, tells: usize) -> Self {
         self.checkpoint_every = tells;
         self
-    }
-
-    /// The checkpoint manager for this run, when checkpointing is on.
-    pub(crate) fn checkpoint_manager(
-        &self,
-    ) -> Result<Option<Arc<crate::checkpoint::CheckpointManager>>, LiftError> {
-        self.checkpoint
-            .as_ref()
-            .map(|p| crate::checkpoint::CheckpointManager::at(p, self.checkpoint_every))
-            .transpose()
     }
 }
 
@@ -408,7 +397,9 @@ impl DeviceSession {
     /// # Errors
     ///
     /// [`LiftError::NoValidConfiguration`] when nothing compiles, runs and
-    /// validates.
+    /// validates; [`LiftError::InvalidConfig`] for a budget of zero
+    /// evaluations; [`LiftError::Checkpoint`] when the checkpoint cannot be
+    /// opened or flushed, or a record in it does not belong to this run.
     pub fn tune(self, opts: TuneOptions) -> Result<CompiledStencil, LiftError> {
         self.tune_full(opts).map(|o| o.winner)
     }
@@ -417,38 +408,24 @@ impl DeviceSession {
     /// report (the paper's ablation data).
     pub fn tune_full(self, opts: TuneOptions) -> Result<TuneOutcome, LiftError> {
         let out_sizes = self.out_sizes()?;
-        let (inputs, golden) = self.inputs_and_golden(opts.seed)?;
-        let name = self.program_name();
-        let manager = opts.checkpoint_manager()?;
-        let report = {
-            let ctx = TuneContext {
-                name: name.clone(),
-                out_sizes: out_sizes.clone(),
-                inputs,
-                golden,
-                device: &self.device,
-                cache: self.cache(),
-                budget: opts.evaluations,
-                seed: opts.seed,
-                threads: opts.threads,
-                checkpoint: manager.clone().map(|mgr| {
-                    crate::checkpoint::CellCheckpoint::new(
-                        mgr,
-                        &name,
-                        self.device.profile().name,
-                        &out_sizes,
-                    )
-                }),
-            };
-            tune_variants(&ctx, self.set.variants())?
-        };
-        if let Some(mgr) = manager {
-            mgr.flush()?;
-        }
-        let winner = self.compile_configured(&report.winner.name, &report.winner.config)?;
+        let report = tune_cell(
+            &self.program_name(),
+            &out_sizes,
+            self.inputs_and_golden(opts.seed)?,
+            &self.device,
+            self.cache(),
+            &opts,
+            self.set.variants(),
+        )?;
+        let params: Vec<(&str, i64)> = report
+            .winner
+            .config
+            .iter()
+            .map(|(n, v)| (n.as_str(), *v))
+            .collect();
         let winner = CompiledStencil {
             predicted_time_s: Some(report.winner.time_s),
-            ..winner
+            ..self.with_config(&report.winner.name, &params)?
         };
         Ok(TuneOutcome { winner, report })
     }
@@ -468,71 +445,19 @@ impl DeviceSession {
         variant: &str,
         params: &[(&str, i64)],
     ) -> Result<CompiledStencil, LiftError> {
-        let owned: Vec<(String, i64)> = params.iter().map(|(n, v)| (n.to_string(), *v)).collect();
-        self.compile_configured(variant, &owned)
-    }
-
-    fn compile_configured(
-        &self,
-        variant_name: &str,
-        params: &[(String, i64)],
-    ) -> Result<CompiledStencil, LiftError> {
         let variant = self
             .set
-            .get(variant_name)
-            .ok_or_else(|| self.set.unknown(variant_name))?;
-
-        // Reject parameter names that mean nothing to this variant early —
-        // a typo like `Ts` would otherwise silently fall back to defaults.
-        for (n, _) in params {
-            let is_tunable = variant.tunables.iter().any(|t| t.var() == n);
-            let is_launch = matches!(n.as_str(), "lx" | "ly" | "lz");
-            if !is_tunable && !is_launch {
-                return Err(LiftError::InvalidConfig(format!(
-                    "variant `{variant_name}` has no parameter `{n}` (tunables: {:?}, launch: lx/ly/lz)",
-                    variant.tunables.iter().map(|t| t.var()).collect::<Vec<_>>()
-                )));
-            }
-        }
-        let mut tun_values = Vec::new();
-        for t in &variant.tunables {
-            let Some((_, v)) = params.iter().find(|(n, _)| n == t.var()) else {
-                return Err(LiftError::InvalidConfig(format!(
-                    "variant `{variant_name}` requires a value for tunable `{}`",
-                    t.var()
-                )));
-            };
-            if !t.is_valid(*v) {
-                return Err(LiftError::InvalidConfig(format!(
-                    "value {v} is invalid for tunable `{}` of variant `{variant_name}`",
-                    t.var()
-                )));
-            }
-            tun_values.push((t.var().to_string(), *v));
-        }
-
-        let out_sizes = self.out_sizes()?;
-        let launch = launch_for(variant, &out_sizes, params).ok_or_else(|| {
-            LiftError::InvalidConfig(format!(
-                "cannot derive a launch configuration for `{variant_name}` from {params:?}"
-            ))
-        })?;
-        if launch.wg_size() > self.device.profile().max_wg_size {
-            return Err(LiftError::InvalidConfig(format!(
-                "work-group size {} exceeds the device maximum {}",
-                launch.wg_size(),
-                self.device.profile().max_wg_size
-            )));
-        }
-
-        let fp = program_fingerprint_of(variant);
-        let kernel = compile_bound(
+            .get(variant)
+            .ok_or_else(|| self.set.unknown(variant))?;
+        let config: Vec<(String, i64)> = params.iter().map(|(n, v)| (n.to_string(), *v)).collect();
+        let (kernel, launch) = bind_config(
             self.cache(),
             &self.device,
             &self.program_name(),
+            &self.out_sizes()?,
             variant,
-            fp,
-            &tun_values,
+            program_fingerprint(&variant.program),
+            &config,
         )?;
         Ok(CompiledStencil {
             kernel,
@@ -541,7 +466,7 @@ impl DeviceSession {
             variant: variant.name.clone(),
             tiled: variant.tiled,
             local_mem: variant.local_mem,
-            config: params.to_vec(),
+            config,
             predicted_time_s: None,
         })
     }

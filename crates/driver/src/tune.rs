@@ -15,7 +15,7 @@ use lift_stencils::Benchmark;
 use lift_tuner::{parallel_map, ParamSpace, ParamSpec, Search};
 
 use crate::cache::{program_fingerprint, CacheKey, KernelCache};
-use crate::checkpoint::{CellCheckpoint, CheckpointEntry, Outcome};
+use crate::checkpoint::{CellCheckpoint, CheckpointEntry, CheckpointManager, Outcome};
 use crate::error::LiftError;
 
 /// One tuned implementation with its best configuration.
@@ -68,27 +68,27 @@ pub struct BenchResult {
 
 /// Everything the tuner needs about the program being tuned, independent of
 /// where the program came from (Table-1 benchmark or user expression).
-pub(crate) struct TuneContext<'a> {
+struct TuneContext<'a> {
     /// Display name used in reports and errors.
-    pub name: String,
+    name: &'a str,
     /// Concrete output extents, outermost first.
-    pub out_sizes: Vec<usize>,
+    out_sizes: &'a [usize],
     /// Input buffers, one per program parameter.
-    pub inputs: Vec<BufferData>,
+    inputs: Vec<BufferData>,
     /// Reference output to validate against (skipped when absent).
-    pub golden: Option<Vec<f32>>,
-    pub device: &'a VirtualDevice,
-    pub cache: &'a KernelCache,
-    pub budget: usize,
-    pub seed: u64,
+    golden: Option<Vec<f32>>,
+    device: &'a VirtualDevice,
+    cache: &'a KernelCache,
+    budget: usize,
+    seed: u64,
     /// Worker threads for tuning variants concurrently (1 = fully
     /// sequential). The thread count never changes results — only
     /// wall-clock.
-    pub threads: usize,
+    threads: usize,
     /// Checkpoint handle for resumable tuning (`None` = no
     /// checkpointing). Replaying never changes results either — it only
     /// skips re-evaluating what a previous process already measured.
-    pub checkpoint: Option<CellCheckpoint>,
+    checkpoint: Option<CellCheckpoint>,
 }
 
 fn round_up(n: usize, m: usize) -> usize {
@@ -133,7 +133,7 @@ fn value_of(cfg: &[(String, i64)], name: &str) -> Option<i64> {
 
 /// Derives the launch configuration for a variant given its bound
 /// parameters.
-pub(crate) fn launch_for(
+fn launch_for(
     variant: &Variant,
     out_sizes: &[usize],
     cfg: &[(String, i64)],
@@ -206,7 +206,7 @@ pub(crate) fn launch_for(
 }
 
 /// The kernel function name generated for a variant.
-pub(crate) fn kernel_name(program_name: &str, variant_name: &str) -> String {
+fn kernel_name(program_name: &str, variant_name: &str) -> String {
     let sanitize = |s: &str| {
         s.chars()
             .map(|c| {
@@ -221,43 +221,7 @@ pub(crate) fn kernel_name(program_name: &str, variant_name: &str) -> String {
     format!("{}_{}", sanitize(program_name), sanitize(variant_name))
 }
 
-/// Compiles a variant with its tunables bound, through the cache. The
-/// returned [`PlannedKernel`](lift_oclsim::PlannedKernel) carries both the
-/// kernel AST and its simulator execution plan, so every launch of this
-/// configuration — and of every other launch shape of the same binding —
-/// reuses one plan.
-pub(crate) fn compile_bound(
-    cache: &KernelCache,
-    device: &VirtualDevice,
-    program_name: &str,
-    variant: &Variant,
-    variant_fp: u64,
-    tun_values: &[(String, i64)],
-) -> Result<std::sync::Arc<lift_oclsim::PlannedKernel>, LiftError> {
-    let kname = kernel_name(program_name, &variant.name);
-    let key = CacheKey {
-        program: variant_fp,
-        variant: kname.clone(),
-        params: tun_values.to_vec(),
-        device: device.profile().name.to_string(),
-    };
-    cache.get_or_compile(key, || {
-        let bound = if tun_values.is_empty() {
-            variant.program.clone()
-        } else {
-            bind_tunables(variant, tun_values).ok_or_else(|| {
-                LiftError::InvalidConfig(format!(
-                    "invalid tunable values {tun_values:?} for variant `{}`",
-                    variant.name
-                ))
-            })?
-        };
-        // Any residual size variables are rejected by codegen.
-        compile_kernel(&kname, &bound).map_err(Into::into)
-    })
-}
-
-pub(crate) fn outputs_match(got: &[f32], want: &[f32]) -> bool {
+fn outputs_match(got: &[f32], want: &[f32]) -> bool {
     got.len() == want.len()
         && got
             .iter()
@@ -265,44 +229,83 @@ pub(crate) fn outputs_match(got: &[f32], want: &[f32]) -> bool {
             .all(|(a, b)| (a - b).abs() <= 1e-3 * b.abs().max(1.0))
 }
 
-/// Binds one configuration of `variant`: collects the tunables `cfg`
-/// names, rejects invalid values, compiles the bound kernel through the
-/// cache and derives its launch. Simulation and estimation both start
-/// here, so they always price the same kernel under the same launch.
-fn bind_config(
-    ctx: &TuneContext<'_>,
+/// Binds one configuration of `variant` for tuning, estimation and
+/// [`DeviceSession::with_config`](crate::DeviceSession::with_config): every
+/// name in `cfg` must be a tunable or a launch parameter, every tunable
+/// needs a valid value, the launch must follow and its work-group must fit
+/// the device; then the bound kernel compiles through the cache. The
+/// [`PlannedKernel`](lift_oclsim::PlannedKernel) carries the kernel and its
+/// simulator plan, so simulation and estimation always price the same
+/// kernel under the same launch, and every launch shape of one binding
+/// shares one plan. `variant_fp` is the variant's [`program_fingerprint`],
+/// hashed once per variant by the caller.
+pub(crate) fn bind_config(
+    cache: &KernelCache,
+    device: &VirtualDevice,
+    program_name: &str,
+    out_sizes: &[usize],
     variant: &Variant,
     variant_fp: u64,
     cfg: &[(String, i64)],
 ) -> Result<(std::sync::Arc<lift_oclsim::PlannedKernel>, LaunchConfig), LiftError> {
-    let tun_values: Vec<(String, i64)> = variant
-        .tunables
-        .iter()
-        .filter_map(|t| value_of(cfg, t.var()).map(|v| (t.var().to_string(), v)))
-        .collect();
-    if variant
-        .tunables
-        .iter()
-        .any(|t| value_of(cfg, t.var()).is_some_and(|v| !t.is_valid(v)))
-    {
+    let vname = &variant.name;
+    // A typo like `Ts` would otherwise silently fall back to defaults.
+    for (n, _) in cfg {
+        let is_tunable = variant.tunables.iter().any(|t| t.var() == n);
+        if !is_tunable && !matches!(n.as_str(), "lx" | "ly" | "lz") {
+            return Err(LiftError::InvalidConfig(format!(
+                "variant `{vname}` has no parameter `{n}` (tunables: {:?}, launch: lx/ly/lz)",
+                variant.tunables.iter().map(|t| t.var()).collect::<Vec<_>>()
+            )));
+        }
+    }
+    let mut tun_values = Vec::new();
+    for t in &variant.tunables {
+        let Some(v) = value_of(cfg, t.var()) else {
+            return Err(LiftError::InvalidConfig(format!(
+                "variant `{vname}` requires a value for tunable `{}`",
+                t.var()
+            )));
+        };
+        if !t.is_valid(v) {
+            return Err(LiftError::InvalidConfig(format!(
+                "value {v} is invalid for tunable `{}` of variant `{vname}`",
+                t.var()
+            )));
+        }
+        tun_values.push((t.var().to_string(), v));
+    }
+    let launch = launch_for(variant, out_sizes, cfg).ok_or_else(|| {
+        LiftError::InvalidConfig(format!(
+            "cannot derive a launch configuration for `{vname}` from {cfg:?}"
+        ))
+    })?;
+    let max_wg = device.profile().max_wg_size;
+    if launch.wg_size() > max_wg {
         return Err(LiftError::InvalidConfig(format!(
-            "tunable values {tun_values:?} are invalid for variant `{}`",
-            variant.name
+            "work-group size {} exceeds the device maximum {max_wg}",
+            launch.wg_size()
         )));
     }
-    let kernel = compile_bound(
-        ctx.cache,
-        ctx.device,
-        &ctx.name,
-        variant,
-        variant_fp,
-        &tun_values,
-    )?;
-    let launch = launch_for(variant, &ctx.out_sizes, cfg).ok_or_else(|| {
-        LiftError::InvalidConfig(format!(
-            "cannot derive a launch configuration for `{}` from {cfg:?}",
-            variant.name
-        ))
+    let kname = kernel_name(program_name, vname);
+    let key = CacheKey {
+        program: variant_fp,
+        variant: kname.clone(),
+        params: tun_values.clone(),
+        device: device.profile().name.to_string(),
+    };
+    let kernel = cache.get_or_compile(key, || {
+        let bound = if tun_values.is_empty() {
+            variant.program.clone()
+        } else {
+            bind_tunables(variant, &tun_values).ok_or_else(|| {
+                LiftError::InvalidConfig(format!(
+                    "invalid tunable values {tun_values:?} for variant `{vname}`"
+                ))
+            })?
+        };
+        // Any residual size variables are rejected by codegen.
+        compile_kernel(&kname, &bound).map_err(Into::into)
     })?;
     Ok((kernel, launch))
 }
@@ -319,7 +322,15 @@ fn evaluate_config(
     variant_fp: u64,
     cfg: &[(String, i64)],
 ) -> Result<f64, LiftError> {
-    let (kernel, launch) = bind_config(ctx, variant, variant_fp, cfg)?;
+    let (kernel, launch) = bind_config(
+        ctx.cache,
+        ctx.device,
+        ctx.name,
+        ctx.out_sizes,
+        variant,
+        variant_fp,
+        cfg,
+    )?;
     // Statically-unsafe configurations never reach the simulator: the
     // verifier proves bounds, barrier convergence, race freedom and
     // initialization per (kernel, launch) and the result is cached on the
@@ -356,7 +367,16 @@ fn model_time(
     variant_fp: u64,
     cfg: &[(String, i64)],
 ) -> Option<f64> {
-    let (kernel, launch) = bind_config(ctx, variant, variant_fp, cfg).ok()?;
+    let (kernel, launch) = bind_config(
+        ctx.cache,
+        ctx.device,
+        ctx.name,
+        ctx.out_sizes,
+        variant,
+        variant_fp,
+        cfg,
+    )
+    .ok()?;
     let est = kernel.estimate(launch, ctx.device.profile()).ok()?;
     Some(est.time(ctx.device.profile()))
 }
@@ -365,9 +385,58 @@ fn model_time(
 /// worked) and the first failure hit (when any failed) — kept so an
 /// all-variants-failed run can report *why* instead of a bare
 /// "no valid configuration".
-pub(crate) struct VariantOutcome {
-    pub tuned: Option<TunedVariant>,
-    pub first_failure: Option<LiftError>,
+struct VariantOutcome {
+    tuned: Option<TunedVariant>,
+    first_failure: Option<LiftError>,
+}
+
+/// Tunes every variant of one (program, device, sizes) cell: builds the
+/// [`TuneContext`] and the cell's checkpoint handle from `opts`, tunes, and
+/// flushes the checkpoint whether or not tuning succeeded.
+///
+/// # Errors
+///
+/// [`LiftError::InvalidConfig`] for a budget of zero evaluations,
+/// [`LiftError::Checkpoint`] when the checkpoint cannot be opened or
+/// flushed, and anything [`tune_variants`] reports.
+pub(crate) fn tune_cell(
+    name: &str,
+    out_sizes: &[usize],
+    (inputs, golden): (Vec<BufferData>, Option<Vec<f32>>),
+    device: &VirtualDevice,
+    cache: &KernelCache,
+    opts: &crate::TuneOptions,
+    variants: &[Variant],
+) -> Result<BenchResult, LiftError> {
+    if opts.evaluations == 0 {
+        return Err(LiftError::InvalidConfig(format!(
+            "a budget of 0 evaluations per variant cannot tune `{name}`"
+        )));
+    }
+    let manager = opts
+        .checkpoint
+        .as_ref()
+        .map(|path| CheckpointManager::at(path, opts.checkpoint_every))
+        .transpose()?;
+    let ctx = TuneContext {
+        name,
+        out_sizes,
+        inputs,
+        golden,
+        device,
+        cache,
+        budget: opts.evaluations,
+        seed: opts.seed,
+        threads: opts.threads,
+        checkpoint: manager
+            .clone()
+            .map(|mgr| CellCheckpoint::new(mgr, name, device.profile().name, out_sizes)),
+    };
+    let report = tune_variants(&ctx, variants);
+    if let Some(mgr) = manager {
+        mgr.flush()?;
+    }
+    report
 }
 
 /// Tunes every variant and returns the per-variant bests plus the winner.
@@ -380,19 +449,18 @@ pub(crate) struct VariantOutcome {
 ///
 /// # Errors
 ///
+/// The first [`tune_variant`] error in exploration order, or
 /// [`LiftError::NoValidConfiguration`] when not a single variant produced a
 /// configuration that compiles, runs and validates; its `failures` carry
 /// the first error each variant hit.
-pub(crate) fn tune_variants(
-    ctx: &TuneContext<'_>,
-    variants: &[Variant],
-) -> Result<BenchResult, LiftError> {
+fn tune_variants(ctx: &TuneContext<'_>, variants: &[Variant]) -> Result<BenchResult, LiftError> {
     let outcomes = parallel_map(ctx.threads, variants.iter().collect(), |v| {
         tune_variant(ctx, v)
     });
     let mut all = Vec::new();
     let mut failures = Vec::new();
     for (variant, outcome) in variants.iter().zip(outcomes) {
+        let outcome = outcome?;
         match outcome.tuned {
             Some(t) => all.push(t),
             None => {
@@ -407,14 +475,14 @@ pub(crate) fn tune_variants(
         .min_by(|a, b| a.time_s.total_cmp(&b.time_s))
         .cloned()
         .ok_or_else(|| LiftError::NoValidConfiguration {
-            program: ctx.name.clone(),
+            program: ctx.name.to_string(),
             device: ctx.device.profile().name.to_string(),
             failures,
         })?;
     Ok(BenchResult {
-        bench: ctx.name.clone(),
+        bench: ctx.name.to_string(),
         device: ctx.device.profile().name.to_string(),
-        sizes: ctx.out_sizes.clone(),
+        sizes: ctx.out_sizes.to_vec(),
         winner,
         all,
     })
@@ -433,7 +501,14 @@ pub(crate) fn tune_variants(
 /// score, a tied one the (score, proposal-index) tie-break. Proposals
 /// depend only on the seed, the estimates and the outcomes told so far, so
 /// results are bit-identical across thread counts, shards and resumes.
-pub(crate) fn tune_variant(ctx: &TuneContext<'_>, variant: &Variant) -> VariantOutcome {
+///
+/// # Errors
+///
+/// [`LiftError::Checkpoint`] naming the variant when its checkpoint record
+/// does not belong to this run: another seed or budget, a warm start that
+/// ranked other configurations, a recorded proposal the search does not
+/// make, or a record longer than the search.
+fn tune_variant(ctx: &TuneContext<'_>, variant: &Variant) -> Result<VariantOutcome, LiftError> {
     let max_wg = ctx.device.profile().max_wg_size;
     let variant_fp = program_fingerprint(&variant.program);
     let mut specs = Vec::new();
@@ -450,14 +525,14 @@ pub(crate) fn tune_variant(ctx: &TuneContext<'_>, variant: &Variant) -> VariantO
             cands.retain(|u| *u >= nbh_size + 3);
         }
         if cands.is_empty() {
-            return VariantOutcome {
+            return Ok(VariantOutcome {
                 tuned: None,
                 first_failure: Some(LiftError::InvalidConfig(format!(
                     "tunable `{}` of variant `{}` has no usable candidate values",
                     t.var(),
                     variant.name
                 ))),
-            };
+            });
         }
         specs.push(ParamSpec::new(t.var().to_string(), cands));
     }
@@ -478,12 +553,8 @@ pub(crate) fn tune_variant(ctx: &TuneContext<'_>, variant: &Variant) -> VariantO
         names.iter().cloned().zip(cfg.iter().copied()).collect()
     };
     let model = |cfg: &[i64]| model_time(ctx, variant, variant_fp, &named(cfg));
-    let failed = |e: LiftError| VariantOutcome {
-        tuned: None,
-        first_failure: Some(e),
-    };
     let diverged = |why: String| {
-        failed(LiftError::Checkpoint(format!(
+        Err(LiftError::Checkpoint(format!(
             "checkpointed search for variant `{}` diverges from this run: {why}; \
              delete the checkpoint or rerun with the build and options that wrote it",
             variant.name
@@ -497,8 +568,8 @@ pub(crate) fn tune_variant(ctx: &TuneContext<'_>, variant: &Variant) -> VariantO
     // is re-applied from the recorded estimates, and the recorded outcomes
     // are told in proposal order before anything new is decided or
     // evaluated. A record that does not belong to this run (other seed,
-    // budget or proposals) is a hard, explained failure rather than a
-    // silent restart that would break the resumed-run-equals-uninterrupted
+    // budget or proposals) fails the run, loudly, rather than silently
+    // restarting and breaking the resumed-run-equals-uninterrupted
     // guarantee.
     let recorded = ctx
         .checkpoint
@@ -508,7 +579,7 @@ pub(crate) fn tune_variant(ctx: &TuneContext<'_>, variant: &Variant) -> VariantO
     let mut entry = match recorded {
         Some(entry) => {
             if entry.seed != search_seed || entry.budget != ctx.budget {
-                return failed(LiftError::Checkpoint(format!(
+                return Err(LiftError::Checkpoint(format!(
                     "checkpointed search for variant `{}` was recorded with seed {} and \
                      budget {}, but this run uses seed {search_seed} and budget {}; \
                      delete the checkpoint or rerun with the original options",
@@ -555,7 +626,7 @@ pub(crate) fn tune_variant(ctx: &TuneContext<'_>, variant: &Variant) -> VariantO
     // index of the one in hand.
     let replay = entry.tells.len();
     let mut first_failure: Option<LiftError> = None;
-    while let Some(cfg) = search.ask(1).pop() {
+    while let Some(cfg) = search.ask() {
         let told = search.evaluations();
         if told < replay {
             // Replayed tells are not recorded again, and the fault seam
@@ -577,7 +648,7 @@ pub(crate) fn tune_variant(ctx: &TuneContext<'_>, variant: &Variant) -> VariantO
                         .unwrap_or("no message recorded")
                 )));
             }
-            search.tell(&cfg, outcome.score());
+            search.tell(outcome.score());
             continue;
         }
         // The prune threshold is the incumbent's estimate. Until something
@@ -607,7 +678,7 @@ pub(crate) fn tune_variant(ctx: &TuneContext<'_>, variant: &Variant) -> VariantO
                 }
             }
         };
-        search.tell(&cfg, outcome.score());
+        search.tell(outcome.score());
         entry.tells.push((cfg, outcome));
         if let Some((c, key)) = ctx.checkpoint.as_ref().zip(ck_key.as_deref()) {
             c.mgr.record(key, &entry);
@@ -623,26 +694,23 @@ pub(crate) fn tune_variant(ctx: &TuneContext<'_>, variant: &Variant) -> VariantO
             search.evaluations()
         ));
     }
-    // The prune counters follow from the outcomes, replayed or fresh, so
+    // The counters follow from the outcomes, replayed or fresh, so
     // interrupted and uninterrupted runs report the same totals.
     let count = |kind: Outcome| entry.tells.iter().filter(|(_, o)| *o == kind).count();
     let pruned_verify = count(Outcome::PrunedVerify);
     let pruned_model = count(Outcome::PrunedModel);
+    let scores: Vec<f64> = entry.tells.iter().filter_map(|(_, o)| o.score()).collect();
     let evaluations = search.evaluations();
-    let result = search.into_result();
-    let tuned = result.best.and_then(|best| {
+    let tuned = search.best().and_then(|best| {
         // How many successful simulations it took to first measure the
         // winning score — the paper-scale "evaluations to best" metric.
-        // Derived from the trace, which replay rebuilds, so resumed runs
-        // report the same number as uninterrupted ones.
-        let evals_to_best = result
-            .trace
+        let evals_to_best = scores
             .iter()
-            .position(|c| c.score == best.score)
-            .map(|i| i + 1)
-            .unwrap_or(result.trace.len());
-        let config: Vec<(String, i64)> = names.into_iter().zip(best.values).collect();
-        let launch = launch_for(variant, &ctx.out_sizes, &config)?;
+            .position(|s| *s == best.score)
+            .map_or(scores.len(), |i| i + 1);
+        let config: Vec<(String, i64)> =
+            names.into_iter().zip(best.values.iter().copied()).collect();
+        let launch = launch_for(variant, ctx.out_sizes, &config)?;
         let out_elems: usize = ctx.out_sizes.iter().product();
         Some(TunedVariant {
             name: variant.name.clone(),
@@ -656,18 +724,13 @@ pub(crate) fn tune_variant(ctx: &TuneContext<'_>, variant: &Variant) -> VariantO
             evals_to_best,
             pruned_verify,
             pruned_model,
-            sims: result.trace.len(),
+            sims: scores.len(),
         })
     });
-    VariantOutcome {
+    Ok(VariantOutcome {
         tuned,
         first_failure,
-    }
-}
-
-/// Fingerprint of a variant's lowered program (cache key component).
-pub(crate) fn program_fingerprint_of(variant: &Variant) -> u64 {
-    program_fingerprint(&variant.program)
+    })
 }
 
 fn hash(s: &str) -> u64 {
@@ -693,7 +756,7 @@ pub(crate) fn bench_golden(bench: &Benchmark, inputs: &[BufferData], sizes: &[us
 }
 
 /// The PPCG baseline as a [`Variant`], ready for the shared tuner.
-pub(crate) fn ppcg_variant(prog: &lift_core::expr::FunDecl) -> Result<Variant, LiftError> {
+fn ppcg_variant(prog: &lift_core::expr::FunDecl) -> Result<Variant, LiftError> {
     let k = lift_ppcg::compile(prog)?;
     Ok(Variant {
         name: "ppcg".into(),
@@ -712,47 +775,32 @@ pub(crate) fn ppcg_variant(prog: &lift_core::expr::FunDecl) -> Result<Variant, L
 /// # Errors
 ///
 /// [`LiftError::Ppcg`] when the baseline cannot compile the program shape;
-/// [`LiftError::NoValidConfiguration`] when tuning finds nothing valid.
+/// [`LiftError::NoValidConfiguration`] when tuning finds nothing valid;
+/// [`LiftError::InvalidConfig`] for a budget of zero evaluations; and
+/// [`LiftError::Checkpoint`] when the checkpoint cannot be opened or
+/// flushed or its record does not belong to this run.
 pub fn ppcg_baseline(
     bench: &Benchmark,
     sizes: &[usize],
     dev: &VirtualDevice,
     opts: crate::TuneOptions,
 ) -> Result<TunedVariant, LiftError> {
-    let prog = bench.program(sizes);
-    let variant = ppcg_variant(&prog)?;
+    let variant = ppcg_variant(&bench.program(sizes))?;
     let inputs = bench_inputs(bench, sizes, opts.seed);
     let golden = bench_golden(bench, &inputs, sizes);
-    let manager = opts.checkpoint_manager()?;
-    let ctx = TuneContext {
-        name: bench.name.to_string(),
-        out_sizes: sizes.to_vec(),
-        inputs,
-        golden: Some(golden),
-        device: dev,
-        cache: KernelCache::global(),
-        budget: opts.evaluations,
-        seed: opts.seed,
-        threads: opts.threads,
-        checkpoint: manager
-            .clone()
-            .map(|mgr| CellCheckpoint::new(mgr, bench.name, dev.profile().name, sizes)),
-    };
-    let outcome = tune_variant(&ctx, &variant);
-    if let Some(mgr) = manager {
-        mgr.flush()?;
-    }
-    outcome
-        .tuned
-        .ok_or_else(|| LiftError::NoValidConfiguration {
+    let data = (inputs, Some(golden));
+    let cache = KernelCache::global();
+    match tune_cell(bench.name, sizes, data, dev, cache, &opts, &[variant]) {
+        Ok(report) => Ok(report.winner),
+        Err(LiftError::NoValidConfiguration {
+            device, failures, ..
+        }) => Err(LiftError::NoValidConfiguration {
             program: format!("{} (ppcg)", bench.name),
-            device: dev.profile().name.to_string(),
-            failures: outcome
-                .first_failure
-                .into_iter()
-                .map(|e| ("ppcg".to_string(), Box::new(e)))
-                .collect(),
-        })
+            device,
+            failures,
+        }),
+        Err(e) => Err(e),
+    }
 }
 
 /// Executes the hand-written reference kernel for a Fig. 7 benchmark (no

@@ -2,10 +2,11 @@
 //! damaged in the field — truncation, bit flips, runaway nesting, version
 //! skew, a stale atomic-write temp from a crash — must restore cleanly. Damage is
 //! quarantined and the run restarts fresh; version skew is an intact
-//! file from another build and stays a hard, explained error. Nothing
-//! here may panic, and every recovered run must converge to the
-//! fault-free report (determinism makes a fresh restart equivalent to
-//! the run the checkpoint would have resumed).
+//! file from another build, and a record that diverges from the run is
+//! intact but made under other settings: both stay hard, explained
+//! errors. Nothing here may panic, and every recovered run must converge
+//! to the fault-free report (determinism makes a fresh restart equivalent
+//! to the run the checkpoint would have resumed).
 //!
 //! Checkpoint managers are process-wide singletons per path, so every
 //! test works in its own directory under a unique name.
@@ -14,6 +15,7 @@ use std::path::{Path, PathBuf};
 
 use lift_driver::{BenchResult, LiftError, Pipeline, TuneOptions};
 use lift_oclsim::{DeviceProfile, VirtualDevice};
+use lift_tuner::json::Value;
 
 const BENCH: &str = "Jacobi2D5pt";
 const SIZES: &[usize] = &[18, 18];
@@ -164,5 +166,71 @@ fn stale_tmp_from_a_crash_is_swept() {
         "the intact checkpoint resumes normally"
     );
     assert!(!tmp.exists(), "the stale temp file was swept on startup");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `entries` object of a checkpoint document: (key, record) pairs.
+fn entries(doc: &mut Value) -> &mut Vec<(String, Value)> {
+    let Value::Obj(members) = doc else {
+        panic!("a checkpoint is an object")
+    };
+    match members.iter_mut().find(|(k, _)| k == "entries") {
+        Some((_, Value::Obj(entries))) => entries,
+        _ => panic!("`entries` is an object"),
+    }
+}
+
+#[test]
+fn one_diverging_record_fails_the_run_and_names_its_variant() {
+    // Only the `coarsened` record is altered: its seed's lowest bit flips.
+    // Every other record still replays and scores, so a run that
+    // swallowed the divergence would print a report without that row.
+    // The `global` record is dropped, so that variant tunes afresh.
+    let dir = tmp_dir("seed");
+    let mut doc = Value::parse(&genuine_checkpoint(&dir)).expect("a checkpoint parses");
+    let is_altered = |key: &str| key.ends_with("#coarsened");
+    let is_global = |key: &str| key.ends_with("#global");
+    let before = entries(&mut doc).len();
+    entries(&mut doc).retain(|(key, _)| !is_global(key));
+    assert_eq!(entries(&mut doc).len(), before - 1, "a `global` record");
+    let (_, Value::Obj(record)) = entries(&mut doc)
+        .iter_mut()
+        .find(|(key, _)| is_altered(key))
+        .expect("a `coarsened` record")
+    else {
+        panic!("a record is an object")
+    };
+    match record.iter_mut().find(|(k, _)| k == "seed") {
+        Some((_, Value::Int(seed))) => *seed ^= 1,
+        Some((_, Value::UInt(seed))) => *seed ^= 1,
+        other => panic!("a record's seed is an integer, not {other:?}"),
+    }
+    let path = dir.join("ck.json");
+    std::fs::write(&path, doc.to_json()).unwrap();
+    // With writes deferred to the flush, only the flush can keep the
+    // fresh `global` record; a failed run flushes too.
+    let err = run(opts().with_checkpoint_every(1000).with_checkpoint(&path))
+        .expect_err("a diverging record fails the run");
+    let LiftError::Checkpoint(msg) = &err else {
+        panic!("expected a checkpoint error, got {err}")
+    };
+    assert!(msg.contains("variant `coarsened`"), "{msg}");
+    assert!(
+        !dir.join("ck.json.corrupt-1").exists(),
+        "a diverging record is intact, not quarantined"
+    );
+    let mut flushed = Value::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    assert!(
+        entries(&mut flushed).iter().any(|(key, _)| is_global(key)),
+        "the failed run flushed what it measured"
+    );
+
+    // Without the altered record the file resumes: every other record
+    // scores, and `coarsened` and `global` tune afresh.
+    entries(&mut doc).retain(|(key, _)| !is_altered(key));
+    let path = dir.join("without.json");
+    std::fs::write(&path, doc.to_json()).unwrap();
+    let report = run(opts().with_checkpoint(&path)).expect("the other records resume");
+    assert_eq!(fingerprint(&report), fault_free());
     std::fs::remove_dir_all(&dir).ok();
 }

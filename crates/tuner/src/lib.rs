@@ -8,11 +8,13 @@
 //! (inter-parameter constraints such as *"local size divides global size"*)
 //! via arbitrary predicates over complete configurations.
 //!
-//! The engine is the batched ask/tell [`Search`]: it proposes
-//! configurations in batches that a driver may evaluate concurrently (e.g.
-//! on the in-repo [`parallel_map`] worker pool) and guarantees results
-//! bit-identical to a one-at-a-time loop for the same seed, whatever the
-//! batch size or thread count.
+//! The engine is the ask/tell [`Search`]: it hands out one proposal at a
+//! time and takes its score before proposing the next, so a driver can
+//! decide each proposal against the freshest incumbent, as `lift-driver`
+//! does when it prunes on a cost estimate. Proposals come from a seeded
+//! stream in a fixed order, so the same seed gives the same result; the
+//! in-repo [`parallel_map`] worker pool runs independent searches side by
+//! side.
 //!
 //! Searches are also **resumable by replay**: a fresh search with the same
 //! seed and warm-start ranking, told the recorded scores in proposal order,
@@ -32,14 +34,12 @@
 //! .with_constraint(|cfg| cfg[0] % cfg[1] == 0); // y divides x
 //!
 //! let mut search = Search::new(space, 64, 7);
-//! while !search.is_done() {
-//!     for cfg in search.ask(4) {
-//!         // Pretend runtime: minimised at x = 12, y = 4.
-//!         let (x, y) = (cfg[0] as f64, cfg[1] as f64);
-//!         search.tell(&cfg, Some((x - 12.0).abs() + (y - 4.0).abs()));
-//!     }
+//! while let Some(cfg) = search.ask() {
+//!     // Pretend runtime: minimised at x = 12, y = 4.
+//!     let (x, y) = (cfg[0] as f64, cfg[1] as f64);
+//!     search.tell(Some((x - 12.0).abs() + (y - 4.0).abs()));
 //! }
-//! let best = search.into_result().best.expect("found a config");
+//! let best = search.best().expect("found a config");
 //! assert_eq!(best.values, vec![12, 4]);
 //! ```
 
@@ -183,29 +183,6 @@ pub struct Candidate {
     pub score: f64,
 }
 
-impl Candidate {
-    /// The value of parameter `name`, if declared.
-    pub fn value_of(&self, space: &ParamSpace, name: &str) -> Option<i64> {
-        space
-            .params
-            .iter()
-            .position(|p| p.name == name)
-            .map(|i| self.values[i])
-    }
-}
-
-/// The outcome of a tuning run.
-#[derive(Debug, Clone)]
-pub struct TuneResult {
-    /// Best configuration found, if any evaluation succeeded.
-    pub best: Option<Candidate>,
-    /// Number of evaluator invocations (excludes constraint-filtered
-    /// configurations).
-    pub evaluations: usize,
-    /// Every evaluated configuration with its score, in evaluation order.
-    pub trace: Vec<Candidate>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,13 +193,36 @@ mod tests {
         Some((x - 6.0).powi(2) + (y - 4.0).powi(2))
     }
 
+    /// What a search driven to completion reports.
+    struct Run {
+        best: Option<Candidate>,
+        evaluations: usize,
+        /// Every proposal with the score it was told, in proposal order.
+        told: Vec<(Vec<i64>, Option<f64>)>,
+    }
+
+    /// Drives `search` to completion, scoring each proposal with `eval`.
+    fn drive(mut search: Search, mut eval: impl FnMut(&[i64]) -> Option<f64>) -> Run {
+        let mut told = Vec::new();
+        while let Some(cfg) = search.ask() {
+            let score = eval(&cfg);
+            search.tell(score);
+            told.push((cfg, score));
+        }
+        Run {
+            best: search.best().cloned(),
+            evaluations: search.evaluations(),
+            told,
+        }
+    }
+
     #[test]
     fn exhaustive_finds_optimum() {
         let space = ParamSpace::new([
             ParamSpec::new("x", (1..=8).collect()),
             ParamSpec::new("y", (1..=8).collect()),
         ]);
-        let r = drive(Search::new(space, 100, 0), 1, quadratic);
+        let r = drive(Search::new(space, 100, 0), quadratic);
         assert_eq!(r.best.unwrap().values, vec![6, 4]);
         assert_eq!(r.evaluations, 64);
     }
@@ -234,12 +234,13 @@ mod tests {
             ParamSpec::new("y", (1..=8).collect()),
         ])
         .with_constraint(|c| c[0] % c[1] == 0);
-        let r = drive(Search::new(space, 100, 0), 1, quadratic);
+        let r = drive(Search::new(space, 100, 0), quadratic);
         // Best feasible: y divides x; (6,4) infeasible → one of the
         // near-optimal feasible points.
         let best = r.best.unwrap();
         assert_eq!(best.values[0] % best.values[1], 0);
         assert!(best.score <= 2.0, "best {best:?}");
+        assert!(r.told.iter().all(|(c, _)| c[0] % c[1] == 0));
     }
 
     #[test]
@@ -250,15 +251,12 @@ mod tests {
                 ParamSpec::new("y", (1..=100).collect()),
             ])
         };
-        let r1 = drive(Search::new(mk(), 60, 1), 1, quadratic);
-        let r2 = drive(Search::new(mk(), 60, 1), 1, quadratic);
+        let r1 = drive(Search::new(mk(), 60, 1), quadratic);
+        let r2 = drive(Search::new(mk(), 60, 1), quadratic);
         assert!(r1.evaluations <= 60);
-        assert_eq!(
-            r1.best.as_ref().map(|b| &b.values),
-            r2.best.as_ref().map(|b| &b.values),
-            "same seed must give the same result"
-        );
-        let r3 = drive(Search::new(mk(), 60, 2), 1, quadratic);
+        assert_eq!(r1.told, r2.told, "same seed must give the same proposals");
+        assert_eq!(r1.best, r2.best, "same seed must give the same result");
+        let r3 = drive(Search::new(mk(), 60, 2), quadratic);
         // Different seeds may differ (not asserted), but both must be valid.
         assert!(r3.best.is_some());
     }
@@ -271,7 +269,7 @@ mod tests {
             ParamSpec::new("x", (1..=50).collect()),
             ParamSpec::new("y", (1..=50).collect()),
         ]);
-        let r = drive(Search::new(space, 200, 3), 1, quadratic);
+        let r = drive(Search::new(space, 200, 3), quadratic);
         let best = r.best.unwrap();
         assert!(best.score < 4.0, "refined best {best:?}");
     }
@@ -279,7 +277,7 @@ mod tests {
     #[test]
     fn failing_evaluations_are_skipped() {
         let space = ParamSpace::new([ParamSpec::new("x", (1..=10).collect())]);
-        let r = drive(Search::new(space, 50, 0), 1, |cfg| {
+        let r = drive(Search::new(space, 50, 0), |cfg| {
             if cfg[0] % 2 == 0 {
                 None // "kernel failed to run"
             } else {
@@ -287,7 +285,8 @@ mod tests {
             }
         });
         assert_eq!(r.best.unwrap().values, vec![1]);
-        assert!(r.trace.iter().all(|c| c.values[0] % 2 == 1));
+        // A failed evaluation still spends budget.
+        assert_eq!(r.evaluations, 10);
     }
 
     #[test]
@@ -303,106 +302,90 @@ mod tests {
     }
 
     #[test]
-    fn batched_ask_tell_matches_sequential_run_exactly() {
-        // The same search driven at batch sizes 1, 3, 5 and 16 must produce
-        // bit-identical traces, bests and evaluation counts.
-        let mk = || {
-            ParamSpace::new([
-                ParamSpec::new("x", (1..=100).collect::<Vec<_>>()),
-                ParamSpec::new("y", (1..=100).collect::<Vec<_>>()),
-            ])
-            .with_constraint(|c| (c[0] + c[1]) % 3 != 0)
-        };
-        // Some configurations "fail" to exercise the None path too.
-        let eval = |cfg: &[i64]| {
-            if cfg[0] % 11 == 0 {
-                None
-            } else {
-                quadratic(cfg)
-            }
-        };
-        let reference = drive(Search::new(mk(), 60, 9), 1, eval);
-        for batch_size in [3usize, 5, 16] {
-            let got = drive(Search::new(mk(), 60, 9), batch_size, eval);
-            assert_eq!(got.trace, reference.trace, "batch={batch_size}");
-            assert_eq!(got.best, reference.best, "batch={batch_size}");
-            assert_eq!(got.evaluations, reference.evaluations, "batch={batch_size}");
-        }
-    }
-
-    #[test]
-    fn out_of_order_tells_are_applied_in_proposal_order() {
+    fn equal_scores_keep_the_earliest_proposal() {
+        // The warm start proposes x = 6 first; with every score equal, the
+        // incumbent is the earliest proposal, not the smallest config.
         let space = ParamSpace::new([ParamSpec::new("x", (1..=6).collect::<Vec<_>>())]);
         let mut search = Search::new(space, 100, 0);
-        let batch = search.ask(6);
-        assert_eq!(batch.len(), 6, "exhaustive block proposes everything");
-        // Tell in reverse order with identical scores: the winner must be
-        // the EARLIEST proposal (tie-break on proposal index), and the
-        // trace must follow proposal order, not tell order.
-        for cfg in batch.iter().rev() {
-            search.tell(cfg, Some(1.0));
-        }
-        let r = search.into_result();
-        assert_eq!(r.best.unwrap().values, batch[0]);
-        let trace_cfgs: Vec<&Vec<i64>> = r.trace.iter().map(|c| &c.values).collect();
-        assert_eq!(trace_cfgs, batch.iter().collect::<Vec<_>>());
+        search.warm_start_by(|cfg| Some(-(cfg[0] as f64)));
+        let r = drive(search, |_| Some(1.0));
+        let order: Vec<i64> = r.told.iter().map(|(c, _)| c[0]).collect();
+        assert_eq!(order, [6, 5, 4, 3, 2, 1]);
+        assert_eq!(r.best.unwrap().values, vec![6]);
     }
 
     #[test]
-    fn ask_returns_empty_between_blocks_until_tells_arrive() {
-        // A large space forces sampling → refinement; the refinement pass
-        // cannot be proposed before the sampling scores are known.
+    fn refinement_starts_from_the_incumbent_of_the_sampling_block() {
+        // A large space forces sampling → refinement. The sampling block is
+        // 3/4 of the budget, and the first refinement proposal is one
+        // candidate away from the best of the whole block in exactly one
+        // coordinate, so it cannot be made before every sample is told.
         let space = ParamSpace::new([
             ParamSpec::new("x", (1..=100).collect::<Vec<_>>()),
             ParamSpec::new("y", (1..=100).collect::<Vec<_>>()),
         ]);
-        let mut search = Search::new(space, 40, 2);
-        let batch = search.ask(1000);
-        assert_eq!(batch.len(), 30, "sampling block is 3/4 of the budget");
-        let held_back = batch[0].clone();
-        for cfg in &batch[1..] {
-            search.tell(cfg, quadratic(cfg));
-        }
+        let r = drive(Search::new(space, 40, 2), quadratic);
+        assert!(r.told.len() > 30, "refinement proposes after sampling");
+        let (incumbent, _) = r.told[..30]
+            .iter()
+            .min_by(|a, b| a.1.unwrap().total_cmp(&b.1.unwrap()))
+            .expect("the sampling block is not empty");
+        let next = &r.told[30].0;
+        let steps: Vec<i64> = next
+            .iter()
+            .zip(incumbent)
+            .map(|(a, b)| (a - b).abs())
+            .collect();
         assert!(
-            search.ask(8).is_empty(),
-            "no refinement proposals while a sampling tell is outstanding"
-        );
-        search.tell(&held_back, quadratic(&held_back));
-        assert!(
-            !search.ask(8).is_empty(),
-            "refinement starts after the block completes"
+            steps == [0, 1] || steps == [1, 0],
+            "proposal 31 {next:?} is not one step from {incumbent:?}"
         );
     }
 
     #[test]
-    #[should_panic(expected = "was not asked")]
-    fn telling_an_unasked_config_panics() {
+    #[should_panic(expected = "ask with a proposal in hand")]
+    fn asking_with_a_proposal_in_hand_panics() {
         let space = ParamSpace::new([ParamSpec::new("x", vec![1, 2])]);
         let mut search = Search::new(space, 10, 0);
-        search.tell(&[7], Some(1.0));
+        search.ask();
+        search.ask();
     }
 
-    /// Drives `search` to completion with `eval` at the given batch size.
-    fn drive(
-        mut search: Search,
-        batch_size: usize,
-        eval: impl Fn(&[i64]) -> Option<f64>,
-    ) -> TuneResult {
-        while !search.is_done() {
-            for cfg in search.ask(batch_size) {
-                search.tell(&cfg, eval(&cfg));
-            }
-        }
-        search.into_result()
+    #[test]
+    #[should_panic(expected = "tell without a proposal in hand")]
+    fn telling_without_a_proposal_in_hand_panics() {
+        let space = ParamSpace::new([ParamSpec::new("x", vec![1, 2])]);
+        let mut search = Search::new(space, 10, 0);
+        search.ask();
+        search.tell(Some(1.0));
+        search.tell(Some(1.0));
+    }
+
+    #[test]
+    fn warm_start_after_the_first_ask_is_a_no_op() {
+        let space = ParamSpace::new([ParamSpec::new("x", (1..=8).collect::<Vec<_>>())]);
+        let mut search = Search::new(space, 100, 0);
+        let reverse = |cfg: &[i64]| Some(-(cfg[0] as f64));
+        // Neither with the first proposal in hand nor after its tell does
+        // a warm start reorder anything.
+        let first = search.ask().expect("a first proposal");
+        search.warm_start_by(reverse);
+        search.tell(Some(1.0));
+        search.warm_start_by(reverse);
+        let rest = drive(search, |_| Some(1.0));
+        let order: Vec<i64> = std::iter::once(first[0])
+            .chain(rest.told.iter().map(|(c, _)| c[0]))
+            .collect();
+        assert_eq!(order, (1..=8).collect::<Vec<_>>());
     }
 
     #[test]
     fn replay_is_bit_identical_at_every_interruption_point() {
         // Record what an uninterrupted search is told. Then, for every k,
-        // tell a fresh search the first k recorded outcomes (at a different
-        // batch size) and evaluate only the rest: it must propose what the
-        // record holds and finish bit-identically (trace scores compared
-        // exactly through PartialEq on f64).
+        // tell a fresh search the first k recorded outcomes and evaluate
+        // only the rest: it must propose what the record holds and finish
+        // bit-identically (scores compared exactly through PartialEq on
+        // f64).
         let mk = || {
             ParamSpace::new([
                 ParamSpec::new("x", (1..=40).collect::<Vec<_>>()),
@@ -417,35 +400,22 @@ mod tests {
                 Some((cfg[0] as f64 - 6.3).powi(2) + (cfg[1] as f64 - 4.1).powi(2))
             }
         };
-        let mut search = Search::new(mk(), 24, 17);
-        let mut record = Vec::new();
-        while !search.is_done() {
-            for cfg in search.ask(1) {
-                let score = eval(&cfg);
-                search.tell(&cfg, score);
-                record.push((cfg, score));
-            }
-        }
-        let reference = search.into_result();
-        assert_eq!(record.len(), reference.evaluations);
-        for k in 0..=record.len() {
-            let mut search = Search::new(mk(), 24, 17);
-            let mut told = 0;
-            while !search.is_done() {
-                for cfg in search.ask(3) {
-                    let score = match record[..k].get(told) {
-                        Some((recorded, score)) => {
-                            assert_eq!(&cfg, recorded, "k={k}: proposal {told} left the record");
-                            *score
-                        }
-                        None => eval(&cfg),
-                    };
-                    search.tell(&cfg, score);
-                    told += 1;
+        let reference = drive(Search::new(mk(), 24, 17), eval);
+        assert_eq!(reference.told.len(), reference.evaluations);
+        for k in 0..=reference.told.len() {
+            let mut asked = 0;
+            let got = drive(Search::new(mk(), 24, 17), |cfg| {
+                let i = asked;
+                asked += 1;
+                match reference.told[..k].get(i) {
+                    Some((recorded, score)) => {
+                        assert_eq!(cfg, recorded, "k={k}: proposal {i} left the record");
+                        *score
+                    }
+                    None => eval(cfg),
                 }
-            }
-            let got = search.into_result();
-            assert_eq!(got.trace, reference.trace, "k={k}");
+            });
+            assert_eq!(got.told, reference.told, "k={k}");
             assert_eq!(got.best, reference.best, "k={k}");
             assert_eq!(got.evaluations, reference.evaluations, "k={k}");
         }

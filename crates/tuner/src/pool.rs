@@ -3,11 +3,11 @@
 //!
 //! Like the in-repo [`crate::SplitMix64`], this exists so the workspace
 //! needs no external dependency (rayon et al.): `std::thread::scope` is
-//! enough for the tuner's batch evaluation, the per-variant fan-out and the
-//! harness benchmark sweep. Work is pulled from a shared atomic cursor, so
-//! uneven item costs balance across workers, and results land in the slot
-//! of their input index — callers observe exactly the order they passed in,
-//! which is what keeps parallel tuning deterministic.
+//! enough for the driver's per-variant fan-out and the harness's sweep
+//! over (benchmark × device) cells. Work is pulled from a shared atomic
+//! cursor, so uneven item costs balance across workers, and results land in
+//! the slot of their input index — callers observe exactly the order they
+//! passed in, which is what keeps parallel tuning deterministic.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

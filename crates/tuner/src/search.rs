@@ -1,27 +1,22 @@
-//! The batched ask/tell search engine.
+//! The ask/tell search engine.
 //!
-//! [`Search`] is the tuner's core restructured for parallel drivers: instead
-//! of calling back into an evaluator, it *proposes* batches of
-//! configurations ([`Search::ask`]) and *consumes* their scores
-//! ([`Search::tell`]). The driver is free to evaluate a whole batch
-//! concurrently — the engine guarantees the outcome is **bit-identical to
-//! the sequential search** for the same seed, regardless of batch size or
-//! thread count:
+//! [`Search`] is the tuner's core: instead of calling back into an
+//! evaluator, it hands out one proposal at a time ([`Search::ask`]) and
+//! takes that proposal's score ([`Search::tell`]) before it proposes the
+//! next. In between, the driver is free to decide how to score the
+//! proposal in hand — prune it on a cost estimate or simulate it — and the
+//! outcome is deterministic for the same seed:
 //!
 //! * proposals are drawn from the deterministic RNG stream in a fixed
-//!   order, independent of any score;
-//! * tells are buffered and applied in **proposal order**, so the trace and
-//!   the evaluation counter never depend on evaluation timing;
+//!   order;
 //! * ties are broken by (score, proposal index): the earliest proposal with
 //!   the minimal score wins.
 //!
 //! The search runs in *blocks* whose proposals never depend on scores
 //! produced inside the same block: the exhaustive enumeration is one block,
 //! the random-sampling phase is one block, and each greedy-refinement pass
-//! around the incumbent is one block. `ask` hands out the current block and
-//! returns an empty batch while tells for it are still outstanding; once
-//! the block is fully told the next block is derived from the (now
-//! deterministic) incumbent.
+//! around the incumbent is one block. Once a block is fully told, the next
+//! one is derived from the incumbent.
 //!
 //! Because proposals depend only on the seed, the warm-start ranking and
 //! the scores told so far, a search is resumed by *replaying* it: a fresh
@@ -35,21 +30,16 @@
 //!
 //! let space = ParamSpace::new([ParamSpec::new("x", (1..=100).collect::<Vec<_>>())]);
 //! let mut search = Search::new(space, 20, 7);
-//! while !search.is_done() {
-//!     let batch = search.ask(4); // evaluate these 4 in parallel if you like
-//!     for cfg in batch {
-//!         let score = (cfg[0] as f64 - 42.0).abs();
-//!         search.tell(&cfg, Some(score));
-//!     }
+//! while let Some(cfg) = search.ask() {
+//!     search.tell(Some((cfg[0] as f64 - 42.0).abs()));
 //! }
-//! let result = search.into_result();
-//! assert!(result.best.is_some());
+//! assert!(search.best().is_some());
 //! ```
 
 use std::collections::{HashSet, VecDeque};
 
 use crate::rng::SplitMix64;
-use crate::{Candidate, ParamSpace, TuneResult};
+use crate::{Candidate, ParamSpace};
 
 /// Which deterministic proposal block the search is in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,18 +55,9 @@ enum Phase {
     Done,
 }
 
-/// A proposal that has been handed out by [`Search::ask`] and is awaiting
-/// (or buffering) its [`Search::tell`].
-#[derive(Debug)]
-struct Outstanding {
-    cfg: Vec<i64>,
-    /// `None` until told; `Some(score)` afterwards (`score` itself is
-    /// `None` for failed evaluations).
-    result: Option<Option<f64>>,
-}
-
-/// A batched ask/tell search over a [`ParamSpace`] with a fixed evaluation
-/// budget. See the [module docs](self) for the contract.
+/// An ask/tell search over a [`ParamSpace`] with a fixed evaluation
+/// budget, one proposal at a time. See the [module docs](self) for the
+/// contract.
 pub struct Search {
     space: ParamSpace,
     budget: usize,
@@ -85,14 +66,13 @@ pub struct Search {
     seen: HashSet<Vec<i64>>,
     /// Proposals of the current block not yet handed out by `ask`.
     pending: VecDeque<Vec<i64>>,
-    /// Proposals handed out, in proposal order, awaiting tells.
-    outstanding: VecDeque<Outstanding>,
+    /// The proposal handed out by `ask` and not yet told.
+    in_hand: Option<Vec<i64>>,
     /// Budget consumed at proposal time (each proposal costs exactly one
     /// evaluation once told).
     proposed: usize,
     /// Tells applied so far (== `proposed` at every block boundary).
     evaluations: usize,
-    trace: Vec<Candidate>,
     best: Option<Candidate>,
     /// The incumbent's score when the current refinement pass was proposed
     /// (`None` = no incumbent yet); used to decide whether the pass
@@ -111,10 +91,9 @@ impl Search {
             phase: Phase::Done,
             seen: HashSet::new(),
             pending: VecDeque::new(),
-            outstanding: VecDeque::new(),
+            in_hand: None,
             proposed: 0,
             evaluations: 0,
-            trace: Vec::new(),
             best: None,
             pass_start_score: None,
         };
@@ -145,11 +124,6 @@ impl Search {
         s
     }
 
-    /// The underlying space.
-    pub fn space(&self) -> &ParamSpace {
-        &self.space
-    }
-
     /// Reorders the initial proposal block so the most promising
     /// configurations (lowest `rank` value) are asked first — a
     /// model-ranked warm-start. Configurations the ranker cannot score
@@ -168,7 +142,7 @@ impl Search {
     where
         F: FnMut(&[i64]) -> Option<f64>,
     {
-        if self.evaluations > 0 || !self.outstanding.is_empty() {
+        if self.evaluations > 0 || self.in_hand.is_some() {
             return;
         }
         let mut items: Vec<(Option<f64>, usize, Vec<i64>)> = self
@@ -186,59 +160,47 @@ impl Search {
         self.pending = items.into_iter().map(|(_, _, cfg)| cfg).collect();
     }
 
-    /// Proposes up to `n` configurations to evaluate next.
-    ///
-    /// Returns an empty batch when (a) the search is finished — check
-    /// [`Search::is_done`] — or (b) the current block is exhausted but some
-    /// of its proposals have not been told yet; tell them and ask again.
-    pub fn ask(&mut self, n: usize) -> Vec<Vec<i64>> {
-        if self.pending.is_empty() && self.outstanding.is_empty() {
-            self.next_block();
-        }
-        let take = n.min(self.pending.len());
-        let mut batch = Vec::with_capacity(take);
-        for _ in 0..take {
-            let cfg = self.pending.pop_front().expect("len checked");
-            self.outstanding.push_back(Outstanding {
-                cfg: cfg.clone(),
-                result: None,
-            });
-            batch.push(cfg);
-        }
-        batch
-    }
-
-    /// Reports the score of an asked configuration (`None` = the
-    /// configuration failed to compile, run or validate). Tells may arrive
-    /// in any order; they are applied in proposal order.
+    /// Hands out the next proposal, or `None` once the search is finished.
+    /// Its score must be told before the next `ask`.
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` was never asked (or already told).
-    pub fn tell(&mut self, cfg: &[i64], score: Option<f64>) {
-        let slot = self
-            .outstanding
-            .iter_mut()
-            .find(|o| o.result.is_none() && o.cfg == cfg)
-            .unwrap_or_else(|| panic!("tell for a configuration that was not asked: {cfg:?}"));
-        slot.result = Some(score);
-        // Apply the completed prefix in proposal order.
-        while self.outstanding.front().is_some_and(|o| o.result.is_some()) {
-            let o = self.outstanding.pop_front().expect("front checked");
-            self.apply(o.cfg, o.result.expect("result checked"));
-        }
-    }
-
-    /// Whether the search has finished: no proposals left and every tell
-    /// applied.
-    pub fn is_done(&mut self) -> bool {
-        if self.pending.is_empty() && self.outstanding.is_empty() {
+    /// Panics if the previous proposal has not been told.
+    pub fn ask(&mut self) -> Option<Vec<i64>> {
+        assert!(
+            self.in_hand.is_none(),
+            "ask with a proposal in hand: tell its score first"
+        );
+        if self.pending.is_empty() {
             self.next_block();
         }
-        self.phase == Phase::Done && self.pending.is_empty() && self.outstanding.is_empty()
+        self.in_hand = self.pending.pop_front();
+        self.in_hand.clone()
     }
 
-    /// Evaluations applied so far.
+    /// Reports the score of the proposal in hand (`None` = it produced no
+    /// score: it failed to compile, run or validate, or was pruned). The
+    /// incumbent changes only on a strictly better score, so the earliest
+    /// proposal with the minimal score wins — the (score, proposal index)
+    /// tie-break.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no proposal is in hand.
+    pub fn tell(&mut self, score: Option<f64>) {
+        let values = self
+            .in_hand
+            .take()
+            .expect("tell without a proposal in hand: ask first");
+        self.evaluations += 1;
+        if let Some(score) = score {
+            if self.best.as_ref().is_none_or(|b| score < b.score) {
+                self.best = Some(Candidate { values, score });
+            }
+        }
+    }
+
+    /// Evaluations told so far.
     pub fn evaluations(&self) -> usize {
         self.evaluations
     }
@@ -248,42 +210,15 @@ impl Search {
         self.best.as_ref()
     }
 
-    /// Finishes the search, returning its [`TuneResult`]: the incumbent,
-    /// the evaluation count and the trace in proposal order — the same at
-    /// any batch size.
-    pub fn into_result(self) -> TuneResult {
-        TuneResult {
-            best: self.best,
-            evaluations: self.evaluations,
-            trace: self.trace,
-        }
-    }
-
-    /// Applies one told proposal: counts it, records the trace entry and
-    /// updates the incumbent (strict improvement, so the earliest proposal
-    /// with the minimal score wins — the (score, proposal index)
-    /// tie-break).
-    fn apply(&mut self, values: Vec<i64>, score: Option<f64>) {
-        self.evaluations += 1;
-        if let Some(score) = score {
-            let cand = Candidate { values, score };
-            if self.best.as_ref().is_none_or(|b| cand.score < b.score) {
-                self.best = Some(cand.clone());
-            }
-            self.trace.push(cand);
-        }
-    }
-
     /// Derives the next proposal block once the current one is fully told.
     fn next_block(&mut self) {
-        debug_assert!(self.pending.is_empty() && self.outstanding.is_empty());
         match self.phase {
             Phase::Done => {}
             Phase::Exhaustive => self.phase = Phase::Done,
             Phase::Sampling => self.start_refinement_pass(),
             Phase::Refining => {
-                // The sequential loop repeats only while a pass improved
-                // the incumbent.
+                // Refinement repeats only while a pass improved the
+                // incumbent.
                 let improved = match (self.pass_start_score, self.best.as_ref()) {
                     (None, Some(_)) => true,
                     (Some(before), Some(b)) => b.score < before,
@@ -299,8 +234,7 @@ impl Search {
     }
 
     /// Proposes one greedy pass around the incumbent: each parameter moved
-    /// one candidate up/down, budget permitting. Mirrors the sequential
-    /// refinement loop exactly.
+    /// one candidate up/down, budget permitting.
     fn start_refinement_pass(&mut self) {
         if self.proposed >= self.budget {
             self.phase = Phase::Done;
@@ -334,8 +268,8 @@ impl Search {
             }
         }
         self.phase = if self.pending.is_empty() {
-            // Nothing left to try around the incumbent: the sequential
-            // loop's `improved` flag would stay false.
+            // Nothing left to try around the incumbent, so no pass can
+            // improve it.
             Phase::Done
         } else {
             Phase::Refining

@@ -42,8 +42,8 @@
 //! * [`lift_codegen`] — view-based OpenCL-C code generation,
 //! * [`lift_oclsim`] — a virtual OpenCL GPU that executes generated kernels
 //!   and models their performance on K20c / HD 7970 / Mali profiles,
-//! * [`lift_tuner`] — ATF-style auto-tuning (batched ask/tell search,
-//!   resumable by replaying what it was told),
+//! * [`lift_tuner`] — ATF-style auto-tuning (an ask/tell search with one
+//!   proposal in hand, resumable by replaying what it was told),
 //! * [`lift_ppcg`] — the PPCG-like polyhedral baseline,
 //! * [`lift_stencils`] — the paper's benchmark suite (Table 1),
 //! * [`lift_driver`] — the staged pipeline, cost-model-guided tuning,
