@@ -4,8 +4,9 @@
 //!
 //! * *producer* positions (`compile_out`) — `map*`/`join`/`transpose`/… —
 //!   emit loops and stores through an output [`View`];
-//! * *source* positions (`compile_val`) — `pad`/`slide`/`zip`/… — build
-//!   input [`View`]s without emitting code, exactly as §5 describes.
+//! * *source* positions (`compile_val`) — `pad`/`slide`/`zip`/… and
+//!   layout-only `map`s — build input [`View`]s without emitting code,
+//!   exactly as §5 describes.
 //!
 //! Memory is explicit: a `map` that is not at the output position must be
 //! wrapped in `toLocal`/`toPrivate` (or be the kernel result) so that every
@@ -15,17 +16,19 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use lift_arith::{ArithExpr, Bindings};
 use lift_core::expr::{Expr, FunDecl, Param};
 use lift_core::pattern::{MapKind, Pattern, ReduceKind};
-use lift_core::typecheck::{typecheck, TypeError};
+use lift_core::typecheck::{apply_fun, typecheck, TypeError};
 use lift_core::types::Type;
+use lift_core::visit::is_layout_fun;
 
 use crate::clike::{
     AddressSpace, CExpr, CStmt, CType, Kernel, KernelParam, LocalBuffer, VarRef, WorkItemFn,
 };
-use crate::view::{apply_steps_write, LayoutStep, View, ViewError};
+use crate::view::{View, ViewError};
 
 pub use lift_core::visit::substitute_sizes;
 
@@ -215,62 +218,28 @@ fn compile_out(
                 return compile_out(cg, &l.body, out, stmts);
             }
             FunDecl::Pattern(p) => match p.as_ref() {
-                Pattern::Map { kind, f } => {
-                    // Layout-only maps (`map(transpose)`, `map(join)`, …) on
-                    // the output path reshape the destination instead of
-                    // emitting loops. Only un-lowered maps take this route:
-                    // a lowered map (`mapGlb` etc.) expresses an explicit
-                    // parallelisation decision and keeps its loop.
-                    let arg_ty = typecheck(&app.args[0])?;
-                    if *kind == MapKind::Par {
-                        if let Some(elem_ty) = arg_ty.as_array().map(|(el, _)| el.clone()) {
-                            if let Some((steps, _)) = try_layout_steps(f, &elem_ty)? {
-                                // Verify writability up-front for a clear error.
-                                apply_steps_write(
-                                    &steps,
-                                    View::Fixed {
-                                        index: CExpr::Int(0),
-                                        base: Box::new(out.clone()),
-                                    },
-                                )?;
-                                let out2 = View::MapStepsW {
-                                    steps: std::sync::Arc::new(steps),
-                                    base: Box::new(out.clone()),
-                                };
-                                return compile_out(cg, &app.args[0], &out2, stmts);
-                            }
-                        }
+                // Layout on the output path reshapes the destination instead
+                // of emitting loops: the argument is written through the dual
+                // of the pattern's view. Only un-lowered maps take this
+                // route: a lowered map (`mapGlb` etc.) expresses an explicit
+                // parallelisation decision and keeps its loop.
+                Pattern::Join
+                | Pattern::Split { .. }
+                | Pattern::Transpose
+                | Pattern::Map {
+                    kind: MapKind::Par, ..
+                } if is_layout_fun(&app.fun) => {
+                    let in_ty = typecheck(&app.args[0])?;
+                    let node = layout_node(p, &in_ty, View::Hole)?;
+                    if let View::Map { elem, .. } = &node {
+                        // Verify writability up-front for a clear error.
+                        elem.dual(View::Hole)?;
                     }
+                    let out2 = node.dual(out.clone())?;
+                    return compile_out(cg, &app.args[0], &out2, stmts);
+                }
+                Pattern::Map { kind, f } => {
                     return compile_map(cg, *kind, f, &app.args[0], &ty, out, stmts);
-                }
-                Pattern::Join => {
-                    let inner_ty = typecheck(&app.args[0])?;
-                    let m = size_usize(
-                        inner_ty
-                            .as_array()
-                            .and_then(|(el, _)| el.as_array())
-                            .map(|(_, m)| m)
-                            .ok_or_else(|| CodegenError::new("join of non-nested array"))?,
-                    )?;
-                    let out2 = View::Split {
-                        chunk: m,
-                        base: Box::new(out.clone()),
-                    };
-                    return compile_out(cg, &app.args[0], &out2, stmts);
-                }
-                Pattern::Split { chunk } => {
-                    let m = size_usize(chunk)?;
-                    let out2 = View::Join {
-                        inner: m,
-                        base: Box::new(out.clone()),
-                    };
-                    return compile_out(cg, &app.args[0], &out2, stmts);
-                }
-                Pattern::Transpose => {
-                    let out2 = View::Transpose {
-                        base: Box::new(out.clone()),
-                    };
-                    return compile_out(cg, &app.args[0], &out2, stmts);
                 }
                 Pattern::ToGlobal { f } | Pattern::ToLocal { f } | Pattern::ToPrivate { f } => {
                     // At the output position the destination is already
@@ -516,75 +485,22 @@ fn compile_pattern_val(
 ) -> Result<Val, CodegenError> {
     let result_ty = typecheck(&Expr::Apply(Box::new(app.clone())))?;
     match p {
-        Pattern::Slide { step, .. } => {
-            let (base, _) = view_of(cg, &app.args[0], stmts)?;
-            Ok(Val::View {
-                view: View::Slide {
-                    step: size_usize(step)?,
-                    base: Box::new(base),
-                },
-                ty: result_ty,
-            })
-        }
-        Pattern::Pad { left, boundary, .. } => {
+        Pattern::Slide { .. }
+        | Pattern::Pad { .. }
+        | Pattern::PadValue { .. }
+        | Pattern::Split { .. }
+        | Pattern::Join
+        | Pattern::Transpose
+        | Pattern::Map { .. } => {
             let (base, in_ty) = view_of(cg, &app.args[0], stmts)?;
-            let n = size_usize(in_ty.as_array().map(|(_, n)| n).expect("array"))?;
+            if !is_layout_fun(&app.fun) {
+                bail!(
+                    "a materialising `map` mid-expression must be wrapped in \
+                     toLocal/toPrivate so its memory is explicit"
+                );
+            }
             Ok(Val::View {
-                view: View::Pad {
-                    left: size_usize(left)?,
-                    n,
-                    boundary: *boundary,
-                    base: Box::new(base),
-                },
-                ty: result_ty,
-            })
-        }
-        Pattern::PadValue { left, value, .. } => {
-            let (base, in_ty) = view_of(cg, &app.args[0], stmts)?;
-            let n = size_usize(in_ty.as_array().map(|(_, n)| n).expect("array"))?;
-            Ok(Val::View {
-                view: View::PadValue {
-                    left: size_usize(left)?,
-                    n,
-                    value: *value,
-                    base: Box::new(base),
-                },
-                ty: result_ty,
-            })
-        }
-        Pattern::Split { chunk } => {
-            let (base, _) = view_of(cg, &app.args[0], stmts)?;
-            Ok(Val::View {
-                view: View::Split {
-                    chunk: size_usize(chunk)?,
-                    base: Box::new(base),
-                },
-                ty: result_ty,
-            })
-        }
-        Pattern::Join => {
-            let (base, in_ty) = view_of(cg, &app.args[0], stmts)?;
-            let m = size_usize(
-                in_ty
-                    .as_array()
-                    .and_then(|(el, _)| el.as_array())
-                    .map(|(_, m)| m)
-                    .ok_or_else(|| CodegenError::new("join of non-nested array"))?,
-            )?;
-            Ok(Val::View {
-                view: View::Join {
-                    inner: m,
-                    base: Box::new(base),
-                },
-                ty: result_ty,
-            })
-        }
-        Pattern::Transpose => {
-            let (base, _) = view_of(cg, &app.args[0], stmts)?;
-            Ok(Val::View {
-                view: View::Transpose {
-                    base: Box::new(base),
-                },
+                view: layout_node(p, &in_ty, base)?,
                 ty: result_ty,
             })
         }
@@ -613,14 +529,11 @@ fn compile_pattern_val(
                 })
             }
         }
-        Pattern::Get { index } => {
+        Pattern::Get { .. } => {
             let val = compile_val(cg, &app.args[0], stmts)?;
             match val {
-                Val::View { view, .. } => {
-                    let g = View::Get {
-                        index: *index,
-                        base: Box::new(view),
-                    };
+                Val::View { view, ty } => {
+                    let g = layout_node(p, &ty, view)?;
                     if result_ty.as_array().is_none() {
                         Ok(Val::Scalar(g.read(&[])?))
                     } else {
@@ -657,28 +570,6 @@ fn compile_pattern_val(
             "`toGlobal({f})` mid-expression is unsupported: global temporaries would need a \
              second kernel; restructure the program"
         ),
-        Pattern::Map { f, .. } => {
-            // Layout-only maps are lazily-applied view transforms (this is
-            // what `slide2`/`slide3`/`pad2`/`pad3` compile into).
-            let (base, in_ty) = view_of(cg, &app.args[0], stmts)?;
-            let elem_ty = in_ty
-                .as_array()
-                .map(|(el, _)| el.clone())
-                .ok_or_else(|| CodegenError::new("map input must be an array"))?;
-            match try_layout_steps(f, &elem_ty)? {
-                Some((steps, _)) => Ok(Val::View {
-                    view: View::MapSteps {
-                        steps: std::sync::Arc::new(steps),
-                        base: Box::new(base),
-                    },
-                    ty: result_ty,
-                }),
-                None => bail!(
-                    "a materialising `map` mid-expression must be wrapped in \
-                     toLocal/toPrivate so its memory is explicit"
-                ),
-            }
-        }
         Pattern::Iterate { .. } => {
             bail!("`iterate` is executed on the host (repeated kernel launches), not in a kernel")
         }
@@ -729,147 +620,98 @@ fn materialise_to(
     })
 }
 
-/// Attempts to compile a *layout-only* function into [`LayoutStep`]s.
-///
-/// Returns `Ok(None)` when `f` computes (contains user functions, reduces,
-/// memory annotations, …) and therefore cannot stay lazy.
-fn try_layout_steps(
-    f: &FunDecl,
-    in_ty: &Type,
-) -> Result<Option<(Vec<LayoutStep>, Type)>, CodegenError> {
-    match f {
-        FunDecl::UserFun(_) => Ok(None),
-        FunDecl::Pattern(p) => match p.as_ref() {
-            Pattern::Id => Ok(Some((Vec::new(), in_ty.clone()))),
-            Pattern::Transpose
-            | Pattern::Slide { .. }
-            | Pattern::Pad { .. }
-            | Pattern::PadValue { .. }
-            | Pattern::Split { .. }
-            | Pattern::Join
-            | Pattern::Get { .. } => {
-                let out_ty = lift_core::typecheck::apply_fun(f, std::slice::from_ref(in_ty))?;
-                Ok(Some((vec![step_of_pattern(p, in_ty)?], out_ty)))
-            }
-            Pattern::Map { f: g, .. } => {
-                let elem_ty = match in_ty.as_array() {
-                    Some((el, _)) => el.clone(),
-                    None => return Ok(None),
-                };
-                match try_layout_steps(g, &elem_ty)? {
-                    Some((inner, _)) => {
-                        let out_ty =
-                            lift_core::typecheck::apply_fun(f, std::slice::from_ref(in_ty))?;
-                        Ok(Some((vec![LayoutStep::Map(inner)], out_ty)))
-                    }
-                    None => Ok(None),
-                }
-            }
-            _ => Ok(None),
-        },
-        FunDecl::Lambda(l) => {
-            if l.params.len() != 1 {
-                return Ok(None);
-            }
-            layout_steps_of_expr(&l.body, l.params[0].id(), in_ty)
-        }
-    }
-}
-
-/// Walks a lambda body that applies layout primitives to its parameter,
-/// collecting steps innermost-first.
-fn layout_steps_of_expr(
-    e: &Expr,
-    param_id: u32,
-    param_ty: &Type,
-) -> Result<Option<(Vec<LayoutStep>, Type)>, CodegenError> {
-    match e {
-        Expr::Param(p) if p.id() == param_id => Ok(Some((Vec::new(), param_ty.clone()))),
-        Expr::Apply(app) if app.args.len() == 1 => {
-            let inner = match layout_steps_of_expr(&app.args[0], param_id, param_ty)? {
-                Some(x) => x,
-                None => return Ok(None),
-            };
-            let (mut steps, cur_ty) = inner;
-            match try_layout_steps(&app.fun, &cur_ty)? {
-                Some((mut more, out_ty)) => {
-                    steps.append(&mut more);
-                    Ok(Some((steps, out_ty)))
-                }
-                None => Ok(None),
-            }
-        }
-        // zip(e1, …, ek): every branch must itself be a layout chain over
-        // the same parameter (usually starting with a `get`).
-        Expr::Apply(app) if matches!(app.fun.as_pattern(), Some(Pattern::Zip { .. })) => {
-            let mut branches = Vec::with_capacity(app.args.len());
-            let mut out_elems = Vec::with_capacity(app.args.len());
-            let mut len: Option<ArithExpr> = None;
-            for a in &app.args {
-                match layout_steps_of_expr(a, param_id, param_ty)? {
-                    Some((steps, ty)) => {
-                        let (el, n) = match ty.as_array() {
-                            Some((el, n)) => (el.clone(), n.clone()),
-                            None => return Ok(None),
-                        };
-                        if let Some(l) = &len {
-                            if l != &n {
-                                return Ok(None);
-                            }
-                        } else {
-                            len = Some(n);
-                        }
-                        branches.push(steps);
-                        out_elems.push(el);
-                    }
-                    None => return Ok(None),
-                }
-            }
-            let out_ty = Type::array(Type::Tuple(out_elems), len.expect("zip arity >= 2"));
-            Ok(Some((vec![LayoutStep::ZipN(branches)], out_ty)))
-        }
-        _ => Ok(None),
-    }
-}
-
-fn step_of_pattern(p: &Pattern, in_ty: &Type) -> Result<LayoutStep, CodegenError> {
-    let dim0 = |t: &Type| -> Result<usize, CodegenError> {
-        size_usize(
-            t.as_array()
-                .map(|(_, n)| n)
-                .ok_or_else(|| CodegenError::new("layout step on non-array"))?,
-        )
-    };
+/// The view of layout pattern `p` applied to `base`, a value of type
+/// `in_ty`. A layout `map` becomes a [`View::Map`] over its function's view
+/// of a fresh [`View::Hole`].
+fn layout_node(p: &Pattern, in_ty: &Type, base: View) -> Result<View, CodegenError> {
+    let base = Box::new(base);
     Ok(match p {
-        Pattern::Transpose => LayoutStep::Transpose,
-        Pattern::Slide { step, .. } => LayoutStep::Slide {
+        Pattern::Slide { step, .. } => View::Slide {
             step: size_usize(step)?,
+            base,
         },
-        Pattern::Pad { left, boundary, .. } => LayoutStep::Pad {
+        Pattern::Pad { left, boundary, .. } => View::Pad {
             left: size_usize(left)?,
-            n: dim0(in_ty)?,
+            n: outer_len(in_ty)?,
             boundary: *boundary,
+            base,
         },
-        Pattern::PadValue { left, value, .. } => LayoutStep::PadValue {
+        Pattern::PadValue { left, value, .. } => View::PadValue {
             left: size_usize(left)?,
-            n: dim0(in_ty)?,
+            n: outer_len(in_ty)?,
             value: *value,
+            base,
         },
-        Pattern::Split { chunk } => LayoutStep::Split {
+        Pattern::Split { chunk } => View::Split {
             chunk: size_usize(chunk)?,
+            base,
         },
-        Pattern::Join => LayoutStep::Join {
-            inner: size_usize(
-                in_ty
-                    .as_array()
-                    .and_then(|(el, _)| el.as_array())
-                    .map(|(_, m)| m)
-                    .ok_or_else(|| CodegenError::new("join of non-nested array"))?,
-            )?,
+        Pattern::Join => View::Join {
+            inner: outer_len(elem_of(in_ty)?)?,
+            base,
         },
-        Pattern::Get { index } => LayoutStep::Get(*index),
-        other => bail!("`{}` is not a layout step", other.name()),
+        Pattern::Transpose => View::Transpose { base },
+        Pattern::Get { index } => View::Get {
+            index: *index,
+            base,
+        },
+        Pattern::Map { f, .. } => View::Map {
+            elem: Arc::new(layout_fun(f, elem_of(in_ty)?, View::Hole)?.0),
+            base,
+        },
+        Pattern::Id => *base,
+        other => bail!("`{}` is not a layout pattern", other.name()),
     })
+}
+
+/// The view of layout function `f` (see [`is_layout_fun`]) applied to `x`,
+/// a value of type `x_ty`, and the type of the result. Types are threaded
+/// through the walk, one `apply_fun` per pattern, not re-checked per node.
+fn layout_fun(f: &FunDecl, x_ty: &Type, x: View) -> Result<(View, Type), CodegenError> {
+    match f {
+        FunDecl::Pattern(p) => {
+            let ty = apply_fun(f, std::slice::from_ref(x_ty))?;
+            Ok((layout_node(p, x_ty, x)?, ty))
+        }
+        FunDecl::Lambda(l) => layout_body(&l.body, x_ty, x),
+        FunDecl::UserFun(u) => bail!("user function `{}` is not a layout function", u.name()),
+    }
+}
+
+/// [`layout_fun`] for the body `e` of a layout lambda whose parameter is `x`.
+fn layout_body(e: &Expr, x_ty: &Type, x: View) -> Result<(View, Type), CodegenError> {
+    match e {
+        Expr::Param(_) => Ok((x, x_ty.clone())),
+        Expr::Apply(app) if matches!(app.fun.as_pattern(), Some(Pattern::Zip { .. })) => {
+            let mut components = Vec::with_capacity(app.args.len());
+            let mut tys = Vec::with_capacity(app.args.len());
+            for a in &app.args {
+                let (view, ty) = layout_body(a, x_ty, x.clone())?;
+                components.push(view);
+                tys.push(ty);
+            }
+            Ok((View::Zip { components }, apply_fun(&app.fun, &tys)?))
+        }
+        Expr::Apply(app) => {
+            let (view, ty) = layout_body(&app.args[0], x_ty, x)?;
+            layout_fun(&app.fun, &ty, view)
+        }
+        Expr::Literal(_) => bail!("a literal is not a layout function body"),
+    }
+}
+
+fn elem_of(ty: &Type) -> Result<&Type, CodegenError> {
+    match ty.as_array() {
+        Some((elem, _)) => Ok(elem),
+        None => bail!("layout of non-array {ty}"),
+    }
+}
+
+fn outer_len(ty: &Type) -> Result<usize, CodegenError> {
+    match ty.as_array() {
+        Some((_, n)) => size_usize(n),
+        None => bail!("layout of non-array {ty}"),
+    }
 }
 
 fn compile_reduce(

@@ -13,7 +13,11 @@
 //! The data-layout primitives `pad`, `slide`, `split`, `join`, `transpose`,
 //! `zip`, `get`, `at` and `array` **generate no code and move no data**: they
 //! are compiled into [`view::View`]s — compile-time index transformations
-//! applied when an element is finally read (or written). This is the paper's
+//! applied when an element is finally read (or written). So are `map`s of
+//! layout functions (as `lift_core::visit::is_layout_fun` classifies them):
+//! a layout `map(f)` is a [`view::View::Map`] over `f`'s view of a hole, and
+//! on the output path a producer writes through the layout's
+//! [`dual`](view::View::dual). This is the paper's
 //! key compilation device: *"the slide primitive does not physically copy
 //! created neighborhoods into memory"*; accesses to the same element of
 //! different neighbourhoods hit the same physical location.

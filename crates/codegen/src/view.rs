@@ -7,11 +7,17 @@
 //! the final load expression with all index arithmetic folded in — or
 //! [`written`](View::write).
 //!
-//! Reads and writes share the same index algebra: writing through
-//! `join`/`split`/`transpose` on the output path applies the identical
-//! transformation. Views that duplicate elements (`slide`, `pad`) are
-//! read-only; attempting to write through them is a compiler error caught by
-//! [`View::write`].
+//! A layout-only `map(f)` is a view too. [`View::Map`] holds `f`'s result as
+//! a view of a [`View::Hole`], the element `f` is applied to. Reading
+//! element `i` fills the hole with element `i` of the mapped view; a nested
+//! map's element view keeps its own hole.
+//!
+//! Writes share the index algebra. A producer whose result a layout view of
+//! the hole rearranges writes through that view's [`dual`](View::dual):
+//! `join` ↔ `split`, while `transpose` and `map` invert in place. Views that
+//! duplicate elements (`slide`, `pad`) are read-only; attempting to write
+//! through them is a compiler error caught by [`View::write`] and
+//! [`View::dual`].
 
 use std::sync::Arc;
 
@@ -112,157 +118,26 @@ pub enum View {
         /// The tuple-producing view.
         base: Box<View>,
     },
-    /// A *layout-only* `map`: element `i` is `base`'s element `i` with
-    /// `steps` applied lazily (how `map(transpose)`, `map(slide)` and the
+    /// A layout-only `map`: element `i` is `elem` with its hole filled by
+    /// `Fixed { i, base }` (how `map(transpose)`, `map(slide)` and the
     /// n-dimensional combinators compile — no loops, no data movement).
-    MapSteps {
-        /// The per-element transformation.
-        steps: std::sync::Arc<Vec<LayoutStep>>,
+    /// Element `i` is written through `elem.dual(Fixed { i, base })`.
+    Map {
+        /// The mapped function's result, as a view of [`View::Hole`].
+        elem: Arc<View>,
         /// The mapped view.
         base: Box<View>,
     },
-    /// The write-side dual of [`View::MapSteps`], used for the output
-    /// reassembly of the 2D/3D tiling rule (`map(join)`, `map(transpose)` on
-    /// the result path).
-    MapStepsW {
-        /// The per-element transformation of the *producer*.
-        steps: std::sync::Arc<Vec<LayoutStep>>,
-        /// The final destination view.
-        base: Box<View>,
-    },
+    /// The element a [`View::Map`]'s `elem` is a view of.
+    Hole,
 }
 
-/// One step of a compiled layout-only function (sizes already concrete).
-///
-/// A layout function `λx. t_k(…t_1(x))` compiles to `[step(t_1), …,
-/// step(t_k)]`; applying the steps to a view wraps it innermost-first.
-#[derive(Debug, Clone)]
-pub enum LayoutStep {
-    /// `slide(size, step)` — read-only.
-    Slide {
-        /// Window step.
-        step: usize,
-    },
-    /// `pad(l, r, h)` — read-only.
-    Pad {
-        /// Left padding.
-        left: usize,
-        /// Unpadded size.
-        n: usize,
-        /// Re-indexing function.
-        boundary: Boundary,
-    },
-    /// `padValue(l, r, c)` — read-only.
-    PadValue {
-        /// Left padding.
-        left: usize,
-        /// Unpadded size.
-        n: usize,
-        /// Out-of-bounds constant.
-        value: Scalar,
-    },
-    /// `split(m)`.
-    Split {
-        /// Chunk size.
-        chunk: usize,
-    },
-    /// `join` with inner size `m`.
-    Join {
-        /// Inner dimension size.
-        inner: usize,
-    },
-    /// `transpose`.
-    Transpose,
-    /// A nested layout-only `map`.
-    Map(Vec<LayoutStep>),
-    /// `get(c)` — tuple component selection.
-    Get(usize),
-    /// `zip(e1, …, ek)` where each branch applies its own steps to the
-    /// current (tuple-typed) view — how `zip2_2d`/`zip3_3d` stay lazy.
-    ZipN(Vec<Vec<LayoutStep>>),
-}
-
-/// Applies layout steps (innermost-first) to a read view.
-pub fn apply_steps(steps: &[LayoutStep], v: View) -> View {
-    let mut v = v;
-    for s in steps {
-        v = match s {
-            LayoutStep::Slide { step } => View::Slide {
-                step: *step,
-                base: Box::new(v),
-            },
-            LayoutStep::Pad { left, n, boundary } => View::Pad {
-                left: *left,
-                n: *n,
-                boundary: *boundary,
-                base: Box::new(v),
-            },
-            LayoutStep::PadValue { left, n, value } => View::PadValue {
-                left: *left,
-                n: *n,
-                value: *value,
-                base: Box::new(v),
-            },
-            LayoutStep::Split { chunk } => View::Split {
-                chunk: *chunk,
-                base: Box::new(v),
-            },
-            LayoutStep::Join { inner } => View::Join {
-                inner: *inner,
-                base: Box::new(v),
-            },
-            LayoutStep::Transpose => View::Transpose { base: Box::new(v) },
-            LayoutStep::Map(inner) => View::MapSteps {
-                steps: std::sync::Arc::new(inner.clone()),
-                base: Box::new(v),
-            },
-            LayoutStep::Get(c) => View::Get {
-                index: *c,
-                base: Box::new(v),
-            },
-            LayoutStep::ZipN(branches) => View::Zip {
-                components: branches.iter().map(|b| apply_steps(b, v.clone())).collect(),
-            },
-        };
-    }
-    v
-}
-
-/// Applies layout steps to a *write* view: the producer's outermost
-/// transformation wraps the destination first, with each step replaced by
-/// its write-side dual (`join` ↔ `split`).
-///
-/// # Errors
-///
-/// Fails on element-duplicating steps (`slide`, `pad`) — those have no
-/// write-side meaning.
-pub fn apply_steps_write(steps: &[LayoutStep], out: View) -> Result<View, ViewError> {
-    let mut out = out;
-    for s in steps.iter().rev() {
-        out = match s {
-            LayoutStep::Join { inner } => View::Split {
-                chunk: *inner,
-                base: Box::new(out),
-            },
-            LayoutStep::Split { chunk } => View::Join {
-                inner: *chunk,
-                base: Box::new(out),
-            },
-            LayoutStep::Transpose => View::Transpose {
-                base: Box::new(out),
-            },
-            LayoutStep::Map(inner) => View::MapStepsW {
-                steps: std::sync::Arc::new(inner.clone()),
-                base: Box::new(out),
-            },
-            other => {
-                return Err(ViewError(format!(
-                    "layout step {other:?} cannot appear on a write path"
-                )))
-            }
-        };
-    }
-    Ok(out)
+/// What a [`View::Hole`] stands for while an element of a [`View::Map`] is
+/// read: `Fixed { index, base }`, where the holes of `base` are `outer`.
+struct Fill<'a> {
+    index: &'a CExpr,
+    base: &'a View,
+    outer: Option<&'a Fill<'a>>,
 }
 
 /// Failure to resolve a view access (always a compiler bug or an unsupported
@@ -314,11 +189,17 @@ impl View {
     /// Fails if the index count does not exhaust the view's dimensions or a
     /// tuple component is accessed without a `get`.
     pub fn read(&self, indices: &[CExpr]) -> Result<CExpr, ViewError> {
-        self.read_inner(None, indices)
+        self.read_inner(None, indices, None)
     }
 
-    /// Reads component `c` of the tuple element at `indices`.
-    fn read_inner(&self, component: Option<usize>, idxs: &[CExpr]) -> Result<CExpr, ViewError> {
+    /// Reads component `c` of the tuple element at `indices`, with the hole
+    /// standing for `hole`.
+    fn read_inner(
+        &self,
+        component: Option<usize>,
+        idxs: &[CExpr],
+        hole: Option<&Fill<'_>>,
+    ) -> Result<CExpr, ViewError> {
         match self {
             View::Mem { buf, space, shape } => {
                 if component.is_some() {
@@ -358,7 +239,7 @@ impl View {
                 let mut all = Vec::with_capacity(idxs.len() + 1);
                 all.push(index.clone());
                 all.extend_from_slice(idxs);
-                base.read_inner(component, &all)
+                base.read_inner(component, &all, hole)
             }
             View::Pad {
                 left,
@@ -369,7 +250,7 @@ impl View {
                 let (i, rest) = split_first(idxs)?;
                 let mut all = vec![reindex(*boundary, i.clone(), *left, *n)];
                 all.extend_from_slice(rest);
-                base.read_inner(component, &all)
+                base.read_inner(component, &all, hole)
             }
             View::PadValue {
                 left,
@@ -398,14 +279,14 @@ impl View {
                 // Elide the select when the index is a constant we can decide.
                 if let Some(ci) = i.as_int() {
                     return if ci >= *left as i64 && ci < (*left + *n) as i64 {
-                        base.read_inner(component, &all)
+                        base.read_inner(component, &all, hole)
                     } else {
                         Ok(CExpr::scalar(*value))
                     };
                 }
                 Ok(CExpr::Select {
                     cond: Box::new(cond),
-                    then_: Box::new(base.read_inner(component, &all)?),
+                    then_: Box::new(base.read_inner(component, &all, hole)?),
                     else_: Box::new(CExpr::scalar(*value)),
                 })
             }
@@ -416,7 +297,7 @@ impl View {
                     i.1.clone(),
                 )];
                 all.extend_from_slice(rest);
-                base.read_inner(component, &all)
+                base.read_inner(component, &all, hole)
             }
             View::Split { chunk, base } => {
                 let (i, rest) = split_two(idxs)?;
@@ -425,20 +306,20 @@ impl View {
                     i.1.clone(),
                 )];
                 all.extend_from_slice(rest);
-                base.read_inner(component, &all)
+                base.read_inner(component, &all, hole)
             }
             View::Join { inner, base } => {
                 let (i, rest) = split_first(idxs)?;
                 let m = CExpr::Int(*inner as i64);
                 let mut all = vec![CExpr::div(i.clone(), m.clone()), CExpr::rem(i.clone(), m)];
                 all.extend_from_slice(rest);
-                base.read_inner(component, &all)
+                base.read_inner(component, &all, hole)
             }
             View::Transpose { base } => {
                 let (i, rest) = split_two(idxs)?;
                 let mut all = vec![i.1.clone(), i.0.clone()];
                 all.extend_from_slice(rest);
-                base.read_inner(component, &all)
+                base.read_inner(component, &all, hole)
             }
             View::Zip { components } => {
                 let c = component.ok_or_else(|| {
@@ -450,26 +331,30 @@ impl View {
                         components.len()
                     ))
                 })?;
-                v.read_inner(None, idxs)
+                v.read_inner(None, idxs, hole)
             }
             View::Get { index, base } => {
                 if component.is_some() {
                     return Err(ViewError("nested tuple-of-tuple access unsupported".into()));
                 }
-                base.read_inner(Some(*index), idxs)
+                base.read_inner(Some(*index), idxs, hole)
             }
-            View::MapSteps { steps, base } => {
-                let (i, rest) = split_first(idxs)?;
-                let sub = apply_steps(
-                    steps,
-                    View::Fixed {
-                        index: i.clone(),
-                        base: base.clone(),
-                    },
-                );
-                sub.read_inner(component, rest)
+            View::Map { elem, base } => {
+                let (index, rest) = split_first(idxs)?;
+                let fill = Fill {
+                    index,
+                    base,
+                    outer: hole,
+                };
+                elem.read_inner(component, rest, Some(&fill))
             }
-            View::MapStepsW { .. } => Err(ViewError("write-side layout map cannot be read".into())),
+            View::Hole => {
+                let fill = hole.ok_or_else(|| ViewError("read of an unfilled hole".into()))?;
+                let mut all = Vec::with_capacity(idxs.len() + 1);
+                all.push(fill.index.clone());
+                all.extend_from_slice(idxs);
+                fill.base.read_inner(component, &all, fill.outer)
+            }
         }
     }
 
@@ -524,43 +409,60 @@ impl View {
                 all.extend_from_slice(rest);
                 base.write(&all, value)
             }
-            View::MapStepsW { steps, base } => {
+            View::Map { elem, base } => {
                 let (i, rest) = split_first(indices)?;
-                let sub = apply_steps_write(
-                    steps,
-                    View::Fixed {
-                        index: i.clone(),
-                        base: base.clone(),
-                    },
-                )?;
-                sub.write(rest, value)
+                let dest = View::Fixed {
+                    index: i.clone(),
+                    base: base.clone(),
+                };
+                elem.dual(dest)?.write(rest, value)
             }
-            other => Err(ViewError(format!(
-                "cannot write through a {} view",
-                view_kind_name(other)
-            ))),
+            other => Err(unwritable(other)),
         }
     }
 
-    /// The address space of the root memory buffer, if this view chain is
-    /// memory-rooted.
-    pub fn root_space(&self) -> Option<AddressSpace> {
-        match self {
-            View::Mem { space, .. } => Some(*space),
-            View::Gen { .. } => None,
-            View::Zip { components } => components.first().and_then(View::root_space),
-            View::Fixed { base, .. }
-            | View::Pad { base, .. }
-            | View::PadValue { base, .. }
-            | View::Slide { base, .. }
-            | View::Split { base, .. }
-            | View::Join { base, .. }
-            | View::Transpose { base }
-            | View::Get { base, .. }
-            | View::MapSteps { base, .. }
-            | View::MapStepsW { base, .. } => base.root_space(),
-        }
+    /// The write side of `self`, a layout view of the hole: the view through
+    /// which the hole's producer writes so that `self` lands in `dest`.
+    /// `join` ↔ `split`, while `transpose` and `map` invert in place.
+    ///
+    /// # Errors
+    ///
+    /// Fails on views with no write-side meaning (`slide`, `pad`, `zip`,
+    /// `get`, …).
+    pub fn dual(&self, dest: View) -> Result<View, ViewError> {
+        let dest = Box::new(dest);
+        let (base, inverse) = match self {
+            View::Hole => return Ok(*dest),
+            View::Join { inner, base } => (
+                base,
+                View::Split {
+                    chunk: *inner,
+                    base: dest,
+                },
+            ),
+            View::Split { chunk, base } => (
+                base,
+                View::Join {
+                    inner: *chunk,
+                    base: dest,
+                },
+            ),
+            View::Transpose { base } => (base, View::Transpose { base: dest }),
+            View::Map { elem, base } => (
+                base,
+                View::Map {
+                    elem: elem.clone(),
+                    base: dest,
+                },
+            ),
+            other => return Err(unwritable(other)),
+        };
+        base.dual(inverse)
     }
+}
+
+fn unwritable(v: &View) -> ViewError {
+    ViewError(format!("cannot write through a {} view", view_kind_name(v)))
 }
 
 fn view_kind_name(v: &View) -> &'static str {
@@ -576,8 +478,8 @@ fn view_kind_name(v: &View) -> &'static str {
         View::Transpose { .. } => "transpose",
         View::Zip { .. } => "zip",
         View::Get { .. } => "get",
-        View::MapSteps { .. } => "map-layout",
-        View::MapStepsW { .. } => "map-layout-write",
+        View::Map { .. } => "layout-map",
+        View::Hole => "hole",
     }
 }
 

@@ -1,12 +1,17 @@
 //! Property tests for the view system: a random stack of layout
 //! transformations read through [`View`] index algebra must agree with an
-//! independent *materialising* model at every element.
+//! independent *materialising* model at every element, also when the stack
+//! sits under layout `map`s ([`View::Map`] over a [`View::Hole`]); and
+//! writing through the [`View::dual`] of a stack must store every element
+//! where the model's layout puts it.
 //!
 //! Cases are drawn from a deterministic SplitMix64 stream (no external
 //! property-testing framework is available), so every run checks the same
 //! fixed set of layout stacks and is exactly reproducible.
 
-use lift_codegen::clike::{AddressSpace, BinOp, CExpr, VarRef};
+use std::sync::Arc;
+
+use lift_codegen::clike::{AddressSpace, BinOp, CExpr, CStmt, VarRef};
 use lift_codegen::view::View;
 use lift_core::pattern::Boundary;
 use lift_core::scalar::Scalar;
@@ -97,6 +102,27 @@ impl Model {
         shape.extend_from_slice(&self.shape[2..]);
         Model { data, shape }
     }
+
+    /// The elements along the outermost dimension.
+    fn rows(&self) -> Vec<Model> {
+        let row = self.row();
+        (0..self.outer())
+            .map(|r| Model {
+                data: self.data[r * row..(r + 1) * row].to_vec(),
+                shape: self.shape[1..].to_vec(),
+            })
+            .collect()
+    }
+
+    /// The array whose elements are `rows` (all of one shape).
+    fn stacked(rows: Vec<Model>) -> Model {
+        let mut shape = vec![rows.len()];
+        shape.extend_from_slice(&rows[0].shape);
+        Model {
+            data: rows.into_iter().flat_map(|r| r.data).collect(),
+            shape,
+        }
+    }
 }
 
 /// One random transformation applied to both the model and the view.
@@ -108,6 +134,8 @@ enum Op {
     Split(usize),
     Join,
     Transpose,
+    /// A layout `map` of the ops over the outermost dimension.
+    Map(Vec<Op>),
 }
 
 struct Rng(lift_tuner::SplitMix64);
@@ -137,6 +165,118 @@ fn random_op(rng: &mut Rng) -> Op {
         3 => Op::Split(2 + rng.below(2) as usize),
         4 => Op::Join,
         _ => Op::Transpose,
+    }
+}
+
+/// A random op for a stack under up to `depth` nested layout `map`s,
+/// drawn from the writable ops only when `writable`.
+fn random_nested_op(rng: &mut Rng, depth: usize, writable: bool) -> Op {
+    if depth > 0 && rng.below(3) == 0 {
+        let len = 1 + rng.below(3);
+        return Op::Map(
+            (0..len)
+                .map(|_| random_nested_op(rng, depth - 1, writable))
+                .collect(),
+        );
+    }
+    if !writable {
+        return random_op(rng);
+    }
+    match rng.below(3) {
+        0 => Op::Split(2 + rng.below(2) as usize),
+        1 => Op::Join,
+        _ => Op::Transpose,
+    }
+}
+
+/// Applies `op` to the view and the model alike, or returns `None` when it
+/// does not fit the model's shape.
+fn apply(op: &Op, view: View, model: &Model) -> Option<(View, Model)> {
+    let base = Box::new(view);
+    let rank = model.shape.len();
+    Some(match op {
+        Op::Pad(l, r, b) => (
+            View::Pad {
+                left: *l,
+                n: model.outer(),
+                boundary: *b,
+                base,
+            },
+            model.pad(*l, *r, *b),
+        ),
+        Op::PadValue(l, r) => (
+            View::PadValue {
+                left: *l,
+                n: model.outer(),
+                value: Scalar::F32(55.5),
+                base,
+            },
+            model.pad_value(*l, *r, 55.5),
+        ),
+        Op::Slide(size, step) if model.outer() >= *size => {
+            (View::Slide { step: *step, base }, model.slide(*size, *step))
+        }
+        Op::Split(c) if model.outer().is_multiple_of(*c) => {
+            (View::Split { chunk: *c, base }, model.split(*c))
+        }
+        Op::Join if rank >= 2 => (
+            View::Join {
+                inner: model.shape[1],
+                base,
+            },
+            model.join(),
+        ),
+        Op::Transpose if rank >= 2 => (View::Transpose { base }, model.transpose()),
+        Op::Map(ops) if rank >= 2 => {
+            // The ops that fit one element fit them all: shapes agree.
+            let rows = model.rows();
+            let (elem, _, applied) = stack(ops, View::Hole, rows[0].clone());
+            let rows = rows
+                .into_iter()
+                .map(|r| stack(&applied, View::Hole, r).1)
+                .collect();
+            (
+                View::Map {
+                    elem: Arc::new(elem),
+                    base,
+                },
+                Model::stacked(rows),
+            )
+        }
+        _ => return None,
+    })
+}
+
+/// Applies the ops that fit, in order, returning them too.
+fn stack(ops: &[Op], mut view: View, mut model: Model) -> (View, Model, Vec<Op>) {
+    let mut applied = Vec::new();
+    for op in ops {
+        if let Some((v, m)) = apply(op, view.clone(), &model) {
+            view = v;
+            model = m;
+            applied.push(op.clone());
+        }
+    }
+    (view, model, applied)
+}
+
+/// The row-major index of element `flat` of an array of shape `shape`.
+fn indices(flat: usize, shape: &[usize]) -> Vec<CExpr> {
+    let mut idxs = Vec::with_capacity(shape.len());
+    let mut rest = flat;
+    for d in shape.iter().rev() {
+        idxs.push(CExpr::Int((rest % d) as i64));
+        rest /= d;
+    }
+    idxs.reverse();
+    idxs
+}
+
+fn mem(shape: &[usize]) -> View {
+    View::Mem {
+        buf: VarRef::fresh("A"),
+        space: AddressSpace::Global,
+        shape: shape.to_vec(),
     }
 }
 
@@ -181,6 +321,27 @@ fn eval_cexpr(e: &CExpr, data: &[f32]) -> f64 {
     }
 }
 
+/// Reads every element of `view` and compares it with `model`, returning
+/// `false` (checking nothing) when the array is too large.
+fn reads_like(view: &View, model: &Model, data: &[f32], what: &str) -> bool {
+    let total: usize = model.shape.iter().product();
+    if total > 4096 {
+        return false;
+    }
+    for flat in 0..total {
+        let access = view
+            .read(&indices(flat, &model.shape))
+            .expect("view resolves");
+        let got = eval_cexpr(&access, data) as f32;
+        assert_eq!(
+            got, model.data[flat],
+            "{what}: element {flat} of shape {:?}",
+            model.shape
+        );
+    }
+    true
+}
+
 /// Lazy view reads equal materialised semantics for random layout stacks
 /// over random data. Ops that do not fit the current shape are skipped, as
 /// `prop_assume!` did before.
@@ -195,105 +356,90 @@ fn views_match_materialised_semantics() {
         let data: Vec<f32> = (0..n)
             .map(|i| ((i as u64 + 1).wrapping_mul(seed + 7) % 101) as f32)
             .collect();
-        let mut model = Model {
+        let model = Model {
             data: data.clone(),
             shape: vec![n],
         };
-        let mut view = View::Mem {
-            buf: VarRef::fresh("A"),
-            space: AddressSpace::Global,
-            shape: vec![n],
-        };
-
-        let mut ops = Vec::new();
-        for _ in 0..n_ops {
-            let op = random_op(&mut rng);
-            match &op {
-                Op::Pad(l, r, b) => {
-                    view = View::Pad {
-                        left: *l,
-                        n: model.outer(),
-                        boundary: *b,
-                        base: Box::new(view),
-                    };
-                    model = model.pad(*l, *r, *b);
-                }
-                Op::PadValue(l, r) => {
-                    view = View::PadValue {
-                        left: *l,
-                        n: model.outer(),
-                        value: Scalar::F32(55.5),
-                        base: Box::new(view),
-                    };
-                    model = model.pad_value(*l, *r, 55.5);
-                }
-                Op::Slide(size, step) => {
-                    if model.outer() < *size {
-                        continue;
-                    }
-                    view = View::Slide {
-                        step: *step,
-                        base: Box::new(view),
-                    };
-                    model = model.slide(*size, *step);
-                }
-                Op::Split(c) => {
-                    if !model.outer().is_multiple_of(*c) {
-                        continue;
-                    }
-                    view = View::Split {
-                        chunk: *c,
-                        base: Box::new(view),
-                    };
-                    model = model.split(*c);
-                }
-                Op::Join => {
-                    if model.shape.len() < 2 {
-                        continue;
-                    }
-                    let inner = model.shape[1];
-                    view = View::Join {
-                        inner,
-                        base: Box::new(view),
-                    };
-                    model = model.join();
-                }
-                Op::Transpose => {
-                    if model.shape.len() < 2 {
-                        continue;
-                    }
-                    view = View::Transpose {
-                        base: Box::new(view),
-                    };
-                    model = model.transpose();
-                }
-            }
-            ops.push(op);
+        let drawn: Vec<Op> = (0..n_ops).map(|_| random_op(&mut rng)).collect();
+        let (view, model, ops) = stack(&drawn, mem(&[n]), model);
+        if reads_like(&view, &model, &data, &format!("case {case} after {ops:?}")) {
+            checked += 1;
         }
+    }
+    assert!(checked >= 150, "too few cases survived: {checked}");
+}
 
-        // Read every element through the view and compare with the model.
-        let total: usize = model.shape.iter().product();
-        if total > 4096 {
+/// The same agreement when layout stacks sit under (nested) layout `map`s:
+/// reading element `i` of a [`View::Map`] fills its hole with element `i`
+/// of the mapped view.
+#[test]
+fn layout_maps_read_like_materialised_maps() {
+    let mut rng = Rng::new(0x4a11);
+    let mut checked = 0usize;
+    for case in 0..200 {
+        let shape = vec![2 + rng.below(3) as usize, 4 + rng.below(6) as usize];
+        let total: usize = shape.iter().product();
+        let data: Vec<f32> = (0..total).map(|i| ((i * 37) % 101) as f32).collect();
+        let model = Model {
+            data: data.clone(),
+            shape: shape.clone(),
+        };
+        let n_ops = 1 + rng.below(3);
+        let mut drawn = vec![Op::Map(vec![random_nested_op(&mut rng, 2, false)])];
+        drawn.extend((1..n_ops).map(|_| random_nested_op(&mut rng, 2, false)));
+        let (view, model, ops) = stack(&drawn, mem(&shape), model);
+        if reads_like(&view, &model, &data, &format!("case {case} after {ops:?}")) {
+            checked += 1;
+        }
+    }
+    assert!(checked >= 150, "too few cases survived: {checked}");
+}
+
+/// Writing every element of an array through the dual of a random
+/// `join`/`split`/`transpose`/`map` stack stores it where the stack's
+/// materialised layout puts it: the dual inverts the stack.
+#[test]
+fn duals_write_where_the_layout_puts_each_element() {
+    let mut rng = Rng::new(0xd0a1);
+    let (mut checked, mut mapped) = (0usize, 0usize);
+    for case in 0..200 {
+        // The producer's array: rank 1–3, element `i` (row-major) holds `i`.
+        let rank = 1 + rng.below(3) as usize;
+        let shape: Vec<usize> = (0..rank).map(|_| 2 + rng.below(3) as usize).collect();
+        let total: usize = shape.iter().product();
+        let produced = Model {
+            data: (0..total).map(|i| i as f32).collect(),
+            shape: shape.clone(),
+        };
+        let n_ops = 1 + rng.below(4);
+        let drawn: Vec<Op> = (0..n_ops)
+            .map(|_| random_nested_op(&mut rng, 2, true))
+            .collect();
+        let (layout, laid_out, ops) = stack(&drawn, View::Hole, produced);
+        if ops.is_empty() {
             continue;
         }
-        let dims = model.shape.len();
+        mapped += ops.iter().any(|op| matches!(op, Op::Map(_))) as usize;
+        let dest = layout
+            .dual(mem(&laid_out.shape))
+            .expect("join/split/transpose/map stacks are writable");
         for flat in 0..total {
-            let mut idxs = Vec::with_capacity(dims);
-            let mut rest = flat;
-            for d in (0..dims).rev() {
-                idxs.push(CExpr::Int((rest % model.shape[d]) as i64));
-                rest /= model.shape[d];
+            match dest.write(&indices(flat, &shape), CExpr::Int(flat as i64)) {
+                Ok(CStmt::Store { idx, .. }) => {
+                    let at = eval_cexpr(&idx, &[]) as usize;
+                    assert_eq!(
+                        laid_out.data.get(at).copied(),
+                        Some(flat as f32),
+                        "case {case}: element {flat} of shape {shape:?} after {ops:?}"
+                    );
+                }
+                other => panic!("case {case}: expected a store after {ops:?}, got {other:?}"),
             }
-            idxs.reverse();
-            let access = view.read(&idxs).expect("view resolves");
-            let got = eval_cexpr(&access, &data) as f32;
-            assert_eq!(
-                got, model.data[flat],
-                "case {case}: element {flat} of shape {:?} after {ops:?}",
-                model.shape
-            );
         }
         checked += 1;
     }
-    assert!(checked >= 150, "too few cases survived: {checked}");
+    // A rank-1 array admits only splits that divide it, so fewer cases
+    // survive here than in the read tests.
+    assert!(checked >= 120, "too few cases survived: {checked}");
+    assert!(mapped >= 40, "too few cases wrote through a map: {mapped}");
 }

@@ -24,9 +24,10 @@
 //! * [`typecheck`] — the structural type checker with symbolic size algebra,
 //! * [`build`] — an ergonomic builder DSL,
 //! * [`ndim`] — the derived n-dimensional combinators `pad2/3`, `slide2/3`,
-//!   `map2/3`,
+//!   `map2/3`, `zip_nd`,
 //! * [`visit`] — generic traversal/rewriting infrastructure used by the
-//!   rewrite-rule engine.
+//!   rewrite-rule engine, and [`visit::is_layout_fun`], the one test of
+//!   which functions only rearrange data.
 //!
 //! # Example: the paper's 3-point Jacobi (Listing 2)
 //!

@@ -4,7 +4,7 @@
 //! primitives:
 //!
 //! * `map_n(f) = map_{n−1}(map(f))`,
-//! * `pad_n(l, r, h) = map_{n−1}(pad(l, r, h)) ∘ pad_{n−1}(l, r, h)`,
+//! * `pad_n(l, r, h) = map(pad_{n−1}(l, r, h)) ∘ pad(l, r, h)`,
 //! * `slide_n = reorder ∘ slide ∘ map(slide_{n−1})`, where `reorder` is a
 //!   combination of `map^d(transpose)` calls that moves the window
 //!   dimensions innermost.
@@ -14,7 +14,7 @@
 
 use lift_arith::ArithExpr;
 
-use crate::build::{lam, map, pad, pad_value};
+use crate::build::{get, lam, map, pad, pad_value};
 use crate::expr::{Expr, FunDecl};
 use crate::pattern::{Boundary, Pattern};
 use crate::scalar::Scalar;
@@ -93,6 +93,18 @@ pub fn map3(f: impl Into<FunDecl>, input: Expr) -> Expr {
     map_nd(3, f, input)
 }
 
+/// `pad_n = map(pad_{n−1}) ∘ pad`: applies the 1D padding `pad` to the
+/// outermost dimension of a `rank`-dimensional array, then to every
+/// dimension below it.
+fn pad_nd(rank: usize, pad: &dyn Fn(Expr) -> Expr, input: Expr) -> Expr {
+    let outer = pad(input);
+    if rank == 1 {
+        return outer;
+    }
+    let elem = elem_type(&outer);
+    map(lam(elem, |x| pad_nd(rank - 1, pad, x)), outer)
+}
+
 /// `pad2(l, r, h) = map(pad(l, r, h)) ∘ pad(l, r, h)` — pads both dimensions
 /// of a 2D array with the same boundary handling.
 ///
@@ -106,9 +118,7 @@ pub fn pad2(
     input: Expr,
 ) -> Expr {
     let (l, r) = (l.into(), r.into());
-    let outer = pad(l.clone(), r.clone(), boundary, input);
-    let elem = elem_type(&outer);
-    map(lam(elem, |row| pad(l, r, boundary, row)), outer)
+    pad_nd(2, &|x| pad(l.clone(), r.clone(), boundary, x), input)
 }
 
 /// `pad3(l, r, h)` — pads all three dimensions of a 3D array.
@@ -123,36 +133,7 @@ pub fn pad3(
     input: Expr,
 ) -> Expr {
     let (l, r) = (l.into(), r.into());
-    let outer = pad(l.clone(), r.clone(), boundary, input);
-    let plane = elem_type(&outer);
-    let row = match plane.as_array().map(|(e, _)| e.clone()) {
-        Some(rw) => rw,
-        None => panic!("pad3 expects a 3D array"),
-    };
-    map(
-        lam(plane, move |p| {
-            let padded = pad(l.clone(), r.clone(), boundary, p);
-            map(lam(row, |rw| pad(l, r, boundary, rw)), padded)
-        }),
-        outer,
-    )
-}
-
-/// `pad2` with a constant boundary value.
-///
-/// # Panics
-///
-/// Panics if `input` is not a 2D array.
-pub fn pad2_value(
-    l: impl Into<ArithExpr>,
-    r: impl Into<ArithExpr>,
-    value: impl Into<Scalar>,
-    input: Expr,
-) -> Expr {
-    let (l, r, v) = (l.into(), r.into(), value.into());
-    let outer = pad_value(l.clone(), r.clone(), v, input);
-    let elem = elem_type(&outer);
-    map(lam(elem, |row| pad_value(l, r, v, row)), outer)
+    pad_nd(3, &|x| pad(l.clone(), r.clone(), boundary, x), input)
 }
 
 /// `pad3` with a constant boundary value — as used by the acoustic
@@ -168,19 +149,7 @@ pub fn pad3_value(
     input: Expr,
 ) -> Expr {
     let (l, r, v) = (l.into(), r.into(), value.into());
-    let outer = pad_value(l.clone(), r.clone(), v, input);
-    let plane = elem_type(&outer);
-    let row = match plane.as_array().map(|(e, _)| e.clone()) {
-        Some(rw) => rw,
-        None => panic!("pad3_value expects a 3D array"),
-    };
-    map(
-        lam(plane, move |p| {
-            let padded = pad_value(l.clone(), r.clone(), v, p);
-            map(lam(row, |rw| pad_value(l, r, v, rw)), padded)
-        }),
-        outer,
-    )
+    pad_nd(3, &|x| pad_value(l.clone(), r.clone(), v, x), input)
 }
 
 /// The adjacent-swap schedule that sorts `order` ascending (bubble sort):
@@ -279,113 +248,26 @@ pub fn slide3(size: impl Into<ArithExpr>, step: impl Into<ArithExpr>, input: Exp
     )
 }
 
-/// `zip` of two 2D arrays element-wise: `[[{T,U}]_m]_n` (zips every
-/// dimension, not just the outermost).
-///
-/// # Panics
-///
-/// Panics if the inputs are not equal-shaped 2D arrays.
-pub fn zip2_2d(a: Expr, b: Expr) -> Expr {
-    let outer = crate::build::zip2(a, b);
-    let elem = elem_type(&outer);
-    map(
-        lam(elem, |t| {
-            crate::build::zip2(crate::build::get(0, t.clone()), crate::build::get(1, t))
-        }),
-        outer,
-    )
-}
-
-/// `zip` of two 3D arrays element-wise.
-///
-/// # Panics
-///
-/// Panics if the inputs are not equal-shaped 3D arrays.
-pub fn zip2_3d(a: Expr, b: Expr) -> Expr {
-    let outer = crate::build::zip2(a, b);
-    let elem = elem_type(&outer);
-    map(
-        lam(elem, |t| {
-            zip2_2d(crate::build::get(0, t.clone()), crate::build::get(1, t))
-        }),
-        outer,
-    )
-}
-
-/// `zip3` of three 2D arrays element-wise.
-///
-/// # Panics
-///
-/// Panics if the inputs are not equal-shaped 2D arrays.
-pub fn zip3_2d(a: Expr, b: Expr, c: Expr) -> Expr {
-    let outer = crate::build::zip3(a, b, c);
-    let elem = elem_type(&outer);
-    map(
-        lam(elem, |t| {
-            crate::build::zip3(
-                crate::build::get(0, t.clone()),
-                crate::build::get(1, t.clone()),
-                crate::build::get(2, t),
-            )
-        }),
-        outer,
-    )
-}
-
 /// Element-wise `zip` of equal-shaped `rank`-dimensional arrays (ranks
-/// 1–3, arities 2–3): the rank-generic spelling of
-/// [`zip2_2d`]/[`zip3_3d`] and friends.
+/// 1–3): `zip_1 = zip`, and `zip_n(a, b, …) = map(λt. zip_{n−1}(get(0, t),
+/// get(1, t), …)) ∘ zip(a, b, …)` zips every dimension, not just the
+/// outermost.
 ///
 /// # Panics
 ///
-/// Panics on an unsupported rank/arity combination or ill-shaped inputs.
-pub fn zip_nd(rank: usize, mut comps: Vec<Expr>) -> Expr {
-    let pop = |c: &mut Vec<Expr>| c.remove(0);
-    match (rank, comps.len()) {
-        (1, 2) => {
-            let (a, b) = (pop(&mut comps), pop(&mut comps));
-            crate::build::zip2(a, b)
-        }
-        (1, 3) => {
-            let (a, b, c) = (pop(&mut comps), pop(&mut comps), pop(&mut comps));
-            crate::build::zip3(a, b, c)
-        }
-        (2, 2) => {
-            let (a, b) = (pop(&mut comps), pop(&mut comps));
-            zip2_2d(a, b)
-        }
-        (2, 3) => {
-            let (a, b, c) = (pop(&mut comps), pop(&mut comps), pop(&mut comps));
-            zip3_2d(a, b, c)
-        }
-        (3, 2) => {
-            let (a, b) = (pop(&mut comps), pop(&mut comps));
-            zip2_3d(a, b)
-        }
-        (3, 3) => {
-            let (a, b, c) = (pop(&mut comps), pop(&mut comps), pop(&mut comps));
-            zip3_3d(a, b, c)
-        }
-        (r, k) => panic!("zip_nd: unsupported rank {r} / arity {k}"),
+/// Panics on ranks outside 1–3 or on inputs that are not equal-shaped
+/// `rank`-dimensional arrays.
+pub fn zip_nd(rank: usize, comps: Vec<Expr>) -> Expr {
+    assert!((1..=3).contains(&rank), "zip_nd supports ranks 1-3");
+    let arity = comps.len();
+    let outer = Expr::apply(FunDecl::pattern(Pattern::Zip { arity }), comps);
+    if rank == 1 {
+        return outer;
     }
-}
-
-/// `zip3` of three 3D arrays element-wise — the shape the acoustic
-/// benchmark's `zip3` uses (§3.5).
-///
-/// # Panics
-///
-/// Panics if the inputs are not equal-shaped 3D arrays.
-pub fn zip3_3d(a: Expr, b: Expr, c: Expr) -> Expr {
-    let outer = crate::build::zip3(a, b, c);
     let elem = elem_type(&outer);
     map(
         lam(elem, |t| {
-            zip3_2d(
-                crate::build::get(0, t.clone()),
-                crate::build::get(1, t.clone()),
-                crate::build::get(2, t),
-            )
+            zip_nd(rank - 1, (0..arity).map(|i| get(i, t.clone())).collect())
         }),
         outer,
     )
@@ -481,10 +363,10 @@ mod tests {
     }
 
     #[test]
-    fn zip2_2d_zips_every_dimension() {
+    fn zip_nd_zips_every_dimension_in_2d() {
         let a = grid2(4, 6);
         let b = grid2(4, 6);
-        let e = zip2_2d(a, b);
+        let e = zip_nd(2, vec![a, b]);
         let ty = typecheck(&e).unwrap();
         assert_eq!(
             ty,
@@ -493,9 +375,9 @@ mod tests {
     }
 
     #[test]
-    fn zip3_3d_zips_every_dimension() {
+    fn zip_nd_zips_every_dimension_in_3d() {
         let (a, b, c) = (grid3(2, 3, 4), grid3(2, 3, 4), grid3(2, 3, 4));
-        let e = zip3_3d(a, b, c);
+        let e = zip_nd(3, vec![a, b, c]);
         let ty = typecheck(&e).unwrap();
         assert_eq!(
             ty,

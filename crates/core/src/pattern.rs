@@ -32,13 +32,6 @@ pub enum MapKind {
     Lcl(u8),
 }
 
-impl MapKind {
-    /// True for the kinds that execute as a sequential loop in one thread.
-    pub fn is_sequential(self) -> bool {
-        matches!(self, MapKind::Seq | MapKind::SeqUnroll)
-    }
-}
-
 /// How a `reduce` is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReduceKind {

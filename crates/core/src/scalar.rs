@@ -22,11 +22,6 @@ impl ScalarKind {
             ScalarKind::Bool => "bool",
         }
     }
-
-    /// Size of one element in bytes (as laid out in device buffers).
-    pub fn size_bytes(self) -> usize {
-        4
-    }
 }
 
 impl fmt::Display for ScalarKind {

@@ -8,13 +8,15 @@
 //! pattern-nested functions, so rules can fire anywhere in a program.
 //! [`substitute_sizes`] walks the same way to bind a program's size
 //! variables (input sizes, tunables); the tuner and the code generator
-//! share it.
+//! share it. [`is_layout_fun`] decides which functions only rearrange
+//! data; lowering, the stencil recogniser and the code generator all ask
+//! it.
 
 use std::collections::{BTreeMap, HashMap};
 
 use lift_arith::{ArithExpr, Bindings, Name};
 
-use crate::expr::{Expr, FunDecl, Lambda, Param, ParamRef};
+use crate::expr::{Expr, FunDecl, Param, ParamRef};
 use crate::pattern::Pattern;
 use crate::types::Type;
 
@@ -194,9 +196,44 @@ pub fn count_nodes(e: &Expr) -> usize {
     n
 }
 
-/// Rebuilds a lambda with a transformed body, keeping the parameters.
-pub fn map_lambda_body(l: &Lambda, f: impl FnOnce(&Expr) -> Expr) -> FunDecl {
-    FunDecl::lambda(l.params.clone(), f(&l.body))
+/// Is `f` a pure layout function, one that compiles to views and emits no
+/// loops?
+///
+/// Layout functions are compositions of `slide`, `pad`, `split`, `join`,
+/// `transpose`, `zip`, `get`, `id` and `map`s of layout functions. This is
+/// the one classification: lowering leaves these `map`s high-level, the
+/// stencil recogniser skips them, and the code generator compiles them to
+/// views.
+pub fn is_layout_fun(f: &FunDecl) -> bool {
+    match f {
+        FunDecl::UserFun(_) => false,
+        FunDecl::Pattern(p) => match p.as_ref() {
+            Pattern::Id
+            | Pattern::Transpose
+            | Pattern::Slide { .. }
+            | Pattern::Pad { .. }
+            | Pattern::PadValue { .. }
+            | Pattern::Split { .. }
+            | Pattern::Join
+            | Pattern::Get { .. } => true,
+            Pattern::Map { f, .. } => is_layout_fun(f),
+            _ => false,
+        },
+        FunDecl::Lambda(l) => l.params.len() == 1 && is_layout_expr(&l.body, l.params[0].id()),
+    }
+}
+
+fn is_layout_expr(e: &Expr, param_id: u32) -> bool {
+    match e {
+        Expr::Param(p) => p.id() == param_id,
+        Expr::Literal(_) => false,
+        Expr::Apply(app) => {
+            if matches!(app.fun.as_pattern(), Some(Pattern::Zip { .. })) {
+                return app.args.iter().all(|a| is_layout_expr(a, param_id));
+            }
+            app.args.len() == 1 && is_layout_fun(&app.fun) && is_layout_expr(&app.args[0], param_id)
+        }
+    }
 }
 
 /// Substitutes arithmetic variables (input sizes, tunables) throughout a
@@ -322,6 +359,7 @@ mod tests {
     use super::*;
     use crate::build::*;
     use crate::pattern::{Boundary, MapKind};
+    use crate::userfun::add_f32;
 
     fn sample() -> Expr {
         let a = Expr::Param(Param::fresh(
@@ -389,6 +427,16 @@ mod tests {
         };
         let out = rewrite_first(&e, &rule).expect("matched inside lambda");
         assert_eq!(find_positions(&out, &is_slide).len(), 0);
+    }
+
+    #[test]
+    fn is_layout_fun_classification() {
+        assert!(is_layout_fun(&id()));
+        assert!(is_layout_fun(&FunDecl::pattern(Pattern::Transpose)));
+        let slide_lam = lam(Type::array(Type::f32(), 8), |x| slide(3, 1, x));
+        assert!(is_layout_fun(&slide_lam));
+        let compute = lam(Type::f32(), |x| call(&add_f32(), [x.clone(), x]));
+        assert!(!is_layout_fun(&compute));
     }
 
     #[test]

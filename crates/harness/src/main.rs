@@ -217,12 +217,18 @@ fn run_shard(
     shard: Shard,
 ) -> Result<(), LiftError> {
     let doc = match cmd {
-        "fig7" => partial_fig7(shard, &fig7_shard(cfg, shard)?),
-        "fig8" => partial_fig8(shard, &fig8_shard(cfg, shard)?),
-        "ablation" => partial_ablation(shard, &ablation_shard(cfg, &ABLATION_BENCHES, shard)?),
+        "fig7" => partial_fig7(shard, cfg, &fig7_shard(cfg, shard)?),
+        "fig8" => partial_fig8(shard, cfg, &fig8_shard(cfg, shard)?),
+        "ablation" => partial_ablation(shard, cfg, &ablation_shard(cfg, &ABLATION_BENCHES, shard)?),
         "bench" => {
             let name = bench_name.expect("checked by the caller");
-            partial_bench(name, large, shard, &bench_shard(cfg, name, large, shard)?)
+            partial_bench(
+                name,
+                large,
+                shard,
+                cfg,
+                &bench_shard(cfg, name, large, shard)?,
+            )
         }
         _ => unreachable!("callers dispatch only shardable experiments"),
     };

@@ -4,21 +4,25 @@
 //! Sharded sweeps add two more document kinds. A **partial report**
 //! ([`partial_report`]) is what `--shard i/n` writes: the shard's rows,
 //! pre-rendered with the exact same per-row formatters as the full JSON
-//! document and keyed by global cell index. [`merge_parts`] reassembles a
-//! complete set of partials — verifying the schema version, that every
-//! part belongs to the same sweep, and that every cell is present exactly
-//! once — into output **byte-identical** to the single-process `--json`
-//! run, because merging only reorders the already-rendered row strings.
+//! document and keyed by global cell index, plus the resolved settings
+//! that change results (seed, budget, full sizes; not threads or
+//! checkpointing). [`merge_parts`] reassembles a complete set of partials
+//! — verifying the schema version, that every part belongs to the same
+//! sweep run under the same settings, and that every cell is present
+//! exactly once — into output **byte-identical** to the single-process
+//! `--json` run, because merging only reorders the already-rendered row
+//! strings.
 
 use lift_tuner::json::Value;
 
+use crate::config::RunConfig;
 use crate::experiments::{
     AblationRow, BenchRow, Fig7Row, Fig8Row, Shard, ShardRows, Table1Row, VerifyRow,
 };
 
 /// The version written into (and required from) every partial shard
 /// report.
-pub const PARTIAL_SCHEMA_VERSION: u64 = 1;
+pub const PARTIAL_SCHEMA_VERSION: u64 = 2;
 
 /// Escapes a string for a JSON literal with [`lift_tuner::json`]'s writer
 /// (the names here are ASCII, but the device names contain spaces and the
@@ -213,13 +217,14 @@ pub fn render_verify(rows: &[VerifyRow]) -> String {
     s
 }
 
-/// Renders one shard's slice of a sweep as a partial report document (see
-/// the [module docs](self)). `experiment` identifies the sweep (e.g.
-/// `"fig7"` or `"bench:Heat:small"`) so [`merge_parts`] can refuse to mix
-/// unrelated parts.
+/// Renders one shard's slice of a sweep, run under `cfg`, as a partial
+/// report document (see the [module docs](self)). `experiment` identifies
+/// the sweep (e.g. `"fig7"` or `"bench:Heat:small"`) so [`merge_parts`] can
+/// refuse to mix unrelated parts.
 pub fn partial_report<T>(
     experiment: &str,
     shard: Shard,
+    cfg: &RunConfig,
     sharded: &ShardRows<T>,
     row_json: impl Fn(&T) -> String,
 ) -> String {
@@ -242,6 +247,9 @@ pub fn partial_report<T>(
         ("shard".into(), Value::UInt(shard.0 as u64)),
         ("shard_count".into(), Value::UInt(shard.1 as u64)),
         ("cells".into(), Value::UInt(sharded.cells as u64)),
+        ("seed".into(), Value::UInt(cfg.tune.seed)),
+        ("budget".into(), Value::UInt(cfg.tune.evaluations as u64)),
+        ("full_sizes".into(), Value::Bool(cfg.full_sizes)),
         ("groups".into(), Value::Arr(groups)),
     ]);
     let mut text = doc.to_json();
@@ -250,18 +258,18 @@ pub fn partial_report<T>(
 }
 
 /// The convenience partial renderers, one per shardable experiment.
-pub fn partial_fig7(shard: Shard, sharded: &ShardRows<Fig7Row>) -> String {
-    partial_report("fig7", shard, sharded, fig7_row_json)
+pub fn partial_fig7(shard: Shard, cfg: &RunConfig, sharded: &ShardRows<Fig7Row>) -> String {
+    partial_report("fig7", shard, cfg, sharded, fig7_row_json)
 }
 
 /// Partial Figure-8 shard report.
-pub fn partial_fig8(shard: Shard, sharded: &ShardRows<Fig8Row>) -> String {
-    partial_report("fig8", shard, sharded, fig8_row_json)
+pub fn partial_fig8(shard: Shard, cfg: &RunConfig, sharded: &ShardRows<Fig8Row>) -> String {
+    partial_report("fig8", shard, cfg, sharded, fig8_row_json)
 }
 
 /// Partial ablation shard report.
-pub fn partial_ablation(shard: Shard, sharded: &ShardRows<AblationRow>) -> String {
-    partial_report("ablation", shard, sharded, ablation_row_json)
+pub fn partial_ablation(shard: Shard, cfg: &RunConfig, sharded: &ShardRows<AblationRow>) -> String {
+    partial_report("ablation", shard, cfg, sharded, ablation_row_json)
 }
 
 /// Partial single-benchmark shard report. The experiment id embeds the
@@ -270,12 +278,14 @@ pub fn partial_bench(
     name: &str,
     large: bool,
     shard: Shard,
+    cfg: &RunConfig,
     sharded: &ShardRows<BenchRow>,
 ) -> String {
     let size = if large { "large" } else { "small" };
     partial_report(
         &format!("bench:{name}:{size}"),
         shard,
+        cfg,
         sharded,
         bench_row_json,
     )
@@ -307,8 +317,9 @@ impl PartSet {
 }
 
 /// Parses and cross-validates partial shard reports: schema version,
-/// matching experiment/shard_count/cells, no cell covered twice. Does
-/// **not** require completeness — that is [`merge_parts`]'s extra demand.
+/// matching experiment/shard_count/cells and settings, no cell covered
+/// twice. Does **not** require completeness — that is [`merge_parts`]'s
+/// extra demand.
 fn parse_parts(parts: &[(String, String)]) -> Result<PartSet, String> {
     if parts.is_empty() {
         return Err("no partial reports to merge".into());
@@ -316,6 +327,9 @@ fn parse_parts(parts: &[(String, String)]) -> Result<PartSet, String> {
     let mut experiment: Option<String> = None;
     let mut shard_count: Option<u64> = None;
     let mut cells: Option<u64> = None;
+    let mut seed: Option<u64> = None;
+    let mut budget: Option<u64> = None;
+    let mut full_sizes: Option<bool> = None;
     let mut groups: Vec<(u64, Vec<String>, String)> = Vec::new();
     for (origin, text) in parts {
         let doc = Value::parse(text).map_err(|e| format!("{origin}: not valid JSON: {e}"))?;
@@ -345,20 +359,21 @@ fn parse_parts(parts: &[(String, String)]) -> Result<PartSet, String> {
                 ))
             }
         }
-        for (name, slot) in [("shard_count", &mut shard_count), ("cells", &mut cells)] {
+        for (name, slot) in [
+            ("shard_count", &mut shard_count),
+            ("cells", &mut cells),
+            ("seed", &mut seed),
+            ("budget", &mut budget),
+        ] {
             let got = field(name)?
                 .as_u64()
                 .ok_or_else(|| format!("{origin}: `{name}` is not an integer"))?;
-            match *slot {
-                None => *slot = Some(got),
-                Some(expected) if expected == got => {}
-                Some(expected) => {
-                    return Err(format!(
-                        "{origin}: `{name}` is {got}, but earlier parts say {expected}"
-                    ))
-                }
-            }
+            agree(origin, name, got, slot)?;
         }
+        let full = field("full_sizes")?
+            .as_bool()
+            .ok_or_else(|| format!("{origin}: `full_sizes` is not a boolean"))?;
+        agree(origin, "full_sizes", full, &mut full_sizes)?;
         for group in field("groups")?
             .as_arr()
             .ok_or_else(|| format!("{origin}: `groups` is not an array"))?
@@ -406,6 +421,26 @@ fn parse_parts(parts: &[(String, String)]) -> Result<PartSet, String> {
     })
 }
 
+/// Records `got` as the sweep's `name`, or fails naming both values when an
+/// earlier part recorded another.
+fn agree<T: PartialEq + std::fmt::Display>(
+    origin: &str,
+    name: &str,
+    got: T,
+    slot: &mut Option<T>,
+) -> Result<(), String> {
+    match slot {
+        None => *slot = Some(got),
+        Some(expected) if *expected == got => {}
+        Some(expected) => {
+            return Err(format!(
+                "{origin}: `{name}` is {got}, but earlier parts say {expected}"
+            ))
+        }
+    }
+    Ok(())
+}
+
 /// Recombines a complete set of partial shard reports into the JSON
 /// document the single-process `--json` run would have printed,
 /// byte-identically.
@@ -414,9 +449,9 @@ fn parse_parts(parts: &[(String, String)]) -> Result<PartSet, String> {
 ///
 /// A human-readable message when the parts are not a complete, consistent
 /// set: a part fails to parse or carries a different schema version, the
-/// parts name different experiments, shard counts or cell totals, two
-/// parts cover the same cell, or a cell is missing (a shard was not run
-/// or its file was not passed).
+/// parts name different experiments, shard counts, cell totals, seeds,
+/// budgets or size settings, two parts cover the same cell, or a cell is
+/// missing (a shard was not run or its file was not passed).
 pub fn merge_parts(parts: &[(String, String)]) -> Result<String, String> {
     let set = parse_parts(parts)?;
     let missing = set.missing();
@@ -440,8 +475,8 @@ pub fn merge_parts(parts: &[(String, String)]) -> Result<String, String> {
 /// # Errors
 ///
 /// The same consistency errors as [`merge_parts`] (unparseable parts,
-/// mixed experiments, duplicate cells) — only *missing* cells are
-/// tolerated.
+/// mixed experiments or settings, duplicate cells) — only *missing* cells
+/// are tolerated.
 pub fn merge_available(parts: &[(String, String)]) -> Result<(String, Vec<u64>), String> {
     let set = parse_parts(parts)?;
     let missing = set.missing();
@@ -638,8 +673,8 @@ mod tests {
     }
 
     /// Splits `rows` into `count` shard documents exactly as `--shard`
-    /// would produce them (cell `c` on shard `c % count`).
-    fn shards_of(rows: &[Fig7Row], count: usize) -> Vec<(String, String)> {
+    /// would produce them under `cfg` (cell `c` on shard `c % count`).
+    fn shards_of(rows: &[Fig7Row], count: usize, cfg: &RunConfig) -> Vec<(String, String)> {
         (0..count)
             .map(|index| {
                 let sharded = ShardRows {
@@ -653,7 +688,7 @@ mod tests {
                 };
                 (
                     format!("part{index}.json"),
-                    partial_fig7((index, count), &sharded),
+                    partial_fig7((index, count), cfg, &sharded),
                 )
             })
             .collect()
@@ -664,7 +699,7 @@ mod tests {
         let rows = fake_fig7(7);
         let single = json_fig7(&rows);
         for count in [1usize, 2, 3, 7] {
-            let mut parts = shards_of(&rows, count);
+            let mut parts = shards_of(&rows, count, &RunConfig::default());
             parts.reverse(); // file order must not matter
             assert_eq!(
                 merge_parts(&parts).expect("complete set merges"),
@@ -677,7 +712,7 @@ mod tests {
     #[test]
     fn merge_rejects_incomplete_or_inconsistent_sets() {
         let rows = fake_fig7(6);
-        let parts = shards_of(&rows, 3);
+        let parts = shards_of(&rows, 3, &RunConfig::default());
         // A missing shard is a missing cell, named.
         let err = merge_parts(&parts[..2]).expect_err("incomplete");
         assert!(err.contains("missing"), "{err}");
@@ -691,11 +726,21 @@ mod tests {
         mixed[1].1 = mixed[1].1.replace("\"fig7\"", "\"fig8\"");
         let err = merge_parts(&mixed).expect_err("mixed experiments");
         assert!(err.contains("fig8"), "{err}");
+        // Parts run under different seeds never mix, naming both seeds.
+        let mut reseeded = RunConfig::default();
+        reseeded.tune.seed = 7;
+        let mut mixed = parts.clone();
+        mixed[1] = shards_of(&rows, 3, &reseeded).swap_remove(1);
+        let err = merge_parts(&mixed).expect_err("mixed seeds");
+        assert!(
+            err.contains("`seed` is 7, but earlier parts say 2018"),
+            "{err}"
+        );
         // A wrong schema version names both versions.
         let mut versioned = parts.clone();
         versioned[0].1 = versioned[0]
             .1
-            .replace("\"schema_version\":1", "\"schema_version\":9");
+            .replace("\"schema_version\":2", "\"schema_version\":9");
         let err = merge_parts(&versioned).expect_err("bad version");
         assert!(err.contains("schema_version 9"), "{err}");
         // Garbage is a parse error naming the file.
@@ -706,15 +751,15 @@ mod tests {
             cells: 1,
             groups: vec![(0, Vec::new())],
         };
-        let merged = merge_parts(&[("p.json".into(), partial_fig8((0, 1), &empty_ok))])
-            .expect("empty cells merge");
+        let part = partial_fig8((0, 1), &RunConfig::default(), &empty_ok);
+        let merged = merge_parts(&[("p.json".into(), part)]).expect("empty cells merge");
         assert_eq!(merged, json_fig8(&[]));
     }
 
     #[test]
     fn merge_available_tolerates_only_missing_cells() {
         let rows = fake_fig7(6);
-        let parts = shards_of(&rows, 3);
+        let parts = shards_of(&rows, 3, &RunConfig::default());
         // Complete set: same bytes as the strict merge, nothing missing.
         let (doc, missing) = merge_available(&parts).expect("complete set merges");
         assert_eq!(doc, json_fig7(&rows));

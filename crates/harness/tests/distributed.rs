@@ -51,6 +51,24 @@ fn shards_merge_byte_identically_to_the_single_process_run() {
         reference,
         "merge(shards) != single run"
     );
+    // Shard 1 under another seed is a part of another run: merging it with
+    // shard 0 fails (exit 1) and names the setting.
+    let reseeded = stdout_of(
+        bin()
+            .args(["--json", "--shard", "1/2", "bench", BENCH])
+            .env("LIFT_SEED", "7"),
+    );
+    let path = dir.join("part1-seed7.json");
+    std::fs::write(&path, reseeded).expect("write part");
+    let out = bin()
+        .arg("merge")
+        .arg(&files[0])
+        .arg(&path)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(stderr.contains("`seed`"), "stderr:\n{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -6,44 +6,7 @@ use lift_core::expr::{Expr, FunDecl};
 use lift_core::pattern::{MapKind, Pattern, ReduceKind};
 use lift_core::typecheck::typecheck;
 use lift_core::types::Type;
-use lift_core::visit::rewrite_everywhere;
-
-/// Is `f` a pure layout function (compiles to views, no loops)?
-///
-/// Mirrors the code generator's classification: compositions of `slide`,
-/// `pad`, `split`, `join`, `transpose`, `zip`, `get`, `id`, and layout-only
-/// `map`s.
-pub fn is_layout_fun(f: &FunDecl) -> bool {
-    match f {
-        FunDecl::UserFun(_) => false,
-        FunDecl::Pattern(p) => match p.as_ref() {
-            Pattern::Id
-            | Pattern::Transpose
-            | Pattern::Slide { .. }
-            | Pattern::Pad { .. }
-            | Pattern::PadValue { .. }
-            | Pattern::Split { .. }
-            | Pattern::Join
-            | Pattern::Get { .. } => true,
-            Pattern::Map { f, .. } => is_layout_fun(f),
-            _ => false,
-        },
-        FunDecl::Lambda(l) => l.params.len() == 1 && is_layout_expr(&l.body, l.params[0].id()),
-    }
-}
-
-fn is_layout_expr(e: &Expr, param_id: u32) -> bool {
-    match e {
-        Expr::Param(p) => p.id() == param_id,
-        Expr::Literal(_) => false,
-        Expr::Apply(app) => {
-            if matches!(app.fun.as_pattern(), Some(Pattern::Zip { .. })) {
-                return app.args.iter().all(|a| is_layout_expr(a, param_id));
-            }
-            app.args.len() == 1 && is_layout_fun(&app.fun) && is_layout_expr(&app.args[0], param_id)
-        }
-    }
-}
+use lift_core::visit::{is_layout_fun, rewrite_everywhere};
 
 /// Lowers the *grid nest* — the chain of computing `map`s from the root —
 /// to the given kinds, outermost first.
@@ -389,15 +352,5 @@ mod tests {
         let lhs = lift_core::eval::eval_fun(&prog, std::slice::from_ref(&input)).unwrap();
         let rhs = lift_core::eval::eval_fun(&coarse_prog, &[input]).unwrap();
         assert_eq!(lhs, rhs);
-    }
-
-    #[test]
-    fn is_layout_fun_classification() {
-        assert!(is_layout_fun(&id()));
-        assert!(is_layout_fun(&FunDecl::pattern(Pattern::Transpose)));
-        let slide_lam = lam(Type::array(Type::f32(), 8), |x| slide(3, 1, x));
-        assert!(is_layout_fun(&slide_lam));
-        let compute = lam(Type::f32(), |x| call(&add_f32(), [x.clone(), x]));
-        assert!(!is_layout_fun(&compute));
     }
 }

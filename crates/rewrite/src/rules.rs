@@ -473,7 +473,7 @@ mod tests {
             |p, t| {
                 let nbhs =
                     lift_core::ndim::slide3(3, 1, lift_core::ndim::pad3(1, 1, Boundary::Clamp, t));
-                lift_core::ndim::map3(f, lift_core::ndim::zip2_3d(p, nbhs))
+                lift_core::ndim::map3(f, lift_core::ndim::zip_nd(3, vec![p, nbhs]))
             },
         );
         let FunDecl::Lambda(l) = &prog else { panic!() };

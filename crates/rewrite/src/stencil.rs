@@ -13,6 +13,7 @@ use lift_arith::ArithExpr;
 use lift_core::expr::{Expr, FunDecl};
 use lift_core::ndim::slide_reorder_depths;
 use lift_core::pattern::{MapKind, Pattern};
+use lift_core::visit::is_layout_fun;
 
 /// One zipped component of a matched stencil application.
 #[derive(Debug, Clone)]
@@ -197,7 +198,7 @@ fn fun_as_slide_at(f: &FunDecl, depth: usize) -> Option<(ArithExpr, ArithExpr)> 
 pub fn match_map_nd(e: &Expr, rank: usize) -> Option<(&FunDecl, &Expr)> {
     let (outer, arg) = match_par_map(e)?;
     let f = peel_map_levels(outer, rank - 1)?;
-    if crate::lowering::is_layout_fun(f) {
+    if is_layout_fun(f) {
         return None;
     }
     Some((f, arg))
@@ -464,7 +465,7 @@ mod tests {
         let f = lam(tup, |x| {
             call(&add_f32(), [get(0, x.clone()), at3(1, 1, 1, get(1, x))])
         });
-        let e = ndim::map3(f, ndim::zip2_3d(p, nbhs));
+        let e = ndim::map3(f, ndim::zip_nd(3, vec![p, nbhs]));
         let st = match_stencil_nd(&e).expect("matches");
         assert_eq!(st.rank, 3);
         assert_eq!(st.operands.len(), 2);

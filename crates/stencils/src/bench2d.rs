@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use lift_core::build::*;
 use lift_core::expr::{Expr, FunDecl};
-use lift_core::ndim::{map2, pad2, slide2, zip2_2d};
+use lift_core::ndim::{map2, pad2, slide2, zip_nd};
 use lift_core::pattern::Boundary;
 use lift_core::scalar::Scalar;
 use lift_core::types::Type;
@@ -495,7 +495,7 @@ fn srad2_builder(sizes: &[usize]) -> FunDecl {
                 ],
             )
         });
-        map2(f, zip2_2d(j_nbhs, c_nbhs))
+        map2(f, zip_nd(2, vec![j_nbhs, c_nbhs]))
     })
 }
 
@@ -581,7 +581,7 @@ fn hotspot2d_builder(sizes: &[usize]) -> FunDecl {
                     ],
                 )
             });
-            map2(f, zip2_2d(p_grid, t_nbhs))
+            map2(f, zip_nd(2, vec![p_grid, t_nbhs]))
         },
     )
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use lift_core::build::*;
 use lift_core::expr::{Expr, FunDecl};
-use lift_core::ndim::{map3, pad3, pad3_value, slide3, zip2_3d, zip3_3d};
+use lift_core::ndim::{map3, pad3, pad3_value, slide3, zip_nd};
 use lift_core::pattern::Boundary;
 use lift_core::scalar::Scalar;
 use lift_core::types::Type;
@@ -362,7 +362,7 @@ fn hotspot3d_builder(sizes: &[usize]) -> FunDecl {
             let [c, a0, a1, a2, a3, a4, a5] = faces(&nb);
             call(&uf, [p, c, a0, a1, a2, a3, a4, a5])
         });
-        map3(f, zip2_3d(p_grid, t_nbhs))
+        map3(f, zip_nd(3, vec![p_grid, t_nbhs]))
     })
 }
 
@@ -486,7 +486,7 @@ fn acoustic_builder(sizes: &[usize]) -> FunDecl {
             );
             call(&uf, [p, c, sum, nn])
         });
-        map3(f, zip3_3d(prev, nbhs, mask))
+        map3(f, zip_nd(3, vec![prev, nbhs, mask]))
     })
 }
 
