@@ -451,7 +451,7 @@ pub struct VerifyRow {
 /// smallest and largest usable candidate, crossed with the default launch
 /// geometry and an explicit square-ish work-group: the configurations the
 /// `verify` sweep gates.
-fn rep_configs(variant: &Variant) -> Vec<Vec<(String, i64)>> {
+pub fn rep_configs(variant: &Variant) -> Vec<Vec<(String, i64)>> {
     let mut tun_choices: Vec<Vec<(String, i64)>> = vec![Vec::new()];
     for t in &variant.tunables {
         let cands = t.candidates(64);

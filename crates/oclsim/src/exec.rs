@@ -12,9 +12,10 @@
 //! runs only the types plan compilation fixed — every op evaluates into a
 //! homogeneous `i64`, `f32` or `bool` slab — which is what makes the
 //! simulator fast enough to sit on the autotuner's hot path. It also
-//! prices launches: [`crate::cost`] runs it on zero-filled buffers, one
-//! group at a time through `PlanMachine::run_group` with its trace
-//! recorder attached, and has no counting code of its own.
+//! prices launches: [`crate::cost`] runs it on zero-filled buffers, over a
+//! copy of the bytecode whose data-only ops are `EOp::Skip`, one group
+//! at a time through `PlanMachine::run_group` with its trace recorder
+//! attached, and has no counting code of its own.
 //!
 //! The tree-walking reference interpreter in `crate::reference` shares
 //! [`SimError`], `call_cost` and `simd_charge` with it. The differential
@@ -28,7 +29,7 @@ use std::fmt;
 use lift_codegen::clike::{BinOp, CType, UnOp, WorkItemFn};
 use lift_core::scalar::Scalar;
 
-use crate::cost::Recorder;
+use crate::cost::{Recorder, Site};
 use crate::perf::{KernelStats, SEGMENT_BYTES};
 use crate::plan::{BufSlot, EOp, ExprRef, Inst, Plan, Row};
 use crate::runtime::{BufferData, LaunchConfig};
@@ -269,9 +270,12 @@ pub(crate) struct PlanMachine<'a> {
     args: Vec<Scalar>,
     /// Segment scratch for the coalescing flush.
     segs: Vec<u64>,
+    /// The expression bytecode this machine runs: the plan's own, or the
+    /// cost model's zero-data copy of it (see [`crate::cost`]).
+    pub(crate) ecode: &'a [EOp],
     /// The cost model's trace hook: `None` (the default) for every real
     /// launch, so a run pays one branch per site and records nothing.
-    pub(crate) rec: Option<Recorder>,
+    pub(crate) rec: Option<Recorder<'a>>,
 }
 
 impl<'a> PlanMachine<'a> {
@@ -325,6 +329,7 @@ impl<'a> PlanMachine<'a> {
             },
             args: Vec::with_capacity(4),
             segs: Vec::with_capacity(warp.max(1)),
+            ecode: &plan.ecode,
             rec: None,
         }
     }
@@ -411,7 +416,7 @@ impl<'a> PlanMachine<'a> {
                         if charge {
                             simd_charge(&mut self.stats, self.warp, &mask, before);
                         }
-                        self.flush(&mask);
+                        self.flush(pc, &mask);
                     }
                     self.masks[ms] = mask;
                     r?;
@@ -425,7 +430,7 @@ impl<'a> PlanMachine<'a> {
                     let r = self.store_stmt(pc, &mask, buf, idx, value);
                     if r.is_ok() {
                         simd_charge(&mut self.stats, self.warp, &mask, before);
-                        self.flush(&mask);
+                        self.flush(pc, &mask);
                     }
                     self.masks[ms] = mask;
                     r?;
@@ -455,7 +460,7 @@ impl<'a> PlanMachine<'a> {
                     let (row, step, head) = (*row, *step, *head as usize);
                     let ms = self.top_mask();
                     let mask = std::mem::take(&mut self.masks[ms]);
-                    let r = self.for_step(&mask, row, step);
+                    let r = self.for_step(pc, &mask, row, step);
                     self.masks[ms] = mask;
                     r?;
                     self.mask_stack.pop();
@@ -474,7 +479,7 @@ impl<'a> PlanMachine<'a> {
                     let parent = std::mem::take(&mut self.masks[ps]);
                     let mut t = std::mem::take(&mut self.masks[tm]);
                     let mut e = std::mem::take(&mut self.masks[em]);
-                    let r = self.if_head(&parent, &mut t, &mut e, cond);
+                    let r = self.if_head(pc, &parent, &mut t, &mut e, cond);
                     self.masks[ps] = parent;
                     self.masks[tm] = t;
                     self.masks[em] = e;
@@ -579,8 +584,8 @@ impl<'a> PlanMachine<'a> {
         let (val, vs) = self.operand(value, mask, &mut ops, &mut hoist_ops)?;
         let iv = idx.ints();
         if let Some(rec) = &mut self.rec {
-            if let Some(check) = rec.inst_site(pc) {
-                rec.values(check, mask, iv, istride);
+            if rec.inst_site(pc) {
+                rec.values(Site::Inst(pc), mask, iv, istride);
             }
         }
         let count = match buf {
@@ -651,8 +656,8 @@ impl<'a> PlanMachine<'a> {
         let regs = &self.iscalars[self.int_row(row)];
         let bounds = bv.ints();
         if let Some(rec) = &mut self.rec {
-            if let Some(check) = rec.inst_site(pc) {
-                rec.diffs(check, parent, regs, bounds, stride);
+            if rec.inst_site(pc) {
+                rec.diffs(Site::Inst(pc), parent, regs, bounds, stride);
             }
         }
         let mut any = false;
@@ -670,11 +675,17 @@ impl<'a> PlanMachine<'a> {
         // One comparison per lane, plus the bound's ops.
         self.stats.alu_ops += compared + ops + hoist_ops * compared;
         simd_charge(&mut self.stats, self.warp, parent, before);
-        self.flush(parent);
+        self.flush(pc, parent);
         Ok(any)
     }
 
-    fn for_step(&mut self, mask: &[bool], row: Row, step: ExprRef) -> Result<(), SimError> {
+    fn for_step(
+        &mut self,
+        pc: usize,
+        mask: &[bool],
+        row: Row,
+        step: ExprRef,
+    ) -> Result<(), SimError> {
         let before = self.stats.alu_ops;
         let (mut ops, mut hoist_ops) = (0u64, 0u64);
         let (sv, stride) = self.operand(step, mask, &mut ops, &mut hoist_ops)?;
@@ -691,7 +702,7 @@ impl<'a> PlanMachine<'a> {
         // One addition per lane, plus the step's ops.
         self.stats.alu_ops += count + ops + hoist_ops * count;
         simd_charge(&mut self.stats, self.warp, mask, before);
-        self.flush(mask);
+        self.flush(pc, mask);
         Ok(())
     }
 
@@ -705,6 +716,7 @@ impl<'a> PlanMachine<'a> {
 
     fn if_head(
         &mut self,
+        pc: usize,
         parent: &[bool],
         t: &mut Vec<bool>,
         e: &mut Vec<bool>,
@@ -736,7 +748,7 @@ impl<'a> PlanMachine<'a> {
         self.sput(cv);
         self.stats.alu_ops += ops + hoist_ops * count;
         simd_charge(&mut self.stats, self.warp, parent, before);
-        self.flush(parent);
+        self.flush(pc, parent);
         Ok((any_t, any_e))
     }
 
@@ -785,7 +797,7 @@ impl<'a> PlanMachine<'a> {
         stack: &mut Vec<Slab>,
         frames: &mut Vec<SelFrame>,
     ) -> Result<Slab, SimError> {
-        let plan = self.plan;
+        let (plan, ecode) = (self.plan, self.ecode);
         let n = self.n_items;
         let stmt_count = stmt_mask.iter().filter(|&&b| b).count() as u64;
         // The mask/count the current op runs under: the innermost select
@@ -799,8 +811,9 @@ impl<'a> PlanMachine<'a> {
                 }
             };
         }
-        for pc in er.start as usize..er.end as usize {
-            match plan.ecode[pc] {
+        let code = &ecode[er.start as usize..er.end as usize];
+        for (pc, &op) in (er.start as usize..).zip(code) {
+            match op {
                 EOp::I(c) => {
                     let mut v = self.iget();
                     v.fill(c);
@@ -862,12 +875,14 @@ impl<'a> PlanMachine<'a> {
                     let (mask, count) = cur_mask!();
                     *ops += count;
                     if let Some(rec) = &mut self.rec {
-                        if let Some(check) = rec.op_site(pc) {
+                        if rec.op_site(pc) {
                             // A divisor is checked itself; a comparison or
                             // `min`/`max` by its operands' gap.
                             match op {
-                                BinOp::Div | BinOp::Mod => rec.values(check, mask, b.ints(), 1),
-                                _ => rec.diffs(check, mask, a.ints(), b.ints(), 1),
+                                BinOp::Div | BinOp::Mod => {
+                                    rec.values(Site::Op(pc), mask, b.ints(), 1)
+                                }
+                                _ => rec.diffs(Site::Op(pc), mask, a.ints(), b.ints(), 1),
                             }
                         }
                     }
@@ -916,12 +931,22 @@ impl<'a> PlanMachine<'a> {
                     }
                     stack.push(out);
                 }
+                EOp::Skip { argc, ret, cost } => {
+                    let (_, count) = cur_mask!();
+                    *ops += cost * count;
+                    let base = stack.len() - argc as usize;
+                    for v in stack.drain(base..) {
+                        self.sput(v);
+                    }
+                    let out = self.slab(ret);
+                    stack.push(out);
+                }
                 EOp::Load(buf) => {
                     let idx = stack.pop().expect("load index");
                     let (mask, _) = cur_mask!();
                     if let Some(rec) = &mut self.rec {
-                        if let Some(check) = rec.op_site(pc) {
-                            rec.values(check, mask, idx.ints(), 1);
+                        if rec.op_site(pc) {
+                            rec.values(Site::Op(pc), mask, idx.ints(), 1);
                         }
                     }
                     let r = self.load_vec(buf, idx.ints(), mask);
@@ -1176,16 +1201,16 @@ impl<'a> PlanMachine<'a> {
 
     /// The coalescing flush, identical in behaviour to
     /// [`Machine::flush_accesses`] but over the flat scratch arena and
-    /// skipped outright when the statement queued no global access.
+    /// skipped outright when statement `pc` queued no global access.
     ///
     /// [`Machine::flush_accesses`]: crate::reference::Machine::flush_accesses
-    fn flush(&mut self, mask: &[bool]) {
+    fn flush(&mut self, pc: usize, mask: &[bool]) {
         if !self.any_pend {
             return;
         }
         if let Some(rec) = &mut self.rec {
-            rec.addresses(mask, &self.pend_loads);
-            rec.addresses(mask, &self.pend_stores);
+            rec.addresses(pc, false, mask, &self.pend_loads);
+            rec.addresses(pc, true, mask, &self.pend_stores);
         }
         let warp = self.warp.max(1);
         let n = self.n_items;

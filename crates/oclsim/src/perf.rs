@@ -70,6 +70,17 @@ impl SegmentSet {
     pub(crate) fn len(&self) -> u64 {
         self.len
     }
+
+    /// Adds every segment of `other`.
+    pub(crate) fn union_with(&mut self, other: &SegmentSet) {
+        if self.words.len() < other.words.len() {
+            self.words.resize(other.words.len(), 0);
+        }
+        for (w, &o) in self.words.iter_mut().zip(&other.words) {
+            *w |= o;
+        }
+        self.len = self.words.iter().map(|w| u64::from(w.count_ones())).sum();
+    }
 }
 
 impl KernelStats {

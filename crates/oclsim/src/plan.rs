@@ -64,7 +64,7 @@ pub(crate) enum Row {
 
 impl Row {
     /// The declared type of the scalars this row holds.
-    fn ty(self) -> CType {
+    pub(crate) fn ty(self) -> CType {
         match self {
             Row::I(_) => CType::Int,
             Row::F(_) => CType::Float,
@@ -111,6 +111,11 @@ pub(crate) enum EOp {
         ret: CType,
         cost: u64,
     },
+    /// An op that only computes buffer data, as a zero-data estimate runs
+    /// it (see [`crate::cost`]): pop `argc` operands, push an unwritten
+    /// slab of type `ret`, and charge the op's `cost` ALU ops per lane.
+    /// Never in a [`Plan`] itself.
+    Skip { argc: u8, ret: CType, cost: u64 },
     /// Pop an index, push the loaded element (with the load's stats and
     /// coalescing side effects).
     Load(BufSlot),
@@ -367,6 +372,9 @@ pub struct PlannedKernel {
     /// Cost estimates, memoised per (launch, warp width) — the two inputs
     /// [`crate::cost`] depends on besides the plan itself.
     estimated: Mutex<EstimateCache>,
+    /// The cost model's analysis of the plan, or its refusal, made on the
+    /// first estimate.
+    estimator: OnceLock<Result<crate::cost::Estimator, SimError>>,
 }
 
 /// Memoised verification results, keyed by the launch geometry and the
@@ -390,6 +398,7 @@ impl PlannedKernel {
             plan: OnceLock::new(),
             verified: Mutex::new(HashMap::new()),
             estimated: Mutex::new(HashMap::new()),
+            estimator: OnceLock::new(),
         }
     }
 
@@ -446,10 +455,12 @@ impl PlannedKernel {
     /// Predicts the kernel's [`crate::KernelStats`] for one launch
     /// configuration on one device without its input data: a
     /// data-dependence check, then a zero-data run of one representative
-    /// work-group per class (see [`crate::cost`]). Results are memoised
-    /// per (launch, warp width), so tuners probing thousands of launches
-    /// over a handful of kernels pay for each estimate once. The estimate is a pure function of
-    /// (plan, launch, warp) — bit-identical across threads and shards.
+    /// work-group per class, each group at most once (see [`crate::cost`]).
+    /// The check runs once per kernel, on the first estimate, and a
+    /// refusal is kept with it. Estimates are memoised per (launch, warp
+    /// width), so tuners probing thousands of launches over a handful of
+    /// kernels pay for each estimate once. The estimate is a pure function
+    /// of (plan, launch, warp) — bit-identical across threads and shards.
     ///
     /// # Errors
     ///
@@ -457,7 +468,7 @@ impl PlannedKernel {
     /// raises for a launch the device cannot run, [`SimError::Estimate`]
     /// when buffer data reaches the kernel's control flow or global
     /// addressing, or any fault of the zero-data run
-    /// ([`SimError::OutOfBounds`], ...). Failures are not cached.
+    /// ([`SimError::OutOfBounds`], ...). Faults are not cached.
     pub fn estimate(
         &self,
         cfg: crate::runtime::LaunchConfig,
@@ -470,12 +481,13 @@ impl PlannedKernel {
             return Ok(hit.clone());
         }
         let plan = self.plan()?;
-        let est = Arc::new(crate::cost::estimate_plan(
-            &plan,
-            &self.kernel.params,
-            cfg,
-            warp,
-        )?);
+        let params = &self.kernel.params;
+        let estimator = self
+            .estimator
+            .get_or_init(|| crate::cost::analyse(&plan, params))
+            .as_ref()
+            .map_err(Clone::clone)?;
+        let est = Arc::new(estimator.estimate(&plan, params, cfg, warp)?);
         self.estimated
             .lock()
             .expect("estimate cache")

@@ -1326,7 +1326,7 @@ impl<'a> Verifier<'a> {
                     };
                     self.push_slot(&mut stack, p, un_abs(op, a.v), cmp, a.start);
                 }
-                EOp::Call { argc, .. } => {
+                EOp::Call { argc, .. } | EOp::Skip { argc, .. } => {
                     let mut uniform = true;
                     let mut start = p as u32;
                     for _ in 0..argc {

@@ -13,9 +13,14 @@
 //!    zero-filled buffers would not count what a real run counts, so the
 //!    estimate is refused with `SimError::Estimate` naming the site.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use lift_codegen::clike::{
-    AddressSpace, BinOp, CExpr, CStmt, CType, Kernel, KernelParam, VarRef, WorkItemFn,
+    AddressSpace, BinOp, CExpr, CStmt, CType, Kernel, KernelParam, LocalBuffer, VarRef, WorkItemFn,
 };
+use lift_core::scalar::Scalar;
+use lift_core::types::Type;
+use lift_core::userfun::UserFun;
 use lift_driver::Pipeline;
 use lift_oclsim::{BufferData, DeviceProfile, LaunchConfig, PlannedKernel, VirtualDevice};
 use lift_rewrite::Tunable;
@@ -385,23 +390,48 @@ enum Expect {
 }
 
 /// One adversarial row: a name, a kernel over input `A` (of `a_len`
-/// elements) and output `out` (of `out_len`), its launch, and the outcome.
+/// elements) and output `out` (of `out_len`) with local buffers `locals`,
+/// its launch, and the outcome. `calls` is `Some(skipped)` for a kernel
+/// that calls [`COUNTED`] once per work-item: `run` makes every call, and
+/// the estimate none when `skipped`, else one per lane of every group it
+/// runs.
 struct Row {
     name: &'static str,
     a_len: usize,
     out_len: usize,
+    locals: Vec<LocalBuffer>,
     body: Vec<CStmt>,
     launch: LaunchConfig,
     expect: Expect,
+    calls: Option<bool>,
+}
+
+/// Calls made to the user function [`counted`] so far.
+static COUNTED: AtomicU64 = AtomicU64::new(0);
+
+/// `float counted(float x) { return x + 1.0f; }`, counting its calls in
+/// [`COUNTED`].
+fn counted() -> std::sync::Arc<UserFun> {
+    UserFun::new(
+        "counted",
+        [("x", Type::f32())],
+        Type::f32(),
+        "return x + 1.0f;",
+        |a| {
+            COUNTED.fetch_add(1, Ordering::Relaxed);
+            Scalar::F32(a[0].as_f32() + 1.0)
+        },
+    )
 }
 
 /// Launches the class estimate must get exactly right: classes that split
 /// along one dimension, alignment residues that cycle, lanes of one warp
-/// whose addresses move by different slopes, partial groups, and the plans
-/// it must leave to the full run. Every row, on every device, asserts the
-/// estimate's stats (and so its modeled time) equal `run`'s bit for bit,
-/// or its fault equals `run`'s, and checks `groups_run` against the
-/// launch's work-groups.
+/// whose addresses move by different slopes, partial groups, a trace that
+/// grows with lanes and loop trips, buffer data at a local index and in a
+/// user-function call, and the plans it must leave to the full run. Every
+/// row, on every device, asserts the estimate's stats (and so its modeled
+/// time) equal `run`'s bit for bit, or its fault equals `run`'s, and checks
+/// `groups_run` against the launch's work-groups.
 #[test]
 fn class_estimates_match_runs_on_adversarial_launches() {
     let a = buf("A", 0, false);
@@ -428,12 +458,14 @@ fn class_estimates_match_runs_on_adversarial_launches() {
         ),
         CExpr::Var(gx.clone()),
     );
+    let (lbuf, x, i) = (VarRef::fresh("L"), VarRef::fresh("x"), VarRef::fresh("i"));
     let rows = vec![
         Row {
             // if (get_group_id(0) == 5) out[gid] = A[gid] + 1; else out[gid] = A[gid];
             name: "one special group",
             a_len: 256,
             out_len: 256,
+            locals: vec![],
             body: vec![CStmt::If {
                 cond: bin(BinOp::Eq, group_id(0), CExpr::Int(5)),
                 then_: vec![store(
@@ -445,6 +477,7 @@ fn class_estimates_match_runs_on_adversarial_launches() {
             }],
             launch: d1(256),
             expect: Expect::Classes,
+            calls: None,
         },
         Row {
             // out[gid] = A[3 * gid]: 24 words per 8-wide group, so the
@@ -452,18 +485,22 @@ fn class_estimates_match_runs_on_adversarial_launches() {
             name: "stride of 3 elements",
             a_len: 768,
             out_len: 256,
+            locals: vec![],
             body: vec![copy(bin(BinOp::Mul, CExpr::Int(3), id()))],
             launch: LaunchConfig::d1(256, 8),
             expect: Expect::Classes,
+            calls: None,
         },
         Row {
             // out[gid] = A[min(gid, 40)]: one group picks both operands.
             name: "clamp inside a warp",
             a_len: 256,
             out_len: 256,
+            locals: vec![],
             body: vec![copy(bin(BinOp::Min, id(), CExpr::Int(40)))],
             launch: d1(256),
             expect: Expect::Classes,
+            calls: None,
         },
         Row {
             // out[gid] = A[get_group_id(0) * get_local_id(0)]: every lane
@@ -471,6 +508,7 @@ fn class_estimates_match_runs_on_adversarial_launches() {
             name: "lanes with their own slopes",
             a_len: 256,
             out_len: 256,
+            locals: vec![],
             body: vec![copy(bin(
                 BinOp::Mul,
                 group_id(0),
@@ -478,6 +516,7 @@ fn class_estimates_match_runs_on_adversarial_launches() {
             ))],
             launch: d1(256),
             expect: Expect::FullRun,
+            calls: None,
         },
         Row {
             // out[lid] = A[max(get_group_id(0) - get_group_id(1), 0) * 16 +
@@ -487,6 +526,7 @@ fn class_estimates_match_runs_on_adversarial_launches() {
             name: "a tie that slopes apart in x and y",
             a_len: 144,
             out_len: 32,
+            locals: vec![],
             body: vec![store(
                 &out,
                 CExpr::WorkItem(WorkItemFn::LocalId, 0),
@@ -509,6 +549,7 @@ fn class_estimates_match_runs_on_adversarial_launches() {
             )],
             launch: LaunchConfig::d2(256, 32, 32, 4),
             expect: Expect::Classes,
+            calls: None,
         },
         Row {
             // for (gid = get_global_id(0); gid < 1000; gid += get_global_size(0))
@@ -516,6 +557,7 @@ fn class_estimates_match_runs_on_adversarial_launches() {
             name: "grid the work-group does not divide",
             a_len: 1000,
             out_len: 1000,
+            locals: vec![],
             body: vec![CStmt::For {
                 var: gid.clone(),
                 init: CExpr::WorkItem(WorkItemFn::GlobalId, 0),
@@ -525,6 +567,7 @@ fn class_estimates_match_runs_on_adversarial_launches() {
             }],
             launch: d1(1008),
             expect: Expect::Classes,
+            calls: None,
         },
         Row {
             // if (gz < 5) out[idx] = A[idx] + 1; else out[idx] = A[idx];
@@ -532,6 +575,7 @@ fn class_estimates_match_runs_on_adversarial_launches() {
             name: "3-D classes split in z",
             a_len: 16 * 8 * 12,
             out_len: 16 * 8 * 12,
+            locals: vec![],
             body: vec![
                 decl_int(&gx, CExpr::WorkItem(WorkItemFn::GlobalId, 0)),
                 decl_int(&gy, CExpr::WorkItem(WorkItemFn::GlobalId, 1)),
@@ -548,12 +592,14 @@ fn class_estimates_match_runs_on_adversarial_launches() {
             ],
             launch: LaunchConfig::d3([16, 8, 12], [8, 4, 2]),
             expect: Expect::Classes,
+            calls: None,
         },
         Row {
             // if (gid % 3 == 0) out[gid] = A[gid]; — `%` hides the group.
             name: "gid % 3 in a branch",
             a_len: 256,
             out_len: 256,
+            locals: vec![],
             body: vec![CStmt::If {
                 cond: bin(
                     BinOp::Eq,
@@ -565,6 +611,7 @@ fn class_estimates_match_runs_on_adversarial_launches() {
             }],
             launch: d1(256),
             expect: Expect::FullRun,
+            calls: None,
         },
         Row {
             // out[gid] = A[gid * gid]; — a product of two group-dependent
@@ -572,9 +619,11 @@ fn class_estimates_match_runs_on_adversarial_launches() {
             name: "gid * gid as an index",
             a_len: 256 * 256,
             out_len: 256,
+            locals: vec![],
             body: vec![copy(bin(BinOp::Mul, id(), id()))],
             launch: d1(256),
             expect: Expect::FullRun,
+            calls: None,
         },
         Row {
             // out[gid] = A[gid + 1]; — the last lane of the last group reads
@@ -582,9 +631,83 @@ fn class_estimates_match_runs_on_adversarial_launches() {
             name: "out of bounds in the last group",
             a_len: 256,
             out_len: 256,
+            locals: vec![],
             body: vec![copy(bin(BinOp::Add, id(), CExpr::Int(1)))],
             launch: d1(256),
             expect: Expect::Fault,
+            calls: None,
+        },
+        Row {
+            // for (i = 0; i < 64; i++) out[i * 4096 + gid] = A[i * 4096 + gid];
+            // over 16 groups of 256: a copy strided by the grid, whose
+            // trace holds 3 values per lane and trip (49,152 in all).
+            name: "a wide group looping over a strided copy",
+            a_len: 64 * 4096,
+            out_len: 64 * 4096,
+            locals: vec![],
+            body: vec![CStmt::For {
+                var: i.clone(),
+                init: CExpr::Int(0),
+                bound: CExpr::Int(64),
+                step: CExpr::Int(1),
+                body: vec![{
+                    let idx = bin(
+                        BinOp::Add,
+                        bin(BinOp::Mul, CExpr::Var(i.clone()), CExpr::Int(4096)),
+                        id(),
+                    );
+                    store(&out, idx.clone(), load(&a, idx))
+                }],
+            }],
+            launch: LaunchConfig::d1(4096, 256),
+            expect: Expect::Classes,
+            calls: None,
+        },
+        Row {
+            // x = (int)A[gid]; L[min(max(x, 0), 15)] = counted(A[gid]);
+            // out[gid] = A[gid]; — buffer data clamped into a local index:
+            // the zero-data run skips nothing, not even the call.
+            name: "buffer data clamped into a local index",
+            a_len: 256,
+            out_len: 256,
+            locals: vec![LocalBuffer {
+                var: lbuf.clone(),
+                elem: CType::Float,
+                len: 16,
+            }],
+            body: vec![
+                decl_int(&x, int_of(load(&a, id()))),
+                CStmt::Store {
+                    buf: lbuf.clone(),
+                    space: AddressSpace::Local,
+                    idx: bin(
+                        BinOp::Min,
+                        bin(BinOp::Max, CExpr::Var(x.clone()), CExpr::Int(0)),
+                        CExpr::Int(15),
+                    ),
+                    value: CExpr::Call(counted(), vec![load(&a, id())]),
+                },
+                copy(id()),
+            ],
+            launch: d1(256),
+            expect: Expect::Classes,
+            calls: Some(false),
+        },
+        Row {
+            // out[gid] = counted(A[gid]); — a call on buffer data, which the
+            // zero-data run charges but does not make.
+            name: "a user function on buffer data",
+            a_len: 256,
+            out_len: 256,
+            locals: vec![],
+            body: vec![store(
+                &out,
+                id(),
+                CExpr::Call(counted(), vec![load(&a, id())]),
+            )],
+            launch: d1(256),
+            expect: Expect::Classes,
+            calls: Some(true),
         },
     ];
     for row in rows {
@@ -596,15 +719,30 @@ fn class_estimates_match_runs_on_adversarial_launches() {
             len: row.out_len,
             ..out.clone()
         };
-        let kernel = gid_kernel(&a, &out, &gid, row.body);
+        let kernel = Kernel {
+            locals: row.locals,
+            ..gid_kernel(&a, &out, &gid, row.body)
+        };
         let inputs = vec![BufferData::F32(
             (0..row.a_len).map(|i| (i % 13) as f32).collect(),
         )];
         for profile in DeviceProfile::all() {
             let label = format!("{} on {}", row.name, profile.name);
             let dev = VirtualDevice::new(profile);
+            COUNTED.store(0, Ordering::Relaxed);
             let measured = dev.run(&kernel, &inputs, row.launch);
+            let run_calls = COUNTED.swap(0, Ordering::Relaxed);
             let est = PlannedKernel::new(kernel.clone()).estimate(row.launch, dev.profile());
+            let est_calls = COUNTED.load(Ordering::Relaxed);
+            if let (Some(skipped), Ok(m), Ok(e)) = (row.calls, &measured, &est) {
+                assert_eq!(run_calls, m.stats.work_items, "{label}: calls by run");
+                let made = if skipped {
+                    0
+                } else {
+                    e.groups_run * m.stats.wg_size
+                };
+                assert_eq!(est_calls, made, "{label}: calls by the estimate");
+            }
             let (m, e) = match (measured, est) {
                 (Err(re), Err(ee)) => {
                     assert_eq!(row.expect, Expect::Fault, "{label}: {re}");
@@ -756,7 +894,7 @@ fn random_sweep(seed: u64, draws: usize, sizes: &[Vec<usize>; 3]) -> usize {
                     match (measured, est) {
                         (Ok(m), Ok(e)) => {
                             assert_eq!(e.stats, m.stats, "stats diverge for {label}");
-                            assert!(e.groups_run <= 2 * m.stats.work_groups, "{label}");
+                            assert!(e.groups_run <= m.stats.work_groups, "{label}");
                         }
                         // The local-memory capacity check is the run's alone.
                         (Err(lift_oclsim::SimError::BadLaunch(_)), _) => continue,
@@ -854,4 +992,78 @@ fn class_estimates_run_a_fraction_of_the_groups() {
         }
     }
     assert!(checked >= 20, "only {checked} launches of 256+ groups");
+}
+
+/// Every launch of the `lift-harness verify` sweep: each Table-1 benchmark
+/// × device × variant under the sweep's representative configurations
+/// (`rep_configs`), at small and at large sizes. Each estimate equals its
+/// run bit for bit, or faults as the run does, and runs no more groups
+/// than the launch has. Minutes in release:
+/// `cargo test --release --test cost_model -- --ignored verify_sweep`.
+#[test]
+#[ignore = "minutes even in release"]
+fn class_estimates_equal_runs_on_the_verify_sweep() {
+    let devices: Vec<VirtualDevice> = DeviceProfile::all()
+        .into_iter()
+        .map(VirtualDevice::new)
+        .collect();
+    let mut compared = 0;
+    for bench in suite() {
+        let small = bench.size(false, false);
+        let large = bench.size(true, false);
+        let sizes = if large == small {
+            vec![small]
+        } else {
+            vec![small, large]
+        };
+        for sizes in sizes {
+            let variants = Pipeline::from_benchmark(&bench, &sizes)
+                .expect("pipeline")
+                .explore()
+                .expect("explores");
+            let inputs: Vec<BufferData> = bench
+                .gen_inputs(&sizes, 7)
+                .into_iter()
+                .map(BufferData::F32)
+                .collect();
+            for dev in &devices {
+                for variant in variants.variants() {
+                    for cfg in lift_harness::experiments::rep_configs(variant) {
+                        let refs: Vec<(&str, i64)> =
+                            cfg.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+                        let Ok(compiled) =
+                            variants.clone().on(dev).with_config(&variant.name, &refs)
+                        else {
+                            continue;
+                        };
+                        let label = format!(
+                            "{}/{} {sizes:?} {cfg:?} on {}",
+                            bench.name,
+                            variant.name,
+                            dev.profile().name
+                        );
+                        let measured = dev.run(compiled.kernel(), &inputs, compiled.launch());
+                        let est = PlannedKernel::from_arc(compiled.kernel().clone())
+                            .estimate(compiled.launch(), dev.profile());
+                        match (measured, est) {
+                            (Ok(m), Ok(e)) => {
+                                assert_eq!(e.stats, m.stats, "stats diverge for {label}");
+                                assert!(e.groups_run <= m.stats.work_groups, "{label}");
+                            }
+                            // The local-memory capacity check is the run's alone.
+                            (Err(lift_oclsim::SimError::BadLaunch(_)), _) => continue,
+                            (Err(re), Err(ee)) => {
+                                assert_eq!(ee, re, "faults diverge for {label}")
+                            }
+                            (m, e) => {
+                                panic!("{label}: run {:?} but estimate {:?}", m.err(), e.err())
+                            }
+                        }
+                        compared += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(compared >= 1000, "only {compared} launches compared");
 }
