@@ -29,7 +29,7 @@ use std::fmt;
 use lift_codegen::clike::{BinOp, CType, UnOp, WorkItemFn};
 use lift_core::scalar::Scalar;
 
-use crate::cost::{Recorder, Site};
+use crate::cost::Recorder;
 use crate::perf::{KernelStats, SEGMENT_BYTES};
 use crate::plan::{BufSlot, EOp, ExprRef, Inst, Plan, Row};
 use crate::runtime::{BufferData, LaunchConfig};
@@ -161,15 +161,20 @@ pub(crate) fn simd_charge(stats: &mut KernelStats, warp: usize, mask: &[bool], b
 /// op that produced it. Infallible ops run unmasked over every lane —
 /// lanes outside the active mask may hold garbage, which is harmless
 /// because no consumer ever reads an inactive lane.
-enum Slab {
+pub(crate) enum Slab {
     I(Vec<i64>),
     F(Vec<f32>),
     B(Vec<bool>),
 }
 
+/// A slab with the lane stride to read it at: 1 for per-lane values, 0 for
+/// a lane-invariant one, whose value sits in lane 0 alone. Lane `i` reads
+/// element `i * stride`.
+pub(crate) type Operand = (Slab, usize);
+
 impl Slab {
     /// The lanes of an `int` operand (indices, loop bounds and steps).
-    fn ints(&self) -> &[i64] {
+    pub(crate) fn ints(&self) -> &[i64] {
         match self {
             Slab::I(d) => d,
             _ => unreachable!("plan typing makes this operand int"),
@@ -210,7 +215,7 @@ struct SelFrame {
     mask_else: Vec<bool>,
     count_else: u64,
     in_else: bool,
-    saved: Option<Slab>,
+    saved: Option<Operand>,
 }
 
 /// The register-machine inner loop: drives a pre-compiled [`Plan`] with one
@@ -225,8 +230,14 @@ struct SelFrame {
 /// per-lane laziness of `?:` (via mask splits), event counting,
 /// [`simd_charge`] and the coalescing flush — mirror [`Machine`] exactly;
 /// lane-invariant (`uniform`) expressions are evaluated once per group with
-/// their ALU cost multiplied by the active-lane count. Every counter stays
-/// bit-identical to the tree interpreter.
+/// their ALU cost multiplied by the active-lane count. Inside any
+/// expression, a lane-invariant operand (a literal, a group id, a size or
+/// group count, or an op over only such operands) is one value in lane 0
+/// of its slab, read at stride 0, so an op over two of them computes one
+/// lane and `x op c` reads one slab; a `?:` whose arms both have active
+/// lanes broadcasts an invariant arm as it merges. ALU ops are still
+/// charged per active lane, so every counter stays bit-identical to the
+/// tree interpreter.
 ///
 /// [`Machine`]: crate::reference::Machine
 pub(crate) struct PlanMachine<'a> {
@@ -262,7 +273,7 @@ pub(crate) struct PlanMachine<'a> {
     bpool: Vec<Vec<bool>>,
     /// The evaluator's operand stack and select frames (reused across
     /// every expression of the launch).
-    estack: Vec<Slab>,
+    estack: Vec<Operand>,
     eframes: Vec<SelFrame>,
     /// The one-lane mask uniform expressions evaluate under.
     uni_mask: Vec<bool>,
@@ -274,7 +285,8 @@ pub(crate) struct PlanMachine<'a> {
     /// cost model's zero-data copy of it (see [`crate::cost`]).
     pub(crate) ecode: &'a [EOp],
     /// The cost model's trace hook: `None` (the default) for every real
-    /// launch, so a run pays one branch per site and records nothing.
+    /// launch, so a run pays one branch per op and statement and records
+    /// nothing.
     pub(crate) rec: Option<Recorder<'a>>,
 }
 
@@ -531,7 +543,7 @@ impl<'a> PlanMachine<'a> {
     /// lane-invariant, its ALU ops into `hoist_ops` for the caller to
     /// multiply by the active-lane count; per lane otherwise, its ops into
     /// `ops`. Returns the slab with the lane stride to read it at — 0
-    /// broadcasts a hoisted value's lane 0 — leaving
+    /// broadcasts a hoisted or lane-invariant value's lane 0 — leaving
     /// [`KernelStats::alu_ops`] identical to per-lane evaluation.
     fn operand(
         &mut self,
@@ -539,20 +551,23 @@ impl<'a> PlanMachine<'a> {
         mask: &[bool],
         ops: &mut u64,
         hoist_ops: &mut u64,
-    ) -> Result<(Slab, usize), SimError> {
+    ) -> Result<Operand, SimError> {
         if er.uniform {
             let um = std::mem::take(&mut self.uni_mask);
             let r = self.eval_vec(er, &um, hoist_ops);
             self.uni_mask = um;
-            Ok((r?, 0))
+            Ok((r?.0, 0))
         } else {
-            Ok((self.eval_vec(er, mask, ops)?, 1))
+            self.eval_vec(er, mask, ops)
         }
     }
 
     fn set_scalar(&mut self, mask: &[bool], row: Row, value: ExprRef) -> Result<(), SimError> {
         let (mut ops, mut hoist_ops) = (0u64, 0u64);
         let (v, stride) = self.operand(value, mask, &mut ops, &mut hoist_ops)?;
+        if let Some(rec) = &mut self.rec {
+            rec.set_row(row, value, mask, stride);
+        }
         let n = self.n_items;
         let count = match (row, &v) {
             (Row::I(r), Slab::I(d)) => {
@@ -580,13 +595,11 @@ impl<'a> PlanMachine<'a> {
         value: ExprRef,
     ) -> Result<(), SimError> {
         let (mut ops, mut hoist_ops) = (0u64, 0u64);
-        let (idx, istride) = self.operand(idx, mask, &mut ops, &mut hoist_ops)?;
+        let (is, istride) = self.operand(idx, mask, &mut ops, &mut hoist_ops)?;
         let (val, vs) = self.operand(value, mask, &mut ops, &mut hoist_ops)?;
-        let iv = idx.ints();
+        let iv = is.ints();
         if let Some(rec) = &mut self.rec {
-            if rec.inst_site(pc) {
-                rec.values(Site::Inst(pc), mask, iv, istride);
-            }
+            rec.store(pc, buf, (idx, value), mask, (iv, istride));
         }
         let count = match buf {
             BufSlot::Global { slot, name } => {
@@ -634,7 +647,7 @@ impl<'a> PlanMachine<'a> {
                 .map_err(|index| self.oob(name, index, len))?
             }
         };
-        self.sput(idx);
+        self.sput(is);
         self.sput(val);
         self.stats.alu_ops += ops + hoist_ops * count;
         Ok(())
@@ -656,9 +669,7 @@ impl<'a> PlanMachine<'a> {
         let regs = &self.iscalars[self.int_row(row)];
         let bounds = bv.ints();
         if let Some(rec) = &mut self.rec {
-            if rec.inst_site(pc) {
-                rec.diffs(Site::Inst(pc), parent, regs, bounds, stride);
-            }
+            rec.for_head(pc, row, bound, parent, regs, (bounds, stride));
         }
         let mut any = false;
         let mut compared = 0u64;
@@ -689,6 +700,9 @@ impl<'a> PlanMachine<'a> {
         let before = self.stats.alu_ops;
         let (mut ops, mut hoist_ops) = (0u64, 0u64);
         let (sv, stride) = self.operand(step, mask, &mut ops, &mut hoist_ops)?;
+        if let Some(rec) = &mut self.rec {
+            rec.for_step(row, step, mask, stride);
+        }
         let rows = self.int_row(row);
         let steps = sv.ints();
         let mut count = 0u64;
@@ -754,12 +768,12 @@ impl<'a> PlanMachine<'a> {
 
     /// Evaluates one compiled expression for every active lane of `mask`,
     /// op-major: each bytecode op runs across the lanes before the next op
-    /// starts, over typed [`Slab`]s. Pure ALU costs accumulate into `ops`
-    /// (already summed over lanes); memory events hit [`KernelStats`]
-    /// directly, with per-lane side effects (pending-access queues, fault
-    /// checks) identical to the tree interpreter's lane-by-lane
-    /// evaluation. `?:` selects split the lane mask so each lane still
-    /// evaluates only its taken arm.
+    /// starts, over typed [`Slab`]s read at their lane strides. Pure ALU
+    /// costs accumulate into `ops` (already summed over lanes); memory
+    /// events hit [`KernelStats`] directly, with per-lane side effects
+    /// (pending-access queues, fault checks) identical to the tree
+    /// interpreter's lane-by-lane evaluation. `?:` selects split the lane
+    /// mask so each lane still evaluates only its taken arm.
     ///
     /// The operand stack and select-frame storage live in the machine
     /// (like every other scratch buffer) so evaluation never allocates;
@@ -770,15 +784,15 @@ impl<'a> PlanMachine<'a> {
         er: ExprRef,
         stmt_mask: &[bool],
         ops: &mut u64,
-    ) -> Result<Slab, SimError> {
+    ) -> Result<Operand, SimError> {
         let mut stack = std::mem::take(&mut self.estack);
         let mut frames = std::mem::take(&mut self.eframes);
         let r = self.eval_vec_inner(er, stmt_mask, ops, &mut stack, &mut frames);
-        for s in stack.drain(..) {
+        for (s, _) in stack.drain(..) {
             self.sput(s);
         }
         for f in frames.drain(..) {
-            if let Some(s) = f.saved {
+            if let Some((s, _)) = f.saved {
                 self.sput(s);
             }
             self.bpool.push(f.mask_then);
@@ -794,9 +808,9 @@ impl<'a> PlanMachine<'a> {
         er: ExprRef,
         stmt_mask: &[bool],
         ops: &mut u64,
-        stack: &mut Vec<Slab>,
+        stack: &mut Vec<Operand>,
         frames: &mut Vec<SelFrame>,
-    ) -> Result<Slab, SimError> {
+    ) -> Result<Operand, SimError> {
         let (plan, ecode) = (self.plan, self.ecode);
         let n = self.n_items;
         let stmt_count = stmt_mask.iter().filter(|&&b| b).count() as u64;
@@ -811,30 +825,42 @@ impl<'a> PlanMachine<'a> {
                 }
             };
         }
+        // Elements an operand of stride `s` holds.
+        let width = |s: usize| if s == 0 { 1 } else { n };
         let code = &ecode[er.start as usize..er.end as usize];
         for (pc, &op) in (er.start as usize..).zip(code) {
+            if let Some(rec) = &mut self.rec {
+                if rec.hooks(pc) {
+                    // Before the op runs, while its operands are on the stack.
+                    let (mask, _) = cur_mask!();
+                    let then = frames
+                        .last()
+                        .map(|f| (f.mask_then.as_slice(), f.count_then, f.count_else));
+                    rec.op(pc, op, stack, mask, then);
+                }
+            }
             match op {
                 EOp::I(c) => {
                     let mut v = self.iget();
-                    v.fill(c);
-                    stack.push(Slab::I(v));
+                    v[0] = c;
+                    stack.push((Slab::I(v), 0));
                 }
                 EOp::F(c) => {
                     let mut v = self.fget();
-                    v.fill(c);
-                    stack.push(Slab::F(v));
+                    v[0] = c;
+                    stack.push((Slab::F(v), 0));
                 }
                 EOp::B(c) => {
                     let mut v = self.bget();
-                    v.fill(c);
-                    stack.push(Slab::B(v));
+                    v[0] = c;
+                    stack.push((Slab::B(v), 0));
                 }
                 EOp::Scalar(row) => {
                     // Copying every lane's register (not just active ones)
                     // is safe: registers are always initialised and
                     // inactive lanes' values are never consumed. Slot-major
                     // layout makes this one contiguous copy.
-                    stack.push(match row {
+                    let slab = match row {
                         Row::I(r) => {
                             let mut v = self.iget();
                             v.copy_from_slice(&self.iscalars[r as usize * n..][..n]);
@@ -845,55 +871,45 @@ impl<'a> PlanMachine<'a> {
                             v.copy_from_slice(&self.fscalars[r as usize * n..][..n]);
                             Slab::F(v)
                         }
-                    });
+                    };
+                    stack.push((slab, 1));
                 }
                 EOp::WorkItem(f, d) => {
                     let mut v = self.iget();
                     let d = d as usize;
+                    let per_lane = matches!(f, WorkItemFn::GlobalId | WorkItemFn::LocalId);
                     match f {
                         WorkItemFn::GlobalId => {
                             let base = self.group_id[d] * self.cfg.local[d];
-                            for (i, slot) in v.iter_mut().enumerate() {
-                                *slot = (base + self.lids[i][d]) as i64;
+                            for (slot, lid) in v.iter_mut().zip(&self.lids) {
+                                *slot = (base + lid[d]) as i64;
                             }
                         }
                         WorkItemFn::LocalId => {
-                            for (i, slot) in v.iter_mut().enumerate() {
-                                *slot = self.lids[i][d] as i64;
+                            for (slot, lid) in v.iter_mut().zip(&self.lids) {
+                                *slot = lid[d] as i64;
                             }
                         }
-                        WorkItemFn::GroupId => v.fill(self.group_id[d] as i64),
-                        WorkItemFn::GlobalSize => v.fill(self.cfg.global[d] as i64),
-                        WorkItemFn::LocalSize => v.fill(self.cfg.local[d] as i64),
-                        WorkItemFn::NumGroups => v.fill(self.cfg.groups()[d] as i64),
+                        WorkItemFn::GroupId => v[0] = self.group_id[d] as i64,
+                        WorkItemFn::GlobalSize => v[0] = self.cfg.global[d] as i64,
+                        WorkItemFn::LocalSize => v[0] = self.cfg.local[d] as i64,
+                        WorkItemFn::NumGroups => v[0] = self.cfg.groups()[d] as i64,
                     }
-                    stack.push(Slab::I(v));
+                    stack.push((Slab::I(v), usize::from(per_lane)));
                 }
                 EOp::Bin(op) => {
                     let b = stack.pop().expect("binary operand");
                     let a = stack.pop().expect("binary operand");
                     let (mask, count) = cur_mask!();
                     *ops += count;
-                    if let Some(rec) = &mut self.rec {
-                        if rec.op_site(pc) {
-                            // A divisor is checked itself; a comparison or
-                            // `min`/`max` by its operands' gap.
-                            match op {
-                                BinOp::Div | BinOp::Mod => {
-                                    rec.values(Site::Op(pc), mask, b.ints(), 1)
-                                }
-                                _ => rec.diffs(Site::Op(pc), mask, a.ints(), b.ints(), 1),
-                            }
-                        }
-                    }
-                    let r = self.bin_vec(op, a, b, mask);
+                    let r = self.bin_vec(op, a, b, mask, count);
                     stack.push(r?);
                 }
                 EOp::Un(op) => {
-                    let a = stack.pop().expect("unary operand");
+                    let (a, s) = stack.pop().expect("unary operand");
                     let (_, count) = cur_mask!();
                     *ops += count;
-                    stack.push(un_vec(op, a));
+                    stack.push((un_vec(op, a, width(s)), s));
                 }
                 EOp::Call {
                     fun,
@@ -908,8 +924,8 @@ impl<'a> PlanMachine<'a> {
                     let f = &plan.funs[fun as usize];
                     for (i, _) in mask.iter().enumerate().filter(|(_, &m)| m) {
                         self.args.clear();
-                        for av in &stack[base..] {
-                            self.args.push(av.scalar(i));
+                        for (av, s) in &stack[base..] {
+                            self.args.push(av.scalar(i * s));
                         }
                         match (&mut out, f.call(&self.args)) {
                             (Slab::I(o), Scalar::I32(x)) => o[i] = i64::from(x),
@@ -926,56 +942,57 @@ impl<'a> PlanMachine<'a> {
                             }
                         }
                     }
-                    for v in stack.drain(base..) {
+                    for (v, _) in stack.drain(base..) {
                         self.sput(v);
                     }
-                    stack.push(out);
+                    stack.push((out, 1));
                 }
                 EOp::Skip { argc, ret, cost } => {
                     let (_, count) = cur_mask!();
                     *ops += cost * count;
                     let base = stack.len() - argc as usize;
-                    for v in stack.drain(base..) {
+                    for (v, _) in stack.drain(base..) {
                         self.sput(v);
                     }
                     let out = self.slab(ret);
-                    stack.push(out);
+                    stack.push((out, 0));
                 }
                 EOp::Load(buf) => {
-                    let idx = stack.pop().expect("load index");
+                    let (idx, s) = stack.pop().expect("load index");
                     let (mask, _) = cur_mask!();
-                    if let Some(rec) = &mut self.rec {
-                        if rec.op_site(pc) {
-                            rec.values(Site::Op(pc), mask, idx.ints(), 1);
-                        }
-                    }
-                    let r = self.load_vec(buf, idx.ints(), mask);
+                    let r = self.load_vec(buf, (idx.ints(), s), mask);
                     self.sput(idx);
-                    stack.push(r?);
+                    stack.push((r?, 1));
                 }
                 EOp::Cast(t) => {
-                    let a = stack.pop().expect("cast operand");
-                    let r = self.cast_vec(t, a);
-                    stack.push(r);
+                    let (a, s) = stack.pop().expect("cast operand");
+                    let r = self.cast_vec(t, a, width(s));
+                    stack.push((r, s));
                 }
                 EOp::SelSplit => {
-                    let cond = stack.pop().expect("select condition");
+                    let (cond, s) = stack.pop().expect("select condition");
                     let (mask, count) = cur_mask!();
                     *ops += count;
                     let mut mt = self.bget();
                     let mut me = self.bget();
-                    let (mut ct, mut ce) = (0u64, 0u64);
-                    for (i, &c) in cond.bools().iter().enumerate() {
-                        (mt[i], me[i]) = (mask[i] && c, mask[i] && !c);
-                        ct += u64::from(mt[i]);
-                        ce += u64::from(me[i]);
+                    let lanes = mt.iter_mut().zip(me.iter_mut()).zip(mask);
+                    if s == 0 {
+                        let c = cond.bools()[0];
+                        for ((t, e), &m) in lanes {
+                            (*t, *e) = (m && c, m && !c);
+                        }
+                    } else {
+                        for (((t, e), &m), &c) in lanes.zip(cond.bools()) {
+                            (*t, *e) = (m && c, m && !c);
+                        }
                     }
+                    let ct = mt.iter().filter(|&&b| b).count() as u64;
                     self.sput(cond);
                     frames.push(SelFrame {
                         mask_then: mt,
                         count_then: ct,
                         mask_else: me,
-                        count_else: ce,
+                        count_else: count - ct,
                         in_else: false,
                         saved: None,
                     });
@@ -989,7 +1006,7 @@ impl<'a> PlanMachine<'a> {
                     let f = frames.pop().expect("select frame");
                     let e = stack.pop().expect("else value");
                     let t = f.saved.expect("then value parked");
-                    let merged = self.sel_merge(t, e, &f.mask_then);
+                    let merged = self.sel_merge(t, e, &f.mask_then, f.count_then, f.count_else);
                     stack.push(merged);
                     self.bpool.push(f.mask_then);
                     self.bpool.push(f.mask_else);
@@ -1000,122 +1017,138 @@ impl<'a> PlanMachine<'a> {
     }
 
     /// Merges the two arms of a `?:`: then-lanes win where `mask_then` is
-    /// set.
-    fn sel_merge(&mut self, t: Slab, e: Slab, mask_then: &[bool]) -> Slab {
-        match (t, e) {
-            (Slab::I(tv), Slab::I(mut ev)) => {
-                merge_lanes(&mut ev, &tv, mask_then);
-                self.ipool.push(tv);
-                Slab::I(ev)
+    /// set. An arm with no active lane leaves the other's operand as it
+    /// is; otherwise a lane-invariant arm is broadcast as the lanes merge.
+    fn sel_merge(
+        &mut self,
+        (t, st): Operand,
+        (e, se): Operand,
+        mask_then: &[bool],
+        count_then: u64,
+        count_else: u64,
+    ) -> Operand {
+        if count_else == 0 {
+            self.sput(e);
+            return (t, st);
+        }
+        if count_then == 0 {
+            self.sput(t);
+            return (e, se);
+        }
+        let (merged, spare) = match (t, e) {
+            (Slab::I(tv), Slab::I(ev)) => {
+                let (m, spare) = merge_lanes((tv, st), (ev, se), mask_then);
+                (Slab::I(m), Slab::I(spare))
             }
-            (Slab::F(tv), Slab::F(mut ev)) => {
-                merge_lanes(&mut ev, &tv, mask_then);
-                self.fpool.push(tv);
-                Slab::F(ev)
+            (Slab::F(tv), Slab::F(ev)) => {
+                let (m, spare) = merge_lanes((tv, st), (ev, se), mask_then);
+                (Slab::F(m), Slab::F(spare))
             }
-            (Slab::B(tv), Slab::B(mut ev)) => {
-                merge_lanes(&mut ev, &tv, mask_then);
-                self.bpool.push(tv);
-                Slab::B(ev)
+            (Slab::B(tv), Slab::B(ev)) => {
+                let (m, spare) = merge_lanes((tv, st), (ev, se), mask_then);
+                (Slab::B(m), Slab::B(spare))
             }
             _ => unreachable!("plan typing gives both `?:` arms one type"),
-        }
+        };
+        self.sput(spare);
+        (merged, 1)
     }
 
-    /// One binary op across the lanes. Infallible cases run unmasked
-    /// (inactive lanes compute garbage nobody reads); integer division
-    /// checks per active lane and faults, like the tree interpreter, only
-    /// on a lane that divides by zero.
-    fn bin_vec(&mut self, op: BinOp, a: Slab, b: Slab, mask: &[bool]) -> Result<Slab, SimError> {
+    /// One binary op across the lanes, at the operands' strides.
+    /// Infallible cases run unmasked (inactive lanes compute garbage nobody
+    /// reads); integer division checks per active lane (`count` of them
+    /// in `mask`) and faults, like the tree interpreter, only on a lane
+    /// that divides by zero.
+    fn bin_vec(
+        &mut self,
+        op: BinOp,
+        (a, sa): Operand,
+        (b, sb): Operand,
+        mask: &[bool],
+        count: u64,
+    ) -> Result<Operand, SimError> {
         use BinOp::*;
         Ok(match (op, a, b) {
             (Lt | Le | Gt | Ge | Eq | Ne, Slab::I(x), Slab::I(y)) => {
-                let out = self.compare(op, &x, &y);
+                let out = self.compare(op, (&x, sa), (&y, sb));
                 self.ipool.push(x);
                 self.ipool.push(y);
                 out
             }
             (Lt | Le | Gt | Ge | Eq | Ne, Slab::F(x), Slab::F(y)) => {
-                let out = self.compare(op, &x, &y);
+                let out = self.compare(op, (&x, sa), (&y, sb));
                 self.fpool.push(x);
                 self.fpool.push(y);
                 out
             }
-            (_, Slab::I(mut x), Slab::I(y)) => {
-                match op {
-                    Add => zip_lanes(&mut x, &y, i64::wrapping_add),
-                    Sub => zip_lanes(&mut x, &y, i64::wrapping_sub),
-                    Mul => zip_lanes(&mut x, &y, i64::wrapping_mul),
-                    Min => zip_lanes(&mut x, &y, i64::min),
-                    Max => zip_lanes(&mut x, &y, i64::max),
-                    Div | Mod => {
-                        for ((v, &d), _) in x.iter_mut().zip(&y).zip(mask).filter(|(_, &m)| m) {
-                            if d == 0 {
-                                return Err(SimError::DivisionByZero);
-                            }
-                            // C's truncating division and remainder.
-                            *v = if op == Div {
-                                v.wrapping_div(d)
-                            } else {
-                                v.wrapping_rem(d)
-                            };
-                        }
-                    }
+            (_, Slab::I(x), Slab::I(y)) => {
+                let (x, y) = ((x, sa), (y, sb));
+                let (out, stride, spare) = match op {
+                    Add => zip_lanes(x, y, i64::wrapping_add),
+                    Sub => zip_lanes(x, y, i64::wrapping_sub),
+                    Mul => zip_lanes(x, y, i64::wrapping_mul),
+                    Min => zip_lanes(x, y, i64::min),
+                    Max => zip_lanes(x, y, i64::max),
+                    Div | Mod => divide(op == Mod, x, y, mask, count)?,
                     _ => unreachable!("plan typing admits no int {op:?}"),
-                }
-                self.ipool.push(y);
-                Slab::I(x)
+                };
+                self.ipool.push(spare);
+                (Slab::I(out), stride)
             }
-            (_, Slab::F(mut x), Slab::F(y)) => {
-                match op {
-                    Add => zip_lanes(&mut x, &y, |a, b| a + b),
-                    Sub => zip_lanes(&mut x, &y, |a, b| a - b),
-                    Mul => zip_lanes(&mut x, &y, |a, b| a * b),
-                    Div => zip_lanes(&mut x, &y, |a, b| a / b),
-                    Min => zip_lanes(&mut x, &y, f32::min),
-                    Max => zip_lanes(&mut x, &y, f32::max),
+            (_, Slab::F(x), Slab::F(y)) => {
+                let (x, y) = ((x, sa), (y, sb));
+                let (out, stride, spare) = match op {
+                    Add => zip_lanes(x, y, |a, b| a + b),
+                    Sub => zip_lanes(x, y, |a, b| a - b),
+                    Mul => zip_lanes(x, y, |a, b| a * b),
+                    Div => zip_lanes(x, y, |a, b| a / b),
+                    Min => zip_lanes(x, y, f32::min),
+                    Max => zip_lanes(x, y, f32::max),
                     _ => unreachable!("plan typing admits no float {op:?}"),
-                }
-                self.fpool.push(y);
-                Slab::F(x)
+                };
+                self.fpool.push(spare);
+                (Slab::F(out), stride)
             }
-            (And, Slab::B(mut x), Slab::B(y)) => {
-                zip_lanes(&mut x, &y, |a, b| a && b);
-                self.bpool.push(y);
-                Slab::B(x)
-            }
-            (Or, Slab::B(mut x), Slab::B(y)) => {
-                zip_lanes(&mut x, &y, |a, b| a || b);
-                self.bpool.push(y);
-                Slab::B(x)
+            (And | Or, Slab::B(x), Slab::B(y)) => {
+                let (x, y) = ((x, sa), (y, sb));
+                let (out, stride, spare) = if op == And {
+                    zip_lanes(x, y, |a, b| a && b)
+                } else {
+                    zip_lanes(x, y, |a, b| a || b)
+                };
+                self.bpool.push(spare);
+                (Slab::B(out), stride)
             }
             _ => unreachable!("plan typing admits no {op:?} on these operands"),
         })
     }
 
     /// A comparison across the lanes, into a pooled `bool` slab.
-    fn compare<T: PartialOrd>(&mut self, op: BinOp, x: &[T], y: &[T]) -> Slab {
+    fn compare<T: PartialOrd + Copy>(
+        &mut self,
+        op: BinOp,
+        x: (&[T], usize),
+        y: (&[T], usize),
+    ) -> Operand {
         let mut out = self.bget();
-        for (o, (a, b)) in out.iter_mut().zip(x.iter().zip(y)) {
-            *o = match op {
-                BinOp::Lt => a < b,
-                BinOp::Le => a <= b,
-                BinOp::Gt => a > b,
-                BinOp::Ge => a >= b,
-                BinOp::Eq => a == b,
-                _ => a != b,
-            };
-        }
-        Slab::B(out)
+        let stride = match op {
+            BinOp::Lt => map_lanes(&mut out, x, y, |a, b| a < b),
+            BinOp::Le => map_lanes(&mut out, x, y, |a, b| a <= b),
+            BinOp::Gt => map_lanes(&mut out, x, y, |a, b| a > b),
+            BinOp::Ge => map_lanes(&mut out, x, y, |a, b| a >= b),
+            BinOp::Eq => map_lanes(&mut out, x, y, |a, b| a == b),
+            _ => map_lanes(&mut out, x, y, |a, b| a != b),
+        };
+        (Slab::B(out), stride)
     }
 
-    /// `(float)` of an int and `(int)` of a float convert; plan typing
-    /// makes every other cast the identity.
-    fn cast_vec(&mut self, t: CType, a: Slab) -> Slab {
+    /// `(float)` of an int and `(int)` of a float convert the first `len`
+    /// elements; plan typing makes every other cast the identity.
+    fn cast_vec(&mut self, t: CType, a: Slab, len: usize) -> Slab {
         match (t, a) {
             (CType::Float, Slab::I(v)) => {
                 let mut out = self.fget();
-                for (o, &x) in out.iter_mut().zip(&v) {
+                for (o, &x) in out[..len].iter_mut().zip(&v) {
                     *o = x as f32;
                 }
                 self.ipool.push(v);
@@ -1123,7 +1156,7 @@ impl<'a> PlanMachine<'a> {
             }
             (CType::Int, Slab::F(v)) => {
                 let mut out = self.iget();
-                for (o, &x) in out.iter_mut().zip(&v) {
+                for (o, &x) in out[..len].iter_mut().zip(&v) {
                     *o = x as i64;
                 }
                 self.fpool.push(v);
@@ -1145,7 +1178,12 @@ impl<'a> PlanMachine<'a> {
     /// buffers, the element type) is dispatched once per op; the per-lane
     /// loop does only the bounds check, pending-access bookkeeping and
     /// element read — in the same per-lane order as the tree interpreter.
-    fn load_vec(&mut self, buf: BufSlot, idx: &[i64], mask: &[bool]) -> Result<Slab, SimError> {
+    fn load_vec(
+        &mut self,
+        buf: BufSlot,
+        (idx, stride): (&[i64], usize),
+        mask: &[bool],
+    ) -> Result<Slab, SimError> {
         let n = self.n_items;
         match buf {
             BufSlot::Global { slot, name } => {
@@ -1156,7 +1194,7 @@ impl<'a> PlanMachine<'a> {
                 let (out, r) = match &self.global[slot] {
                     BufferData::F32(d) => {
                         let mut out = self.fpool.pop().unwrap_or_else(|| vec![0.0; n]);
-                        let r = for_each_index(mask, idx, 1, len, |i, x| {
+                        let r = for_each_index(mask, idx, stride, len, |i, x| {
                             pend[i].push(base + x as u64 * 4);
                             out[i] = d[x];
                         });
@@ -1164,7 +1202,7 @@ impl<'a> PlanMachine<'a> {
                     }
                     BufferData::I32(d) => {
                         let mut out = self.ipool.pop().unwrap_or_else(|| vec![0; n]);
-                        let r = for_each_index(mask, idx, 1, len, |i, x| {
+                        let r = for_each_index(mask, idx, stride, len, |i, x| {
                             pend[i].push(base + x as u64 * 4);
                             out[i] = i64::from(d[x]);
                         });
@@ -1180,18 +1218,18 @@ impl<'a> PlanMachine<'a> {
                 let (off, len) = (off as usize, len as usize);
                 let data = &self.locals[off..off + len];
                 let mut out = self.fpool.pop().unwrap_or_else(|| vec![0.0; n]);
-                let count = for_each_index(mask, idx, 1, len, |i, x| out[i] = data[x])
+                let count = for_each_index(mask, idx, stride, len, |i, x| out[i] = data[x])
                     .map_err(|index| self.oob(name, index, len))?;
                 self.stats.local_accesses += count;
                 Ok(Slab::F(out))
             }
             BufSlot::Priv { off, len, name } => {
                 let (off, len) = (off as usize, len as usize);
-                let stride = self.plan.priv_total;
+                let block = self.plan.priv_total;
                 let privs = &self.privs;
                 let mut out = self.fpool.pop().unwrap_or_else(|| vec![0.0; n]);
-                for_each_index(mask, idx, 1, len, |i, x| {
-                    out[i] = privs[i * stride + off + x];
+                for_each_index(mask, idx, stride, len, |i, x| {
+                    out[i] = privs[i * block + off + x];
                 })
                 .map_err(|index| self.oob(name, index, len))?;
                 Ok(Slab::F(out))
@@ -1209,8 +1247,8 @@ impl<'a> PlanMachine<'a> {
             return;
         }
         if let Some(rec) = &mut self.rec {
-            rec.addresses(pc, false, mask, &self.pend_loads);
-            rec.addresses(pc, true, mask, &self.pend_stores);
+            rec.addresses(pc, false, mask);
+            rec.addresses(pc, true, mask);
         }
         let warp = self.warp.max(1);
         let n = self.n_items;
@@ -1297,38 +1335,178 @@ fn write_lanes<T: Copy>(regs: &mut [T], mask: &[bool], src: &[T], stride: usize)
     count
 }
 
-/// `x[i] = f(x[i], y[i])` for every lane.
-fn zip_lanes<T: Copy>(x: &mut [T], y: &[T], f: impl Fn(T, T) -> T) {
-    for (a, &b) in x.iter_mut().zip(y) {
-        *a = f(*a, b);
-    }
-}
-
-/// `dst[i] = src[i]` for every lane `i` set in `mask`.
-fn merge_lanes<T: Copy>(dst: &mut [T], src: &[T], mask: &[bool]) {
-    for ((d, &s), &m) in dst.iter_mut().zip(src).zip(mask) {
-        if m {
-            *d = s;
+/// `f(x, y)` lane by lane, at the operands' strides, into whichever slab
+/// is per-lane, or into lane 0 alone when both are lane-invariant. Returns
+/// the result, its stride and the spare slab.
+fn zip_lanes<T: Copy>(
+    (mut x, sx): (Vec<T>, usize),
+    (mut y, sy): (Vec<T>, usize),
+    f: impl Fn(T, T) -> T,
+) -> (Vec<T>, usize, Vec<T>) {
+    match (sx, sy) {
+        (0, 0) => {
+            x[0] = f(x[0], y[0]);
+            (x, 0, y)
+        }
+        (_, 0) => {
+            let c = y[0];
+            x.iter_mut().for_each(|a| *a = f(*a, c));
+            (x, 1, y)
+        }
+        (0, _) => {
+            let c = x[0];
+            y.iter_mut().for_each(|b| *b = f(c, *b));
+            (y, 1, x)
+        }
+        _ => {
+            for (a, &b) in x.iter_mut().zip(&y) {
+                *a = f(*a, b);
+            }
+            (x, 1, y)
         }
     }
 }
 
-/// One unary op across every lane (infallible, so unmasked). Wrapping
-/// negation keeps the loop panic-free on garbage lanes; active lanes
-/// behave as in the tree interpreter (two's-complement wrap at
+/// `out[i] = f(x[i * sx], y[i * sy])` for every lane, or for lane 0 alone
+/// when both operands are lane-invariant; returns the result's stride.
+fn map_lanes<T: Copy, O>(
+    out: &mut [O],
+    (x, sx): (&[T], usize),
+    (y, sy): (&[T], usize),
+    f: impl Fn(T, T) -> O,
+) -> usize {
+    match (sx, sy) {
+        (0, 0) => {
+            out[0] = f(x[0], y[0]);
+            return 0;
+        }
+        (_, 0) => {
+            let c = y[0];
+            for (o, &a) in out.iter_mut().zip(x) {
+                *o = f(a, c);
+            }
+        }
+        (0, _) => {
+            let c = x[0];
+            for (o, &b) in out.iter_mut().zip(y) {
+                *o = f(c, b);
+            }
+        }
+        _ => {
+            for (o, (&a, &b)) in out.iter_mut().zip(x.iter().zip(y)) {
+                *o = f(a, b);
+            }
+        }
+    }
+    1
+}
+
+/// C's truncating `x / y` (or `x % y` when `rem`) over the active lanes of
+/// `mask` (`count` of them), at the operands' strides, as
+/// [`zip_lanes`]: faults on an active lane that divides by zero.
+fn divide(
+    rem: bool,
+    (mut x, sx): (Vec<i64>, usize),
+    (mut y, sy): (Vec<i64>, usize),
+    mask: &[bool],
+    count: u64,
+) -> Result<(Vec<i64>, usize, Vec<i64>), SimError> {
+    let f = |v: i64, d: i64| match d {
+        0 => Err(SimError::DivisionByZero),
+        _ if rem => Ok(v.wrapping_rem(d)),
+        _ => Ok(v.wrapping_div(d)),
+    };
+    match (sx, sy) {
+        (0, 0) => {
+            if count > 0 {
+                x[0] = f(x[0], y[0])?;
+            }
+            Ok((x, 0, y))
+        }
+        (_, 0) => {
+            let d = y[0];
+            for (v, _) in x.iter_mut().zip(mask).filter(|(_, &m)| m) {
+                *v = f(*v, d)?;
+            }
+            Ok((x, 1, y))
+        }
+        (0, _) => {
+            let c = x[0];
+            for (d, _) in y.iter_mut().zip(mask).filter(|(_, &m)| m) {
+                *d = f(c, *d)?;
+            }
+            Ok((y, 1, x))
+        }
+        _ => {
+            for ((v, &d), _) in x.iter_mut().zip(&y).zip(mask).filter(|(_, &m)| m) {
+                *v = f(*v, d)?;
+            }
+            Ok((x, 1, y))
+        }
+    }
+}
+
+/// The lanes of a `?:` whose arms both have active lanes, into a per-lane
+/// slab: `then`'s where `mask_then` is set, `els`'s elsewhere, each read
+/// at its stride. Returns the merged slab and the spare one.
+fn merge_lanes<T: Copy>(
+    (mut then, st): (Vec<T>, usize),
+    (mut els, se): (Vec<T>, usize),
+    mask_then: &[bool],
+) -> (Vec<T>, Vec<T>) {
+    match (st, se) {
+        (1, 1) => {
+            for ((d, &s), &m) in els.iter_mut().zip(&then).zip(mask_then) {
+                if m {
+                    *d = s;
+                }
+            }
+            (els, then)
+        }
+        (0, 1) => {
+            let c = then[0];
+            for (d, &m) in els.iter_mut().zip(mask_then) {
+                if m {
+                    *d = c;
+                }
+            }
+            (els, then)
+        }
+        (1, 0) => {
+            let c = els[0];
+            for (d, &m) in then.iter_mut().zip(mask_then) {
+                if !m {
+                    *d = c;
+                }
+            }
+            (then, els)
+        }
+        _ => {
+            let (a, b) = (then[0], els[0]);
+            for (d, &m) in els.iter_mut().zip(mask_then) {
+                *d = if m { a } else { b };
+            }
+            (els, then)
+        }
+    }
+}
+
+/// One unary op across the first `len` lanes (infallible, so unmasked).
+/// Wrapping negation keeps the loop panic-free on garbage lanes; active
+/// lanes behave as in the tree interpreter (two's-complement wrap at
 /// `i64::MIN` aside).
-fn un_vec(op: UnOp, a: Slab) -> Slab {
+fn un_vec(op: UnOp, a: Slab, len: usize) -> Slab {
     match (op, a) {
         (UnOp::Neg, Slab::I(mut v)) => {
-            v.iter_mut().for_each(|x| *x = x.wrapping_neg());
+            v[..len].iter_mut().for_each(|x| *x = x.wrapping_neg());
             Slab::I(v)
         }
         (UnOp::Neg, Slab::F(mut v)) => {
-            v.iter_mut().for_each(|x| *x = -*x);
+            v[..len].iter_mut().for_each(|x| *x = -*x);
             Slab::F(v)
         }
         (UnOp::Not, Slab::B(mut v)) => {
-            v.iter_mut().for_each(|x| *x = !*x);
+            v[..len].iter_mut().for_each(|x| *x = !*x);
             Slab::B(v)
         }
         _ => unreachable!("plan typing admits no {op:?} on this operand"),

@@ -454,8 +454,8 @@ impl PlannedKernel {
 
     /// Predicts the kernel's [`crate::KernelStats`] for one launch
     /// configuration on one device without its input data: a
-    /// data-dependence check, then a zero-data run of one representative
-    /// work-group per class, each group at most once (see [`crate::cost`]).
+    /// data-dependence check, then a zero-data run of one work-group per
+    /// box of groups that take the same path (see [`crate::cost`]).
     /// The check runs once per kernel, on the first estimate, and a
     /// refusal is kept with it. Estimates are memoised per (launch, warp
     /// width), so tuners probing thousands of launches over a handful of

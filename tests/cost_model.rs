@@ -709,6 +709,153 @@ fn class_estimates_match_runs_on_adversarial_launches() {
             expect: Expect::Classes,
             calls: Some(true),
         },
+        Row {
+            // out[lid] = A[max(get_group_id(1) - get_group_id(0), 0) * 16 +
+            // get_local_id(0) + 64]: group (0, 0) sits on the tie of a
+            // `max` whose gap shrinks along x, so beyond it every group
+            // picks the second operand, which does not move.
+            name: "a tie that picks the second operand beyond it",
+            a_len: 208,
+            out_len: 32,
+            locals: vec![],
+            body: vec![store(
+                &out,
+                CExpr::WorkItem(WorkItemFn::LocalId, 0),
+                load(
+                    &a,
+                    bin(
+                        BinOp::Add,
+                        bin(
+                            BinOp::Mul,
+                            bin(
+                                BinOp::Max,
+                                bin(BinOp::Sub, group_id(1), group_id(0)),
+                                CExpr::Int(0),
+                            ),
+                            CExpr::Int(16),
+                        ),
+                        bin(
+                            BinOp::Add,
+                            CExpr::WorkItem(WorkItemFn::LocalId, 0),
+                            CExpr::Int(64),
+                        ),
+                    ),
+                ),
+            )],
+            launch: LaunchConfig::d2(256, 32, 32, 4),
+            expect: Expect::Classes,
+            calls: None,
+        },
+        Row {
+            // if (get_local_id(0) % 2 == 1) out[gid] = A[3 * gid]; over
+            // 40-lane groups: every warp is partly active, and the groups'
+            // alignment cycles through four residues.
+            name: "odd lanes read a stride-3 element",
+            a_len: 3 * 1280,
+            out_len: 1280,
+            locals: vec![],
+            body: vec![CStmt::If {
+                cond: bin(
+                    BinOp::Eq,
+                    bin(
+                        BinOp::Mod,
+                        CExpr::WorkItem(WorkItemFn::LocalId, 0),
+                        CExpr::Int(2),
+                    ),
+                    CExpr::Int(1),
+                ),
+                then_: vec![copy(bin(BinOp::Mul, CExpr::Int(3), id()))],
+                else_: vec![],
+            }],
+            launch: LaunchConfig::d1(1280, 40),
+            expect: Expect::Classes,
+            calls: None,
+        },
+        Row {
+            // out[gx + 64 * gy] = A[(get_local_id(0) < 4 ? 2 * gx : gx) +
+            // 64 * gy]: lanes of one group move apart along x, and all
+            // together along y.
+            name: "a select whose arms slope apart in x",
+            a_len: 64 * 17,
+            out_len: 64 * 16,
+            locals: vec![],
+            body: {
+                let gx = || CExpr::WorkItem(WorkItemFn::GlobalId, 0);
+                let row = || {
+                    bin(
+                        BinOp::Mul,
+                        CExpr::Int(64),
+                        CExpr::WorkItem(WorkItemFn::GlobalId, 1),
+                    )
+                };
+                let picked = CExpr::Select {
+                    cond: Box::new(bin(
+                        BinOp::Lt,
+                        CExpr::WorkItem(WorkItemFn::LocalId, 0),
+                        CExpr::Int(4),
+                    )),
+                    then_: Box::new(bin(BinOp::Mul, CExpr::Int(2), gx())),
+                    else_: Box::new(gx()),
+                };
+                vec![store(
+                    &out,
+                    bin(BinOp::Add, gx(), row()),
+                    load(&a, bin(BinOp::Add, picked, row())),
+                )]
+            },
+            launch: LaunchConfig::d2(64, 16, 8, 4),
+            expect: Expect::Classes,
+            calls: None,
+        },
+        Row {
+            // out[gid] = (float)(0 * gid + gid * gid); — a stored value
+            // that is not affine in the group, built from one that is.
+            name: "a stored value that adds an opaque term",
+            a_len: 256,
+            out_len: 256,
+            locals: vec![],
+            body: vec![store(
+                &out,
+                id(),
+                CExpr::Cast(
+                    CType::Float,
+                    Box::new(bin(
+                        BinOp::Add,
+                        bin(BinOp::Mul, CExpr::Int(0), id()),
+                        bin(BinOp::Mul, id(), id()),
+                    )),
+                ),
+            )],
+            launch: d1(256),
+            expect: Expect::Classes,
+            calls: None,
+        },
+        Row {
+            // if (get_group_id(0) < 3) x = gid; else x = 2 * gid;
+            // out[gid] = A[x]; — one register, written in either arm.
+            name: "a register set in both arms of a group branch",
+            a_len: 512,
+            out_len: 256,
+            locals: vec![],
+            body: vec![
+                decl_int(&x, CExpr::Int(0)),
+                CStmt::If {
+                    cond: bin(BinOp::Lt, group_id(0), CExpr::Int(3)),
+                    then_: vec![CStmt::Assign {
+                        var: x.clone(),
+                        value: id(),
+                    }],
+                    else_: vec![CStmt::Assign {
+                        var: x.clone(),
+                        value: bin(BinOp::Mul, CExpr::Int(2), id()),
+                    }],
+                },
+                copy(CExpr::Var(x.clone())),
+            ],
+            launch: d1(256),
+            expect: Expect::Classes,
+            calls: None,
+        },
     ];
     for row in rows {
         let a = KernelParam {
@@ -992,6 +1139,45 @@ fn class_estimates_run_a_fraction_of_the_groups() {
         }
     }
     assert!(checked >= 20, "only {checked} launches of 256+ groups");
+}
+
+/// One run per box, whatever the grid: on the K20c, the `global` variant
+/// of Jacobi2D5pt with a 16×8 work-group is 9 boxes (corners, edges and
+/// interior) and Heat's with an 8×4×2 work-group 27, at 1×, 2× and 4×
+/// their small sizes. The estimate runs exactly one group per box and
+/// stays exact.
+#[test]
+fn class_estimates_run_one_group_per_box() {
+    let dev = VirtualDevice::new(DeviceProfile::k20c());
+    for (name, launch, boxes) in [
+        ("Jacobi2D5pt", &[("lx", 16), ("ly", 8)][..], 9),
+        ("Heat", &[("lx", 8), ("ly", 4), ("lz", 2)][..], 27),
+    ] {
+        let bench = lift_stencils::by_name(name);
+        for scale in [1, 2, 4] {
+            let sizes: Vec<usize> = bench.small.iter().map(|&n| n * scale).collect();
+            let variants = Pipeline::from_benchmark(&bench, &sizes)
+                .expect("pipeline")
+                .explore()
+                .expect("explores");
+            let compiled = variants
+                .on(&dev)
+                .with_config("global", launch)
+                .expect("configures");
+            let inputs: Vec<BufferData> = bench
+                .gen_inputs(&sizes, 7)
+                .into_iter()
+                .map(BufferData::F32)
+                .collect();
+            let measured = dev
+                .run(compiled.kernel(), &inputs, compiled.launch())
+                .expect("runs");
+            let est = compiled.estimate().expect("estimates");
+            let label = format!("{name} {sizes:?}");
+            assert_eq!(est.stats, measured.stats, "stats diverge for {label}");
+            assert_eq!(est.groups_run, boxes, "{label}: groups run");
+        }
+    }
 }
 
 /// Every launch of the `lift-harness verify` sweep: each Table-1 benchmark
