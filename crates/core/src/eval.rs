@@ -21,6 +21,7 @@ use crate::expr::{Expr, FunDecl};
 use crate::pattern::{Pattern, ReduceKind};
 use crate::scalar::Scalar;
 use crate::types::Type;
+use crate::userfun::IndexFault;
 
 /// A fully materialised runtime value.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,6 +126,12 @@ impl fmt::Display for EvalError {
 
 impl Error for EvalError {}
 
+impl From<IndexFault> for EvalError {
+    fn from(f: IndexFault) -> Self {
+        EvalError::new(f.to_string())
+    }
+}
+
 fn cst(e: &ArithExpr) -> Result<i64, EvalError> {
     e.eval(&Bindings::new())
         .map_err(|err| EvalError::new(format!("size `{e}` not concrete: {err}")))
@@ -177,7 +184,7 @@ fn apply(f: &FunDecl, args: &[DataValue], env: &mut Env) -> Result<DataValue, Ev
         FunDecl::UserFun(u) => {
             let scalars: Result<Vec<Scalar>, EvalError> =
                 args.iter().map(DataValue::as_scalar).collect();
-            Ok(DataValue::Scalar(u.call(&scalars?)))
+            Ok(DataValue::Scalar(u.call(&scalars?)?))
         }
         FunDecl::Pattern(p) => apply_pattern(p, args, env),
     }
@@ -356,7 +363,7 @@ fn gen_array(
     if idxs.len() == sizes.len() {
         let mut args: Vec<Scalar> = idxs.iter().map(|i| Scalar::I32(*i as i32)).collect();
         args.extend(sizes.iter().map(|s| Scalar::I32(*s as i32)));
-        return Ok(DataValue::Scalar(fun.call(&args)));
+        return Ok(DataValue::Scalar(fun.call(&args)?));
     }
     let n = sizes[idxs.len()];
     let mut out = Vec::with_capacity(n as usize);

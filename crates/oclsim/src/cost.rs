@@ -68,9 +68,9 @@
 //!    value keeps its truth (its sign, its index range, its buffer) at the
 //!    box's corners. Truth sets are intervals and values are affine, so by
 //!    induction over the trace every group in the box takes `r`'s path,
-//!    faults nowhere, and counts `r`'s events (a user function is taken to
-//!    return the type it declares for every argument, as plan typing
-//!    does);
+//!    faults nowhere, and counts `r`'s events (a user function returns the
+//!    type it declares for every argument: [`UserFun::new`] refuses any
+//!    other body);
 //! 4. prices the box from `r`'s run alone. Every member counts `r`'s events
 //!    except its transactions, which depend on where its addresses fall. A
 //!    member's addresses are `r`'s moved by its shifts, so members whose
@@ -154,6 +154,8 @@
 //! The estimate is a pure function of (plan, launch, warp width): no RNG,
 //! no ambient state, bit-identical across thread counts and shards — the
 //! property the tuner's pruning layer relies on (see ARCHITECTURE.md).
+//!
+//! [`UserFun::new`]: lift_core::userfun::UserFun::new
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -211,6 +213,11 @@ pub(crate) struct Estimator {
 }
 
 impl Estimator {
+    /// Whether zero-data runs skip [`Plan::ecode`] op `pc`.
+    pub(crate) fn skips(&self, pc: usize) -> bool {
+        self.skipped.iter().any(|&(at, _)| at as usize == pc)
+    }
+
     /// Estimates the stats of launching `plan`, the plan this analysis is
     /// of, under `cfg` with the given warp width. `params` are the kernel's
     /// global parameters in declaration order (the plan itself only stores
@@ -1385,15 +1392,17 @@ impl<'s> Recorder<'s> {
         }
     }
 
-    /// The tangents of statement operand `er` just evaluated, read at
-    /// `stride`: lane 0's for a lane-invariant one, and 0 where it carries
-    /// none.
-    fn operand(&mut self, er: ExprRef, stride: usize) -> Tans {
+    /// The tangents of statement operand `er` just evaluated: lane 0's
+    /// for a `uniform` one, which ran on lane 0 alone, and 0 where it
+    /// carries none. Any other operand keeps its lanes' tangents even when
+    /// its value is one for every lane (a register whose active lanes
+    /// agree): lanes that agree at this group can still move apart.
+    fn operand(&mut self, er: ExprRef) -> Tans {
         if !self.sites.carry[er.end as usize - 1].out {
             return Tans::All(FLAT);
         }
         let t = self.pop();
-        if stride == 0 {
+        if er.uniform {
             Tans::All(t.lane(0))
         } else {
             t
@@ -1408,23 +1417,23 @@ impl<'s> Recorder<'s> {
         }
     }
 
-    /// `row = value` on the lanes of `mask`, the value read at `stride`.
-    pub(crate) fn set_row(&mut self, row: Row, value: ExprRef, mask: &[bool], stride: usize) {
+    /// `row = value` on the lanes of `mask`.
+    pub(crate) fn set_row(&mut self, row: Row, value: ExprRef, mask: &[bool]) {
         if self.trace.failed {
             return;
         }
-        let t = self.operand(value, stride);
+        let t = self.operand(value);
         if let Some(r) = self.carried_row(row) {
             self.update(r, mask, &t, |_, new| new);
         }
     }
 
-    /// `row += step` on the lanes of `mask`, the step read at `stride`.
-    pub(crate) fn for_step(&mut self, row: Row, step: ExprRef, mask: &[bool], stride: usize) {
+    /// `row += step` on the lanes of `mask`.
+    pub(crate) fn for_step(&mut self, row: Row, step: ExprRef, mask: &[bool]) {
         if self.trace.failed {
             return;
         }
-        let t = self.operand(step, stride);
+        let t = self.operand(step);
         if let Some(r) = self.carried_row(row) {
             self.update(r, mask, &t, add);
         }
@@ -1464,8 +1473,8 @@ impl<'s> Recorder<'s> {
         if self.trace.failed {
             return;
         }
-        self.operand(value, 1);
-        let t = self.operand(idx, lanes.1);
+        self.operand(value);
+        let t = self.operand(idx);
         if self.sites.insts[pc].is_some() {
             self.values(Site::Inst(pc), mask, lanes, &t);
         }
@@ -1490,7 +1499,7 @@ impl<'s> Recorder<'s> {
         if self.trace.failed {
             return;
         }
-        let tb = self.operand(er, bound.1);
+        let tb = self.operand(er);
         if self.sites.insts[pc].is_some() {
             let ta = match self.carried_row(row) {
                 Some(r) => std::mem::replace(&mut self.rows[r], Tans::All(FLAT)),

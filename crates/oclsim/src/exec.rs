@@ -28,6 +28,7 @@ use std::fmt;
 
 use lift_codegen::clike::{BinOp, CType, UnOp, WorkItemFn};
 use lift_core::scalar::Scalar;
+use lift_core::userfun::{Cmp, FloatFn, FloatOp, IndexFault, IntOp, Node, Program, Reg, UserFun};
 
 use crate::cost::Recorder;
 use crate::perf::{KernelStats, SEGMENT_BYTES};
@@ -51,9 +52,10 @@ pub enum SimError {
     /// Launch configuration invalid for this kernel/device.
     BadLaunch(String),
     /// A value of the wrong type: the cause of a [`SimError::PlanCompile`]
-    /// for a kernel that does not type, a user function whose `eval`
-    /// returns another type than it declares, or — in the reference
-    /// interpreter only — an ill-typed operation reached at run time.
+    /// for a kernel that does not type, or — in the reference interpreter
+    /// only — an ill-typed operation reached at run time. No user
+    /// function returns another type than it declares:
+    /// [`UserFun::new`] refuses such a body.
     TypeMismatch(String),
     /// Integer division by zero in generated index math.
     DivisionByZero,
@@ -104,6 +106,18 @@ impl Error for SimError {
         match self {
             SimError::PlanCompile { cause, .. } => Some(cause),
             _ => None,
+        }
+    }
+}
+
+/// A user function's constant-array index out of range faults as an
+/// out-of-bounds access to `fun.array`, in both engines.
+impl From<IndexFault> for SimError {
+    fn from(f: IndexFault) -> Self {
+        SimError::OutOfBounds {
+            buffer: format!("{}.{}", f.fun, f.array),
+            index: i64::from(f.index),
+            len: f.len,
         }
     }
 }
@@ -197,7 +211,7 @@ impl Slab {
         }
     }
 
-    /// Lane `i` as a user-function argument.
+    /// Element `i` as a user-function argument.
     fn scalar(&self, i: usize) -> Scalar {
         match self {
             Slab::I(d) => Scalar::I32(d[i] as i32),
@@ -235,9 +249,23 @@ struct SelFrame {
 /// group count, or an op over only such operands) is one value in lane 0
 /// of its slab, read at stride 0, so an op over two of them computes one
 /// lane and `x op c` reads one slab; a `?:` whose arms both have active
-/// lanes broadcasts an invariant arm as it merges. ALU ops are still
-/// charged per active lane, so every counter stays bit-identical to the
-/// tree interpreter.
+/// lanes broadcasts an invariant arm as it merges. An `int` register read
+/// whose lanes active under the op's mask all hold one value is such an
+/// operand too: a loop counter such as Gaussian's `r` is one value, so
+/// `r / 5` divides once per group. Float registers are always read per
+/// lane, because 0.0 and -0.0 compare equal. ALU ops are still charged per
+/// active lane, so every counter stays bit-identical to the tree
+/// interpreter.
+///
+/// A user-function call runs the program [`UserFun::new`] typed from the
+/// function's C body, the text the kernel prints, slab-wise: one pass per
+/// node across the lanes, at its operands' strides, into pooled slabs, so
+/// a call on lane-invariant arguments (Gaussian's `gaussWeight(r, 25)`)
+/// computes one value. A `?:` inside the body blends both arms per lane;
+/// nodes are total, and a constant-array index that misses on an active
+/// lane replays the call's lanes through [`UserFun::call`], which takes
+/// only the arms each lane takes. The call charges its `cost` per active
+/// lane once, and its nodes charge nothing.
 ///
 /// [`Machine`]: crate::reference::Machine
 pub(crate) struct PlanMachine<'a> {
@@ -277,8 +305,8 @@ pub(crate) struct PlanMachine<'a> {
     eframes: Vec<SelFrame>,
     /// The one-lane mask uniform expressions evaluate under.
     uni_mask: Vec<bool>,
-    /// User-function argument scratch.
-    args: Vec<Scalar>,
+    /// The node values of the user-function call in flight.
+    call_vals: Vec<Operand>,
     /// Segment scratch for the coalescing flush.
     segs: Vec<u64>,
     /// The expression bytecode this machine runs: the plan's own, or the
@@ -339,7 +367,7 @@ impl<'a> PlanMachine<'a> {
                 m[0] = true;
                 m
             },
-            args: Vec::with_capacity(4),
+            call_vals: Vec::new(),
             segs: Vec::with_capacity(warp.max(1)),
             ecode: &plan.ecode,
             rec: None,
@@ -566,7 +594,7 @@ impl<'a> PlanMachine<'a> {
         let (mut ops, mut hoist_ops) = (0u64, 0u64);
         let (v, stride) = self.operand(value, mask, &mut ops, &mut hoist_ops)?;
         if let Some(rec) = &mut self.rec {
-            rec.set_row(row, value, mask, stride);
+            rec.set_row(row, value, mask);
         }
         let n = self.n_items;
         let count = match (row, &v) {
@@ -701,7 +729,7 @@ impl<'a> PlanMachine<'a> {
         let (mut ops, mut hoist_ops) = (0u64, 0u64);
         let (sv, stride) = self.operand(step, mask, &mut ops, &mut hoist_ops)?;
         if let Some(rec) = &mut self.rec {
-            rec.for_step(row, step, mask, stride);
+            rec.for_step(row, step, mask);
         }
         let rows = self.int_row(row);
         let steps = sv.ints();
@@ -856,23 +884,34 @@ impl<'a> PlanMachine<'a> {
                     stack.push((Slab::B(v), 0));
                 }
                 EOp::Scalar(row) => {
-                    // Copying every lane's register (not just active ones)
-                    // is safe: registers are always initialised and
-                    // inactive lanes' values are never consumed. Slot-major
-                    // layout makes this one contiguous copy.
-                    let slab = match row {
+                    // An int row whose active lanes agree is one value.
+                    // Otherwise every lane's register is copied (not just
+                    // active ones), which is safe: registers are always
+                    // initialised and inactive lanes' values are never
+                    // consumed. Slot-major layout makes this one
+                    // contiguous copy. Float rows are always copied: 0.0
+                    // and -0.0 compare equal.
+                    match row {
                         Row::I(r) => {
                             let mut v = self.iget();
-                            v.copy_from_slice(&self.iscalars[r as usize * n..][..n]);
-                            Slab::I(v)
+                            let regs = &self.iscalars[r as usize * n..][..n];
+                            match agreed(regs, cur_mask!().0) {
+                                Some(x) => {
+                                    v[0] = x;
+                                    stack.push((Slab::I(v), 0));
+                                }
+                                None => {
+                                    v.copy_from_slice(regs);
+                                    stack.push((Slab::I(v), 1));
+                                }
+                            }
                         }
                         Row::F(r) => {
                             let mut v = self.fget();
                             v.copy_from_slice(&self.fscalars[r as usize * n..][..n]);
-                            Slab::F(v)
+                            stack.push((Slab::F(v), 1));
                         }
-                    };
-                    stack.push((slab, 1));
+                    }
                 }
                 EOp::WorkItem(f, d) => {
                     let mut v = self.iget();
@@ -912,40 +951,16 @@ impl<'a> PlanMachine<'a> {
                     stack.push((un_vec(op, a, width(s)), s));
                 }
                 EOp::Call {
-                    fun,
-                    argc,
-                    ret,
-                    cost,
+                    fun, argc, cost, ..
                 } => {
                     let base = stack.len() - argc as usize;
-                    let mut out = self.slab(ret);
                     let (mask, count) = cur_mask!();
                     *ops += cost * count;
-                    let f = &plan.funs[fun as usize];
-                    for (i, _) in mask.iter().enumerate().filter(|(_, &m)| m) {
-                        self.args.clear();
-                        for (av, s) in &stack[base..] {
-                            self.args.push(av.scalar(i * s));
-                        }
-                        match (&mut out, f.call(&self.args)) {
-                            (Slab::I(o), Scalar::I32(x)) => o[i] = i64::from(x),
-                            (Slab::F(o), Scalar::F32(x)) => o[i] = x,
-                            (Slab::B(o), Scalar::Bool(x)) => o[i] = x,
-                            // The typed slab cannot hold another kind.
-                            (_, r) => {
-                                return Err(SimError::TypeMismatch(format!(
-                                    "user function `{}` returned {}, declared {}",
-                                    f.name(),
-                                    r.kind().c_name(),
-                                    ret.c_name()
-                                )))
-                            }
-                        }
-                    }
+                    let r = self.call_vec(&plan.funs[fun as usize], &stack[base..], mask, count);
                     for (v, _) in stack.drain(base..) {
                         self.sput(v);
                     }
-                    stack.push((out, 1));
+                    stack.push(r?);
                 }
                 EOp::Skip { argc, ret, cost } => {
                     let (_, count) = cur_mask!();
@@ -1014,6 +1029,174 @@ impl<'a> PlanMachine<'a> {
             }
         }
         Ok(stack.pop().expect("expression produces a value"))
+    }
+
+    /// A user-function call across the lanes: `f`'s program runs over the
+    /// argument operands `args`, one pass per node, each node reading its
+    /// operands at their strides into a pooled slab, so a node whose
+    /// operands are all lane-invariant computes one value, and a call on
+    /// lane-invariant arguments returns one. Nodes are total, so they run
+    /// unmasked. The one exception is a constant-array index: when one
+    /// misses on an active lane of `mask` (`count` of them), the call
+    /// replays its active lanes in order through [`UserFun::call`], which
+    /// knows the `?:` arms each lane takes, and raises the first fault.
+    fn call_vec(
+        &mut self,
+        f: &UserFun,
+        args: &[Operand],
+        mask: &[bool],
+        count: u64,
+    ) -> Result<Operand, SimError> {
+        let prog = f.program();
+        let mut vals = std::mem::take(&mut self.call_vals);
+        let mut missed = false;
+        for node in prog.nodes() {
+            let v = self.node_vec(prog, node, (args, &vals), (mask, count), &mut missed);
+            vals.push(v);
+        }
+        let out = match prog.reg(prog.result()) {
+            Reg::Node(j) => vals.swap_remove(usize::from(j)),
+            r => {
+                let v = In::new(r, args, &vals);
+                let mut out = self.slab(CType::from_kind(prog.ret()));
+                let stride = match &mut out {
+                    Slab::F(o) => map_lane(o, v.floats(), |x| x),
+                    Slab::I(o) => map_lane(o, v.ints(), |x| x),
+                    Slab::B(o) => map_lane(o, v.bools(), |x| x),
+                };
+                (out, stride)
+            }
+        };
+        for (s, _) in vals.drain(..) {
+            self.sput(s);
+        }
+        self.call_vals = vals;
+        if missed {
+            for (i, _) in mask.iter().enumerate().filter(|(_, &m)| m) {
+                let lane: Vec<Scalar> = args.iter().map(|(a, s)| a.scalar(i * s)).collect();
+                if let Err(e) = f.call(&lane) {
+                    self.sput(out.0);
+                    return Err(e.into());
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// One node of a user function's `prog` across the lanes, over the
+    /// call's arguments `args` and the values `vals` of the nodes before
+    /// it. Sets `missed` when a constant-array index is out of range on a
+    /// lane active in `mask` (`count` of them).
+    fn node_vec(
+        &mut self,
+        prog: &Program,
+        node: &Node,
+        (args, vals): (&[Operand], &[Operand]),
+        (mask, count): (&[bool], u64),
+        missed: &mut bool,
+    ) -> Operand {
+        let get = |r: u16| In::new(prog.reg(r), args, vals);
+        match *node {
+            Node::Float(op, a, b) => {
+                let (a, b) = (get(a), get(b));
+                let mut o = self.fget();
+                let (x, y) = (a.floats(), b.floats());
+                let s = each_op!(op; FloatOp: Add, Sub, Mul, Div, Max;
+                    |F| map_lanes(&mut o, x, y, |p, q| F.apply(p, q)));
+                (Slab::F(o), s)
+            }
+            Node::FloatFn(op, a) => {
+                let a = get(a);
+                let mut o = self.fget();
+                let s = each_op!(op; FloatFn: Neg, Sqrt, Exp;
+                    |F| map_lane(&mut o, a.floats(), |p| F.apply(p)));
+                (Slab::F(o), s)
+            }
+            Node::Int(op, a, b) => {
+                let (a, b) = (get(a), get(b));
+                let mut o = self.iget();
+                let (x, y) = (a.ints(), b.ints());
+                let s = each_op!(op; IntOp: Add, Sub, Mul;
+                    |F| map_lanes(&mut o, x, y, |p, q| i64::from(F.apply(p as i32, q as i32))));
+                (Slab::I(o), s)
+            }
+            Node::IntFn(op, a) => {
+                let a = get(a);
+                let mut o = self.iget();
+                let s = map_lane(&mut o, a.ints(), |p| i64::from(op.apply(p as i32)));
+                (Slab::I(o), s)
+            }
+            Node::FloatCmp(op, a, b) => {
+                let (a, b) = (get(a), get(b));
+                let mut o = self.bget();
+                let (x, y) = (a.floats(), b.floats());
+                let s = each_op!(op; Cmp: Lt, Le, Gt, Ge, Eq, Ne;
+                    |C| map_lanes(&mut o, x, y, |p, q| C.apply(p, q)));
+                (Slab::B(o), s)
+            }
+            Node::IntCmp(op, a, b) => {
+                let (a, b) = (get(a), get(b));
+                let mut o = self.bget();
+                let (x, y) = (a.ints(), b.ints());
+                let s = each_op!(op; Cmp: Lt, Le, Gt, Ge, Eq, Ne;
+                    |C| map_lanes(&mut o, x, y, |p, q| C.apply(p as i32, q as i32)));
+                (Slab::B(o), s)
+            }
+            Node::IntToFloat(a) => {
+                let a = get(a);
+                let mut o = self.fget();
+                let s = map_lane(&mut o, a.ints(), |p| p as i32 as f32);
+                (Slab::F(o), s)
+            }
+            Node::FloatToInt(a) => {
+                let a = get(a);
+                let mut o = self.iget();
+                let s = map_lane(&mut o, a.floats(), |p| i64::from(p as i32));
+                (Slab::I(o), s)
+            }
+            Node::BoolToInt(a) => {
+                let a = get(a);
+                let mut o = self.iget();
+                let s = map_lane(&mut o, a.bools(), i64::from);
+                (Slab::I(o), s)
+            }
+            Node::Select {
+                kind,
+                cond,
+                then,
+                els,
+            } => {
+                let (c, t, e) = (get(cond), get(then), get(els));
+                let mut o = self.slab(CType::from_kind(kind));
+                let s = match &mut o {
+                    Slab::F(o) => select_lanes(o, c.bools(), t.floats(), e.floats()),
+                    Slab::I(o) => select_lanes(o, c.bools(), t.ints(), e.ints()),
+                    Slab::B(o) => select_lanes(o, c.bools(), t.bools(), e.bools()),
+                };
+                (o, s)
+            }
+            Node::Index { table, idx, .. } => {
+                let t = prog.table(table);
+                let idx = get(idx);
+                let (xs, s) = idx.ints();
+                let look = |x: i64| usize::try_from(x as i32).ok().and_then(|u| t.get(u));
+                let mut o = self.fget();
+                if s == 0 {
+                    o[0] = look(xs[0]).copied().unwrap_or_else(|| {
+                        *missed |= count > 0;
+                        0.0
+                    });
+                } else {
+                    for ((v, &x), &m) in o.iter_mut().zip(xs).zip(mask) {
+                        *v = look(x).copied().unwrap_or_else(|| {
+                            *missed |= m;
+                            0.0
+                        });
+                    }
+                }
+                (Slab::F(o), s)
+            }
+        }
     }
 
     /// Merges the two arms of a `?:`: then-lanes win where `mask_then` is
@@ -1300,6 +1483,109 @@ impl<'a> PlanMachine<'a> {
     }
 }
 
+/// The value every active lane of `mask` holds in `regs`, when they all
+/// hold one (any value when no lane is active).
+fn agreed(regs: &[i64], mask: &[bool]) -> Option<i64> {
+    let mut on = regs.iter().zip(mask).filter(|(_, &m)| m).map(|(&x, _)| x);
+    let first = on.next().unwrap_or(0);
+    on.all(|x| x == first).then_some(first)
+}
+
+/// Matches `$op`, a value of the operation enum `$t`, over the listed
+/// variants; each arm evaluates `$body` with `$f` a constant of its
+/// variant, so that the loop the arm runs has its operation inlined
+/// instead of dispatched again for every element.
+macro_rules! each_op {
+    ($op:expr; $t:ident: $($v:ident),+; |$f:ident| $body:expr) => {
+        match $op {
+            $($t::$v => {
+                const $f: $t = $t::$v;
+                $body
+            })+
+        }
+    };
+}
+use each_op;
+
+/// A user-function operand across the lanes: an argument's or an earlier
+/// node's slab at its stride, or a literal as a float and as an int.
+enum In<'v> {
+    Slab(&'v Slab, usize),
+    Lit(f32, i64),
+}
+
+impl<'v> In<'v> {
+    fn new(r: Reg, args: &'v [Operand], vals: &'v [Operand]) -> Self {
+        let slab = |(v, stride): &'v Operand| In::Slab(v, *stride);
+        match r {
+            Reg::Arg(k) => slab(&args[usize::from(k)]),
+            Reg::Node(j) => slab(&vals[usize::from(j)]),
+            Reg::Lit(bits) => In::Lit(f32::from_bits(bits), i64::from(bits as i32)),
+        }
+    }
+
+    fn floats(&self) -> (&[f32], usize) {
+        match self {
+            In::Slab(s, stride) => (s.floats(), *stride),
+            In::Lit(c, _) => (std::slice::from_ref(c), 0),
+        }
+    }
+
+    fn ints(&self) -> (&[i64], usize) {
+        match self {
+            In::Slab(s, stride) => (s.ints(), *stride),
+            In::Lit(_, c) => (std::slice::from_ref(c), 0),
+        }
+    }
+
+    fn bools(&self) -> (&[bool], usize) {
+        match self {
+            In::Slab(s, stride) => (s.bools(), *stride),
+            _ => unreachable!("program typing makes this operand bool"),
+        }
+    }
+}
+
+/// `out[i] = f(x[i * sx])` for every lane, or for lane 0 alone when the
+/// operand is lane-invariant; returns the result's stride.
+fn map_lane<T: Copy, O>(out: &mut [O], (x, sx): (&[T], usize), f: impl Fn(T) -> O) -> usize {
+    if sx == 0 {
+        out[0] = f(x[0]);
+        return 0;
+    }
+    for (o, &a) in out.iter_mut().zip(x) {
+        *o = f(a);
+    }
+    1
+}
+
+/// `out[i] = c ? t : e` at lane `i`, every operand read at its stride, or
+/// the taken arm as it is when the condition is lane-invariant; returns
+/// the result's stride. Each loop reads its operands in step, so that it
+/// vectorizes.
+fn select_lanes<T: Copy>(
+    out: &mut [T],
+    (c, sc): (&[bool], usize),
+    (t, st): (&[T], usize),
+    (e, se): (&[T], usize),
+) -> usize {
+    if sc == 0 {
+        return map_lane(out, if c[0] { (t, st) } else { (e, se) }, |x| x);
+    }
+    let lanes = out.iter_mut().zip(c);
+    match (st, se) {
+        (0, 0) => lanes.for_each(|(o, &c)| *o = if c { t[0] } else { e[0] }),
+        (0, _) => lanes
+            .zip(e)
+            .for_each(|((o, &c), &b)| *o = if c { t[0] } else { b }),
+        (_, 0) => lanes
+            .zip(t)
+            .for_each(|((o, &c), &a)| *o = if c { a } else { e[0] }),
+        _ => (lanes.zip(t).zip(e)).for_each(|(((o, &c), &a), &b)| *o = if c { a } else { b }),
+    }
+    1
+}
+
 /// Visits the active lanes of `mask` in order with each lane's buffer
 /// index, `idx[i * stride]`, checked against `len`: returns the number of
 /// lanes visited, or the first index out of bounds.
@@ -1510,5 +1796,140 @@ fn un_vec(op: UnOp, a: Slab, len: usize) -> Slab {
             Slab::B(v)
         }
         _ => unreachable!("plan typing admits no {op:?} on this operand"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lift_codegen::clike::Kernel;
+    use lift_core::scalar::ScalarKind;
+    use lift_tuner::SplitMix64;
+
+    /// Float arguments worth a special look, beside random bit patterns.
+    const FLOATS: [f32; 12] = [
+        0.0,
+        -0.0,
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        1e-40,
+        -1e-45,
+        f32::MIN_POSITIVE,
+        f32::MAX,
+        1.0,
+        -2.5,
+        0.3,
+    ];
+
+    /// Int arguments worth a special look: `i32` extremes, values past
+    /// them that an `i64` register can hold, and small indices.
+    const INTS: [i64; 8] = [
+        i32::MIN as i64,
+        i32::MAX as i64,
+        (1 << 33) + 7,
+        -(1 << 40) - 3,
+        -1,
+        0,
+        1,
+        24,
+    ];
+
+    fn float(rng: &mut SplitMix64) -> f32 {
+        match rng.gen_range(3) {
+            0 => FLOATS[rng.gen_range(FLOATS.len())],
+            1 => f32::from_bits(rng.next_u64() as u32),
+            _ => (rng.gen_range(2001) as f32 - 1000.0) / 64.0,
+        }
+    }
+
+    fn int(rng: &mut SplitMix64) -> i64 {
+        match rng.gen_range(3) {
+            0 => INTS[rng.gen_range(INTS.len())],
+            1 => rng.next_u64() as i64,
+            _ => rng.gen_range(30) as i64,
+        }
+    }
+
+    /// Equal bits, or both NaN: Rust leaves NaN payloads unspecified, and
+    /// a vectorized loop may order a commutative operation's operands
+    /// differently.
+    fn same(a: Scalar, b: Scalar) -> bool {
+        match (a, b) {
+            (Scalar::F32(x), Scalar::F32(y)) => {
+                x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+            }
+            _ => a == b,
+        }
+    }
+
+    /// For every library user function, evaluating its program across the
+    /// lanes equals [`UserFun::call`] on each active lane bit for bit
+    /// (NaNs aside, see [`same`]), for arguments at strides 0 and 1 under
+    /// random partial masks; a fault is the first active lane's.
+    #[test]
+    fn slab_calls_equal_scalar_calls() {
+        let empty = Kernel {
+            name: "empty".into(),
+            body: vec![],
+            params: vec![],
+            locals: vec![],
+            user_funs: vec![],
+        };
+        let plan = Plan::compile(&empty).expect("compiles");
+        let mut rng = SplitMix64::new(0x5eed);
+        let (mut faults, mut values) = (0, 0);
+        for f in lift_stencils::user_functions() {
+            for _ in 0..200 {
+                let lanes = 1 + rng.gen_range(40);
+                let cfg = LaunchConfig::d1(lanes, lanes);
+                let mut machine = PlanMachine::new(&plan, &mut [], cfg, 32);
+                let mask: Vec<bool> = (0..lanes).map(|_| rng.gen_range(4) > 0).collect();
+                let count = mask.iter().filter(|&&m| m).count() as u64;
+                let args: Vec<Operand> = (f.program().params().iter())
+                    .map(|k| {
+                        let stride = rng.gen_range(2);
+                        let n = if stride == 0 { 1 } else { lanes };
+                        let slab = match k {
+                            ScalarKind::F32 => Slab::F((0..n).map(|_| float(&mut rng)).collect()),
+                            ScalarKind::I32 => Slab::I((0..n).map(|_| int(&mut rng)).collect()),
+                            ScalarKind::Bool => {
+                                Slab::B((0..n).map(|_| rng.gen_range(2) == 0).collect())
+                            }
+                        };
+                        (slab, stride)
+                    })
+                    .collect();
+                let lane_args = |i: usize| -> Vec<Scalar> {
+                    args.iter().map(|(a, s)| a.scalar(i * s)).collect()
+                };
+                let active = (0..lanes).filter(|&i| mask[i]);
+                let want: Result<Vec<(usize, Scalar)>, SimError> =
+                    active.map(|i| Ok((i, f.call(&lane_args(i))?))).collect();
+                let got = machine.call_vec(&f, &args, &mask, count);
+                let label = format!("{} over {lanes} lanes", f.name());
+                match (want, got) {
+                    (Ok(want), Ok((out, stride))) => {
+                        if args.iter().all(|(_, s)| *s == 0) {
+                            assert_eq!(stride, 0, "{label}: invariant arguments");
+                        }
+                        for (i, w) in want {
+                            let g = out.scalar(i * stride);
+                            assert!(same(g, w), "{label}, lane {i}: {g:?} vs {w:?}");
+                            values += 1;
+                        }
+                    }
+                    (Err(w), Err(g)) => {
+                        assert_eq!(g, w, "{label}");
+                        faults += 1;
+                    }
+                    (w, g) => panic!("{label}: scalar {w:?}, slab {:?}", g.map(|o| o.1)),
+                }
+            }
+        }
+        assert!(
+            faults > 10 && values > 10_000,
+            "{faults} faults, {values} values"
+        );
     }
 }

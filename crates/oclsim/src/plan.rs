@@ -102,9 +102,11 @@ pub(crate) enum EOp {
     Bin(BinOp),
     /// Pop one operand, push the result; charges one ALU op per lane.
     Un(UnOp),
-    /// Pop `argc` arguments, call [`Plan::funs`]`[fun]` per lane, push the
-    /// result of the declared return type `ret`; charges `cost` ALU ops per
-    /// lane.
+    /// Pop `argc` arguments, run [`Plan::funs`]`[fun]`'s body over them
+    /// slab-wise (see [`crate::exec`]'s `PlanMachine`), push the result of
+    /// the declared return type `ret`; charges `cost` ALU ops per lane, its
+    /// C body's [`call_cost`]. One opaque op to the cost model and the
+    /// verifier.
     Call {
         fun: u16,
         argc: u8,
@@ -493,6 +495,31 @@ impl PlannedKernel {
             .expect("estimate cache")
             .insert(key, est.clone());
         Ok(est)
+    }
+
+    /// How a zero-data estimate runs the kernel's user-function calls: the
+    /// calls in its plan, and how many of them the estimate skips because
+    /// they compute only buffer data (see [`crate::cost`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`PlannedKernel::estimate`]'s plan compilation and data-dependence
+    /// check.
+    pub fn zero_data_calls(&self) -> Result<(usize, usize), SimError> {
+        let plan = self.plan()?;
+        let params = &self.kernel.params;
+        let estimator = self
+            .estimator
+            .get_or_init(|| crate::cost::analyse(&plan, params))
+            .as_ref()
+            .map_err(Clone::clone)?;
+        let calls = plan.ecode.iter().enumerate();
+        let calls: Vec<usize> = calls
+            .filter(|(_, op)| matches!(op, EOp::Call { .. }))
+            .map(|(pc, _)| pc)
+            .collect();
+        let skipped = calls.iter().filter(|&&pc| estimator.skips(pc)).count();
+        Ok((calls.len(), skipped))
     }
 }
 

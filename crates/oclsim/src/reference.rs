@@ -446,7 +446,14 @@ impl<'a> Machine<'a> {
                     .copied()
                     .unwrap_or_else(|| call_cost(f.c_body()));
                 self.stats.alu_ops += cost;
-                Ok(V::from_scalar(f.call(&vals)))
+                let kinds = f.params().iter().map(|(_, t)| t.as_scalar());
+                if vals.len() != f.arity() || !kinds.zip(&vals).all(|(k, v)| k == Some(v.kind())) {
+                    return Err(SimError::TypeMismatch(format!(
+                        "call of user function `{}` does not match its parameters",
+                        f.name()
+                    )));
+                }
+                Ok(V::from_scalar(f.call(&vals)?))
             }
             CExpr::Load { buf, idx, .. } => {
                 let index = self.eval(idx, grp, item)?.as_i()?;

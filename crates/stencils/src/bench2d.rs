@@ -3,11 +3,11 @@
 //!
 //! Every builder produces the canonical composition of §3.4:
 //! `map2(f, slide2(n, 1, pad2(h, h, clamp, A)))` — optionally zipped with a
-//! second grid — and every golden reference re-uses the *same*
-//! [`lift_core::userfun::UserFun`] closure for the pointwise math,
-//! so the reference differs only in how neighbourhoods are gathered.
+//! second grid — and every golden reference calls the *same*
+//! [`lift_core::userfun::UserFun`] for the pointwise math, so the
+//! reference differs only in how neighbourhoods are gathered.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use lift_core::build::*;
 use lift_core::expr::{Expr, FunDecl};
@@ -15,19 +15,15 @@ use lift_core::ndim::{map2, pad2, slide2, zip_nd};
 use lift_core::pattern::Boundary;
 use lift_core::scalar::Scalar;
 use lift_core::types::Type;
-use lift_core::userfun::{add_f32, mul_f32, UserFun};
+use lift_core::userfun::{add_f32, library, mul_f32, UserFun};
 
-use crate::{Benchmark, Figure};
+use crate::{apply, f32s, Benchmark, Figure};
 
 /// Clamped 2D gather used by all golden references.
 fn g2(input: &[f32], i: i64, j: i64, rows: usize, cols: usize) -> f32 {
     let i = i.clamp(0, rows as i64 - 1) as usize;
     let j = j.clamp(0, cols as i64 - 1) as usize;
     input[i * cols + j]
-}
-
-fn f32s(vals: &[f32]) -> Vec<Scalar> {
-    vals.iter().map(|v| Scalar::F32(*v)).collect()
 }
 
 fn nbh33() -> Type {
@@ -47,9 +43,11 @@ fn single_grid_3x3(rows: usize, cols: usize, f: FunDecl) -> FunDecl {
 
 /// The 5-point Jacobi user function (c, n, s, w, e).
 pub fn jacobi5_uf() -> Arc<UserFun> {
-    UserFun::new(
+    static F: OnceLock<Arc<UserFun>> = OnceLock::new();
+    library(
+        &F,
         "jacobi5",
-        [
+        &[
             ("c", Type::f32()),
             ("n", Type::f32()),
             ("s", Type::f32()),
@@ -58,16 +56,6 @@ pub fn jacobi5_uf() -> Arc<UserFun> {
         ],
         Type::f32(),
         "return 0.2f * (c + n + s + w + e);",
-        |a| {
-            Scalar::F32(
-                0.2f32
-                    * (a[0].as_f32()
-                        + a[1].as_f32()
-                        + a[2].as_f32()
-                        + a[3].as_f32()
-                        + a[4].as_f32()),
-            )
-        },
     )
 }
 
@@ -96,13 +84,16 @@ fn jacobi2d5_reference(inputs: &[Vec<f32>], sizes: &[usize]) -> Vec<f32> {
     for i in 0..rows as i64 {
         for j in 0..cols as i64 {
             out.push(
-                uf.call(&f32s(&[
-                    g2(a, i, j, rows, cols),
-                    g2(a, i - 1, j, rows, cols),
-                    g2(a, i + 1, j, rows, cols),
-                    g2(a, i, j - 1, rows, cols),
-                    g2(a, i, j + 1, rows, cols),
-                ]))
+                apply(
+                    &uf,
+                    &f32s([
+                        g2(a, i, j, rows, cols),
+                        g2(a, i - 1, j, rows, cols),
+                        g2(a, i + 1, j, rows, cols),
+                        g2(a, i, j - 1, rows, cols),
+                        g2(a, i, j + 1, rows, cols),
+                    ]),
+                )
                 .as_f32(),
             );
         }
@@ -148,28 +139,26 @@ fn jacobi2d9_reference(inputs: &[Vec<f32>], sizes: &[usize]) -> Vec<f32> {
 
 /// Binomial 5×5 Gaussian weight generator `w(i) = b[i/5]·b[i%5]/256`.
 pub fn gauss_weight_uf() -> Arc<UserFun> {
-    UserFun::new(
+    static F: OnceLock<Arc<UserFun>> = OnceLock::new();
+    library(
+        &F,
         "gaussWeight",
-        [("i", Type::i32()), ("n", Type::i32())],
+        &[("i", Type::i32()), ("n", Type::i32())],
         Type::f32(),
         "const float b[5] = {1.0f, 4.0f, 6.0f, 4.0f, 1.0f}; \
          return b[i / 5] * b[i % 5] / 256.0f;",
-        |a| {
-            const B: [f32; 5] = [1.0, 4.0, 6.0, 4.0, 1.0];
-            let i = a[0].as_i32() as usize;
-            Scalar::F32(B[i / 5] * B[i % 5] / 256.0)
-        },
     )
 }
 
 /// `acc + w·x` — the fused convolution step.
 pub fn wadd_uf() -> Arc<UserFun> {
-    UserFun::new(
+    static F: OnceLock<Arc<UserFun>> = OnceLock::new();
+    library(
+        &F,
         "wadd",
-        [("acc", Type::f32()), ("w", Type::f32()), ("x", Type::f32())],
+        &[("acc", Type::f32()), ("w", Type::f32()), ("x", Type::f32())],
         Type::f32(),
         "return acc + w * x;",
-        |a| Scalar::F32(a[0].as_f32() + a[1].as_f32() * a[2].as_f32()),
     )
 }
 
@@ -196,15 +185,18 @@ fn gaussian_reference(inputs: &[Vec<f32>], sizes: &[usize]) -> Vec<f32> {
     let a = &inputs[0];
     let wuf = wadd_uf();
     let guf = gauss_weight_uf();
+    // The weights are the same at every element.
+    let weights: Vec<f32> = (0..25)
+        .map(|k| apply(&guf, &[Scalar::I32(k), Scalar::I32(25)]).as_f32())
+        .collect();
     let mut out = Vec::with_capacity(rows * cols);
     for i in 0..rows as i64 {
         for j in 0..cols as i64 {
             let mut acc = 0.0f32;
-            for k in 0..25i32 {
+            for (k, &w) in weights.iter().enumerate() {
                 let (di, dj) = ((k / 5) as i64 - 2, (k % 5) as i64 - 2);
-                let w = guf.call(&[Scalar::I32(k), Scalar::I32(25)]).as_f32();
                 let x = g2(a, i + di, j + dj, rows, cols);
-                acc = wuf.call(&f32s(&[acc, w, x])).as_f32();
+                acc = apply(&wuf, &f32s([acc, w, x])).as_f32();
             }
             out.push(acc);
         }
@@ -218,9 +210,11 @@ fn gaussian_reference(inputs: &[Vec<f32>], sizes: &[usize]) -> Vec<f32> {
 
 /// Gradient magnitude `√((e−w)² + (s−n)²)`.
 pub fn gradient_uf() -> Arc<UserFun> {
-    UserFun::new(
+    static F: OnceLock<Arc<UserFun>> = OnceLock::new();
+    library(
+        &F,
         "gradient",
-        [
+        &[
             ("n", Type::f32()),
             ("s", Type::f32()),
             ("w", Type::f32()),
@@ -228,10 +222,6 @@ pub fn gradient_uf() -> Arc<UserFun> {
         ],
         Type::f32(),
         "return sqrt((e - w) * (e - w) + (s - n) * (s - n));",
-        |a| {
-            let (n, s, w, e) = (a[0].as_f32(), a[1].as_f32(), a[2].as_f32(), a[3].as_f32());
-            Scalar::F32(((e - w) * (e - w) + (s - n) * (s - n)).sqrt())
-        },
     )
 }
 
@@ -259,12 +249,15 @@ fn gradient_reference(inputs: &[Vec<f32>], sizes: &[usize]) -> Vec<f32> {
     for i in 0..rows as i64 {
         for j in 0..cols as i64 {
             out.push(
-                uf.call(&f32s(&[
-                    g2(a, i - 1, j, rows, cols),
-                    g2(a, i + 1, j, rows, cols),
-                    g2(a, i, j - 1, rows, cols),
-                    g2(a, i, j + 1, rows, cols),
-                ]))
+                apply(
+                    &uf,
+                    &f32s([
+                        g2(a, i - 1, j, rows, cols),
+                        g2(a, i + 1, j, rows, cols),
+                        g2(a, i, j - 1, rows, cols),
+                        g2(a, i, j + 1, rows, cols),
+                    ]),
+                )
                 .as_f32(),
             );
         }
@@ -278,9 +271,11 @@ fn gradient_reference(inputs: &[Vec<f32>], sizes: &[usize]) -> Vec<f32> {
 
 /// SHOC's weighted 9-point stencil.
 pub fn stencil9_uf() -> Arc<UserFun> {
-    UserFun::new(
+    static F: OnceLock<Arc<UserFun>> = OnceLock::new();
+    library(
+        &F,
         "stencil9",
-        [
+        &[
             ("c", Type::f32()),
             ("n", Type::f32()),
             ("s", Type::f32()),
@@ -293,14 +288,6 @@ pub fn stencil9_uf() -> Arc<UserFun> {
         ],
         Type::f32(),
         "return 0.25f * c + 0.15f * (n + s + w + e) + 0.05f * (nw + ne + sw + se);",
-        |a| {
-            let v: Vec<f32> = a.iter().map(|s| s.as_f32()).collect();
-            Scalar::F32(
-                0.25f32 * v[0]
-                    + 0.15f32 * (v[1] + v[2] + v[3] + v[4])
-                    + 0.05f32 * (v[5] + v[6] + v[7] + v[8]),
-            )
-        },
     )
 }
 
@@ -333,17 +320,20 @@ fn stencil2d_reference(inputs: &[Vec<f32>], sizes: &[usize]) -> Vec<f32> {
     for i in 0..rows as i64 {
         for j in 0..cols as i64 {
             out.push(
-                uf.call(&f32s(&[
-                    g2(a, i, j, rows, cols),
-                    g2(a, i - 1, j, rows, cols),
-                    g2(a, i + 1, j, rows, cols),
-                    g2(a, i, j - 1, rows, cols),
-                    g2(a, i, j + 1, rows, cols),
-                    g2(a, i - 1, j - 1, rows, cols),
-                    g2(a, i - 1, j + 1, rows, cols),
-                    g2(a, i + 1, j - 1, rows, cols),
-                    g2(a, i + 1, j + 1, rows, cols),
-                ]))
+                apply(
+                    &uf,
+                    &f32s([
+                        g2(a, i, j, rows, cols),
+                        g2(a, i - 1, j, rows, cols),
+                        g2(a, i + 1, j, rows, cols),
+                        g2(a, i, j - 1, rows, cols),
+                        g2(a, i, j + 1, rows, cols),
+                        g2(a, i - 1, j - 1, rows, cols),
+                        g2(a, i - 1, j + 1, rows, cols),
+                        g2(a, i + 1, j - 1, rows, cols),
+                        g2(a, i + 1, j + 1, rows, cols),
+                    ]),
+                )
                 .as_f32(),
             );
         }
@@ -357,9 +347,11 @@ fn stencil2d_reference(inputs: &[Vec<f32>], sizes: &[usize]) -> Vec<f32> {
 
 /// SRAD kernel 1: the diffusion coefficient from local gradients.
 pub fn srad1_uf() -> Arc<UserFun> {
-    UserFun::new(
+    static F: OnceLock<Arc<UserFun>> = OnceLock::new();
+    library(
+        &F,
         "srad1",
-        [
+        &[
             ("c", Type::f32()),
             ("n", Type::f32()),
             ("s", Type::f32()),
@@ -377,25 +369,6 @@ pub fn srad1_uf() -> Arc<UserFun> {
          float d = (qsqr - q0) / (q0 * (1.0f + q0)); \
          float cf = 1.0f / (1.0f + d); \
          return cf < 0.0f ? 0.0f : (cf > 1.0f ? 1.0f : cf);",
-        |a| {
-            let (c, n, s, w, e) = (
-                a[0].as_f32(),
-                a[1].as_f32(),
-                a[2].as_f32(),
-                a[3].as_f32(),
-                a[4].as_f32(),
-            );
-            let (dn, ds, dw, de) = (n - c, s - c, w - c, e - c);
-            let g2 = (dn * dn + ds * ds + dw * dw + de * de) / (c * c);
-            let l = (dn + ds + dw + de) / c;
-            let num = 0.5 * g2 - 0.0625 * (l * l);
-            let den = 1.0 + 0.25 * l;
-            let qsqr = num / (den * den);
-            let q0 = 0.0025f32;
-            let d = (qsqr - q0) / (q0 * (1.0 + q0));
-            let cf = 1.0 / (1.0 + d);
-            Scalar::F32(cf.clamp(0.0, 1.0))
-        },
     )
 }
 
@@ -424,13 +397,16 @@ fn srad1_reference(inputs: &[Vec<f32>], sizes: &[usize]) -> Vec<f32> {
     for i in 0..rows as i64 {
         for j in 0..cols as i64 {
             out.push(
-                uf.call(&f32s(&[
-                    g2(a, i, j, rows, cols),
-                    g2(a, i - 1, j, rows, cols),
-                    g2(a, i + 1, j, rows, cols),
-                    g2(a, i, j - 1, rows, cols),
-                    g2(a, i, j + 1, rows, cols),
-                ]))
+                apply(
+                    &uf,
+                    &f32s([
+                        g2(a, i, j, rows, cols),
+                        g2(a, i - 1, j, rows, cols),
+                        g2(a, i + 1, j, rows, cols),
+                        g2(a, i, j - 1, rows, cols),
+                        g2(a, i, j + 1, rows, cols),
+                    ]),
+                )
                 .as_f32(),
             );
         }
@@ -444,9 +420,11 @@ fn srad1_reference(inputs: &[Vec<f32>], sizes: &[usize]) -> Vec<f32> {
 
 /// SRAD kernel 2: image update from the diffusion coefficients.
 pub fn srad2_uf() -> Arc<UserFun> {
-    UserFun::new(
+    static F: OnceLock<Arc<UserFun>> = OnceLock::new();
+    library(
+        &F,
         "srad2",
-        [
+        &[
             ("jc", Type::f32()),
             ("jn", Type::f32()),
             ("js", Type::f32()),
@@ -460,13 +438,6 @@ pub fn srad2_uf() -> Arc<UserFun> {
         "float dn = jn - jc; float ds = js - jc; float dw = jw - jc; float de = je - jc; \
          float div = cs*ds + cc*dn + ce*de + cc*dw; \
          return jc + 0.125f * div;",
-        |a| {
-            let v: Vec<f32> = a.iter().map(|s| s.as_f32()).collect();
-            let (jc, jn, js, jw, je, cc, cs, ce) = (v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7]);
-            let (dn, ds, dw, de) = (jn - jc, js - jc, jw - jc, je - jc);
-            let div = cs * ds + cc * dn + ce * de + cc * dw;
-            Scalar::F32(jc + 0.125 * div)
-        },
     )
 }
 
@@ -507,16 +478,19 @@ fn srad2_reference(inputs: &[Vec<f32>], sizes: &[usize]) -> Vec<f32> {
     for i in 0..rows as i64 {
         for j in 0..cols as i64 {
             out.push(
-                uf.call(&f32s(&[
-                    g2(jg, i, j, rows, cols),
-                    g2(jg, i - 1, j, rows, cols),
-                    g2(jg, i + 1, j, rows, cols),
-                    g2(jg, i, j - 1, rows, cols),
-                    g2(jg, i, j + 1, rows, cols),
-                    g2(cg, i, j, rows, cols),
-                    g2(cg, i + 1, j, rows, cols),
-                    g2(cg, i, j + 1, rows, cols),
-                ]))
+                apply(
+                    &uf,
+                    &f32s([
+                        g2(jg, i, j, rows, cols),
+                        g2(jg, i - 1, j, rows, cols),
+                        g2(jg, i + 1, j, rows, cols),
+                        g2(jg, i, j - 1, rows, cols),
+                        g2(jg, i, j + 1, rows, cols),
+                        g2(cg, i, j, rows, cols),
+                        g2(cg, i + 1, j, rows, cols),
+                        g2(cg, i, j + 1, rows, cols),
+                    ]),
+                )
                 .as_f32(),
             );
         }
@@ -530,9 +504,11 @@ fn srad2_reference(inputs: &[Vec<f32>], sizes: &[usize]) -> Vec<f32> {
 
 /// Rodinia Hotspot's per-cell temperature update.
 pub fn hotspot2d_uf() -> Arc<UserFun> {
-    UserFun::new(
+    static F: OnceLock<Arc<UserFun>> = OnceLock::new();
+    library(
+        &F,
         "hotspot",
-        [
+        &[
             ("p", Type::f32()),
             ("c", Type::f32()),
             ("n", Type::f32()),
@@ -544,13 +520,6 @@ pub fn hotspot2d_uf() -> Arc<UserFun> {
         "float delta = 0.001f * (p + 0.1f*(n + s - 2.0f*c) + 0.1f*(w + e - 2.0f*c) \
          + 0.05f*(80.0f - c)); \
          return c + delta;",
-        |a| {
-            let v: Vec<f32> = a.iter().map(|s| s.as_f32()).collect();
-            let (p, c, n, s, w, e) = (v[0], v[1], v[2], v[3], v[4], v[5]);
-            let delta = 0.001f32
-                * (p + 0.1 * (n + s - 2.0 * c) + 0.1 * (w + e - 2.0 * c) + 0.05 * (80.0 - c));
-            Scalar::F32(c + delta)
-        },
     )
 }
 
@@ -594,14 +563,17 @@ fn hotspot2d_reference(inputs: &[Vec<f32>], sizes: &[usize]) -> Vec<f32> {
     for i in 0..rows as i64 {
         for j in 0..cols as i64 {
             out.push(
-                uf.call(&f32s(&[
-                    pg[i as usize * cols + j as usize],
-                    g2(tg, i, j, rows, cols),
-                    g2(tg, i - 1, j, rows, cols),
-                    g2(tg, i + 1, j, rows, cols),
-                    g2(tg, i, j - 1, rows, cols),
-                    g2(tg, i, j + 1, rows, cols),
-                ]))
+                apply(
+                    &uf,
+                    &f32s([
+                        pg[i as usize * cols + j as usize],
+                        g2(tg, i, j, rows, cols),
+                        g2(tg, i - 1, j, rows, cols),
+                        g2(tg, i + 1, j, rows, cols),
+                        g2(tg, i, j - 1, rows, cols),
+                        g2(tg, i, j + 1, rows, cols),
+                    ]),
+                )
                 .as_f32(),
             );
         }

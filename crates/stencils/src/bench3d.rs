@@ -2,7 +2,7 @@
 //! (§3.5 of the paper), Jacobi3D 7pt/13pt, Poisson 19pt and Heat 7pt
 //! (Rawat et al.).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use lift_core::build::*;
 use lift_core::expr::{Expr, FunDecl};
@@ -10,9 +10,9 @@ use lift_core::ndim::{map3, pad3, pad3_value, slide3, zip_nd};
 use lift_core::pattern::Boundary;
 use lift_core::scalar::Scalar;
 use lift_core::types::Type;
-use lift_core::userfun::{add_f32, UserFun};
+use lift_core::userfun::{add_f32, library, UserFun};
 
-use crate::{Benchmark, Figure};
+use crate::{apply, f32s, Benchmark, Figure};
 
 /// Clamped 3D gather (z outermost).
 fn g3(input: &[f32], z: i64, y: i64, x: i64, nz: usize, ny: usize, nx: usize) -> f32 {
@@ -29,10 +29,6 @@ fn g3z(input: &[f32], z: i64, y: i64, x: i64, nz: usize, ny: usize, nx: usize) -
     } else {
         input[(z as usize * ny + y as usize) * nx + x as usize]
     }
-}
-
-fn f32s(vals: &[f32]) -> Vec<Scalar> {
-    vals.iter().map(|v| Scalar::F32(*v)).collect()
 }
 
 fn nbh333() -> Type {
@@ -67,18 +63,13 @@ fn faces(nbh: &Expr) -> [Expr; 7] {
 
 /// 7-point Jacobi average.
 pub fn jacobi7_uf() -> Arc<UserFun> {
-    UserFun::new(
+    static F: OnceLock<Arc<UserFun>> = OnceLock::new();
+    library(
+        &F,
         "jacobi7",
-        ["c", "a0", "a1", "a2", "a3", "a4", "a5"].map(|n| (n, Type::f32())),
+        &["c", "a0", "a1", "a2", "a3", "a4", "a5"].map(|n| (n, Type::f32())),
         Type::f32(),
         "return (c + a0 + a1 + a2 + a3 + a4 + a5) / 7.0f;",
-        |a| {
-            let mut sum = a[0].as_f32();
-            for v in &a[1..] {
-                sum += v.as_f32();
-            }
-            Scalar::F32(sum / 7.0)
-        },
     )
 }
 
@@ -100,15 +91,18 @@ fn jacobi3d7_reference(inputs: &[Vec<f32>], sizes: &[usize]) -> Vec<f32> {
         for y in 0..ny as i64 {
             for x in 0..nx as i64 {
                 out.push(
-                    uf.call(&f32s(&[
-                        g3(a, z, y, x, nz, ny, nx),
-                        g3(a, z - 1, y, x, nz, ny, nx),
-                        g3(a, z, y - 1, x, nz, ny, nx),
-                        g3(a, z, y, x - 1, nz, ny, nx),
-                        g3(a, z, y, x + 1, nz, ny, nx),
-                        g3(a, z, y + 1, x, nz, ny, nx),
-                        g3(a, z + 1, y, x, nz, ny, nx),
-                    ]))
+                    apply(
+                        &uf,
+                        &f32s([
+                            g3(a, z, y, x, nz, ny, nx),
+                            g3(a, z - 1, y, x, nz, ny, nx),
+                            g3(a, z, y - 1, x, nz, ny, nx),
+                            g3(a, z, y, x - 1, nz, ny, nx),
+                            g3(a, z, y, x + 1, nz, ny, nx),
+                            g3(a, z, y + 1, x, nz, ny, nx),
+                            g3(a, z + 1, y, x, nz, ny, nx),
+                        ]),
+                    )
                     .as_f32(),
                 );
             }
@@ -123,21 +117,16 @@ fn jacobi3d7_reference(inputs: &[Vec<f32>], sizes: &[usize]) -> Vec<f32> {
 
 /// 13-point (radius-2 star) Jacobi average.
 pub fn jacobi13_uf() -> Arc<UserFun> {
-    UserFun::new(
+    static F: OnceLock<Arc<UserFun>> = OnceLock::new();
+    library(
+        &F,
         "jacobi13",
-        [
+        &[
             "c", "z0", "z1", "z3", "z4", "y0", "y1", "y3", "y4", "x0", "x1", "x3", "x4",
         ]
         .map(|n| (n, Type::f32())),
         Type::f32(),
         "return (c + z0 + z1 + z3 + z4 + y0 + y1 + y3 + y4 + x0 + x1 + x3 + x4) / 13.0f;",
-        |a| {
-            let mut sum = a[0].as_f32();
-            for v in &a[1..] {
-                sum += v.as_f32();
-            }
-            Scalar::F32(sum / 13.0)
-        },
     )
 }
 
@@ -176,21 +165,24 @@ fn jacobi3d13_reference(inputs: &[Vec<f32>], sizes: &[usize]) -> Vec<f32> {
         for y in 0..ny as i64 {
             for x in 0..nx as i64 {
                 out.push(
-                    uf.call(&f32s(&[
-                        g3(a, z, y, x, nz, ny, nx),
-                        g3(a, z - 2, y, x, nz, ny, nx),
-                        g3(a, z - 1, y, x, nz, ny, nx),
-                        g3(a, z + 1, y, x, nz, ny, nx),
-                        g3(a, z + 2, y, x, nz, ny, nx),
-                        g3(a, z, y - 2, x, nz, ny, nx),
-                        g3(a, z, y - 1, x, nz, ny, nx),
-                        g3(a, z, y + 1, x, nz, ny, nx),
-                        g3(a, z, y + 2, x, nz, ny, nx),
-                        g3(a, z, y, x - 2, nz, ny, nx),
-                        g3(a, z, y, x - 1, nz, ny, nx),
-                        g3(a, z, y, x + 1, nz, ny, nx),
-                        g3(a, z, y, x + 2, nz, ny, nx),
-                    ]))
+                    apply(
+                        &uf,
+                        &f32s([
+                            g3(a, z, y, x, nz, ny, nx),
+                            g3(a, z - 2, y, x, nz, ny, nx),
+                            g3(a, z - 1, y, x, nz, ny, nx),
+                            g3(a, z + 1, y, x, nz, ny, nx),
+                            g3(a, z + 2, y, x, nz, ny, nx),
+                            g3(a, z, y - 2, x, nz, ny, nx),
+                            g3(a, z, y - 1, x, nz, ny, nx),
+                            g3(a, z, y + 1, x, nz, ny, nx),
+                            g3(a, z, y + 2, x, nz, ny, nx),
+                            g3(a, z, y, x - 2, nz, ny, nx),
+                            g3(a, z, y, x - 1, nz, ny, nx),
+                            g3(a, z, y, x + 1, nz, ny, nx),
+                            g3(a, z, y, x + 2, nz, ny, nx),
+                        ]),
+                    )
                     .as_f32(),
                 );
             }
@@ -206,24 +198,15 @@ fn jacobi3d13_reference(inputs: &[Vec<f32>], sizes: &[usize]) -> Vec<f32> {
 /// Poisson 19-point weights by Manhattan distance within the 3×3×3 window
 /// (corners get weight 0, leaving 19 live points).
 pub fn poisson_weight_uf() -> Arc<UserFun> {
-    UserFun::new(
+    static F: OnceLock<Arc<UserFun>> = OnceLock::new();
+    library(
+        &F,
         "poissonWeight",
-        [("i", Type::i32()), ("n", Type::i32())],
+        &[("i", Type::i32()), ("n", Type::i32())],
         Type::f32(),
         "int z = i / 9; int y = (i % 9) / 3; int x = i % 3; \
          int m = abs(z - 1) + abs(y - 1) + abs(x - 1); \
          return (m == 0) ? 2.6666f : ((m == 1) ? -0.1666f : ((m == 2) ? -0.0833f : 0.0f));",
-        |a| {
-            let i = a[0].as_i32();
-            let (z, y, x) = (i / 9, (i % 9) / 3, i % 3);
-            let m = (z - 1).abs() + (y - 1).abs() + (x - 1).abs();
-            Scalar::F32(match m {
-                0 => 2.6666,
-                1 => -0.1666,
-                2 => -0.0833,
-                _ => 0.0,
-            })
-        },
     )
 }
 
@@ -247,20 +230,23 @@ fn poisson_reference(inputs: &[Vec<f32>], sizes: &[usize]) -> Vec<f32> {
     let a = &inputs[0];
     let wuf = crate::bench2d::wadd_uf();
     let puf = poisson_weight_uf();
+    // The weights are the same at every element.
+    let weights: Vec<f32> = (0..27)
+        .map(|k| apply(&puf, &[Scalar::I32(k), Scalar::I32(27)]).as_f32())
+        .collect();
     let mut out = Vec::with_capacity(nz * ny * nx);
     for z in 0..nz as i64 {
         for y in 0..ny as i64 {
             for x in 0..nx as i64 {
                 let mut acc = 0.0f32;
-                for k in 0..27i32 {
+                for (k, &w) in weights.iter().enumerate() {
                     let (dz, dy, dx) = (
                         (k / 9) as i64 - 1,
                         ((k % 9) / 3) as i64 - 1,
                         (k % 3) as i64 - 1,
                     );
-                    let w = puf.call(&[Scalar::I32(k), Scalar::I32(27)]).as_f32();
                     let v = g3(a, z + dz, y + dy, x + dx, nz, ny, nx);
-                    acc = wuf.call(&f32s(&[acc, w, v])).as_f32();
+                    acc = apply(&wuf, &f32s([acc, w, v])).as_f32();
                 }
                 out.push(acc);
             }
@@ -275,19 +261,13 @@ fn poisson_reference(inputs: &[Vec<f32>], sizes: &[usize]) -> Vec<f32> {
 
 /// Explicit heat-equation step.
 pub fn heat_uf() -> Arc<UserFun> {
-    UserFun::new(
+    static F: OnceLock<Arc<UserFun>> = OnceLock::new();
+    library(
+        &F,
         "heat7",
-        ["c", "a0", "a1", "a2", "a3", "a4", "a5"].map(|n| (n, Type::f32())),
+        &["c", "a0", "a1", "a2", "a3", "a4", "a5"].map(|n| (n, Type::f32())),
         Type::f32(),
         "return c + 0.125f * (a0 + a1 + a2 + a3 + a4 + a5 - 6.0f * c);",
-        |a| {
-            let c = a[0].as_f32();
-            let mut sum = 0.0f32;
-            for v in &a[1..] {
-                sum += v.as_f32();
-            }
-            Scalar::F32(c + 0.125 * (sum - 6.0 * c))
-        },
     )
 }
 
@@ -309,15 +289,18 @@ fn heat_reference(inputs: &[Vec<f32>], sizes: &[usize]) -> Vec<f32> {
         for y in 0..ny as i64 {
             for x in 0..nx as i64 {
                 out.push(
-                    uf.call(&f32s(&[
-                        g3(a, z, y, x, nz, ny, nx),
-                        g3(a, z - 1, y, x, nz, ny, nx),
-                        g3(a, z, y - 1, x, nz, ny, nx),
-                        g3(a, z, y, x - 1, nz, ny, nx),
-                        g3(a, z, y, x + 1, nz, ny, nx),
-                        g3(a, z, y + 1, x, nz, ny, nx),
-                        g3(a, z + 1, y, x, nz, ny, nx),
-                    ]))
+                    apply(
+                        &uf,
+                        &f32s([
+                            g3(a, z, y, x, nz, ny, nx),
+                            g3(a, z - 1, y, x, nz, ny, nx),
+                            g3(a, z, y - 1, x, nz, ny, nx),
+                            g3(a, z, y, x - 1, nz, ny, nx),
+                            g3(a, z, y, x + 1, nz, ny, nx),
+                            g3(a, z, y + 1, x, nz, ny, nx),
+                            g3(a, z + 1, y, x, nz, ny, nx),
+                        ]),
+                    )
                     .as_f32(),
                 );
             }
@@ -332,21 +315,15 @@ fn heat_reference(inputs: &[Vec<f32>], sizes: &[usize]) -> Vec<f32> {
 
 /// Rodinia Hotspot3D per-cell update.
 pub fn hotspot3d_uf() -> Arc<UserFun> {
-    UserFun::new(
+    static F: OnceLock<Arc<UserFun>> = OnceLock::new();
+    library(
+        &F,
         "hotspot3d",
-        ["p", "c", "a0", "a1", "a2", "a3", "a4", "a5"].map(|n| (n, Type::f32())),
+        &["p", "c", "a0", "a1", "a2", "a3", "a4", "a5"].map(|n| (n, Type::f32())),
         Type::f32(),
         "float delta = 0.001f * (p + 0.1f*(a0 + a1 + a2 + a3 + a4 + a5 - 6.0f*c) \
          + 0.05f*(80.0f - c)); \
          return c + delta;",
-        |a| {
-            let v: Vec<f32> = a.iter().map(|s| s.as_f32()).collect();
-            let p = v[0];
-            let c = v[1];
-            let sum: f32 = v[2..].iter().sum();
-            let delta = 0.001f32 * (p + 0.1 * (sum - 6.0 * c) + 0.05 * (80.0 - c));
-            Scalar::F32(c + delta)
-        },
     )
 }
 
@@ -375,16 +352,19 @@ fn hotspot3d_reference(inputs: &[Vec<f32>], sizes: &[usize]) -> Vec<f32> {
         for y in 0..ny as i64 {
             for x in 0..nx as i64 {
                 out.push(
-                    uf.call(&f32s(&[
-                        pg[(z as usize * ny + y as usize) * nx + x as usize],
-                        g3(tg, z, y, x, nz, ny, nx),
-                        g3(tg, z - 1, y, x, nz, ny, nx),
-                        g3(tg, z, y - 1, x, nz, ny, nx),
-                        g3(tg, z, y, x - 1, nz, ny, nx),
-                        g3(tg, z, y, x + 1, nz, ny, nx),
-                        g3(tg, z, y + 1, x, nz, ny, nx),
-                        g3(tg, z + 1, y, x, nz, ny, nx),
-                    ]))
+                    apply(
+                        &uf,
+                        &f32s([
+                            pg[(z as usize * ny + y as usize) * nx + x as usize],
+                            g3(tg, z, y, x, nz, ny, nx),
+                            g3(tg, z - 1, y, x, nz, ny, nx),
+                            g3(tg, z, y - 1, x, nz, ny, nx),
+                            g3(tg, z, y, x - 1, nz, ny, nx),
+                            g3(tg, z, y, x + 1, nz, ny, nx),
+                            g3(tg, z, y + 1, x, nz, ny, nx),
+                            g3(tg, z + 1, y, x, nz, ny, nx),
+                        ]),
+                    )
                     .as_f32(),
                 );
             }
@@ -400,9 +380,11 @@ fn hotspot3d_reference(inputs: &[Vec<f32>], sizes: &[usize]) -> Vec<f32> {
 /// Counts the in-grid face neighbours of cell `(i, j, k)` — the mask the
 /// paper computes *on the fly* with the `array3` generator.
 pub fn num_neighbours_uf() -> Arc<UserFun> {
-    UserFun::new(
+    static F: OnceLock<Arc<UserFun>> = OnceLock::new();
+    library(
+        &F,
         "numNeighbours",
-        [
+        &[
             ("i", Type::i32()),
             ("j", Type::i32()),
             ("k", Type::i32()),
@@ -412,26 +394,17 @@ pub fn num_neighbours_uf() -> Arc<UserFun> {
         ],
         Type::i32(),
         "return (i > 0) + (i < ni - 1) + (j > 0) + (j < nj - 1) + (k > 0) + (k < nk - 1);",
-        |a| {
-            let (i, j, k) = (a[0].as_i32(), a[1].as_i32(), a[2].as_i32());
-            let (ni, nj, nk) = (a[3].as_i32(), a[4].as_i32(), a[5].as_i32());
-            let n = (i > 0) as i32
-                + (i < ni - 1) as i32
-                + (j > 0) as i32
-                + (j < nj - 1) as i32
-                + (k > 0) as i32
-                + (k < nk - 1) as i32;
-            Scalar::I32(n)
-        },
     )
 }
 
 /// The §3.5 acoustic update: `cf·((2 − l2·nn)·cur + l2·Σnbh − cf2·prev)`
 /// with boundary-loss coefficients selected by the neighbour count.
 pub fn acoustic_uf() -> Arc<UserFun> {
-    UserFun::new(
+    static F: OnceLock<Arc<UserFun>> = OnceLock::new();
+    library(
+        &F,
         "acousticStep",
-        [
+        &[
             ("prev", Type::f32()),
             ("cur", Type::f32()),
             ("sum", Type::f32()),
@@ -442,14 +415,6 @@ pub fn acoustic_uf() -> Arc<UserFun> {
          float cf1 = (nn < 6) ? 0.999f : 1.0f; \
          float cf2 = (nn < 6) ? 0.998f : 1.0f; \
          return cf1 * ((2.0f - l2 * (float)nn) * cur + l2 * sum - cf2 * prev);",
-        |a| {
-            let (prev, cur, sum) = (a[0].as_f32(), a[1].as_f32(), a[2].as_f32());
-            let nn = a[3].as_i32();
-            let l2 = 0.25f32;
-            let cf1 = if nn < 6 { 0.999 } else { 1.0 };
-            let cf2 = if nn < 6 { 0.998 } else { 1.0 };
-            Scalar::F32(cf1 * ((2.0 - l2 * nn as f32) * cur + l2 * sum - cf2 * prev))
-        },
     )
 }
 
@@ -505,23 +470,28 @@ fn acoustic_reference(inputs: &[Vec<f32>], sizes: &[usize]) -> Vec<f32> {
                     + g3z(cur, z, y, x + 1, nz, ny, nx))
                     + g3z(cur, z, y + 1, x, nz, ny, nx))
                     + g3z(cur, z + 1, y, x, nz, ny, nx);
-                let nn = nuf
-                    .call(&[
+                let nn = apply(
+                    &nuf,
+                    &[
                         Scalar::I32(z as i32),
                         Scalar::I32(y as i32),
                         Scalar::I32(x as i32),
                         Scalar::I32(nz as i32),
                         Scalar::I32(ny as i32),
                         Scalar::I32(nx as i32),
-                    ])
-                    .as_i32();
+                    ],
+                )
+                .as_i32();
                 out.push(
-                    auf.call(&[
-                        Scalar::F32(prev[(z as usize * ny + y as usize) * nx + x as usize]),
-                        Scalar::F32(cur[(z as usize * ny + y as usize) * nx + x as usize]),
-                        Scalar::F32(sum),
-                        Scalar::I32(nn),
-                    ])
+                    apply(
+                        &auf,
+                        &[
+                            Scalar::F32(prev[(z as usize * ny + y as usize) * nx + x as usize]),
+                            Scalar::F32(cur[(z as usize * ny + y as usize) * nx + x as usize]),
+                            Scalar::F32(sum),
+                            Scalar::I32(nn),
+                        ],
+                    )
                     .as_f32(),
                 );
             }

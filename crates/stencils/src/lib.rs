@@ -24,7 +24,22 @@ pub mod bench3d;
 pub mod inputs;
 pub mod refkernels;
 
+use std::sync::Arc;
+
 use lift_core::expr::FunDecl;
+use lift_core::scalar::Scalar;
+use lift_core::userfun::{add_f32, id_f32, max_f32, mul_f32, UserFun};
+
+/// `uf` applied to `args`, as the golden references call it: their
+/// arguments never index a constant array out of its range.
+fn apply(uf: &UserFun, args: &[Scalar]) -> Scalar {
+    uf.call(args).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Float arguments for [`apply`].
+fn f32s<const N: usize>(vals: [f32; N]) -> [Scalar; N] {
+    vals.map(Scalar::F32)
+}
 
 /// Which figure(s) of the paper a benchmark appears in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,11 +176,39 @@ pub fn by_name(name: &str) -> Benchmark {
         .unwrap_or_else(|| panic!("unknown benchmark `{name}`"))
 }
 
+/// Every library user function: lift-core's four and the suite's fifteen.
+pub fn user_functions() -> Vec<Arc<UserFun>> {
+    use bench2d::*;
+    use bench3d::*;
+    vec![
+        add_f32(),
+        mul_f32(),
+        max_f32(),
+        id_f32(),
+        jacobi5_uf(),
+        gauss_weight_uf(),
+        wadd_uf(),
+        gradient_uf(),
+        stencil9_uf(),
+        srad1_uf(),
+        srad2_uf(),
+        hotspot2d_uf(),
+        jacobi7_uf(),
+        jacobi13_uf(),
+        poisson_weight_uf(),
+        heat_uf(),
+        hotspot3d_uf(),
+        num_neighbours_uf(),
+        acoustic_uf(),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use lift_core::eval::{eval_fun, DataValue};
     use lift_core::typecheck::typecheck_fun;
+    use lift_core::types::Type;
 
     fn tiny(sizes: &[usize]) -> Vec<usize> {
         // Shrink any benchmark to an evaluator-friendly size (keep ≥ 6 so
@@ -250,6 +293,60 @@ mod tests {
     fn figure_sets_are_in_the_suite() {
         for n in fig7_names().iter().chain(fig8_names().iter()) {
             let _ = by_name(n);
+        }
+    }
+
+    /// Each library function's outputs on twelve sample argument lists,
+    /// as bits: argument `j` of sample `k` is `FLOATS[(5k + 3j + jk) % 13]`
+    /// for a float, `(7k + 3j) % 25` for an int. Recorded from the Rust
+    /// closures that defined these functions before their C bodies did.
+    #[rustfmt::skip]
+    const OUTPUTS: [(&str, [u32; 12]); 19] = [
+        ("add", [0x40880000, 0x41200000, 0x40c80000, 0x40300000, 0xc1200000, 0x44ba9000, 0x3f600000, 0x3e99999a, 0x44bb3000, 0x4124cccd, 0x00022d84, 0x40480000]),
+        ("mult", [0x40500000, 0x80000000, 0x40840000, 0x3fc00000, 0x41960000, 0xc62fc800, 0xbe000000, 0x80000000, 0xc56a6000, 0x40400000, 0x00000000, 0xbed00000]),
+        ("maxf", [0x40500000, 0x41200000, 0x40b00000, 0x40000000, 0xc0200000, 0x44bb8000, 0x3f800000, 0x3e99999a, 0x44bb8000, 0x41200000, 0x000116c2, 0x40500000]),
+        ("id", [0x3f800000, 0x41200000, 0x40b00000, 0x3f400000, 0xc0f00000, 0x44bb8000, 0xbe000000, 0x80000000, 0xc0200000, 0x3e99999a, 0x000116c2, 0x40500000]),
+        ("jacobi5", [0x4396747b, 0x4024cccd, 0x4395dccd, 0xbfa00000, 0xbfb9999a, 0x4396e000, 0x3fd66667, 0x4000a3d7, 0x439687af, 0x403570a4, 0x000116c2, 0x3f97ae15]),
+        ("gaussWeight", [0x3b800000, 0x3dc00000, 0x3cc00000, 0x3c800000, 0x3c800000, 0x3cc00000, 0x3dc00000, 0x3b800000, 0x3d800000, 0x3dc00000, 0x3b800000, 0x3cc00000]),
+        ("wadd", [0x3ffccccd, 0x41200000, 0xbe000000, 0xc0880000, 0xc1480000, 0x44bacc00, 0xbe000000, 0x3f79999a, 0x4600de00, 0xbf733333, 0x000116c2, 0x40000000]),
+        ("gradient", [0x4011463d, 0x41210263, 0x44bc703d, 0x40a4ec9a, 0x40a4ec9a, 0x44bc703d, 0x41210263, 0x4011463d, 0x44bbd021, 0x41245376, 0x00000000, 0x41245376]),
+        ("stencil9", [0x43626b86, 0x429b7000, 0x43613bd8, 0x42954e15, 0xbfb40000, 0x43bc5000, 0x3fc91eb9, 0x3f8028f6, 0x4361a053, 0x429a299a, 0x000124b1, 0x3fcb5c29]),
+        ("srad1", [0x39bcdfc7, 0x3777ec0f, 0x39ba8525, 0x396d9601, 0x3427f32b, 0x31b7ac80, 0x396efbc9, 0xffc00000, 0x39bd95fb, 0x3a3e4542, 0xffc00000, 0x37600302]),
+        ("srad2", [0x43bb7f00, 0xc56af980, 0x4115a000, 0xc41824cd, 0x40898000, 0x4310a000, 0x40ec8666, 0xc03f4000, 0xc1c79333, 0x42a15667, 0x000116c2, 0xc0b7199a]),
+        ("hotspot", [0x4059d547, 0x3e283afb, 0x3f688ce7, 0x400030d3, 0xc0201d15, 0xc0bfb574, 0x3f809ad4, 0x3e9bb1b0, 0x44bb6a79, 0x411fffbe, 0x3b83126f, 0xbdf00dc3]),
+        ("jacobi7", [0x435878b0, 0x435896db, 0x4355bb6e, 0x43556f8b, 0x3e5b6db7, 0x4357f6db, 0x4001999a, 0x3eb15f17, 0x435721d5, 0x3fe7c57d, 0x000116c2, 0x3f90ea0f]),
+        ("jacobi13", [0x42e8b820, 0x42e8b820, 0x42e8b820, 0x42e8b820, 0x42e8b820, 0x42e8b820, 0x42e8b820, 0x42e8b820, 0x42e8b820, 0x42e8b820, 0x000116c2, 0x42e8b820]),
+        ("poissonWeight", [0x00000000, 0xbdaa9931, 0xbe2a9931, 0xbdaa9931, 0xbdaa9931, 0xbe2a9931, 0xbdaa9931, 0x00000000, 0x00000000, 0x402aa993, 0x00000000, 0x00000000]),
+        ("heat7", [0x433d899a, 0x433ec400, 0x433bb400, 0x433ad99a, 0xbf400000, 0x43bc3c00, 0x3fe0cccd, 0x3e9b3334, 0x433bed9a, 0x3fcf999a, 0x000116c2, 0x3fb2cccd]),
+        ("hotspot3d", [0x4059de4a, 0x3e27cb93, 0x3f6874a8, 0x4009d441, 0xc0200c15, 0xc0bfa4dd, 0x3f8097b7, 0x3e9b876a, 0x44bb60e1, 0x41225e5d, 0x3b83126f, 0xbdeee04c]),
+        ("numNeighbours", [0x00000005, 0x00000006, 0x00000004, 0x00000004, 0x00000006, 0x00000005, 0x00000003, 0x00000005, 0x00000006, 0x00000004, 0x00000004, 0x00000006]),
+        ("acousticStep", [0xbfde6666, 0xc11c0000, 0xc1230000, 0x3e01680f, 0x41280000, 0xc4b8e600, 0x3fefba61, 0x3f500000, 0xc523d200, 0xc20d5333, 0x0000462d, 0xbf280000]),
+    ];
+
+    const FLOATS: [f32; 13] = [
+        1.0, -2.5, 0.75, 3.25, -0.125, 10.0, 0.3, -7.5, 2.0, -0.0, 5.5, 1e-40, 1.5e3,
+    ];
+
+    #[test]
+    fn library_functions_keep_their_outputs() {
+        let funs = user_functions();
+        assert_eq!(funs.len(), OUTPUTS.len());
+        for (f, (name, want)) in funs.iter().zip(OUTPUTS) {
+            assert_eq!(f.name(), name);
+            for (k, want) in want.into_iter().enumerate() {
+                let args: Vec<Scalar> = (f.params().iter().enumerate())
+                    .map(|(j, (_, t))| match *t == Type::i32() {
+                        true => Scalar::I32(((7 * k + 3 * j) % 25) as i32),
+                        false => Scalar::F32(FLOATS[(5 * k + 3 * j + j * k) % 13]),
+                    })
+                    .collect();
+                let got = match f.call(&args) {
+                    Ok(Scalar::F32(x)) => x.to_bits(),
+                    Ok(Scalar::I32(x)) => x as u32,
+                    other => panic!("{name}: {other:?}"),
+                };
+                assert_eq!(got, want, "{name} on sample {k}: {args:?}");
+            }
         }
     }
 }

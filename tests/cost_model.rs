@@ -13,12 +13,9 @@
 //!    zero-filled buffers would not count what a real run counts, so the
 //!    estimate is refused with `SimError::Estimate` naming the site.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use lift_codegen::clike::{
     AddressSpace, BinOp, CExpr, CStmt, CType, Kernel, KernelParam, LocalBuffer, VarRef, WorkItemFn,
 };
-use lift_core::scalar::Scalar;
 use lift_core::types::Type;
 use lift_core::userfun::UserFun;
 use lift_driver::Pipeline;
@@ -392,9 +389,8 @@ enum Expect {
 /// One adversarial row: a name, a kernel over input `A` (of `a_len`
 /// elements) and output `out` (of `out_len`) with local buffers `locals`,
 /// its launch, and the outcome. `calls` is `Some(skipped)` for a kernel
-/// that calls [`COUNTED`] once per work-item: `run` makes every call, and
-/// the estimate none when `skipped`, else one per lane of every group it
-/// runs.
+/// with one call of [`counted`]: the zero-data bytecode skips it when
+/// `skipped`, and makes it otherwise.
 struct Row {
     name: &'static str,
     a_len: usize,
@@ -406,22 +402,15 @@ struct Row {
     calls: Option<bool>,
 }
 
-/// Calls made to the user function [`counted`] so far.
-static COUNTED: AtomicU64 = AtomicU64::new(0);
-
-/// `float counted(float x) { return x + 1.0f; }`, counting its calls in
-/// [`COUNTED`].
+/// `float counted(float x) { return x + 1.0f; }`, a call on buffer data.
 fn counted() -> std::sync::Arc<UserFun> {
     UserFun::new(
         "counted",
         [("x", Type::f32())],
         Type::f32(),
         "return x + 1.0f;",
-        |a| {
-            COUNTED.fetch_add(1, Ordering::Relaxed);
-            Scalar::F32(a[0].as_f32() + 1.0)
-        },
     )
+    .expect("a valid body")
 }
 
 /// Launches the class estimate must get exactly right: classes that split
@@ -695,7 +684,7 @@ fn class_estimates_match_runs_on_adversarial_launches() {
         },
         Row {
             // out[gid] = counted(A[gid]); — a call on buffer data, which the
-            // zero-data run charges but does not make.
+            // zero-data run charges but skips.
             name: "a user function on buffer data",
             a_len: 256,
             out_len: 256,
@@ -856,6 +845,40 @@ fn class_estimates_match_runs_on_adversarial_launches() {
             expect: Expect::Classes,
             calls: None,
         },
+        Row {
+            // x = get_group_id(0); if (get_local_id(0) >= 4) x = 2 * x;
+            // i = x; out[gid] = A[16 * i + get_local_id(0)]: at group 0
+            // every lane of `x` holds 0, so `i = x` reads one value for
+            // all lanes, but their slopes are 1 and 2.
+            name: "a register whose lanes agree but slope apart",
+            a_len: 512,
+            out_len: 256,
+            locals: vec![],
+            body: vec![
+                decl_int(&x, group_id(0)),
+                CStmt::If {
+                    cond: bin(
+                        BinOp::Ge,
+                        CExpr::WorkItem(WorkItemFn::LocalId, 0),
+                        CExpr::Int(4),
+                    ),
+                    then_: vec![CStmt::Assign {
+                        var: x.clone(),
+                        value: bin(BinOp::Mul, CExpr::Int(2), CExpr::Var(x.clone())),
+                    }],
+                    else_: vec![],
+                },
+                decl_int(&i, CExpr::Var(x.clone())),
+                copy(bin(
+                    BinOp::Add,
+                    bin(BinOp::Mul, CExpr::Int(16), CExpr::Var(i.clone())),
+                    CExpr::WorkItem(WorkItemFn::LocalId, 0),
+                )),
+            ],
+            launch: d1(256),
+            expect: Expect::FullRun,
+            calls: None,
+        },
     ];
     for row in rows {
         let a = KernelParam {
@@ -876,19 +899,12 @@ fn class_estimates_match_runs_on_adversarial_launches() {
         for profile in DeviceProfile::all() {
             let label = format!("{} on {}", row.name, profile.name);
             let dev = VirtualDevice::new(profile);
-            COUNTED.store(0, Ordering::Relaxed);
             let measured = dev.run(&kernel, &inputs, row.launch);
-            let run_calls = COUNTED.swap(0, Ordering::Relaxed);
-            let est = PlannedKernel::new(kernel.clone()).estimate(row.launch, dev.profile());
-            let est_calls = COUNTED.load(Ordering::Relaxed);
-            if let (Some(skipped), Ok(m), Ok(e)) = (row.calls, &measured, &est) {
-                assert_eq!(run_calls, m.stats.work_items, "{label}: calls by run");
-                let made = if skipped {
-                    0
-                } else {
-                    e.groups_run * m.stats.wg_size
-                };
-                assert_eq!(est_calls, made, "{label}: calls by the estimate");
+            let planned = PlannedKernel::new(kernel.clone());
+            let est = planned.estimate(row.launch, dev.profile());
+            if let Some(skipped) = row.calls {
+                let calls = planned.zero_data_calls().expect("estimable");
+                assert_eq!(calls, (1, usize::from(skipped)), "{label}: calls skipped");
             }
             let (m, e) = match (measured, est) {
                 (Err(re), Err(ee)) => {

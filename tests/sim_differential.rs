@@ -22,9 +22,9 @@ use std::sync::Arc;
 use lift_codegen::clike::{
     AddressSpace, BinOp, CExpr, CStmt, CType, Kernel, KernelParam, LocalBuffer, VarRef, WorkItemFn,
 };
-use lift_core::scalar::Scalar;
+use lift_core::scalar::ScalarKind;
 use lift_core::types::Type;
-use lift_core::userfun::{add_f32, UserFun};
+use lift_core::userfun::{add_f32, BodyError, UserFun};
 use lift_driver::Pipeline;
 use lift_oclsim::{
     BufferData, DeviceProfile, LaunchConfig, Plan, Rotation, SimError, VirtualDevice,
@@ -484,25 +484,116 @@ fn user_function_arity_is_checked() {
     plan_mismatch(run_plan(&kernel).expect_err("rejected"), "`add`");
 }
 
-/// A user function whose `eval` returns another kind than its declared
-/// return type fails the launch with a `TypeMismatch` naming it.
+/// A user function whose body returns another type than it declares is
+/// refused when it is built, with a typed error naming it.
 #[test]
 fn user_function_return_types_are_checked() {
-    let liar = UserFun::new(
-        "liar",
-        [("x", Type::f32())],
-        Type::f32(),
-        "return x;",
-        |_| Scalar::I32(1),
+    let err = UserFun::new("liar", [("x", Type::f32())], Type::f32(), "return (int)x;")
+        .expect_err("refused");
+    assert_eq!(err.fun, "liar");
+    assert_eq!(
+        err.kind,
+        BodyError::ReturnType {
+            declared: ScalarKind::F32,
+            found: ScalarKind::I32
+        }
     );
-    let kernel = store_kernel(
-        "lying_call",
-        |a_gid| CExpr::Call(liar.clone(), vec![a_gid]),
-        vec![liar.clone()],
-    );
-    let err = run_plan(&kernel).expect_err("rejected");
-    assert!(
-        matches!(&err, SimError::TypeMismatch(m) if m.contains("`liar`")),
-        "wrong fault: {err:?}"
-    );
+}
+
+/// An `int` register read whose active lanes all hold one value reads as
+/// that one value: the first active lane's, not lane 0's. In
+/// `x = lid / div; if (lid >= 8) out[lid] = A[x]`, lanes 8–15 all hold 1
+/// for `div` 8 while lane 0 holds 0; for `div` 12 the first active lanes
+/// agree on 0 and lanes 12–15 hold 1. Both engines must store what C
+/// stores.
+#[test]
+fn registers_whose_active_lanes_agree_read_their_value() {
+    let dev = VirtualDevice::new(DeviceProfile::k20c());
+    let launch = LaunchConfig::d1(16, 16);
+    for div in [8, 12] {
+        let a = buf("A", 16, false);
+        let out = buf("out", 16, true);
+        let x = VarRef::fresh("x");
+        let lid = || CExpr::WorkItem(WorkItemFn::LocalId, 0);
+        let kernel = Kernel {
+            name: format!("agree_{div}"),
+            body: vec![
+                CStmt::DeclScalar {
+                    var: x.clone(),
+                    ty: CType::Int,
+                    init: Some(CExpr::Bin(
+                        BinOp::Div,
+                        Box::new(lid()),
+                        Box::new(CExpr::Int(div)),
+                    )),
+                },
+                CStmt::If {
+                    cond: CExpr::Bin(BinOp::Ge, Box::new(lid()), Box::new(CExpr::Int(8))),
+                    then_: vec![CStmt::Store {
+                        buf: out.var.clone(),
+                        space: AddressSpace::Global,
+                        idx: lid(),
+                        value: CExpr::Load {
+                            buf: a.var.clone(),
+                            space: AddressSpace::Global,
+                            idx: Box::new(CExpr::Var(x.clone())),
+                        },
+                    }],
+                    else_: vec![],
+                },
+            ],
+            params: vec![a, out],
+            locals: vec![],
+            user_funs: vec![],
+        };
+        let inputs = [BufferData::F32((0..16).map(|i| i as f32 + 0.5).collect())];
+        assert!(engines_agree(&dev, &kernel, &inputs, launch, &kernel.name));
+        let want: Vec<f32> = (0..16)
+            .map(|i| if i < 8 { 0.0 } else { (i / div) as f32 + 0.5 })
+            .collect();
+        let got = dev.run(&kernel, &inputs, launch).expect("runs").output;
+        assert_eq!(got.as_f32(), &want[..], "{}", kernel.name);
+    }
+}
+
+/// A constant-array index out of range inside a user function faults
+/// only on an active lane, and as the same `OutOfBounds` in both engines:
+/// `if (lid < n) out[lid] = gaussWeight(4 * lid, 25)` indexes past the
+/// weights from lane 7 on (`4 * 7 / 5 == 5`), so it runs for `n` 7 and
+/// faults for `n` 8.
+#[test]
+fn user_function_table_faults_only_on_active_lanes() {
+    let dev = VirtualDevice::new(DeviceProfile::k20c());
+    let launch = LaunchConfig::d1(16, 16);
+    let gw = lift_stencils::bench2d::gauss_weight_uf();
+    for n in [7, 8] {
+        let lid = || CExpr::WorkItem(WorkItemFn::LocalId, 0);
+        let arg = CExpr::Bin(BinOp::Mul, Box::new(CExpr::Int(4)), Box::new(lid()));
+        let mut kernel = store_kernel(
+            &format!("weights_below_{n}"),
+            |_| CExpr::Call(gw.clone(), vec![arg, CExpr::Int(25)]),
+            vec![gw.clone()],
+        );
+        kernel.body = vec![CStmt::If {
+            cond: CExpr::Bin(BinOp::Lt, Box::new(lid()), Box::new(CExpr::Int(n))),
+            then_: kernel.body,
+            else_: vec![],
+        }];
+        kernel.params[0].len = 16;
+        kernel.params[1].len = 16;
+        let inputs = [BufferData::F32(vec![0.0; 16])];
+        let run = dev.run(&kernel, &inputs, launch);
+        let reference = dev.run_reference(&kernel, &inputs, launch);
+        if n == 7 {
+            assert!(engines_agree(&dev, &kernel, &inputs, launch, &kernel.name));
+        } else {
+            let fault = SimError::OutOfBounds {
+                buffer: "gaussWeight.b".into(),
+                index: 5,
+                len: 5,
+            };
+            assert_eq!(run.expect_err("faults"), fault);
+            assert_eq!(reference.expect_err("faults"), fault);
+        }
+    }
 }
